@@ -15,9 +15,13 @@ double precision — the high-precision fixed-point machinery stays in
 All integrands satisfy f(conj s) = conj f(s), so integrals over
 [-T, T] are evaluated as twice the real part over [0, T]; the symmetry
 itself is asserted in the test suite.  The quadrature is adaptive
-Gauss-Legendre (7/15 pair) with all panels of a refinement wave
-evaluated in one vectorized batch, which keeps the zeta-heavy lines
-affordable.
+Gauss-Kronrod 7-15 with all panels of a refinement wave evaluated in one
+vectorized batch.  On the two zeta lines the starting panels are one
+period 2*pi/ln 2 of the denominators 3*2**(s-1) - 1 and 3*2**(-s) - 1
+wide, so their near-poles fall on panel edges.  Zeta itself is
+Euler-Maclaurin with a cutoff solved from its remainder bound; the
+Dirichlet powers n**(-s) are built multiplicatively from a
+smallest-prime-factor sieve, with exp taken only at primes.
 """
 
 from __future__ import annotations
@@ -222,15 +226,57 @@ def _zeta_borwein(s: complex) -> complex:
     return -acc / denom
 
 
+_EM_TOL = 1.0e-10
+# Cutoffs are solved for half the guarded tolerance, so rounding in the
+# closed form can never trip the remainder guard.
+_EM_TARGET = _EM_TOL / 2
+_DIRICHLET_BLOCK = 64
+
+
+def _spf_sieve(M: int) -> np.ndarray:
+    """Smallest prime factor of every n <= M (spf[n] = n for primes)."""
+    spf = np.arange(M + 1)
+    for p in range(2, math.isqrt(M) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p :: p]
+            np.minimum(multiples, p, out=multiples)
+    return spf
+
+
+def _dirichlet_sum(s: np.ndarray, M: int) -> np.ndarray:
+    """sum_{n=1..M} n**(-s), with exp taken only at the primes.
+
+    Every composite n = p * (n/p), p = spf(n), gets n**(-s) as
+    p**(-s) * (n/p)**(-s); both factors are below 2**j when n lies in
+    [2**j, 2**(j+1)), so one gather-and-multiply per such level fills the
+    table, a block of nodes at a time.
+    """
+    spf = _spf_sieve(M)
+    n = np.arange(M + 1)
+    primes = np.flatnonzero(spf[2:] == n[2:]) + 2
+    log_p = np.log(primes)[:, None]
+    levels = []
+    for j in range(2, M.bit_length()):
+        lo, hi = 2**j, min(2 ** (j + 1), M + 1)
+        c = n[lo:hi][spf[lo:hi] != n[lo:hi]]
+        levels.append((c, spf[c], c // spf[c]))
+    out = np.empty(s.shape, dtype=np.complex128)
+    table = np.empty((M + 1, _DIRICHLET_BLOCK), dtype=np.complex128)
+    for lo in range(0, len(s), _DIRICHLET_BLOCK):
+        block = s[lo : lo + _DIRICHLET_BLOCK]
+        w = table[:, : len(block)]
+        w[1] = 1.0
+        w[primes] = np.exp(-log_p * block[None, :])
+        for c, p, q in levels:
+            w[c] = w[p] * w[q]
+        out[lo : lo + len(block)] = w[1:].sum(axis=0)
+    return out
+
+
 def _zeta_em_group(s: np.ndarray, M: int) -> np.ndarray:
     """Euler-Maclaurin zeta for an array of points sharing the cutoff M."""
-    logs = np.log(np.arange(1, M + 1, dtype=np.float64))
-    acc = np.zeros(s.shape, dtype=np.complex128)
-    chunk = max(1, min(64, (4_000_000 // max(len(s), 1)) + 1))
-    for lo in range(0, M, chunk):
-        block = logs[lo : lo + chunk]
-        acc += np.exp(-s[:, None] * block[None, :]).sum(axis=1)
-    logM = logs[-1]
+    acc = _dirichlet_sum(s, M)
+    logM = math.log(M)
     acc += np.exp(-(s - 1) * logM) / (s - 1)
     acc -= np.exp(-s * logM) / 2.0
     rising = s.copy()
@@ -246,18 +292,33 @@ def _zeta_em_group(s: np.ndarray, M: int) -> np.ndarray:
         * np.abs(s + 2 * _EM_ORDER + 1)
         / (sigma + 2 * _EM_ORDER + 1)
     )
-    if not np.all(rem < 1.0e-10):
+    if not np.all(rem < _EM_TOL):
         raise ValueError(
             "zeta Euler-Maclaurin remainder above tolerance — cutoff too small"
         )
     return acc
 
 
+def _em_cutoff(s: np.ndarray) -> np.ndarray:
+    """Smallest M whose Euler-Maclaurin remainder bound is below target.
+
+    The bound checked in :func:`_zeta_em_group` is
+    C(s) * M**-(sigma + 2J + 1) with
+    C(s) = |B_{2J+2}| / (2J+2)! * |s (s+1) ... (s+2J+1)| / (sigma + 2J + 1),
+    so M follows in closed form.
+    """
+    exponent = s.real + 2 * _EM_ORDER + 1
+    log_c = math.log(abs(_B_OVER_FACT[_EM_ORDER + 1])) - np.log(exponent)
+    for k in range(2 * _EM_ORDER + 2):
+        log_c += np.log(np.abs(s + k))
+    M = np.ceil(np.exp((log_c - math.log(_EM_TARGET)) / exponent))
+    return np.maximum(24, M).astype(np.int64)
+
+
 def _zeta_line(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for arrays with Re s > 0 (quadrature workhorse)."""
     s = np.asarray(s, dtype=np.complex128)
-    t = np.abs(s.imag)
-    M = np.maximum(24, np.ceil(t / 2.7).astype(np.int64))
+    M = _em_cutoff(s)
     out = np.empty(s.shape, dtype=np.complex128)
     order = np.argsort(M, kind="stable")
     Ms = M[order]
@@ -271,11 +332,12 @@ def _zeta_line(s: np.ndarray) -> np.ndarray:
 
 
 def zeta_complex(s: ComplexVal) -> ComplexVal:
-    """zeta(s) for Re s > 0, s != 1; absolute error well under 1e-10.
+    """zeta(s) for Re s > 0, s != 1; absolute error under 1e-10.
 
     Small |Im s| uses Borwein's alternating binomial series (certified
     by its runtime bound); larger heights switch to Euler-Maclaurin with
-    cutoff max(24, |Im s|/2.7) and a checked remainder — the alternating
+    the smallest cutoff (at least 24) whose remainder bound is below
+    1e-10/2, checked at run time — the alternating
     series cancels catastrophically in double precision beyond small
     heights.
 
@@ -297,50 +359,80 @@ def zeta_complex(s: ComplexVal) -> ComplexVal:
 # Adaptive vertical-line quadrature
 # ---------------------------------------------------------------------------
 
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
+# Gauss-Kronrod 7-15 (QUADPACK QK15, Piessens et al. 1983): the positive
+# Kronrod nodes in decreasing order with their Kronrod weights, and the
+# Gauss weights of _XK[1], _XK[3], _XK[5]; the centre weights come below.
+_XK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+])
+# All 15 nodes in increasing order; the 7 Gauss nodes are the odd-index
+# ones, so one batch of 15 evaluations yields both rules.
+_K15_NODES = np.concatenate([-_XK, [0.0], _XK[::-1]])
+_K15_WEIGHTS = np.concatenate([_WK, [0.209482141084727828012999174891714], _WK[::-1]])
+_G7_WEIGHTS = np.concatenate([_WG, [0.417959183673469387755102040816327], _WG[::-1]])
 
 
 def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
-    """Gauss-Legendre 7/15 pair on each panel [a_i, b_i], one batch eval."""
+    """Gauss-Kronrod 7-15 on each panel [a_i, b_i], one batch eval.
+
+    Returns the K15 values and the error estimates |K15 - G7|.
+    """
     mid = (a + b) / 2.0
     half = (b - a) / 2.0
-    x7 = (mid[:, None] + half[:, None] * _GL7[0][None, :]).ravel()
-    x15 = (mid[:, None] + half[:, None] * _GL15[0][None, :]).ravel()
-    y = f(np.concatenate([x7, x15]))
+    x = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
+    y = f(x)
     if not np.all(np.isfinite(y.real) & np.isfinite(y.imag)):
         raise ValueError("integrand produced a non-finite value")
-    y7 = y[: x7.size].reshape(len(a), 7)
-    y15 = y[x7.size :].reshape(len(a), 15)
-    i7 = half * (y7 * _GL7[1][None, :]).sum(axis=1)
-    i15 = half * (y15 * _GL15[1][None, :]).sum(axis=1)
-    return i15, np.abs(i15 - i7)
+    y = y.reshape(len(a), 15)
+    k15 = half * (y @ _K15_WEIGHTS)
+    g7 = half * (y[:, 1::2] @ _G7_WEIGHTS)
+    return k15, np.abs(k15 - g7)
 
 
-def _adaptive_line(f, T: float, panel_width: float, spec: QuadratureSpec):
-    """Adaptive quadrature of f over [0, T].
+def _adaptive_line(f, edges: np.ndarray, spec: QuadratureSpec):
+    """Adaptive quadrature of f over [0, T], T = edges[-1].
 
-    Starts from uniform panels no wider than ``panel_width`` (chosen by
-    the caller from the integrand's oscillation period), then bisects
-    every panel whose 7/15 error estimate exceeds its share
+    Starts from the caller's panels [edges[i], edges[i+1]] (fitted to the
+    integrand: a fraction of its oscillation period, or a mesh whose
+    edges sit at its near-poles), then bisects every panel whose
+    Gauss-Kronrod error estimate |K15 - G7| exceeds its share
     abs_tol * width / (2T) of the budget, re-evaluating only split
     panels, until all pass or the evaluation budget runs out.
 
     Returns (integral, error_estimate, evaluations).
     """
-    n0 = max(8, int(math.ceil(T / panel_width)))
-    edges = np.linspace(0.0, T, n0 + 1)
+    T = float(edges[-1])
     a = edges[:-1].copy()
     b = edges[1:].copy()
     vals, errs = _panel_integrals(f, a, b)
-    evals = 22 * len(a)
+    evals = 15 * len(a)
 
     while True:
         allowance = spec.abs_tol * (b - a) / (2.0 * T)
         bad = errs > allowance
         if not bad.any():
             break
-        if evals + 44 * int(bad.sum()) > spec.max_evals:
+        if evals + 30 * int(bad.sum()) > spec.max_evals:
             raise QuadratureError(
                 "quadrature budget exhausted before tolerance",
                 float(vals.sum().real),
@@ -354,12 +446,24 @@ def _adaptive_line(f, T: float, panel_width: float, spec: QuadratureSpec):
         split_vals, split_errs = _panel_integrals(
             f, np.concatenate([ba, mids]), np.concatenate([mids, bb])
         )
-        evals += 44 * len(ba)
+        evals += 30 * len(ba)
         a, b = new_a, new_b
         vals = np.concatenate([keep_vals, split_vals])
         errs = np.concatenate([keep_errs, split_errs])
 
     return complex(vals.sum()), float(errs.sum()), evals
+
+
+# The line denominators 3*2**(s-1) - 1 (Re s = -1/2) and 3*2**(-s) - 1
+# (Re s = 3/2) have zeros 0.085 off the line at every tau_k = k * P,
+# P = 2*pi/ln 2 ~ 9.06.  Panels exactly P wide from tau = 0 put each of
+# these near-poles on a panel edge, where the Kronrod nodes cluster.
+_POLE_PERIOD = 2.0 * math.pi / math.log(2.0)
+
+
+def _pole_aligned_edges(T: float) -> np.ndarray:
+    """Panel edges 0, P, 2P, ... below T, then T."""
+    return np.append(np.arange(0.0, T, _POLE_PERIOD), T)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +495,8 @@ def perron_kernel(t: float, spec: QuadratureSpec | None = None) -> float:
     # (evaluations are cheap here — no zeta).
     period = 2 * math.pi / abs(math.log(t)) if t != 1.0 else math.inf
     width = min(2.0, period / 4)
-    integral, _, _ = _adaptive_line(
-        lambda tau: perron_integrand(t, tau), spec.T, width, spec
-    )
+    edges = np.linspace(0.0, spec.T, max(8, math.ceil(spec.T / width)) + 1)
+    integral, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges, spec)
     return 2.0 * integral.real / (2.0 * math.pi)
 
 
@@ -437,10 +540,8 @@ def moment_contour(n: int, spec: QuadratureSpec | None = None) -> float:
         raise ValueError("moment order out of [1, 16]")
     if spec is None:
         spec = QuadratureSpec()
-    # zeta(1-s) oscillates with period 2*pi/ln 2 ~ 9.06; one period per
-    # initial panel is ample for the 15-point rule.
     integral, _, _ = _adaptive_line(
-        lambda tau: moment_contour_integrand(n, tau), spec.T, 9.0, spec
+        lambda tau: moment_contour_integrand(n, tau), _pole_aligned_edges(spec.T), spec
     )
     return (2.0 / 3.0) * 2.0 * integral.real / (2.0 * math.pi)
 
@@ -466,5 +567,7 @@ def constant_contour(spec: QuadratureSpec | None = None) -> float:
     """
     if spec is None:
         spec = QuadratureSpec()
-    integral, _, _ = _adaptive_line(constant_contour_integrand, spec.T, 9.0, spec)
+    integral, _, _ = _adaptive_line(
+        constant_contour_integrand, _pole_aligned_edges(spec.T), spec
+    )
     return 1.0 + (2.0 / 3.0) * 2.0 * integral.real / (2.0 * math.pi)

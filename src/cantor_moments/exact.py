@@ -12,6 +12,7 @@ are direct.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -59,10 +60,13 @@ def divround(num: int, den: int) -> int:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-# Memo table: _BERNOULLI[j] = B_j.  Grown on demand by bernoulli();
-# values are immutable Fractions, so sharing the list is safe as long as
-# growth happens in one execution context (see module docstring note).
+# Memo table: _BERNOULLI[j] = B_j, grown on demand by bernoulli().  Each
+# new entry is computed from the published prefix and appended under the
+# lock only if no other thread published it first, so concurrent callers
+# can never append twice or out of order.  Reading a published entry
+# takes no lock.
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(j: int) -> Fraction:
@@ -70,9 +74,9 @@ def bernoulli(j: int) -> Fraction:
 
     Computed by the defining recurrence
     ``sum_{k=0}^{m} C(m+1, k) * B_k = 0`` for m >= 1 with B_0 = 1,
-    memoized across calls.  The convention is validated downstream: only
-    B1 = -1/2 makes the moment formula agree with the independent
-    self-similarity recursion.
+    memoized across calls (thread-safe).  The convention is validated
+    downstream: only B1 = -1/2 makes the moment formula agree with the
+    independent self-similarity recursion.
     """
     if j < 0:
         raise ValueError("invalid bernoulli index")
@@ -80,14 +84,17 @@ def bernoulli(j: int) -> Fraction:
         m = len(_BERNOULLI)
         if m % 2 == 1:
             # Odd-index Bernoulli numbers vanish for m >= 3.
-            _BERNOULLI.append(Fraction(0))
-            continue
-        acc = Fraction(0)
-        for k in range(m):
-            bk = _BERNOULLI[k]
-            if bk:
-                acc += comb(m + 1, k) * bk
-        _BERNOULLI.append(-acc / (m + 1))
+            value = Fraction(0)
+        else:
+            acc = Fraction(0)
+            for k in range(m):
+                bk = _BERNOULLI[k]
+                if bk:
+                    acc += comb(m + 1, k) * bk
+            value = -acc / (m + 1)
+        with _BERNOULLI_LOCK:
+            if len(_BERNOULLI) == m:
+                _BERNOULLI.append(value)
     return _BERNOULLI[j]
 
 
@@ -288,5 +295,6 @@ def bernoulli_table_restore(values: list[Fraction]) -> None:
     """
     if len(values) >= 2 and (values[0] != 1 or values[1] != Fraction(-1, 2)):
         raise ValueError("inconsistent bernoulli cache")
-    if len(values) > len(_BERNOULLI):
-        _BERNOULLI[:] = values
+    with _BERNOULLI_LOCK:
+        if len(values) > len(_BERNOULLI):
+            _BERNOULLI[:] = values

@@ -14,6 +14,7 @@ like N**(1 - log2(3)) ~ N**-0.585.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,9 +45,13 @@ class MomentRecord:
             raise ValueError("moment equals 1 iff n = 0")
 
 
-# Memo tables, one per method so the oracles stay independent.
+# Memo tables, one per method so the oracles stay independent.  The
+# dict takes one idempotent store per n; the list grows like the
+# Bernoulli table in :mod:`cantor_moments.exact`: compute from the
+# published prefix, then append under the lock only if still missing.
 _MEMO_BERNOULLI: dict[int, Fraction] = {0: Fraction(1)}
 _MEMO_RECURSIVE: list[Fraction] = [Fraction(1)]
+_MEMO_LOCK = threading.Lock()
 
 
 def moment_bernoulli(n: int) -> Fraction:
@@ -104,7 +109,10 @@ def moment_recursive(n: int) -> Fraction:
         acc = Fraction(1)
         for k in range(m):
             acc += comb(m, k) * _MEMO_RECURSIVE[k]
-        _MEMO_RECURSIVE.append(acc / (3 * 2**m - 2))
+        value = acc / (3 * 2**m - 2)
+        with _MEMO_LOCK:
+            if len(_MEMO_RECURSIVE) == m:
+                _MEMO_RECURSIVE.append(value)
     return _MEMO_RECURSIVE[n]
 
 
@@ -214,9 +222,10 @@ def decay_fit(Ns: list[int], constant: BigFixed) -> DecayFit:
 
 def clear_memos() -> None:
     """Reset both moment memo tables (used by tests and cache loading)."""
-    _MEMO_BERNOULLI.clear()
-    _MEMO_BERNOULLI[0] = Fraction(1)
-    del _MEMO_RECURSIVE[1:]
+    with _MEMO_LOCK:
+        _MEMO_BERNOULLI.clear()
+        _MEMO_BERNOULLI[0] = Fraction(1)
+        del _MEMO_RECURSIVE[1:]
 
 
 def memo_snapshot() -> tuple[dict[int, Fraction], list[Fraction]]:
@@ -230,6 +239,7 @@ def memo_restore(bern_form: dict[int, Fraction], recursive: list[Fraction]) -> N
         raise ValueError("inconsistent moment cache")
     if recursive and recursive[0] != 1:
         raise ValueError("inconsistent moment cache")
-    _MEMO_BERNOULLI.update(bern_form)
-    if len(recursive) > len(_MEMO_RECURSIVE):
-        _MEMO_RECURSIVE[:] = recursive
+    with _MEMO_LOCK:
+        _MEMO_BERNOULLI.update(bern_form)
+        if len(recursive) > len(_MEMO_RECURSIVE):
+            _MEMO_RECURSIVE[:] = recursive

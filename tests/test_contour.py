@@ -20,6 +20,12 @@ from cantor_moments import (
     zeta_complex,
 )
 from cantor_moments.contour import (
+    _G7_WEIGHTS,
+    _K15_NODES,
+    _K15_WEIGHTS,
+    _dirichlet_sum,
+    _em_cutoff,
+    _spf_sieve,
     constant_contour_integrand,
     moment_contour_integrand,
     perron_integrand,
@@ -86,13 +92,33 @@ def test_loggamma_consistent_with_gamma():
 
 
 def _zeta_dirichlet_oracle(s: complex, terms: int = 10**5) -> complex:
-    """Direct Dirichlet summation plus Euler-Maclaurin tail estimate."""
+    """Direct Dirichlet summation plus Euler-Maclaurin tail estimate.
+
+    The tail keeps the B_2 and B_4 terms: on Re s = 1/2 at height 1e4 the
+    B_4 term is ~4e-9, the next one ~1e-12.
+    """
     m = np.arange(1, terms + 1, dtype=float)
     head = np.sum(m ** (-s))
-    tail = terms ** (1 - s) / (s - 1) - 0.5 * terms ** (-s) + s / 12 * terms ** (
-        -s - 1
+    tail = (
+        terms ** (1 - s) / (s - 1)
+        - 0.5 * terms ** (-s)
+        + s / 12 * terms ** (-s - 1)
+        - s * (s + 1) * (s + 2) / 720 * terms ** (-s - 3)
     )
     return complex(head + tail)
+
+
+def _height_with_cutoff(sigma: float, M: int) -> float:
+    """Lowest height on Re s = sigma whose Euler-Maclaurin cutoff is M."""
+    lo, hi = 8.0, 1.0e5
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _em_cutoff(np.array([complex(sigma, mid)]))[0] >= M:
+            hi = mid
+        else:
+            lo = mid
+    assert _em_cutoff(np.array([complex(sigma, hi)]))[0] == M
+    return hi
 
 
 def test_zeta_examples():
@@ -114,6 +140,27 @@ def test_zeta_against_dirichlet_oracle():
     for _ in range(20):
         s = complex(1.5, rng.uniform(-50.0, 50.0))
         assert abs(zeta_complex(s) - _zeta_dirichlet_oracle(s)) <= 1e-6
+    # Heights 63..1e4 on Re s = 3/2 and on the critical line (the cutoff
+    # must grow as sigma falls), tolerance 1e-9
+    for sigma in (1.5, 0.5):
+        for tau in np.geomspace(63.0, 1.0e4, 9):
+            s = complex(sigma, tau)
+            assert abs(zeta_complex(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
+    # Cutoffs just at and past a power of two, and prime cutoffs, where
+    # the Dirichlet table's last level is nearly empty or ends in a prime
+    for M in (1024, 1025, 2048, 2049, 2053, 3067):
+        s = complex(1.5, _height_with_cutoff(1.5, M))
+        assert abs(zeta_complex(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
+
+
+def test_zeta_cutoff_follows_sigma():
+    # The remainder bound, solved for M, needs more terms at lower sigma
+    # and fewer than |Im s| / 2.7 on Re s = 3/2 at height 1e4.
+    M = _em_cutoff(np.array([1.5 + 1e4j, 0.5 + 1e4j, 0.25 + 1e4j]))
+    assert M[0] < M[1] < M[2]
+    assert M[0] < 1e4 / 2.7
+    for s in (0.25 + 61j, 0.25 + 1e4j):
+        zeta_complex(s)  # used to raise "cutoff too small"
 
 
 def test_zeta_methods_agree_across_cutoff():
@@ -139,6 +186,49 @@ def test_zeta_critical_strip_accuracy():
 # ---------------------------------------------------------------------------
 # quadrature plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_kronrod_rule_degrees():
+    # K15 integrates monomials on [-1, 1] exactly through degree 23 and
+    # its embedded G7 through degree 13; neither is exact at the next even
+    # degree (odd monomials are exact for any symmetric rule).
+    g7_nodes = _K15_NODES[1::2]
+
+    def errors(k):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        k15 = float(_K15_WEIGHTS @ _K15_NODES**k)
+        g7 = float(_G7_WEIGHTS @ g7_nodes**k)
+        return abs(k15 - exact), abs(g7 - exact)
+
+    for k in range(24):
+        k15_err, g7_err = errors(k)
+        assert k15_err <= 1e-14
+        assert (g7_err <= 1e-14) == (k <= 13 or k % 2 == 1)
+    assert errors(24)[0] > 1e-10
+
+
+def test_gauss_nodes_are_odd_kronrod_nodes():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.all(np.abs(_K15_NODES[1::2] - nodes) <= 1e-15)
+    assert np.all(np.abs(_G7_WEIGHTS - weights) <= 1e-15)
+    assert np.all(np.diff(_K15_NODES) > 0)
+
+
+def test_spf_sieve_small():
+    spf = _spf_sieve(500)
+    for n in range(2, 501):
+        assert spf[n] == min(d for d in range(2, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 64, 1024, 1025, 2053])
+def test_dirichlet_sum_against_direct_powers(M):
+    # 150 nodes span two full blocks and a partial one
+    rng = np.random.default_rng(M)
+    s = rng.choice([0.5, 1.5], 150) + 1j * rng.uniform(-1.0e4, 1.0e4, 150)
+    n = np.arange(1, M + 1, dtype=float)
+    direct = (n[None, :] ** -s[:, None]).sum(axis=1)
+    scale = (n[None, :] ** -s.real[:, None]).sum(axis=1)
+    assert np.all(np.abs(_dirichlet_sum(s, M) - direct) <= 1e-12 * scale)
 
 
 def test_quadrature_spec_validation():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cantor_moments import BigFixed, bernoulli, binomial, harmonic_exact, to_fixed
+from cantor_moments import exact
 from cantor_moments.exact import HARMONIC_CAP, divround
 
 
@@ -75,6 +76,19 @@ def test_bernoulli_defining_recurrence():
     for m in range(1, 40):
         total = sum(binomial(m + 1, k) * bernoulli(k) for k in range(m + 1))
         assert total == 0
+
+
+def test_bernoulli_table_threadsafe(race):
+    # Four threads grow a cold table at once; a check-then-append memo
+    # appended duplicate and misplaced entries here.
+    def cold():
+        del exact._BERNOULLI[2:]
+
+    cold()
+    expected = [bernoulli(j) for j in range(301)]
+    cold()
+    assert race(lambda: bernoulli(300)) == [expected[300]] * 4
+    assert exact._BERNOULLI == expected
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from cantor_moments import (
     moment_series_constant,
     partial_sum,
 )
+from cantor_moments import moments
 from cantor_moments.moments import clear_memos, log_moments
 
 
@@ -39,6 +40,16 @@ def test_methods_agree_exactly_to_64():
     clear_memos()
     for n in range(65):
         assert moment_bernoulli(n) == moment_recursive(n)
+
+
+def test_recursive_memo_threadsafe(race):
+    # Four threads grow a cold recursion table at once; a check-then-append
+    # memo appended duplicate and misplaced entries here.
+    clear_memos()
+    expected = [moment_recursive(n) for n in range(121)]
+    clear_memos()
+    assert race(lambda: moment_recursive(120)) == [expected[120]] * 4
+    assert moments._MEMO_RECURSIVE == expected
 
 
 def test_positivity_and_monotonicity():
