@@ -15,36 +15,18 @@ Library layout:
 * :mod:`cantor_moments.cli` — the ``cantor-moments`` command.
 """
 
-from .cantor import (
-    CantorEvalSpec,
-    cantor_value,
-    grid_cantor_values,
-    integral_quadrature,
-    self_similarity_residuals,
-)
+import importlib
+
 from .constant import (
     ConstantResult,
     PrecisionBudget,
     default_budget,
     double_sum_check,
     euler_gamma,
-    harmonic_fixed,
     ln2,
     ln2_alt,
     moment_series_constant,
-    series_tail_bound,
-    weighted_harmonic_sum,
     weighted_harmonic_sum_exact,
-)
-from .contour import (
-    QuadratureError,
-    QuadratureSpec,
-    constant_contour,
-    gamma_complex,
-    loggamma_complex,
-    moment_contour,
-    perron_kernel,
-    zeta_complex,
 )
 from .exact import BigFixed, Rational, bernoulli, binomial, harmonic_exact, to_fixed
 from .moments import (
@@ -58,6 +40,37 @@ from .moments import (
 )
 
 __version__ = "0.1.0"
+
+# The numpy-backed modules load on first use of one of their names (PEP 562),
+# so the exact and certified paths never import numpy.
+_LAZY = {
+    "cantor": (
+        "CantorEvalSpec",
+        "cantor_value",
+        "grid_cantor_values",
+        "integral_quadrature",
+        "self_similarity_residuals",
+    ),
+    "contour": (
+        "QuadratureError",
+        "QuadratureSpec",
+        "constant_contour",
+        "gamma_complex",
+        "loggamma_complex",
+        "moment_contour",
+        "perron_kernel",
+        "zeta_complex",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "BigFixed",
@@ -81,7 +94,6 @@ __all__ = [
     "gamma_complex",
     "grid_cantor_values",
     "harmonic_exact",
-    "harmonic_fixed",
     "integral_quadrature",
     "self_similarity_residuals",
     "ln2",
@@ -93,9 +105,7 @@ __all__ = [
     "moment_series_constant",
     "partial_sum",
     "perron_kernel",
-    "series_tail_bound",
     "to_fixed",
-    "weighted_harmonic_sum",
     "weighted_harmonic_sum_exact",
     "zeta_complex",
 ]

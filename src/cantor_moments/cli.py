@@ -13,10 +13,9 @@ Commands
     Run a named check suite (oracle, identity, decay, mellin, cantor,
     all); exit 1 if any check fails.
 
-A single JSON cache file holding Bernoulli numbers and both moment
-tables can be enabled by the ``CANTOR_CACHE`` environment variable or
-the global ``--cache-path`` flag (the flag wins); with neither present,
-caching is disabled.
+The numpy-backed modules (``contour``, ``cantor``) are imported only by
+the suites that use them, so ``constant`` and ``moments`` never load
+numpy.
 
 Exit codes: 0 all-pass, 1 check failure, 2 usage error.  JSON output is
 byte-deterministic for identical invocations (fixed field order and
@@ -27,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import cantor, constant, contour, exact, moments
+from . import constant, exact, moments
 
 _MAX_DIGITS = 60
 _MAX_MOMENT_INDEX = 512
@@ -100,69 +98,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6e}"
 
 
-def _ensure_str_digits(*values: int) -> None:
-    """Raise CPython's int->str guard high enough for the given ints."""
-    need = max(
-        (v.bit_length() for v in values if isinstance(v, int)), default=0
-    )
-    need = int(need * 0.30103) + 12
-    if sys.get_int_max_str_digits() < need:
-        sys.set_int_max_str_digits(need)
-
-
-# ---------------------------------------------------------------------------
-# Cache
-# ---------------------------------------------------------------------------
-
-
-def _fraction_to_str(x: Fraction) -> str:
-    _ensure_str_digits(x.numerator, x.denominator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _fraction_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    prev = sys.get_int_max_str_digits()
-    if len(s) + 10 > prev:
-        sys.set_int_max_str_digits(len(s) + 10)
-    return Fraction(int(num), int(den or "1"))
-
-
-def _load_cache(path: str) -> None:
-    if not os.path.exists(path):
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        exact.bernoulli_table_restore(
-            [_fraction_from_str(s) for s in payload.get("bernoulli", [])]
-        )
-        moments.memo_restore(
-            {int(k): _fraction_from_str(v) for k, v in payload.get("moment_bernoulli", {}).items()},
-            [_fraction_from_str(s) for s in payload.get("moment_recursive", [])],
-        )
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
-        print(f"warning: ignoring unreadable cache {path}: {err}", file=sys.stderr)
-
-
-def _save_cache(path: str) -> None:
-    bern_form, recursive = moments.memo_snapshot()
-    payload = {
-        "bernoulli": [_fraction_to_str(b) for b in exact.bernoulli_table_snapshot()],
-        "moment_bernoulli": {
-            str(k): _fraction_to_str(v) for k, v in sorted(bern_form.items())
-        },
-        "moment_recursive": [_fraction_to_str(v) for v in recursive],
-    }
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError as err:
-        print(f"warning: could not write cache {path}: {err}", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -183,7 +118,6 @@ def cmd_constant(digits: int, json_mode: bool) -> tuple[RunReport, int]:
             "budget": {
                 "target_digits": budget.target_digits,
                 "guard_digits": budget.guard_digits,
-                "series_cutoff": budget.series_cutoff,
                 "exact_switch": budget.exact_switch,
                 "em_order": budget.em_order,
             },
@@ -193,8 +127,11 @@ def cmd_constant(digits: int, json_mode: bool) -> tuple[RunReport, int]:
     human = [
         f"constant = {rendered}",
         f"certified error <= {_fmt(result.certified_error)}",
-        f"budget: K = {budget.series_cutoff}, K0 = {budget.exact_switch}, "
-        f"J = {budget.em_order}, guard = {budget.guard_digits}",
+        f"error terms: Euler-Maclaurin remainder {_fmt(result.em_remainder)}, "
+        f"ln 2 {_fmt(result.ln2_error)}, gamma {_fmt(result.gamma_error)}, "
+        f"rounding {_fmt(result.rounding_error)}",
+        f"budget: K0 = {budget.exact_switch}, J = {budget.em_order}, "
+        f"guard = {budget.guard_digits}",
     ]
     if json_mode:
         # Match the documented schema exactly for the constant command.
@@ -212,30 +149,36 @@ def cmd_constant(digits: int, json_mode: bool) -> tuple[RunReport, int]:
 
 def cmd_moments(max_n: int, fmt: str) -> tuple[RunReport, int]:
     start = time.monotonic()
-    rows = []
-    for n in range(max_n + 1):
-        value = moments.moment_bernoulli(n)
-        _ensure_str_digits(value.numerator, value.denominator)
-        rows.append(
+    values = [moments.moment_bernoulli(n) for n in range(max_n + 1)]
+    report = RunReport(
+        command="moments",
+        parameters={"max_n": max_n, "format": fmt},
+        results={"rows": len(values)},
+    )
+    # CPython refuses to render ints above 4300 digits by default, and
+    # large tables exceed that: raise the limit for this output only.
+    bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max(previous, int(bits * 0.30103) + 12))
+    try:
+        rows = [
             {
                 "n": n,
                 "num": value.numerator,
                 "den": value.denominator,
                 "decimal": exact.to_fixed(value, 20).decimal_string(),
             }
-        )
-    report = RunReport(
-        command="moments",
-        parameters={"max_n": max_n, "format": fmt},
-        results={"rows": len(rows)},
-    )
-    report.wall_time_ms = int((time.monotonic() - start) * 1000)
-    if fmt == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        print("n,num,den,decimal")
-        for row in rows:
-            print(f"{row['n']},{row['num']},{row['den']},{row['decimal']}")
+            for n, value in enumerate(values)
+        ]
+        report.wall_time_ms = int((time.monotonic() - start) * 1000)
+        if fmt == "json":
+            print(json.dumps(rows, indent=2))
+        else:
+            print("n,num,den,decimal")
+            for row in rows:
+                print(f"{row['n']},{row['num']},{row['den']},{row['decimal']}")
+    finally:
+        sys.set_int_max_str_digits(previous)
     return report, 0
 
 
@@ -297,6 +240,8 @@ def _suite_decay(report: RunReport) -> None:
 
 
 def _suite_mellin(report: RunReport) -> None:
+    from . import contour
+
     spec = contour.QuadratureSpec()
     for t, expected, tol in (
         (0.5, 0.0, 1.0e-3),
@@ -319,6 +264,8 @@ def _suite_mellin(report: RunReport) -> None:
 
 
 def _suite_cantor(report: RunReport) -> None:
+    from . import cantor
+
     for n in (1, 2, 5):
         got = cantor.integral_quadrature(n, 10**6)
         err = abs(got - float(moments.moment_bernoulli(n)))
@@ -377,12 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Cantor-distribution moments, their certified "
         "series constant, and numerical verification suites.",
     )
-    parser.add_argument(
-        "--cache-path",
-        default=None,
-        help="JSON cache file for Bernoulli/moment tables "
-        "(overrides CANTOR_CACHE; caching off when neither is set)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_const = sub.add_parser("constant", help="evaluate the series constant")
@@ -403,10 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    cache_path = args.cache_path or os.environ.get("CANTOR_CACHE")
-    if cache_path:
-        _load_cache(cache_path)
 
     try:
         if args.subcommand == "constant":
@@ -430,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    if cache_path:
-        _save_cache(cache_path)
     return code
 
 

@@ -2,32 +2,51 @@
 
 The moment series sums to
 
-    L = -1/3 + (2/3) * sum_{k>=1} (2/3)**k * H(2**k)
+    L = -1/3 + (2/3) * S,    S = sum_{k>=1} w**k * H(2**k),    w = 2/3,
 
-where H(m) is the m-th harmonic number.  Direct exact summation is
-impossible at useful precision (H(2**k) for k ~ 200 has ~10**60 terms),
-so harmonic numbers switch to an Euler-Maclaurin expansion beyond a
-cutoff, which in turn needs ln 2 and the Euler-Mascheroni constant to
-working precision.  Everything here is evaluated in decimal fixed point
-(:class:`~cantor_moments.exact.BigFixed`) with *computed* error bounds:
-series tails, Euler-Maclaurin remainders, and a per-operation rounding
-allowance are all accumulated into a certified error.
+where H(m) is the m-th harmonic number.  The head k <= K0 = 8 is summed
+in exact rationals.  Beyond it the Euler-Maclaurin expansion
+
+    H(2**k) = k ln 2 + gamma + 2**-(k+1)
+              - sum_{j=1..J} B_{2j} / (2j * 4**(jk)) + R_J(k)
+
+is geometric in k once weighted by w**k, so the whole infinite tail
+sums in closed form to A ln 2 + B gamma + (exact rational), with
+A = sum_{k>K0} k w**k and B = sum_{k>K0} w**k.  Its remainder
+sum_{k>K0} w**k |R_J(k)| is one more geometric sum.  There is no series
+cutoff: the rational parts fold into one exact Q that is rounded once,
+and only ln 2 and Euler's gamma are computed to working precision, each
+with a dual-method oracle.  Everything is evaluated in decimal fixed
+point (:class:`~cantor_moments.exact.BigFixed`), and the certified error
+is the sum of named parts: the Euler-Maclaurin remainder, the ln 2 and
+gamma errors scaled by their coefficients, and the roundings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BigFixed, bernoulli, divround, harmonic_exact, to_fixed
+from .exact import BigFixed, bernoulli, divround, harmonic_exact
 
-# Largest exponent the exact-summation path will ever take (the exact
-# harmonic cap is 2**22).
-_EXACT_SWITCH_CAP = 22
+# Exponents k <= K0 are summed as exact rationals; the closed-form tail
+# covers k > K0.
+K0 = 8
 
-# Below this exponent the direct path sums true exact rationals; above
-# it (and up to the exact_switch) it sums certified fixed-point terms.
-_RATIONAL_SWITCH = 12
+# Weight of the k-th term of S.
+_W = Fraction(2, 3)
+
+# Digits carried beyond the working precision P until the final rounding.
+_PAD = 6
+
+# gamma comes from Euler-Maclaurin at m = 2**8: a 256-term direct sum plus
+# the order that euler_gamma picks for the precision.
+_GAMMA_Q = 8
+
+# Largest q for euler_gamma's direct sum H(2**q) (the exact harmonic cap
+# is 2**22).
+_Q_CAP = 22
 
 
 # ---------------------------------------------------------------------------
@@ -35,24 +54,20 @@ _RATIONAL_SWITCH = 12
 # ---------------------------------------------------------------------------
 
 
-def series_tail_bound(K: int) -> Fraction:
-    """Exact upper bound for the weighted harmonic series tail after K.
-
-    Bound: sum_{k>K} (2/3)**k * H(2**k) <= (2/3)**(K+1) * (3(K+2) + 6),
-    using H(2**k) <= 1 + k and the closed form of sum_{k>K} (k+1) x**k
-    at x = 2/3.
-    """
-    return Fraction(2**(K + 1) * (3 * (K + 2) + 6), 3**(K + 1))
+def _geometric_tail(x: Fraction) -> Fraction:
+    """sum_{k>K0} x**k, exactly (|x| < 1)."""
+    return x ** (K0 + 1) / (1 - x)
 
 
-def _em_harmonic_remainder(k_exp: int, order: int) -> Fraction:
-    """Euler-Maclaurin remainder bound for H(2**k_exp) at a given order.
+def _em_tail_remainder(order: int) -> Fraction:
+    """Bound on sum_{k>K0} w**k |R_J(k)| for the order-J expansion.
 
-    The remainder after the order-J correction is bounded by the first
-    omitted term: |B_{2J+2}| / ((2J+2) * 2**((2J+2) * k_exp)).
+    Each remainder is below its first omitted term,
+    |B_{2J+2}| / ((2J+2) * 4**((J+1)k)), so the weighted sum is geometric
+    with ratio r = w / 4**(J+1).
     """
     j2 = 2 * order + 2
-    return abs(bernoulli(j2)) / (j2 * Fraction(2) ** (j2 * k_exp))
+    return abs(bernoulli(j2)) / j2 * _geometric_tail(_W / 4 ** (order + 1))
 
 
 @dataclass(frozen=True)
@@ -60,86 +75,71 @@ class PrecisionBudget:
     """Parameters controlling the certified evaluation.
 
     Fields: requested digits D, guard digits G (working precision
-    P = D + G), series cutoff K, exact/asymptotic switch K0, and
-    Euler-Maclaurin order J for the asymptotic harmonic path.
+    P = D + G), and the Euler-Maclaurin order J of the closed-form tail.
     """
 
     target_digits: int
     guard_digits: int
-    series_cutoff: int
-    exact_switch: int
     em_order: int
 
     @property
     def working_precision(self) -> int:
         return self.target_digits + self.guard_digits
 
+    @property
+    def exact_switch(self) -> int:
+        """The last exponent summed in exact rationals (K0)."""
+        return K0
+
     def validate(self) -> None:
         """Check every budget invariant; raise with the failing bound."""
         if self.target_digits < 1 or self.guard_digits < 1:
             raise ValueError("budget insufficient for target: digits must be positive")
-        if not (1 <= self.exact_switch <= _EXACT_SWITCH_CAP):
-            raise ValueError(
-                f"budget insufficient for target: exact_switch must be in "
-                f"[1, {_EXACT_SWITCH_CAP}]"
-            )
         if self.em_order < 1:
             raise ValueError("budget insufficient for target: em_order must be >= 1")
-        tail = series_tail_bound(self.series_cutoff)
-        tail_cap = Fraction(1, 10 ** (self.target_digits + 2))
-        if tail >= tail_cap:
+        rem = _em_tail_remainder(self.em_order)
+        if rem >= Fraction(1, 10 ** (self.working_precision + 2)):
             raise ValueError(
-                f"budget insufficient for target: series tail bound {float(tail):.3e} "
-                f"not below 10^-{self.target_digits + 2}"
-            )
-        rem = _em_harmonic_remainder(self.exact_switch + 1, self.em_order)
-        rem_cap = Fraction(1, 10 ** (self.working_precision + 2))
-        if rem >= rem_cap:
-            raise ValueError(
-                f"budget insufficient for target: Euler-Maclaurin remainder "
-                f"{float(rem):.3e} at k = {self.exact_switch + 1} not below "
-                f"10^-{self.working_precision + 2}"
+                f"budget insufficient for target: Euler-Maclaurin tail remainder "
+                f"{float(rem):.3e} not below 10^-{self.working_precision + 2}"
             )
 
 
 def default_budget(target_digits: int) -> PrecisionBudget:
     """Default budget for D requested digits (1 <= D <= 60).
 
-    G = 12 guard digits, K0 = 20, J = smallest order >= 3 meeting the
-    remainder invariant, K = smallest cutoff whose exact tail bound is
-    below 10**-(D+2) (checked by pure integer comparison).
+    G = 12 guard digits and J = the smallest order whose tail remainder
+    is below 10**-(P+2): J = 2 at D = 1, J = 14 at D = 60.
     """
     if not (1 <= target_digits <= 60):
         raise ValueError("target digits out of supported range [1, 60]")
     guard = 12
-    exact_switch = 20
-    precision = target_digits + guard
-
-    em_order = 3
-    while (
-        _em_harmonic_remainder(exact_switch + 1, em_order)
-        >= Fraction(1, 10 ** (precision + 2))
-    ):
+    cap = Fraction(1, 10 ** (target_digits + guard + 2))
+    em_order = 1
+    while _em_tail_remainder(em_order) >= cap:
         em_order += 1
-
-    # Smallest K with 2^(K+1) * (3K+12) * 10^(D+2) < 3^(K+1).
-    cap = 10 ** (target_digits + 2)
-    K = 1
-    while 2 ** (K + 1) * (3 * K + 12) * cap >= 3 ** (K + 1):
-        K += 1
-
-    budget = PrecisionBudget(target_digits, guard, K, exact_switch, em_order)
+    budget = PrecisionBudget(target_digits, guard, em_order)
     budget.validate()
     return budget
 
 
 @dataclass(frozen=True)
 class ConstantResult:
-    """A certified value: fixed-point number plus total error bound."""
+    """A certified value: fixed-point number, total error bound, its parts.
+
+    ``certified_error`` is the sum of ``em_remainder`` (the tail's
+    Euler-Maclaurin remainder), ``ln2_error`` and ``gamma_error`` (each
+    constant's error times its coefficient) and ``rounding_error``; every
+    float is rounded up from the exact bound.
+    """
 
     value: BigFixed
     certified_error: float
     budget: PrecisionBudget
+    em_remainder: float
+    ln2_error: float
+    gamma_error: float
+    rounding_error: float
 
     def __post_init__(self) -> None:
         if self.certified_error < 0:
@@ -203,7 +203,7 @@ def ln2_alt(precision: int) -> BigFixed:
 
 
 # ---------------------------------------------------------------------------
-# Harmonic numbers in fixed point
+# Euler-Mascheroni constant
 # ---------------------------------------------------------------------------
 
 
@@ -213,69 +213,13 @@ def _harmonic_direct_fixed(m: int, precision: int) -> BigFixed:
     Each term is one exact floor division 10**P' // i (error < 1 ulp,
     one-sided), so the result's total error is < m ulp at the padded
     precision P' = precision + digits(m) + 2 — i.e. < 10**-(precision+2)
-    after narrowing.  This is what makes the direct path affordable at
-    m = 2**20 (~0.1 s) where exact rationals take ~27 s.
+    after narrowing.  :func:`euler_gamma` uses it for H(2**q).
     """
     pad = len(str(m)) + 2
     scale = 10 ** (precision + pad)
     total = sum(scale // i for i in range(1, m + 1))
     return BigFixed(total, precision + pad).rescale(precision)
 
-
-def harmonic_fixed(
-    k: int,
-    precision: int,
-    exact_switch: int = 20,
-    em_order: int | None = None,
-) -> BigFixed:
-    """H(2**k) with error <= 10**-precision.
-
-    Two independent regimes:
-
-    * direct path (k <= exact_switch): exact rational summation for
-      k <= 12, certified fixed-point summation above (see
-      :func:`_harmonic_direct_fixed`);
-    * asymptotic path (k > exact_switch): Euler-Maclaurin expansion
-      H(2**k) = k ln 2 + gamma + 2**-(k+1)
-                - sum_{j=1..J} B_{2j} / (2j * 2**(2jk)),
-      remainder bounded by the first omitted term and required to be
-      below 10**-(precision+2).
-
-    The two regimes agree to 10**-30 at the switch (tested for
-    k in {18, 19, 20}).
-    """
-    if k < 1:
-        raise ValueError("harmonic exponent must be positive")
-    if not (1 <= exact_switch <= _EXACT_SWITCH_CAP):
-        raise ValueError("exact_switch out of range")
-    if k <= exact_switch:
-        if k <= _RATIONAL_SWITCH:
-            return to_fixed(harmonic_exact(2**k), precision)
-        return _harmonic_direct_fixed(2**k, precision)
-
-    work = precision + 6
-    order = em_order
-    if order is None:
-        order = 1
-        while _em_harmonic_remainder(k, order) >= Fraction(1, 10 ** (precision + 2)):
-            order += 1
-    elif _em_harmonic_remainder(k, order) >= Fraction(1, 10 ** (precision + 2)):
-        raise ValueError(
-            "budget insufficient for target: Euler-Maclaurin remainder too large"
-        )
-
-    acc = ln2(work + 2).rescale(work).mul_int(k)
-    acc = acc + euler_gamma(work)
-    acc = acc + BigFixed.from_fraction(Fraction(1, 2 ** (k + 1)), work)
-    for j in range(1, order + 1):
-        b2j = bernoulli(2 * j)
-        acc = acc - BigFixed.from_fraction(b2j / (2 * j * Fraction(2) ** (2 * j * k)), work)
-    return acc.rescale(precision)
-
-
-# ---------------------------------------------------------------------------
-# Euler-Mascheroni constant
-# ---------------------------------------------------------------------------
 
 _GAMMA_CACHE: dict[tuple[int, int, int], BigFixed] = {}
 
@@ -314,7 +258,7 @@ def euler_gamma(
 
     if q is None:
         q = 18 if precision <= 90 else 20
-    if not (1 <= q <= _EXACT_SWITCH_CAP):
+    if not (1 <= q <= _Q_CAP):
         raise ValueError("precision beyond supported range")
     order = em_order if em_order is not None else order_for(q)
     if order is None:
@@ -350,8 +294,8 @@ def euler_gamma(
 def weighted_harmonic_sum_exact(K: int) -> Fraction:
     """Exact rational truncation sum_{k=1..K} (2/3)**k * H(2**k).
 
-    Reference implementation for small K (tests and the double-sum
-    identity); K is capped where exact harmonic numbers stay cheap.
+    The exact head of the constant (K = K0), the double-sum identity and
+    the tests use it; K is capped where exact harmonic numbers stay cheap.
     """
     if not (1 <= K <= 14):
         raise ValueError("exact weighted sum supports 1 <= K <= 14")
@@ -360,47 +304,66 @@ def weighted_harmonic_sum_exact(K: int) -> Fraction:
     )
 
 
-def weighted_harmonic_sum(budget: PrecisionBudget) -> ConstantResult:
-    """S = sum_{k=1..K} (2/3)**k * H(2**k) with certified error.
-
-    The certified error totals (a) the exact series tail bound, (b) each
-    term's harmonic error <= (2/3)**k * 10**-P, (c) Euler-Maclaurin
-    remainders already inside (b)'s budget, and (d) one ulp per
-    fixed-point operation (3 per term).  Terms are evaluated in a fixed
-    order for bit-reproducibility.
-    """
-    budget.validate()
-    P = budget.working_precision
-    ulp = Fraction(1, 10**P)
-
-    total = BigFixed.from_int(0, P)
-    err = series_tail_bound(budget.series_cutoff)
-    for k in range(1, budget.series_cutoff + 1):
-        weight = BigFixed.from_fraction(Fraction(2**k, 3**k), P)
-        h = harmonic_fixed(k, P, budget.exact_switch, budget.em_order)
-        total = total + weight * h
-        # weight rounding (<= 1/2 ulp) times H < k+1, harmonic error
-        # times weight < 1, product + add rounding: 3 ulps covers it.
-        err += Fraction(2, 3) ** k * ulp + Fraction(k + 1, 2) * ulp + 3 * ulp
-
-    certified = float(err) * (1.0 + 1e-9)
-    return ConstantResult(total, certified, budget)
+def _float_up(x: Fraction) -> float:
+    """The nearest float at or above the exact nonnegative x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 def moment_series_constant(budget: PrecisionBudget | None = None) -> ConstantResult:
     """The limit of the moment series: -1/3 + (2/3) * S, certified.
 
-    Default budget targets 30 digits.  The certified error propagates
-    S's bound scaled by 2/3 plus the rounding of the two final
-    operations, and must come in below 10**-D or the result is refused.
+    Default budget targets 30 digits.  The value is Q + (2/3)A ln 2 +
+    (2/3)B gamma (see the module docstring), each part rounded once at
+    W = P + 6 digits and the sum rounded to P.  The certified error is
+    (2/3) times the tail remainder, plus the ln 2 and gamma errors times
+    (2/3)A and (2/3)B, plus 1/2 ulp at W for each of the three roundings
+    and 1/2 * 10**-P for the last; it must come in below 10**-D or the
+    result is refused.
     """
     if budget is None:
         budget = default_budget(30)
-    series = weighted_harmonic_sum(budget)
+    budget.validate()
     P = budget.working_precision
-    value = BigFixed.from_fraction(Fraction(-1, 3), P) + series.value.mul_int(2).div_int(3)
-    err = series.certified_error * (2.0 / 3.0) + 2.0 * 10.0 ** (-P)
-    return ConstantResult(value, err, budget)
+    W = P + _PAD
+    J = budget.em_order
+    two_thirds = Fraction(2, 3)
+
+    # Tail over k > K0: A = sum k w**k, B = sum w**k; w**k 2**-(k+1) is
+    # (1/3)**k / 2, and each Bernoulli term is geometric with ratio w/4**j.
+    A = _W ** (K0 + 1) * ((K0 + 1) - K0 * _W) / (1 - _W) ** 2
+    B = _geometric_tail(_W)
+    tail_rational = _geometric_tail(_W / 2) / 2 - sum(
+        bernoulli(2 * j) / (2 * j) * _geometric_tail(_W / 4**j)
+        for j in range(1, J + 1)
+    )
+    Q = -Fraction(1, 3) + two_thirds * (weighted_harmonic_sum_exact(K0) + tail_rational)
+    ln2_coeff = two_thirds * A
+    gamma_coeff = two_thirds * B
+
+    total = (
+        BigFixed.from_fraction(Q, W)
+        + ln2(W).mul_int(ln2_coeff.numerator).div_int(ln2_coeff.denominator)
+        + euler_gamma(W, q=_GAMMA_Q)
+        .mul_int(gamma_coeff.numerator)
+        .div_int(gamma_coeff.denominator)
+    )
+    value = total.rescale(P)
+
+    ulp = Fraction(1, 10**W)
+    em = two_thirds * _em_tail_remainder(J)
+    ln2_err = ln2_coeff * ulp
+    gamma_err = gamma_coeff * ulp
+    rounding = 3 * ulp / 2 + Fraction(1, 2 * 10**P)
+    return ConstantResult(
+        value,
+        _float_up(em + ln2_err + gamma_err + rounding),
+        budget,
+        em_remainder=_float_up(em),
+        ln2_error=_float_up(ln2_err),
+        gamma_error=_float_up(gamma_err),
+        rounding_error=_float_up(rounding),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -276,25 +276,3 @@ def to_fixed(x: Fraction, precision: int) -> BigFixed:
     """
     return BigFixed.from_fraction(x, precision)
 
-
-# ---------------------------------------------------------------------------
-# Cache plumbing (used by the CLI's optional disk cache)
-# ---------------------------------------------------------------------------
-
-
-def bernoulli_table_snapshot() -> list[Fraction]:
-    """Immutable snapshot of the Bernoulli memo table."""
-    return list(_BERNOULLI)
-
-
-def bernoulli_table_restore(values: list[Fraction]) -> None:
-    """Seed the Bernoulli memo table (longer of current/provided wins).
-
-    Restored values are trusted only after a consistency spot-check:
-    the first two entries must be the recurrence base values.
-    """
-    if len(values) >= 2 and (values[0] != 1 or values[1] != Fraction(-1, 2)):
-        raise ValueError("inconsistent bernoulli cache")
-    with _BERNOULLI_LOCK:
-        if len(values) > len(_BERNOULLI):
-            _BERNOULLI[:] = values

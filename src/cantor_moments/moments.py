@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, lgamma
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import BigFixed, bernoulli
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MomentMethod(Enum):
@@ -148,6 +150,8 @@ def log_moments(N: int) -> np.ndarray:
     at n = 4096.  Relative accuracy is ~1e-8 at n = 4096 — far below the
     >= 1e-2 remainders it is used to measure.
     """
+    import numpy as np
+
     lg = np.array([lgamma(i + 1) for i in range(N + 2)])
     out = np.empty(N + 1)
     out[0] = 0.0
@@ -200,6 +204,8 @@ def decay_fit(Ns: list[int], constant: BigFixed) -> DecayFit:
     if constant.precision_digits < 20:
         raise ValueError("insufficient constant precision")
 
+    import numpy as np
+
     limit = constant.to_float()
     sums = np.cumsum(np.exp(log_moments(Ns[-1])))
     # Float path carries ~1e-8 relative error; anything under 1e-6
@@ -221,25 +227,8 @@ def decay_fit(Ns: list[int], constant: BigFixed) -> DecayFit:
 
 
 def clear_memos() -> None:
-    """Reset both moment memo tables (used by tests and cache loading)."""
+    """Reset both moment memo tables (used by tests)."""
     with _MEMO_LOCK:
         _MEMO_BERNOULLI.clear()
         _MEMO_BERNOULLI[0] = Fraction(1)
         del _MEMO_RECURSIVE[1:]
-
-
-def memo_snapshot() -> tuple[dict[int, Fraction], list[Fraction]]:
-    """Snapshot of (bernoulli-form memo, recursion memo) for the CLI cache."""
-    return dict(_MEMO_BERNOULLI), list(_MEMO_RECURSIVE)
-
-
-def memo_restore(bern_form: dict[int, Fraction], recursive: list[Fraction]) -> None:
-    """Seed the memo tables from a cache snapshot (spot-checked)."""
-    if bern_form.get(0, Fraction(1)) != 1:
-        raise ValueError("inconsistent moment cache")
-    if recursive and recursive[0] != 1:
-        raise ValueError("inconsistent moment cache")
-    with _MEMO_LOCK:
-        _MEMO_BERNOULLI.update(bern_form)
-        if len(recursive) > len(_MEMO_RECURSIVE):
-            _MEMO_RECURSIVE[:] = recursive

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +36,6 @@ def test_constant_json_schema(capsys):
     assert set(payload["budget"]) == {
         "target_digits",
         "guard_digits",
-        "series_cutoff",
         "exact_switch",
         "em_order",
     }
@@ -43,6 +46,7 @@ def test_constant_human_mode(capsys):
     assert code == 0
     assert "constant = 3.36465" in out
     assert "certified error" in out
+    assert "error terms: Euler-Maclaurin remainder" in out
     assert "wall time" in err  # stderr only, keeping stdout deterministic
 
 
@@ -178,80 +182,38 @@ def test_usage_errors(capsys):
 
 
 # ---------------------------------------------------------------------------
-# cache
+# process state
 # ---------------------------------------------------------------------------
 
 
-def test_cache_roundtrip(capsys, tmp_path):
-    cache = tmp_path / "cache.json"
-    code, first, _ = run_cli(
-        capsys,
-        ["--cache-path", str(cache), "moments", "--max-n", "30", "--format", "csv"],
+def test_constant_and_moments_do_not_import_numpy():
+    code = (
+        "import sys\n"
+        "from cantor_moments import cli\n"
+        "assert cli.main(['constant', '--digits', '5', '--json']) == 0\n"
+        "assert cli.main(['moments', '--max-n', '8']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "from cantor_moments import constant_contour, cantor_value\n"
+        "assert callable(constant_contour) and callable(cantor_value)\n"
     )
-    assert code == 0
-    assert cache.exists()
-    payload = json.loads(cache.read_text())
-    assert set(payload) == {"bernoulli", "moment_bernoulli", "moment_recursive"}
-    assert payload["moment_bernoulli"]["0"] == "1/1"
-    # second run loads the cache and reproduces the output byte-for-byte
-    code, second, _ = run_cli(
-        capsys,
-        ["--cache-path", str(cache), "moments", "--max-n", "30", "--format", "csv"],
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
+    assert run.returncode == 0, run.stderr
+    assert "3.36465" in run.stdout
+
+
+def test_moments_restores_int_str_limit(capsys):
+    # The n = 120 denominator has 1047 digits, above a 640-digit limit.
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(capsys, ["moments", "--max-n", "120", "--format", "csv"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
     assert code == 0
-    assert first == second
-
-
-def test_cache_env_variable(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "env-cache.json"
-    monkeypatch.setenv("CANTOR_CACHE", str(cache))
-    code, _, _ = run_cli(capsys, ["moments", "--max-n", "4", "--format", "csv"])
-    assert code == 0
-    assert cache.exists()
-
-
-def test_cache_flag_overrides_env(capsys, tmp_path, monkeypatch):
-    env_cache = tmp_path / "env.json"
-    flag_cache = tmp_path / "flag.json"
-    monkeypatch.setenv("CANTOR_CACHE", str(env_cache))
-    code, _, _ = run_cli(
-        capsys,
-        ["--cache-path", str(flag_cache), "moments", "--max-n", "4", "--format", "csv"],
-    )
-    assert code == 0
-    assert flag_cache.exists()
-    assert not env_cache.exists()
-
-
-def test_cache_corrupt_file_ignored(capsys, tmp_path):
-    cache = tmp_path / "corrupt.json"
-    cache.write_text("this is not json")
-    code, out, err = run_cli(
-        capsys,
-        ["--cache-path", str(cache), "moments", "--max-n", "2", "--format", "csv"],
-    )
-    assert code == 0
-    assert "warning: ignoring unreadable cache" in err
-    assert "0,1,1," in out
-    # the run rewrites a valid cache afterward
-    json.loads(cache.read_text())
-
-
-def test_cache_inconsistent_table_rejected(capsys, tmp_path):
-    cache = tmp_path / "bad.json"
-    cache.write_text(
-        json.dumps(
-            {
-                "bernoulli": ["1/1", "-1/2"],
-                "moment_bernoulli": {"0": "2/1"},
-                "moment_recursive": ["1/1"],
-            }
-        )
-    )
-    code, out, err = run_cli(
-        capsys,
-        ["--cache-path", str(cache), "moments", "--max-n", "2", "--format", "csv"],
-    )
-    assert code == 0
-    assert "warning: ignoring unreadable cache" in err
-    assert "2,3,10," in out
+    n, num, den, _ = out.strip().splitlines()[-1].split(",")
+    assert Fraction(int(num), int(den)) == moments.moment_bernoulli(int(n))

@@ -8,21 +8,29 @@ import pytest
 
 from cantor_moments import (
     PrecisionBudget,
+    bernoulli,
     default_budget,
     double_sum_check,
     euler_gamma,
     harmonic_exact,
-    harmonic_fixed,
     ln2,
     ln2_alt,
     moment_series_constant,
-    series_tail_bound,
-    to_fixed,
-    weighted_harmonic_sum,
     weighted_harmonic_sum_exact,
 )
+from cantor_moments.constant import K0
 
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
+
+
+def series_tail_bound(K: int) -> Fraction:
+    """Exact upper bound for the weighted harmonic series tail after K.
+
+    Bound: sum_{k>K} (2/3)**k * H(2**k) <= (2/3)**(K+1) * (3(K+2) + 6),
+    using H(2**k) <= 1 + k and the closed form of sum_{k>K} (k+1) x**k
+    at x = 2/3.
+    """
+    return Fraction(2**(K + 1) * (3 * (K + 2) + 6), 3**(K + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -65,34 +73,32 @@ def test_euler_gamma_precision_cap():
 
 
 # ---------------------------------------------------------------------------
-# harmonic_fixed
+# Euler-Maclaurin harmonic numbers past the exact switch
 # ---------------------------------------------------------------------------
 
 
-def test_harmonic_fixed_examples():
-    assert harmonic_fixed(2, 10).decimal_string(10) == "2.0833333333"
-    assert harmonic_fixed(3, 12).decimal_string(12) == "2.717857142857"
-
-
-def test_harmonic_fixed_matches_exact_rational():
-    for k in range(1, 13):
-        fixed = harmonic_fixed(k, 30)
-        exact = harmonic_exact(2**k)
-        assert abs(fixed.to_fraction() - exact) <= Fraction(1, 10**30)
-
-
 def test_harmonic_fixed_switch_point_agreement():
-    # exact path vs Euler-Maclaurin path agree to 1e-30 at the switch
-    for k in (18, 19, 20):
-        direct = harmonic_fixed(k, 40, exact_switch=20)
-        asymptotic = harmonic_fixed(k, 40, exact_switch=k - 1)
-        gap = abs(direct.to_fraction() - asymptotic.to_fraction())
-        assert gap <= Fraction(1, 10**30)
-
-
-def test_harmonic_fixed_domain():
-    with pytest.raises(ValueError):
-        harmonic_fixed(0, 10)
+    # The closed-form tail sums the expansion
+    #   H(2**k) = k ln 2 + gamma + 2**-(k+1) - sum_j B_2j / (2j 4**(jk))
+    # for k > K0 with the production order J, ln 2 and gamma.  Just past
+    # the switch it must agree with the exact rational H(2**k) within the
+    # first omitted term plus the ln 2 and gamma errors.
+    assert K0 == 8
+    exact = {k: harmonic_exact(2**k) for k in range(K0 + 1, 15)}
+    for digits in (1, 30, 60):
+        budget = default_budget(digits)
+        J = budget.em_order
+        W = budget.working_precision + 6
+        log2 = ln2(W).to_fraction()
+        gamma = euler_gamma(W, q=8).to_fraction()
+        for k, h in exact.items():
+            expansion = k * log2 + gamma + Fraction(1, 2 ** (k + 1)) - sum(
+                bernoulli(2 * j) / (2 * j * Fraction(4) ** (j * k))
+                for j in range(1, J + 1)
+            )
+            j2 = 2 * J + 2
+            remainder = abs(bernoulli(j2)) / (j2 * Fraction(4) ** ((J + 1) * k))
+            assert abs(expansion - h) <= remainder + Fraction(k + 1, 10**W)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +109,7 @@ def test_harmonic_fixed_domain():
 def test_series_tail_bound_values():
     # tail(K) = (2/3)**(K+1) * (3(K+2) + 6) is decreasing and explicit
     assert series_tail_bound(170) < Fraction(1, 10**27)
-    # NOTE: the bound at K = 170 is ~4.04e-28, i.e. NOT below 1e-28;
-    # the default budget therefore uses a larger cutoff (K = 197 at D = 30).
+    # NOTE: the bound at K = 170 is ~4.04e-28, i.e. NOT below 1e-28.
     assert series_tail_bound(170) > Fraction(1, 10**28)
     assert series_tail_bound(197) < Fraction(1, 10**32)
     for K in range(5, 100, 10):
@@ -128,8 +133,8 @@ def test_default_budget_30():
     b = default_budget(30)
     assert b.target_digits == 30
     assert b.guard_digits == 12
-    assert b.series_cutoff == 197
-    assert b.exact_switch == 20
+    assert b.em_order == 7
+    assert b.exact_switch == 8
     assert b.working_precision == 42
     b.validate()  # must not raise
 
@@ -143,24 +148,10 @@ def test_default_budget_range():
         default_budget(61)
 
 
-def test_budget_validation_rejects_small_cutoff():
-    bad = PrecisionBudget(
-        target_digits=30,
-        guard_digits=12,
-        series_cutoff=50,
-        exact_switch=20,
-        em_order=3,
-    )
-    with pytest.raises(ValueError, match="budget insufficient for target"):
-        bad.validate()
-
-
 def test_budget_validation_rejects_low_em_order():
     bad = PrecisionBudget(
         target_digits=40,
         guard_digits=12,
-        series_cutoff=250,
-        exact_switch=20,
         em_order=1,
     )
     with pytest.raises(ValueError, match="budget insufficient for target"):
@@ -174,11 +165,13 @@ def test_budget_validation_rejects_low_em_order():
 
 def test_weighted_harmonic_sum_exact_truncations():
     assert weighted_harmonic_sum_exact(2) == Fraction(52, 27)
-    # exact truncation vs certified fixed-point evaluation of the full
-    # series: the gap must be below the tail bound at the truncation
+    # exact truncation vs the full series recovered from the certified
+    # constant, S = (3/2)(L + 1/3): the gap must be below the tail bound
+    # at the truncation
     exact_10 = weighted_harmonic_sum_exact(10)
-    series = weighted_harmonic_sum(default_budget(30))
-    gap = abs(series.value.to_fraction() - exact_10)
+    res = moment_series_constant(default_budget(30))
+    series = Fraction(3, 2) * (res.value.to_fraction() + Fraction(1, 3))
+    gap = abs(series - exact_10)
     assert gap < series_tail_bound(10)
     with pytest.raises(ValueError):
         weighted_harmonic_sum_exact(15)
@@ -204,10 +197,33 @@ def test_constant_prefix_stability():
 
 
 def test_constant_default_budget(constant_d30):
-    assert constant_d30.budget.series_cutoff == 197
+    assert constant_d30.budget == default_budget(30)
     assert moment_series_constant().value.to_fraction() == (
         constant_d30.value.to_fraction()
     )
+
+
+def test_certified_bound_holds_for_every_digit_count():
+    # Every supported D against the D = 60 value: the gap lies within the
+    # two certified errors, and the D-digit rendering is the 60-digit
+    # value rounded to D digits.
+    ref = moment_series_constant(default_budget(60))
+    ref_value = ref.value.to_fraction()
+    for digits in range(1, 61):
+        res = moment_series_constant(default_budget(digits))
+        gap = abs(res.value.to_fraction() - ref_value)
+        assert gap <= Fraction(res.certified_error) + Fraction(ref.certified_error)
+        assert res.value.decimal_string(digits) == ref.value.decimal_string(digits)
+
+
+def test_certified_error_is_the_sum_of_its_parts():
+    for digits in (1, 30, 60):
+        res = moment_series_constant(default_budget(digits))
+        parts = (res.em_remainder, res.ln2_error, res.gamma_error, res.rounding_error)
+        assert all(p > 0 for p in parts)
+        assert sum(parts) == pytest.approx(res.certified_error, rel=1e-12)
+        # the final rounding to P digits dominates
+        assert res.rounding_error >= 0.5 * 10.0 ** -res.budget.working_precision
 
 
 def test_constant_five_digits():
