@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`cantor_moments.exact` — rationals, Bernoulli numbers, exact
-  harmonic numbers, decimal fixed point;
+* :mod:`cantor_moments.exact` — Bernoulli numbers, exact harmonic
+  numbers, decimal fixed point;
 * :mod:`cantor_moments.moments` — the moments by two independent exact
   methods, partial sums, remainder-decay fit;
 * :mod:`cantor_moments.constant` — certified evaluation of the series
@@ -28,11 +28,9 @@ from .constant import (
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
-from .exact import BigFixed, Rational, bernoulli, binomial, harmonic_exact, to_fixed
+from .exact import BigFixed, bernoulli, harmonic_exact
 from .moments import (
     DecayFit,
-    MomentMethod,
-    MomentRecord,
     decay_fit,
     moment_bernoulli,
     moment_recursive,
@@ -45,9 +43,7 @@ __version__ = "0.1.0"
 # so the exact and certified paths never import numpy.
 _LAZY = {
     "cantor": (
-        "CantorEvalSpec",
         "cantor_value",
-        "grid_cantor_values",
         "integral_quadrature",
         "self_similarity_residuals",
     ),
@@ -55,11 +51,8 @@ _LAZY = {
         "QuadratureError",
         "QuadratureSpec",
         "constant_contour",
-        "gamma_complex",
-        "loggamma_complex",
         "moment_contour",
         "perron_kernel",
-        "zeta_complex",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
@@ -74,38 +67,28 @@ def __getattr__(name: str):
 
 __all__ = [
     "BigFixed",
-    "CantorEvalSpec",
     "ConstantResult",
     "DecayFit",
-    "MomentMethod",
-    "MomentRecord",
     "PrecisionBudget",
     "QuadratureError",
     "QuadratureSpec",
-    "Rational",
     "bernoulli",
-    "binomial",
     "cantor_value",
     "constant_contour",
     "decay_fit",
     "default_budget",
     "double_sum_check",
     "euler_gamma",
-    "gamma_complex",
-    "grid_cantor_values",
     "harmonic_exact",
     "integral_quadrature",
     "self_similarity_residuals",
     "ln2",
     "ln2_alt",
-    "loggamma_complex",
     "moment_bernoulli",
     "moment_contour",
     "moment_recursive",
     "moment_series_constant",
     "partial_sum",
     "perron_kernel",
-    "to_fixed",
     "weighted_harmonic_sum_exact",
-    "zeta_complex",
 ]

@@ -3,8 +3,8 @@
 The Cantor function C is evaluated through exact ternary digit
 extraction: the input is taken as an exact rational (every float is
 one), so digit extraction involves no floating-point rounding at all —
-the only error is the depth truncation 2**-depth, plus whatever error
-the caller accepted when representing the input in binary.
+the only error is the truncation after 64 digits, 2**-64, plus whatever
+error the caller accepted when representing the input in binary.
 
 ``integral_quadrature`` ties the exact moment machinery to its
 integral origin: a midpoint rule for integral_0^1 C(x)**n dx.  C is
@@ -15,35 +15,24 @@ seeds, reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class CantorEvalSpec:
-    """Evaluation control: number of ternary digits examined (<= 64)."""
-
-    depth: int = 64
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.depth <= 64):
-            raise ValueError("depth must be in [1, 64]")
+# Ternary digits examined per evaluation; the truncation error is at most
+# 2**-64.
+_DEPTH = 64
 
 
-_DEFAULT_SPEC = CantorEvalSpec()
-
-
-def cantor_value(x, spec: CantorEvalSpec = _DEFAULT_SPEC) -> float:
-    """Cantor function C(x) for x in [0, 1], to within 2**-depth.
+def cantor_value(x) -> float:
+    """Cantor function C(x) for x in [0, 1], to within 2**-64.
 
     Accepts floats, Fractions, and ints (anything with
     ``as_integer_ratio``); the input rational is processed exactly.
     Ternary digits accumulate as binary ones (digit/2) until the first
     digit 1, which contributes 2**-position and ends the expansion —
     exactly the standard construction, and exact for ternary rationals
-    whose expansion terminates within ``depth``.
+    whose expansion terminates within 64 digits.
 
     Raises:
         ValueError: if x is outside [0, 1].
@@ -55,7 +44,7 @@ def cantor_value(x, spec: CantorEvalSpec = _DEFAULT_SPEC) -> float:
         return 1.0
     value = 0.0
     scale = 0.5
-    for _ in range(spec.depth):
+    for _ in range(_DEPTH):
         num *= 3
         digit, num = divmod(num, den)
         if digit == 1:
@@ -69,7 +58,7 @@ def cantor_value(x, spec: CantorEvalSpec = _DEFAULT_SPEC) -> float:
     return value
 
 
-def _grid_values(points: int, depth: int) -> np.ndarray:
+def _grid_values(points: int) -> np.ndarray:
     """C at the midpoints (2i+1)/(2*points), i = 0..points-1, vectorized.
 
     The common denominator 2*points and all numerators stay below
@@ -83,7 +72,7 @@ def _grid_values(points: int, depth: int) -> np.ndarray:
     values = np.zeros(points, dtype=np.float64)
     active = np.ones(points, dtype=bool)
     scale = 0.5
-    for _ in range(depth):
+    for _ in range(_DEPTH):
         num = num * 3
         digit = num // den
         num = num - digit * den
@@ -98,11 +87,7 @@ def _grid_values(points: int, depth: int) -> np.ndarray:
     return values
 
 
-def integral_quadrature(
-    n: int,
-    points: int,
-    spec: CantorEvalSpec = _DEFAULT_SPEC,
-) -> float:
+def integral_quadrature(n: int, points: int) -> float:
     """Midpoint-rule estimate of integral_0^1 C(x)**n dx with ``points`` cells.
 
     Error budget: Hoelder modulus gives ~n * points**-0.6309 for the
@@ -115,16 +100,11 @@ def integral_quadrature(
         raise ValueError("moment order must be positive")
     if points < 10**4:
         raise ValueError("need at least 10**4 points")
-    values = _grid_values(points, spec.depth)
+    values = _grid_values(points)
     return float(np.mean(values**n))
 
 
-def grid_cantor_values(points: int, spec: CantorEvalSpec = _DEFAULT_SPEC) -> np.ndarray:
-    """Public access to the vectorized midpoint grid evaluation."""
-    return _grid_values(points, spec.depth)
-
-
-def self_similarity_residuals(grid: int, spec: CantorEvalSpec = _DEFAULT_SPEC):
+def self_similarity_residuals(grid: int):
     """Max residuals of the defining identities over a uniform grid.
 
     Returns (monotone_ok, symmetry_max, self_similar_max) where the
@@ -132,12 +112,12 @@ def self_similarity_residuals(grid: int, spec: CantorEvalSpec = _DEFAULT_SPEC):
     rational grid points x = i/grid.
     """
     xs = [Fraction(i, grid) for i in range(grid + 1)]
-    vals = [cantor_value(x, spec) for x in xs]
+    vals = [cantor_value(x) for x in xs]
     monotone_ok = all(b >= a for a, b in zip(vals, vals[1:]))
     symmetry_max = max(
-        abs(v + cantor_value(1 - x, spec) - 1.0) for x, v in zip(xs, vals)
+        abs(v + cantor_value(1 - x) - 1.0) for x, v in zip(xs, vals)
     )
     self_similar_max = max(
-        abs(cantor_value(x / 3, spec) - v / 2.0) for x, v in zip(xs, vals)
+        abs(cantor_value(x / 3) - v / 2.0) for x, v in zip(xs, vals)
     )
     return monotone_ok, symmetry_max, self_similar_max

@@ -44,8 +44,9 @@ _PAD = 6
 # the order that euler_gamma picks for the precision.
 _GAMMA_Q = 8
 
-# Largest q for euler_gamma's direct sum H(2**q) (the exact harmonic cap
-# is 2**22).
+# Largest q for euler_gamma's direct sum H(2**q).  The sum is fixed-point,
+# so the exact harmonic cap does not bind it; the limit bounds its run
+# time (2**22 terms take about 1 s).
 _Q_CAP = 22
 
 
@@ -221,58 +222,35 @@ def _harmonic_direct_fixed(m: int, precision: int) -> BigFixed:
     return BigFixed(total, precision + pad).rescale(precision)
 
 
-_GAMMA_CACHE: dict[tuple[int, int, int], BigFixed] = {}
-
-
-def euler_gamma(
-    precision: int,
-    q: int | None = None,
-    em_order: int | None = None,
-) -> BigFixed:
+def euler_gamma(precision: int, q: int = _GAMMA_Q) -> BigFixed:
     """Euler's gamma with error <= 10**-precision.
 
     Euler-Maclaurin at m = 2**q:
 
         gamma = H_m - ln m - 1/(2m) + sum_{j=1..J} B_{2j} / (2j * m**(2j))
 
-    with remainder bounded by |B_{2J+2}| / ((2J+2) * m**(2J+2)), required
-    to be below 10**-(precision+2).  H_m comes from the certified direct
-    summation.  Supported precision comfortably exceeds 60 digits
-    (q <= 22); beyond that the harmonic cap would be breached.
+    with J the smallest order whose remainder bound
+    |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below 10**-(precision+2).  H_m
+    comes from the certified direct summation.  The default q = 8 serves
+    every precision the constant needs; a second q gives the dual-method
+    oracle.
 
     Raises:
-        ValueError: "precision beyond supported range" when no
-            (q <= 22, J <= 60) pair meets the remainder bound.
+        ValueError: "precision beyond supported range" when q is outside
+            [1, 22] or no J <= 60 meets the remainder bound.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-
-    def order_for(qq: int) -> int | None:
-        target = Fraction(1, 10 ** (precision + 2))
-        m = 2**qq
-        for j in range(1, 61):
-            j2 = 2 * j + 2
-            if abs(bernoulli(j2)) / (j2 * Fraction(m) ** j2) < target:
-                return j
-        return None
-
-    if q is None:
-        q = 18 if precision <= 90 else 20
     if not (1 <= q <= _Q_CAP):
         raise ValueError("precision beyond supported range")
-    order = em_order if em_order is not None else order_for(q)
-    if order is None:
-        raise ValueError("precision beyond supported range")
-    target = Fraction(1, 10 ** (precision + 2))
     m = 2**q
-    j2 = 2 * order + 2
-    if abs(bernoulli(j2)) / (j2 * Fraction(m) ** j2) >= target:
+    target = Fraction(1, 10 ** (precision + 2))
+    for order in range(1, 61):
+        j2 = 2 * order + 2
+        if abs(bernoulli(j2)) / (j2 * Fraction(m) ** j2) < target:
+            break
+    else:
         raise ValueError("precision beyond supported range")
-
-    key = (precision, q, order)
-    cached = _GAMMA_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     work = precision + 6
     acc = _harmonic_direct_fixed(m, work)
@@ -281,9 +259,7 @@ def euler_gamma(
     for j in range(1, order + 1):
         b2j = bernoulli(2 * j)
         acc = acc + BigFixed.from_fraction(b2j / (2 * j * Fraction(m) ** (2 * j)), work)
-    result = acc.rescale(precision)
-    _GAMMA_CACHE[key] = result
-    return result
+    return acc.rescale(precision)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +320,7 @@ def moment_series_constant(budget: PrecisionBudget | None = None) -> ConstantRes
     total = (
         BigFixed.from_fraction(Q, W)
         + ln2(W).mul_int(ln2_coeff.numerator).div_int(ln2_coeff.denominator)
-        + euler_gamma(W, q=_GAMMA_Q)
+        + euler_gamma(W)
         .mul_int(gamma_coeff.numerator)
         .div_int(gamma_coeff.denominator)
     )
@@ -390,9 +366,10 @@ def double_sum_check(K: int) -> Fraction:
     into harmonic numbers — the point is structural independence), then
     verifies exact equality with
 
-        1 + (2/3) * sum_{k=1..K} ((2/3)**k * H(2**k) - (2/3)**k)
+        1 + (2/3) * sum_{k=1..K} ((2/3)**k * H(2**k) - (2/3)**k),
 
-    and returns the common value.
+    whose harmonic part is :func:`weighted_harmonic_sum_exact`, the exact
+    head of the constant, and returns the common value.
 
     Raises:
         ValueError: K out of [1, 14] ("inner sum too large for exact mode").
@@ -407,8 +384,8 @@ def double_sum_check(K: int) -> Fraction:
         outer += Fraction(1, 3**k) * inner
     double_form = 1 + Fraction(2, 3) * outer
 
-    harmonic_form = 1 + Fraction(2, 3) * sum(
-        Fraction(2, 3) ** k * (harmonic_exact(2**k) - 1) for k in range(1, K + 1)
+    harmonic_form = 1 + Fraction(2, 3) * (
+        weighted_harmonic_sum_exact(K) - sum(_W**k for k in range(1, K + 1))
     )
     if double_form != harmonic_form:
         raise AssertionError(

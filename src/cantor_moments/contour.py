@@ -18,18 +18,17 @@ itself is asserted in the test suite.  The quadrature is adaptive
 Gauss-Kronrod 7-15 with all panels of a refinement wave evaluated in one
 vectorized batch.  On the two zeta lines the starting panels are one
 period 2*pi/ln 2 of the denominators 3*2**(s-1) - 1 and 3*2**(-s) - 1
-wide, so their near-poles fall on panel edges.  Zeta itself is
-Euler-Maclaurin with a cutoff solved from its remainder bound; the
-Dirichlet powers n**(-s) are built multiplicatively from a
-smallest-prime-factor sieve, with exp taken only at primes.
+wide, so their near-poles fall on panel edges.  Zeta, on arrays of
+points, is one Euler-Maclaurin path with a cutoff solved from its
+remainder bound at every height; the Dirichlet powers n**(-s) are built
+multiplicatively from a smallest-prime-factor sieve, with exp taken only
+at primes.  The Gamma ratio of the moment integrand is a finite product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -39,8 +38,6 @@ from .exact import bernoulli
 # Verification-line constant: min |3*2**(sigma-1) - 1| on both lines
 # (sigma = -1/2 and 3/2 give the same modulus floor 3*2**-1.5 - 1).
 _DENOM_FLOOR = 3.0 * 2.0**-1.5 - 1.0  # ~0.06066
-
-ComplexVal = complex
 
 
 @dataclass(frozen=True)
@@ -74,91 +71,6 @@ class QuadratureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Complex gamma (Lanczos g = 7, n = 9) and log-gamma
-# ---------------------------------------------------------------------------
-
-_LANCZOS_X0 = 0.99999999999980993
-_LANCZOS_P = (
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
-
-
-def _lanczos_series(z: complex) -> complex:
-    acc = _LANCZOS_X0
-    for i, p in enumerate(_LANCZOS_P):
-        acc += p / (z + i + 1)
-    return acc
-
-
-def gamma_complex(z: ComplexVal) -> ComplexVal:
-    """Gamma(z) by Lanczos approximation with reflection for Re z < 1/2.
-
-    Relative error ~1e-13 wherever Gamma(z) is representable in double
-    precision; |Gamma| underflows for |Im z| beyond ~180, where the
-    log-gamma form must be used instead.
-
-    Raises:
-        ValueError: "gamma pole" at nonpositive integers.
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise ValueError("gamma pole")
-    if z.real < 0.5:
-        # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).
-        return math.pi / (np.sin(np.pi * z) * gamma_complex(1 - z))
-    w = z - 1
-    t = w + len(_LANCZOS_P) - 0.5
-    value = math.sqrt(2 * math.pi) * t ** (w + 0.5) * np.exp(-t) * _lanczos_series(w)
-    return complex(value)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    """log sin(pi z), overflow-free, up to a multiple of 2*pi*i."""
-    if z.imag < 0:
-        return np.conj(_log_sin_pi(np.conj(z)))
-    # For Im z >= 0 the e^{-i pi z} half dominates: sin(pi z) =
-    # e^{-i pi z} (1 - e^{2 i pi z}) / (2i), and |e^{2 i pi z}| <= 1.
-    return (
-        -1j * math.pi * z
-        + np.log1p(-np.exp(2j * math.pi * z))
-        - np.log(2j)
-    )
-
-
-def loggamma_complex(z: ComplexVal) -> ComplexVal:
-    """log Gamma(z) stable at large |Im z| (branch not normalized).
-
-    The result may differ from the principal branch by a multiple of
-    2*pi*i; differences of two values — the only way this function is
-    consumed — exponentiate to exact Gamma ratios regardless.
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise ValueError("gamma pole")
-    if z.real < 0.5:
-        return math.log(math.pi) - _log_sin_pi(z) - loggamma_complex(1 - z)
-    w = z - 1
-    t = w + len(_LANCZOS_P) - 0.5
-    return (
-        0.5 * math.log(2 * math.pi)
-        + (w + 0.5) * np.log(t)
-        - t
-        + np.log(_lanczos_series(w))
-    )
-
-
-# ---------------------------------------------------------------------------
 # Riemann zeta on Re s > 0
 # ---------------------------------------------------------------------------
 
@@ -166,66 +78,6 @@ _EM_ORDER = 12
 _B_OVER_FACT = tuple(
     float(bernoulli(2 * j) / factorial(2 * j)) for j in range(_EM_ORDER + 2)
 )
-_LOG_BORWEIN_BASE = math.log(3.0 + math.sqrt(8.0))
-_BORWEIN_CUTOFF = 8.0
-
-
-@lru_cache(maxsize=64)
-def _borwein_coefficients(n: int) -> tuple[int, ...]:
-    """Exact integer coefficients d_k of Borwein's algorithm 2."""
-    terms: list[Fraction] = []
-    t = Fraction(1)  # i = 0 term: (n-1)! / (n! 0!) = 1/n, times n below
-    for i in range(n + 1):
-        if i == 0:
-            t = Fraction(1, n)
-        else:
-            # ratio t_i / t_{i-1} = 4 (n+i-1)(n-i+1) / ((2i)(2i-1))
-            t = t * Fraction(4 * (n + i - 1) * (n - i + 1), (2 * i) * (2 * i - 1))
-        terms.append(t)
-    ds = []
-    acc = Fraction(0)
-    for t in terms:
-        acc += t
-        d = n * acc
-        if d.denominator != 1:
-            raise AssertionError("Borwein coefficients must be integers")
-        ds.append(d.numerator)
-    return tuple(ds)
-
-
-def _zeta_borwein(s: complex) -> complex:
-    """Globally convergent alternating (binomial-accelerated) series.
-
-    Only certified in double precision for small |Im s|: the alternating
-    structure loses a factor e^{pi |t| / 2} to cancellation, which the
-    runtime term count accounts for.
-    """
-    t = abs(s.imag)
-    denom = 1 - 2 ** (1 - s)
-    n = (
-        int(
-            (
-                math.pi * t / 2
-                + math.log(3 * (1 + 2 * t))
-                + 12 * math.log(10)
-                - math.log(abs(denom))
-            )
-            / _LOG_BORWEIN_BASE
-        )
-        + 2
-    )
-    n = max(n, 20)
-    d = _borwein_coefficients(n)
-    dn = d[n]
-    acc = 0.0 + 0.0j
-    sign = 1.0
-    for k in range(n):
-        coeff = float(Fraction(d[k] - dn, dn))
-        acc += sign * coeff * (k + 1) ** (-s)
-        sign = -sign
-    return -acc / denom
-
-
 _EM_TOL = 1.0e-10
 # Cutoffs are solved for half the guarded tolerance, so rounding in the
 # closed form can never trip the remainder guard.
@@ -316,7 +168,11 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
 
 
 def _zeta_line(s: np.ndarray) -> np.ndarray:
-    """Vectorized zeta for arrays with Re s > 0 (quadrature workhorse)."""
+    """Vectorized zeta for arrays with Re s > 0, s != 1; error under 1e-10.
+
+    Points are grouped by the cutoff M solved for each; every group is
+    evaluated at its largest M and its remainder bound checked.
+    """
     s = np.asarray(s, dtype=np.complex128)
     M = _em_cutoff(s)
     out = np.empty(s.shape, dtype=np.complex128)
@@ -329,30 +185,6 @@ def _zeta_line(s: np.ndarray) -> np.ndarray:
         out[group] = _zeta_em_group(s[group], int(Ms[hi - 1]))
         idx = hi
     return out
-
-
-def zeta_complex(s: ComplexVal) -> ComplexVal:
-    """zeta(s) for Re s > 0, s != 1; absolute error under 1e-10.
-
-    Small |Im s| uses Borwein's alternating binomial series (certified
-    by its runtime bound); larger heights switch to Euler-Maclaurin with
-    the smallest cutoff (at least 24) whose remainder bound is below
-    1e-10/2, checked at run time — the alternating
-    series cancels catastrophically in double precision beyond small
-    heights.
-
-    Raises:
-        ValueError: "zeta pole" at s = 1, "out of implemented domain"
-            for Re s <= 0.
-    """
-    s = complex(s)
-    if s == 1:
-        raise ValueError("zeta pole")
-    if s.real <= 0:
-        raise ValueError("out of implemented domain")
-    if abs(s.imag) <= _BORWEIN_CUTOFF:
-        return _zeta_borwein(s)
-    return complex(_zeta_line(np.array([s]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +346,7 @@ def moment_contour_integrand(n: int, tau: np.ndarray) -> np.ndarray:
 
     The Gamma ratio Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) collapses exactly
     to n! / prod_{j=1..n+1} (j - s) — an overflow-free form for n <= 16
-    at any height (the log-gamma difference route is cross-checked in
-    tests).
+    at any height.  The tests check it against math.gamma at tau = 0.
     """
     tau = np.asarray(tau, dtype=np.float64)
     s = -0.5 + 1j * tau
@@ -550,12 +381,9 @@ def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
     """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau."""
     tau = np.asarray(tau, dtype=np.float64)
     s = 1.5 + 1j * tau
-    # 3*2**(-s) - 1 equals the line denominator at sigma' = 1 - 3/2: use
-    # the direct form with the same modulus floor.
-    den = 3.0 * 2.0 ** (-s) - 1.0
-    if np.abs(den).min() < 0.9 * _DENOM_FLOOR:
-        raise ValueError("verification line drifted: denominator below floor")
-    return _zeta_line(s) / (s * (s - 1) * den)
+    # 3*2**(-s) - 1 is the line denominator 3*2**(s'-1) - 1 at s' = 1 - s,
+    # that is sigma' = -1/2 and height -tau.
+    return _zeta_line(s) / (s * (s - 1) * _line_denominator(-0.5, -tau))
 
 
 def constant_contour(spec: QuadratureSpec | None = None) -> float:

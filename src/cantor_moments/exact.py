@@ -1,9 +1,9 @@
 """Exact integer/rational arithmetic primitives.
 
 This module supplies the exact building blocks used everywhere else:
-binomial coefficients, Bernoulli numbers (``B1 = -1/2`` convention),
-exact harmonic numbers, and :class:`BigFixed` — a decimal fixed-point
-carrier for high-precision real values.
+Bernoulli numbers (``B1 = -1/2`` convention), exact harmonic numbers,
+and :class:`BigFixed` — a decimal fixed-point carrier for
+high-precision real values.
 
 All values are exact rationals (``fractions.Fraction``) or scaled big
 integers; no binary floating point is involved, so decimal digit claims
@@ -17,29 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-# Exact rational carrier: canonical form (gcd 1, positive denominator)
-# is guaranteed by fractions.Fraction itself.
-Rational = Fraction
-
 # Hard cap for exact harmonic numbers; beyond this the asymptotic path in
 # cantor_moments.constant must be used (the exact denominator of H_{2^22}
 # has ~1.8 million digits).
 HARMONIC_CAP = 2**22
 
 # ---------------------------------------------------------------------------
-# Integer helpers
+# Rounding
 # ---------------------------------------------------------------------------
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k).
-
-    Raises:
-        ValueError: if the arguments are negative or k > n.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError("invalid binomial arguments")
-    return comb(n, k)
 
 
 def divround(num: int, den: int) -> int:
@@ -172,10 +157,6 @@ class BigFixed:
         num = x.numerator * 10**precision
         return BigFixed(divround(num, x.denominator), precision)
 
-    @staticmethod
-    def from_int(n: int, precision: int) -> "BigFixed":
-        return BigFixed(n * 10**precision, precision)
-
     # -- precision plumbing -------------------------------------------------
 
     def rescale(self, precision: int) -> "BigFixed":
@@ -205,10 +186,6 @@ class BigFixed:
     def __neg__(self) -> "BigFixed":
         return BigFixed(-self.mantissa, self.precision_digits)
 
-    def __mul__(self, other: "BigFixed") -> "BigFixed":
-        a, b, p = self._common(other)
-        return BigFixed(divround(a * b, 10**p), p)
-
     def mul_int(self, k: int) -> "BigFixed":
         """Exact multiplication by an integer (no rounding)."""
         return BigFixed(self.mantissa * k, self.precision_digits)
@@ -221,22 +198,6 @@ class BigFixed:
             return (-self).div_int(-k)
         return BigFixed(divround(self.mantissa, k), self.precision_digits)
 
-    def __truediv__(self, other: "BigFixed") -> "BigFixed":
-        a, b, p = self._common(other)
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return BigFixed(divround(a * 10**p, b), p)
-
-    # -- comparisons (exact, via common precision) --------------------------
-
-    def __lt__(self, other: "BigFixed") -> bool:
-        a, b, _ = self._common(other)
-        return a < b
-
-    def __le__(self, other: "BigFixed") -> bool:
-        a, b, _ = self._common(other)
-        return a <= b
-
     # -- conversions ---------------------------------------------------------
 
     def to_fraction(self) -> Fraction:
@@ -244,10 +205,6 @@ class BigFixed:
 
     def to_float(self) -> float:
         return self.mantissa / 10**self.precision_digits
-
-    def ulp(self) -> Fraction:
-        """One unit in the last place as an exact rational."""
-        return Fraction(1, 10**self.precision_digits)
 
     def decimal_string(self, digits: int | None = None) -> str:
         """Render with ``digits`` fractional digits (default: full precision).
@@ -266,13 +223,4 @@ class BigFixed:
 
     def __str__(self) -> str:
         return self.decimal_string()
-
-
-def to_fixed(x: Fraction, precision: int) -> BigFixed:
-    """Round an exact rational to ``precision`` decimal digits.
-
-    Round-half-away-from-zero; |result - x| <= 10**(-precision) (in fact
-    <= half that).
-    """
-    return BigFixed.from_fraction(x, precision)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb, lgamma
 from typing import TYPE_CHECKING
@@ -25,26 +24,6 @@ from .exact import BigFixed, bernoulli
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class MomentMethod(Enum):
-    BERNOULLI_SUM = "bernoulli_sum"
-    SELF_SIMILAR_RECURSION = "self_similar_recursion"
-
-
-@dataclass(frozen=True)
-class MomentRecord:
-    """One computed moment: value in (0, 1], and how it was obtained."""
-
-    n: int
-    value: Fraction
-    method: MomentMethod
-
-    def __post_init__(self) -> None:
-        if not (0 < self.value <= 1):
-            raise ValueError("moment out of range (0, 1]")
-        if (self.value == 1) != (self.n == 0):
-            raise ValueError("moment equals 1 iff n = 0")
 
 
 # Memo tables, one per method so the oracles stay independent.  The
@@ -118,18 +97,13 @@ def moment_recursive(n: int) -> Fraction:
     return _MEMO_RECURSIVE[n]
 
 
-def moment_record(n: int, method: MomentMethod) -> MomentRecord:
-    if method is MomentMethod.BERNOULLI_SUM:
-        return MomentRecord(n, moment_bernoulli(n), method)
-    return MomentRecord(n, moment_recursive(n), method)
-
-
 def partial_sum(N: int) -> Fraction:
     """Exact sum of the first N+1 moments, sum_{n=0}^{N} M_n.
 
     Uses the Bernoulli closed form.  Exact rational arithmetic: cost
-    grows quickly with N (the N = 512 table takes ~1 min); the decay
-    diagnostics use :func:`log_moments` beyond that.
+    grows quickly with N (N = 512 takes about 7 s from a cold start on a
+    2-core x86_64 machine); the decay diagnostics use
+    :func:`log_moments` instead.
     """
     if N < 0:
         raise ValueError("partial sum index must be >= 0")

@@ -18,7 +18,6 @@ import pytest
 
 from cantor_moments import (
     QuadratureSpec,
-    CantorEvalSpec,
     constant_contour,
     decay_fit,
     default_budget,
@@ -160,11 +159,10 @@ def test_contour_representation(acceptance, constant_d30):
 
 @pytest.mark.criterion("Cantor-integral consistency at 1e6 points")
 def test_cantor_integral_consistency(acceptance):
-    spec = CantorEvalSpec()
     details = []
     ok = True
     for n in (1, 2, 5):
-        got = integral_quadrature(n, 10**6, spec)
+        got = integral_quadrature(n, 10**6)
         err = abs(got - float(moment_bernoulli(n)))
         ok = ok and err <= 5e-3
         details.append(f"n={n}: {err:.2e}")

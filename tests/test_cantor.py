@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from cantor_moments import (
-    CantorEvalSpec,
     cantor_value,
-    grid_cantor_values,
     integral_quadrature,
     moment_bernoulli,
     self_similarity_residuals,
 )
+from cantor_moments.cantor import _grid_values
 
 
 def test_endpoints():
@@ -57,26 +56,9 @@ def test_domain_errors():
         cantor_value(1.1)
 
 
-def test_spec_validation():
-    CantorEvalSpec(depth=1)
-    CantorEvalSpec(depth=64)
-    with pytest.raises(ValueError):
-        CantorEvalSpec(depth=0)
-    with pytest.raises(ValueError):
-        CantorEvalSpec(depth=65)
-
-
-def test_depth_controls_error():
-    # shallow evaluation of 1/4 stops after depth ternary digits
-    shallow = cantor_value(0.25, CantorEvalSpec(depth=4))
-    assert abs(shallow - 1 / 3) <= 2.0**-4
-    deep = cantor_value(0.25, CantorEvalSpec(depth=40))
-    assert abs(deep - 1 / 3) <= 2.0**-40
-
-
 def test_grid_matches_scalar_evaluation():
     points = 257
-    grid = grid_cantor_values(points)
+    grid = _grid_values(points)
     for i in (0, 1, 100, 256):
         x = Fraction(2 * i + 1, 2 * points)
         assert grid[i] == cantor_value(x)
@@ -90,7 +72,7 @@ def test_grid_properties():
 
 
 def test_grid_monotone_large():
-    grid = grid_cantor_values(10**5)
+    grid = _grid_values(10**5)
     assert np.all(np.diff(grid) >= 0)
 
 

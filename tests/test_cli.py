@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+import types
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cantor_moments import moments
+import cantor_moments
+from cantor_moments import default_budget, moment_series_constant, moments
 from cantor_moments.cli import main
 
 
@@ -55,6 +59,28 @@ def test_constant_digit_range_errors(capsys):
         code, _, err = run_cli(capsys, ["constant", "--digits", digits])
         assert code == 2
         assert "--digits must be in [1, 60]" in err
+
+
+def test_certified_error_printed_rounded_up(capsys):
+    # A printed bound must never be below the computed one: the D = 30
+    # bound 5.003468159758599e-43 rounded to nearest prints 5.003468e-43.
+    for digits in range(1, 61):
+        result = moment_series_constant(default_budget(digits))
+        _, out, _ = run_cli(capsys, ["constant", "--digits", str(digits), "--json"])
+        printed = Decimal(json.loads(out)["certified_error"])
+        assert printed >= Decimal(result.certified_error), digits
+    result = moment_series_constant(default_budget(30))
+    _, out, _ = run_cli(capsys, ["constant", "--digits", "30"])
+    printed = [Decimal(x) for x in re.findall(r"\d\.\d{6}e[-+]\d+", out)]
+    exact = [
+        result.certified_error,
+        result.em_remainder,
+        result.ln2_error,
+        result.gamma_error,
+        result.rounding_error,
+    ]
+    assert len(printed) == len(exact)
+    assert all(p >= Decimal(x) for p, x in zip(printed, exact))
 
 
 def test_constant_json_deterministic(capsys):
@@ -182,8 +208,23 @@ def test_usage_errors(capsys):
 
 
 # ---------------------------------------------------------------------------
-# process state
+# package surface and process state
 # ---------------------------------------------------------------------------
+
+
+def test_public_names_resolve():
+    # __all__ is exactly the eagerly imported names plus the lazy ones,
+    # and every name in it resolves.
+    eager = {
+        name
+        for name, value in vars(cantor_moments).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    names = cantor_moments.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == eager | set(cantor_moments._LAZY_MODULE)
+    for name in names:
+        assert getattr(cantor_moments, name) is not None
 
 
 def test_constant_and_moments_do_not_import_numpy():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -12,12 +11,9 @@ from cantor_moments import (
     QuadratureError,
     QuadratureSpec,
     constant_contour,
-    gamma_complex,
-    loggamma_complex,
     moment_bernoulli,
     moment_contour,
     perron_kernel,
-    zeta_complex,
 )
 from cantor_moments.contour import (
     _G7_WEIGHTS,
@@ -26,6 +22,7 @@ from cantor_moments.contour import (
     _dirichlet_sum,
     _em_cutoff,
     _spf_sieve,
+    _zeta_line,
     constant_contour_integrand,
     moment_contour_integrand,
     perron_integrand,
@@ -33,62 +30,15 @@ from cantor_moments.contour import (
 
 
 # ---------------------------------------------------------------------------
-# gamma_complex
+# zeta
 # ---------------------------------------------------------------------------
 
-
-def test_gamma_examples():
-    assert abs(gamma_complex(1.0) - 1.0) <= 1e-12
-    assert abs(gamma_complex(4.0) - 6.0) <= 6 * 1e-12
-    assert abs(gamma_complex(0.5) - math.sqrt(math.pi)) <= 2e-12
+ZETA_3_2 = 2.6123753486854883
 
 
-def test_gamma_poles():
-    for z in (0.0, -1.0, -2.0, -7.0):
-        with pytest.raises(ValueError, match="gamma pole"):
-            gamma_complex(z)
-
-
-def test_gamma_recurrence_random_strip():
-    # Gamma(z+1) = z Gamma(z) to relative 1e-10 at 100 seeded points in
-    # the strip 1/2 <= Re z <= 5, |Im z| <= 100.
-    rng = np.random.default_rng(20260819)
-    for _ in range(100):
-        z = complex(rng.uniform(0.5, 5.0), rng.uniform(-100.0, 100.0))
-        lhs = gamma_complex(z + 1)
-        rhs = z * gamma_complex(z)
-        assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
-
-
-def test_gamma_conjugate_symmetry():
-    for z in (1.3 + 2.1j, 0.5 + 30.0j, 3.0 - 7.5j):
-        a = gamma_complex(z.conjugate())
-        b = gamma_complex(z).conjugate()
-        assert abs(a - b) <= 1e-12 * abs(b)
-
-
-def test_gamma_reflection_against_reference():
-    # Gamma(z) Gamma(1-z) = pi / sin(pi z) on the left half-plane path
-    for z in (-0.5 + 1.0j, -2.3 + 4.0j, -1.5 - 0.25j):
-        product = gamma_complex(z) * gamma_complex(1 - z)
-        reference = math.pi / cmath.sin(math.pi * z)
-        assert abs(product - reference) <= 1e-10 * abs(reference)
-
-
-def test_loggamma_consistent_with_gamma():
-    for z in (2.5 + 1.0j, 5.0 - 3.0j, 0.75 + 12.0j):
-        assert abs(cmath.exp(loggamma_complex(z)) - gamma_complex(z)) <= 1e-10 * abs(
-            gamma_complex(z)
-        )
-    # log-differences exponentiate to exact ratios even at large |Im z|
-    z = 0.5 + 300.0j
-    ratio = cmath.exp(loggamma_complex(z + 1) - loggamma_complex(z))
-    assert abs(ratio - z) <= 1e-9 * abs(z)
-
-
-# ---------------------------------------------------------------------------
-# zeta_complex
-# ---------------------------------------------------------------------------
+def zeta(s: complex) -> complex:
+    """_zeta_line at a single point."""
+    return complex(_zeta_line(np.array([s]))[0])
 
 
 def _zeta_dirichlet_oracle(s: complex, terms: int = 10**5) -> complex:
@@ -122,16 +72,8 @@ def _height_with_cutoff(sigma: float, M: int) -> float:
 
 
 def test_zeta_examples():
-    assert abs(zeta_complex(2.0 + 0j) - math.pi**2 / 6) <= 1e-10
-    assert abs(zeta_complex(1.5 + 0j) - 2.6123753486854883) <= 1e-10
-
-
-def test_zeta_pole_and_domain():
-    with pytest.raises(ValueError, match="zeta pole"):
-        zeta_complex(1.0 + 0j)
-    for s in (0.0 + 2j, -1.0 + 0j, -0.5 + 10j):
-        with pytest.raises(ValueError, match="out of implemented domain"):
-            zeta_complex(s)
+    assert abs(zeta(2.0 + 0j) - math.pi**2 / 6) <= 1e-10
+    assert abs(zeta(1.5 + 0j) - ZETA_3_2) <= 1e-10
 
 
 def test_zeta_against_dirichlet_oracle():
@@ -139,18 +81,18 @@ def test_zeta_against_dirichlet_oracle():
     rng = np.random.default_rng(987654321)
     for _ in range(20):
         s = complex(1.5, rng.uniform(-50.0, 50.0))
-        assert abs(zeta_complex(s) - _zeta_dirichlet_oracle(s)) <= 1e-6
+        assert abs(zeta(s) - _zeta_dirichlet_oracle(s)) <= 1e-6
     # Heights 63..1e4 on Re s = 3/2 and on the critical line (the cutoff
     # must grow as sigma falls), tolerance 1e-9
     for sigma in (1.5, 0.5):
         for tau in np.geomspace(63.0, 1.0e4, 9):
             s = complex(sigma, tau)
-            assert abs(zeta_complex(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
+            assert abs(zeta(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
     # Cutoffs just at and past a power of two, and prime cutoffs, where
     # the Dirichlet table's last level is nearly empty or ends in a prime
     for M in (1024, 1025, 2048, 2049, 2053, 3067):
         s = complex(1.5, _height_with_cutoff(1.5, M))
-        assert abs(zeta_complex(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
+        assert abs(zeta(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
 
 
 def test_zeta_cutoff_follows_sigma():
@@ -160,25 +102,24 @@ def test_zeta_cutoff_follows_sigma():
     assert M[0] < M[1] < M[2]
     assert M[0] < 1e4 / 2.7
     for s in (0.25 + 61j, 0.25 + 1e4j):
-        zeta_complex(s)  # used to raise "cutoff too small"
+        zeta(s)  # used to raise "cutoff too small"
 
 
 def test_zeta_methods_agree_across_cutoff():
-    # Borwein (|Im| <= 8) and Euler-Maclaurin (above) must agree with the
-    # oracle on both sides of the internal switch.
+    # Low heights, on both sides of |Im s| = 8, against the oracle.
     for t in (7.5, 7.99, 8.01, 9.0, 25.0):
         s = 1.5 + 1j * t
-        assert abs(zeta_complex(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
+        assert abs(zeta(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
 
 
 def test_zeta_conjugate_symmetry():
     for s in (1.5 + 3.7j, 0.5 + 21.0j, 2.0 - 14.0j):
-        assert abs(zeta_complex(s.conjugate()) - zeta_complex(s).conjugate()) <= 1e-12
+        assert abs(zeta(s.conjugate()) - zeta(s).conjugate()) <= 1e-12
 
 
 def test_zeta_critical_strip_accuracy():
     s = 0.5 + 14.134725j  # near the first nontrivial zero
-    value = zeta_complex(s)
+    value = zeta(s)
     assert abs(value - _zeta_dirichlet_oracle(s)) <= 1e-9
     assert abs(value) <= 1e-5
 
@@ -268,10 +209,25 @@ def test_integrand_conjugate_symmetry():
 def test_constant_integrand_at_origin():
     # real and finite at tau = 0: zeta(3/2) / ((3/2)(1/2)(3*2^(-3/2)-1))
     s = 1.5 + 0j
-    expected = zeta_complex(s) / (s * (s - 1) * (3 * 2**-s - 1))
+    expected = ZETA_3_2 / (s * (s - 1) * (3 * 2**-s - 1))
     got = complex(constant_contour_integrand(np.array([0.0]))[0])
     assert abs(got - expected) <= 1e-12 * abs(expected)
     assert abs(got.imag) <= 1e-12
+
+
+def test_moment_integrand_gamma_ratio_at_origin():
+    # At tau = 0 (s = -1/2) the product form of the Gamma ratio must equal
+    # n! Gamma(3/2) / Gamma(n + 5/2), taken from math.gamma.
+    for n in range(1, 17):
+        expected = (
+            math.factorial(n)
+            * math.gamma(1.5)
+            / math.gamma(n + 2.5)
+            * ZETA_3_2
+            / (3 * 2**-1.5 - 1)
+        )
+        got = complex(moment_contour_integrand(n, np.array([0.0]))[0])
+        assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 # ---------------------------------------------------------------------------

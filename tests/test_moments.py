@@ -7,8 +7,6 @@ from fractions import Fraction
 import pytest
 
 from cantor_moments import (
-    MomentMethod,
-    MomentRecord,
     decay_fit,
     default_budget,
     moment_bernoulli,
@@ -91,15 +89,6 @@ def test_partial_sums_below_constant():
     limit = result.value.to_fraction() - Fraction(result.certified_error)
     for n in (1, 16, 64, 256, 512):
         assert partial_sum(n) < limit
-
-
-def test_moment_record_validation():
-    rec = MomentRecord(1, Fraction(1, 2), MomentMethod.BERNOULLI_SUM)
-    assert rec.value == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        MomentRecord(1, Fraction(2), MomentMethod.BERNOULLI_SUM)
-    with pytest.raises(ValueError):
-        MomentRecord(3, Fraction(1), MomentMethod.BERNOULLI_SUM)
 
 
 def test_log_moments_match_exact_values():
