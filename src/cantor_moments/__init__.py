@@ -53,6 +53,7 @@ _LAZY = {
         "constant_contour",
         "moment_contour",
         "perron_kernel",
+        "zeta_contours",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
@@ -91,4 +92,5 @@ __all__ = [
     "partial_sum",
     "perron_kernel",
     "weighted_harmonic_sum_exact",
+    "zeta_contours",
 ]

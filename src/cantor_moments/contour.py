@@ -16,13 +16,21 @@ All integrands satisfy f(conj s) = conj f(s), so integrals over
 [-T, T] are evaluated as twice the real part over [0, T]; the symmetry
 itself is asserted in the test suite.  The quadrature is adaptive
 Gauss-Kronrod 7-15 with all panels of a refinement wave evaluated in one
-vectorized batch.  On the two zeta lines the starting panels are one
-period 2*pi/ln 2 of the denominators 3*2**(s-1) - 1 and 3*2**(-s) - 1
-wide, so their near-poles fall on panel edges.  Zeta, on arrays of
-points, is one Euler-Maclaurin path with a cutoff solved from its
-remainder bound at every height; the Dirichlet powers n**(-s) are built
-multiplicatively from a smallest-prime-factor sieve, with exp taken only
-at primes.  The Gamma ratio of the moment integrand is a finite product.
+vectorized batch, for one integrand or several sharing one mesh.
+
+The moment and constant integrands all reduce to zeta(3/2 + i*tau), or
+its conjugate, times elementary factors of tau, so :func:`zeta_contours`
+integrates the constant's integrand together with the moment integrands
+of any orders: one zeta evaluation per node serves them all, and a panel
+is bisected while any of them misses its share of the tolerance.
+:func:`moment_contour` and :func:`constant_contour` are views of it.
+Its starting panels are one period 2*pi/ln 2 of the denominators
+3*2**(s-1) - 1 and 3*2**(-s) - 1 wide, so their near-poles fall on panel
+edges.  Zeta, on arrays of points, is one Euler-Maclaurin path with a
+cutoff solved from its remainder bound at every height; the Dirichlet
+powers n**(-s) are built multiplicatively from a smallest-prime-factor
+sieve, with exp taken only at primes.  The Gamma ratio of the moment
+integrand is a finite product.
 """
 
 from __future__ import annotations
@@ -227,7 +235,9 @@ _G7_WEIGHTS = np.concatenate([_WG, [0.417959183673469387755102040816327], _WG[::
 def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
     """Gauss-Kronrod 7-15 on each panel [a_i, b_i], one batch eval.
 
-    Returns the K15 values and the error estimates |K15 - G7|.
+    f maps an array of nodes to one row of values per integrand (a 1-D
+    result is one row).  Returns the K15 values and the error estimates
+    |K15 - G7|, each of shape (rows, panels).
     """
     mid = (a + b) / 2.0
     half = (b - a) / 2.0
@@ -235,23 +245,26 @@ def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
     y = f(x)
     if not np.all(np.isfinite(y.real) & np.isfinite(y.imag)):
         raise ValueError("integrand produced a non-finite value")
-    y = y.reshape(len(a), 15)
+    y = y.reshape(-1, len(a), 15)
     k15 = half * (y @ _K15_WEIGHTS)
-    g7 = half * (y[:, 1::2] @ _G7_WEIGHTS)
+    g7 = half * (y[..., 1::2] @ _G7_WEIGHTS)
     return k15, np.abs(k15 - g7)
 
 
 def _adaptive_line(f, edges: np.ndarray, spec: QuadratureSpec):
-    """Adaptive quadrature of f over [0, T], T = edges[-1].
+    """Adaptive quadrature of every row of f over [0, T], T = edges[-1].
 
     Starts from the caller's panels [edges[i], edges[i+1]] (fitted to the
     integrand: a fraction of its oscillation period, or a mesh whose
-    edges sit at its near-poles), then bisects every panel whose
-    Gauss-Kronrod error estimate |K15 - G7| exceeds its share
+    edges sit at its near-poles), then bisects every panel where any
+    row's Gauss-Kronrod error estimate |K15 - G7| exceeds its share
     abs_tol * width / (2T) of the budget, re-evaluating only split
-    panels, until all pass or the evaluation budget runs out.
+    panels, until all pass or the evaluation budget runs out.  All rows
+    share one mesh, so each node is evaluated once for all of them.
 
-    Returns (integral, error_estimate, evaluations).
+    Returns (integrals, error_estimates, evaluations), one integral and
+    one estimate per row.  A QuadratureError carries the estimate and
+    error of the row with the largest error.
     """
     T = float(edges[-1])
     a = edges[:-1].copy()
@@ -261,29 +274,32 @@ def _adaptive_line(f, edges: np.ndarray, spec: QuadratureSpec):
 
     while True:
         allowance = spec.abs_tol * (b - a) / (2.0 * T)
-        bad = errs > allowance
+        bad = (errs > allowance).any(axis=0)
         if not bad.any():
             break
         if evals + 30 * int(bad.sum()) > spec.max_evals:
+            worst = int(np.argmax(errs.sum(axis=1)))
             raise QuadratureError(
                 "quadrature budget exhausted before tolerance",
-                float(vals.sum().real),
-                float(errs.sum()),
+                float(vals[worst].sum().real),
+                float(errs[worst].sum()),
             )
+        keep = ~bad
         ba, bb = a[bad], b[bad]
         mids = (ba + bb) / 2.0
-        new_a = np.concatenate([a[~bad], ba, mids])
-        new_b = np.concatenate([b[~bad], mids, bb])
-        keep_vals, keep_errs = vals[~bad], errs[~bad]
+        new_a = np.concatenate([a[keep], ba, mids])
+        new_b = np.concatenate([b[keep], mids, bb])
         split_vals, split_errs = _panel_integrals(
             f, np.concatenate([ba, mids]), np.concatenate([mids, bb])
         )
         evals += 30 * len(ba)
         a, b = new_a, new_b
-        vals = np.concatenate([keep_vals, split_vals])
-        errs = np.concatenate([keep_errs, split_errs])
+        # compress keeps the rows C-contiguous, so each row's final sum is
+        # numpy's pairwise sum, as for a single integrand.
+        vals = np.concatenate([vals.compress(keep, axis=1), split_vals], axis=1)
+        errs = np.concatenate([errs.compress(keep, axis=1), split_errs], axis=1)
 
-    return complex(vals.sum()), float(errs.sum()), evals
+    return vals.sum(axis=1), errs.sum(axis=1), evals
 
 
 # The line denominators 3*2**(s-1) - 1 (Re s = -1/2) and 3*2**(-s) - 1
@@ -328,7 +344,8 @@ def perron_kernel(t: float, spec: QuadratureSpec | None = None) -> float:
     period = 2 * math.pi / abs(math.log(t)) if t != 1.0 else math.inf
     width = min(2.0, period / 4)
     edges = np.linspace(0.0, spec.T, max(8, math.ceil(spec.T / width)) + 1)
-    integral, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges, spec)
+    integrals, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges, spec)
+    integral = complex(integrals[0])
     return 2.0 * integral.real / (2.0 * math.pi)
 
 
@@ -341,61 +358,99 @@ def _line_denominator(sigma: float, tau: np.ndarray) -> np.ndarray:
     return den
 
 
+def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray) -> np.ndarray:
+    """The moment integrand for each n in orders, then the constant's.
+
+    One row per integrand, all from one zeta evaluation at
+    3/2 + i*tau: the moment integrand on s = -1/2 + i*tau needs
+    zeta(1 - s) = zeta(3/2 - i*tau) = conj zeta(3/2 + i*tau) (bit for bit
+    in :func:`_zeta_line`), and the constant's denominator 3*2**(-s) - 1 on
+    s = 3/2 + i*tau is the conjugate of the moments' 3*2**(s-1) - 1 on
+    s = -1/2 + i*tau.
+
+    The Gamma ratio Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) of the moment
+    integrand collapses exactly to n! / prod_{j=1..n+1} (j - s) — an
+    overflow-free form for n <= 16 at any height.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    s = 1.5 + 1j * tau
+    zeta = _zeta_line(s)
+    den = _line_denominator(-0.5, tau)
+    out = np.empty((len(orders) + 1,) + tau.shape, dtype=np.complex128)
+    moment_s = -0.5 + 1j * tau
+    zeta_conj = np.conj(zeta)
+    for row, n in enumerate(orders):
+        ratio = np.full(tau.shape, float(factorial(n)), dtype=np.complex128)
+        for j in range(1, n + 2):
+            ratio = ratio / (j - moment_s)
+        out[row] = ratio * zeta_conj / den
+    out[-1] = zeta / (s * (s - 1) * np.conj(den))
+    return out
+
+
 def moment_contour_integrand(n: int, tau: np.ndarray) -> np.ndarray:
     """Integrand of the moment representation on s = -1/2 + i*tau.
 
-    The Gamma ratio Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) collapses exactly
-    to n! / prod_{j=1..n+1} (j - s) — an overflow-free form for n <= 16
-    at any height.  The tests check it against math.gamma at tau = 0.
+    n! / prod_{j=1..n+1} (j - s) * zeta(1 - s) / (3*2**(s-1) - 1); the
+    tests check the Gamma-ratio product against math.gamma at tau = 0.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    s = -0.5 + 1j * tau
-    ratio = np.full(s.shape, float(factorial(n)), dtype=np.complex128)
-    for j in range(1, n + 2):
-        ratio = ratio / (j - s)
-    return ratio * _zeta_line(1 - s) / _line_denominator(-0.5, tau)
+    return _zeta_integrands((n,), tau)[0]
+
+
+def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
+    """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau."""
+    return _zeta_integrands((), tau)[0]
+
+
+def zeta_contours(
+    orders: tuple[int, ...], spec: QuadratureSpec | None = None
+) -> tuple[tuple[float, ...], float]:
+    """The moment and constant line integrals, integrated as one.
+
+    Returns, for each n in orders, the numerical moment
+    (2/3) * (1/2*pi) int_{-T}^{T} of the moment integrand on Re s = -1/2,
+    and the numerical constant 1 + (2/3) * (1/2*pi) int_{-T}^{T} of the
+    constant integrand on Re s = 3/2; to be compared against the exact
+    moments and the certified constant.  Truncation decays like O(1/T).
+
+    All integrands share the pole-aligned mesh, refined wherever any of
+    them needs it, so zeta is evaluated once per node for all of them.
+
+    Raises:
+        ValueError: an order outside [1, 16].
+        QuadratureError: evaluation budget exhausted before tolerance.
+    """
+    if not all(1 <= n <= 16 for n in orders):
+        raise ValueError("moment order out of [1, 16]")
+    if spec is None:
+        spec = QuadratureSpec()
+    integrals, _, _ = _adaptive_line(
+        lambda tau: _zeta_integrands(orders, tau), _pole_aligned_edges(spec.T), spec
+    )
+    moments = (2.0 / 3.0) * 2.0 * integrals[:-1].real / (2.0 * math.pi)
+    constant = 1.0 + (2.0 / 3.0) * 2.0 * integrals[-1].real / (2.0 * math.pi)
+    return tuple(float(m) for m in moments), float(constant)
 
 
 def moment_contour(n: int, spec: QuadratureSpec | None = None) -> float:
     """Numerical moment via the vertical-line representation at Re s = -1/2.
 
-    Returns (2/3) * (1/2*pi) int_{-T}^{T} of the integrand; to be
-    compared against the exact moment.
+    The moment alone from :func:`zeta_contours` (its mesh is the one the
+    moment and the constant integrand need together).
 
     Raises:
         ValueError: n outside [1, 16].
-        QuadratureError: evaluation budget exhausted ("quadrature
-            non-convergence" diagnostics included).
+        QuadratureError: evaluation budget exhausted before tolerance.
     """
-    if not (1 <= n <= 16):
-        raise ValueError("moment order out of [1, 16]")
-    if spec is None:
-        spec = QuadratureSpec()
-    integral, _, _ = _adaptive_line(
-        lambda tau: moment_contour_integrand(n, tau), _pole_aligned_edges(spec.T), spec
-    )
-    return (2.0 / 3.0) * 2.0 * integral.real / (2.0 * math.pi)
-
-
-def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
-    """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau."""
-    tau = np.asarray(tau, dtype=np.float64)
-    s = 1.5 + 1j * tau
-    # 3*2**(-s) - 1 is the line denominator 3*2**(s'-1) - 1 at s' = 1 - s,
-    # that is sigma' = -1/2 and height -tau.
-    return _zeta_line(s) / (s * (s - 1) * _line_denominator(-0.5, -tau))
+    return zeta_contours((n,), spec)[0][0]
 
 
 def constant_contour(spec: QuadratureSpec | None = None) -> float:
     """Numerical moment-series constant via the line integral at Re s = 3/2.
 
-    Returns 1 + (2/3) * (1/2*pi) int_{-T}^{T} of the integrand; to be
-    compared against the certified constant.  Truncation decays like
-    O(1/T).
+    The constant alone from :func:`zeta_contours`.
+
+    Raises:
+        QuadratureError: evaluation budget exhausted before tolerance.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    integral, _, _ = _adaptive_line(
-        constant_contour_integrand, _pole_aligned_edges(spec.T), spec
-    )
-    return 1.0 + (2.0 / 3.0) * 2.0 * integral.real / (2.0 * math.pi)
+    return zeta_contours((), spec)[1]

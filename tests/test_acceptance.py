@@ -18,7 +18,6 @@ import pytest
 
 from cantor_moments import (
     QuadratureSpec,
-    constant_contour,
     decay_fit,
     default_budget,
     euler_gamma,
@@ -27,10 +26,10 @@ from cantor_moments import (
     ln2,
     ln2_alt,
     moment_bernoulli,
-    moment_contour,
     moment_recursive,
     moment_series_constant,
     perron_kernel,
+    zeta_contours,
 )
 from cantor_moments.constant import double_sum_check
 from cantor_moments.moments import clear_memos
@@ -145,13 +144,12 @@ def test_contour_representation(acceptance, constant_d30):
     spec = QuadratureSpec()
     details = []
     ok = True
-    for n in (1, 2, 5):
-        got = moment_contour(n, spec)
+    got_moments, got_constant = zeta_contours((1, 2, 5), spec)
+    for n, got in zip((1, 2, 5), got_moments):
         err = abs(got - float(moment_bernoulli(n)))
         ok = ok and err <= 1e-3
         details.append(f"n={n}: {err:.2e} (tol 1e-03)")
-    got = constant_contour(spec)
-    err = abs(got - constant_d30.value.to_float())
+    err = abs(got_constant - constant_d30.value.to_float())
     ok = ok and err <= 5e-3
     details.append(f"constant: {err:.2e} (tol 5e-03)")
     acceptance(ok, "measured errors " + ", ".join(details))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -191,6 +192,28 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert payload["all_pass"] is False
     failing = [c for c in payload["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failing] == ["moment_oracle_n3"]
+
+
+def test_quadrature_non_convergence_fails_checks(capsys, monkeypatch):
+    # A starved budget is a check failure (exit 1, report printed), not a
+    # usage error (exit 2, no report).
+    from cantor_moments import contour
+
+    starved = functools.partial(contour.QuadratureSpec, max_evals=1000)
+    monkeypatch.setattr(contour, "QuadratureSpec", starved)
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "mellin", "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_pass"] is False
+    checks = {c["name"]: (c["status"], c["measured"]) for c in payload["checks"]}
+    for name in (
+        "perron_t_4.0",
+        "moment_contour_n1",
+        "moment_contour_n2",
+        "moment_contour_n5",
+        "constant_contour",
+    ):
+        assert checks[name] == ("fail", "quadrature not converged")
 
 
 def test_usage_errors(capsys):

@@ -22,6 +22,15 @@ from cantor_moments.constant import K0
 
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
 
+# The constant to 75 fractional digits (last digit rounded), computed
+# outside constant.py with mpmath at 100 dps as
+#   -1/3 + (2/3) * sum_{1 <= k < 600} (2/3)**k * (psi(2**k + 1) + gamma),
+# using H(m) = psi(m + 1) + gamma; the omitted terms are below 1e-100.
+# test_reference_constant_from_mpmath regenerates it.
+REFERENCE_CONSTANT = (
+    "3.364650728100925160838934962887373253727134954323464040527649623407567027066"
+)
+
 
 def series_tail_bound(K: int) -> Fraction:
     """Exact upper bound for the weighted harmonic series tail after K.
@@ -206,14 +215,30 @@ def test_constant_default_budget(constant_d30):
 def test_certified_bound_holds_for_every_digit_count():
     # Every supported D against the D = 60 value: the gap lies within the
     # two certified errors, and the D-digit rendering is the 60-digit
-    # value rounded to D digits.
+    # value rounded to D digits.  Against the outside reference, the
+    # working value lies within its certified error of the truth, counting
+    # the reference's own rounding (at most 1/2 * 10**-75) against it.
     ref = moment_series_constant(default_budget(60))
     ref_value = ref.value.to_fraction()
+    truth = Fraction(REFERENCE_CONSTANT)
     for digits in range(1, 61):
         res = moment_series_constant(default_budget(digits))
         gap = abs(res.value.to_fraction() - ref_value)
         assert gap <= Fraction(res.certified_error) + Fraction(ref.certified_error)
         assert res.value.decimal_string(digits) == ref.value.decimal_string(digits)
+        truth_gap = abs(res.value.to_fraction() - truth) + Fraction(1, 2 * 10**75)
+        assert truth_gap <= Fraction(res.certified_error)
+
+
+def test_reference_constant_from_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        series = mpmath.fsum(
+            (mpmath.mpf(2) / 3) ** k * (mpmath.digamma(2**k + 1) + mpmath.euler)
+            for k in range(1, 600)
+        )
+        value = -mpmath.mpf(1) / 3 + 2 * series / 3
+        assert mpmath.nstr(value, 76) == REFERENCE_CONSTANT
 
 
 def test_certified_error_is_the_sum_of_its_parts():

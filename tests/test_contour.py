@@ -14,7 +14,9 @@ from cantor_moments import (
     moment_bernoulli,
     moment_contour,
     perron_kernel,
+    zeta_contours,
 )
+from cantor_moments import contour
 from cantor_moments.contour import (
     _G7_WEIGHTS,
     _K15_NODES,
@@ -115,6 +117,25 @@ def test_zeta_methods_agree_across_cutoff():
 def test_zeta_conjugate_symmetry():
     for s in (1.5 + 3.7j, 0.5 + 21.0j, 2.0 - 14.0j):
         assert abs(zeta(s.conjugate()) - zeta(s).conjugate()) <= 1e-12
+    # Exact on Re s = 3/2, where the moment integrands take
+    # zeta(3/2 - i*tau) as the conjugate of the constant's zeta value.
+    tau = np.linspace(0.0, 1.0e4, 10_001)
+    assert np.array_equal(
+        _zeta_line(1.5 - 1j * tau), np.conjugate(_zeta_line(1.5 + 1j * tau))
+    )
+
+
+def test_zeta_against_mpmath():
+    # An outside reference: 50 heights up to 1e4 on Re s = 3/2 and on the
+    # critical line, within the 1e-10 remainder guard.
+    mpmath = pytest.importorskip("mpmath")
+    taus = np.geomspace(0.5, 1.0e4, 50)
+    with mpmath.workdps(30):
+        for sigma in (1.5, 0.5):
+            got = _zeta_line(sigma + 1j * taus)
+            for tau, value in zip(taus, got):
+                want = complex(mpmath.zeta(mpmath.mpc(sigma, tau)))
+                assert abs(value - want) <= 1e-10
 
 
 def test_zeta_critical_strip_accuracy():
@@ -254,6 +275,39 @@ def test_perron_domain():
         perron_kernel(0.0, FAST)
     with pytest.raises(ValueError):
         perron_kernel(-1.0, FAST)
+
+
+SHARED = QuadratureSpec(T=1000.0)
+
+
+def test_zeta_contours_match_the_views():
+    (n1, n2, n5), const = zeta_contours((1, 2, 5), SHARED)
+    assert n1 == moment_contour(1, SHARED)
+    assert abs(const - constant_contour(SHARED)) <= 1e-15
+    assert abs(n2 - moment_contour(2, SHARED)) <= 1e-9
+    assert abs(n5 - moment_contour(5, SHARED)) <= 1e-9
+
+
+def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
+    heights = []
+    nodes = []
+    real_zeta = contour._zeta_line
+    real_integrands = contour._zeta_integrands
+
+    def counted_zeta(s):
+        heights.append(np.asarray(s).imag.copy())
+        return real_zeta(s)
+
+    def counted_integrands(orders, tau):
+        nodes.append(len(tau))
+        return real_integrands(orders, tau)
+
+    monkeypatch.setattr(contour, "_zeta_line", counted_zeta)
+    monkeypatch.setattr(contour, "_zeta_integrands", counted_integrands)
+    zeta_contours((1, 2, 5), SHARED)
+    tau = np.concatenate(heights)
+    assert len(tau) == sum(nodes) > 0
+    assert len(np.unique(tau)) == len(tau)
 
 
 def test_moment_contour_fast():
