@@ -2,10 +2,10 @@
 
 Library layout:
 
-* :mod:`cantor_moments.exact` — Bernoulli numbers, exact harmonic
-  numbers, decimal fixed point;
-* :mod:`cantor_moments.moments` — the moments by two independent exact
-  methods, partial sums, remainder-decay fit;
+* :mod:`cantor_moments.exact` — Bernoulli numbers from tangent numbers,
+  exact harmonic numbers, decimal fixed point;
+* :mod:`cantor_moments.moments` — the moment tables by two independent
+  exact methods, partial sums, remainder-decay fit;
 * :mod:`cantor_moments.constant` — certified evaluation of the series
   constant -1/3 + (2/3) sum (2/3)**k H(2**k);
 * :mod:`cantor_moments.cantor` — Cantor function values and the
@@ -28,13 +28,15 @@ from .constant import (
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
-from .exact import BigFixed, bernoulli, harmonic_exact
+from .exact import BigFixed, bernoulli, bernoulli_numbers, harmonic_exact
 from .moments import (
     DecayFit,
+    bernoulli_moments,
     decay_fit,
     moment_bernoulli,
     moment_recursive,
     partial_sum,
+    recursive_moments,
 )
 
 __version__ = "0.1.0"
@@ -53,6 +55,7 @@ _LAZY = {
         "constant_contour",
         "moment_contour",
         "perron_kernel",
+    "recursive_moments",
         "zeta_contours",
     ),
 }
@@ -74,6 +77,8 @@ __all__ = [
     "QuadratureError",
     "QuadratureSpec",
     "bernoulli",
+    "bernoulli_moments",
+    "bernoulli_numbers",
     "cantor_value",
     "constant_contour",
     "decay_fit",
@@ -91,6 +96,7 @@ __all__ = [
     "moment_series_constant",
     "partial_sum",
     "perron_kernel",
+    "recursive_moments",
     "weighted_harmonic_sum_exact",
     "zeta_contours",
 ]

@@ -5,7 +5,9 @@ Commands
 
 ``cantor-moments constant --digits D [--json]``
     The series constant to D fractional digits with certified error; the
-    error and its parts are printed rounded up.
+    error and its parts are printed rounded up.  The error bounds the
+    unrounded working value, so the printed D-digit string is within it
+    plus 1/2 * 10**-D of the true constant.
 
 ``cantor-moments moments --max-n N --format json|csv``
     Exact moments 0..N as numerator/denominator plus a 20-digit decimal.
@@ -151,25 +153,24 @@ def cmd_constant(digits: int, json_mode: bool) -> int:
 
 
 def cmd_moments(max_n: int, fmt: str) -> int:
-    values = [moments.moment_bernoulli(n) for n in range(max_n + 1)]
+    rows = (
+        {
+            "n": n,
+            "num": value.numerator,
+            "den": value.denominator,
+            "decimal": exact.BigFixed.from_fraction(value, 20).decimal_string(),
+        }
+        for n, value in enumerate(moments.iter_bernoulli_moments(max_n))
+    )
     # CPython refuses to render ints above 4300 digits by default, and
-    # large tables exceed that: raise the limit for this output only.
-    bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)
+    # large tables exceed that: lift the limit for this output only.
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(max(previous, int(bits * 0.30103) + 12))
+    sys.set_int_max_str_digits(0)
     try:
-        rows = [
-            {
-                "n": n,
-                "num": value.numerator,
-                "den": value.denominator,
-                "decimal": exact.BigFixed.from_fraction(value, 20).decimal_string(),
-            }
-            for n, value in enumerate(values)
-        ]
         if fmt == "json":
-            print(json.dumps(rows, indent=2))
+            print(json.dumps(list(rows), indent=2))
         else:
+            # Rows are printed as they are computed, so the table is never held.
             print("n,num,den,decimal")
             for row in rows:
                 print(f"{row['n']},{row['num']},{row['den']},{row['decimal']}")
@@ -182,8 +183,10 @@ def cmd_moments(max_n: int, fmt: str) -> int:
 
 
 def _suite_oracle(report: RunReport) -> None:
-    for n in range(65):
-        equal = moments.moment_bernoulli(n) == moments.moment_recursive(n)
+    closed_form = moments.bernoulli_moments(64)
+    recursion = moments.recursive_moments(64)
+    for n, (a, b) in enumerate(zip(closed_form, recursion)):
+        equal = a == b
         report.add_check(
             f"moment_oracle_n{n}",
             equal,
@@ -334,7 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_const = sub.add_parser("constant", help="evaluate the series constant")
-    p_const.add_argument("--digits", type=int, required=True)
+    p_const.add_argument(
+        "--digits",
+        type=int,
+        required=True,
+        help="fractional digits, 1..60; the certified error bounds the "
+        "unrounded value, and rounding it to D digits adds up to 1/2*10^-D",
+    )
     p_const.add_argument("--json", action="store_true")
 
     p_mom = sub.add_parser("moments", help="tabulate exact moments")

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BigFixed, bernoulli, divround, harmonic_exact
+from .exact import BigFixed, bernoulli, bernoulli_numbers, divround, harmonic_exact
 
 # Exponents k <= K0 are summed as exact rationals; the closed-form tail
 # covers k > K0.
@@ -245,9 +245,10 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> BigFixed:
         raise ValueError("precision beyond supported range")
     m = 2**q
     target = Fraction(1, 10 ** (precision + 2))
+    bern = bernoulli_numbers(122)  # B_{2J+2} for every order J <= 60
     for order in range(1, 61):
         j2 = 2 * order + 2
-        if abs(bernoulli(j2)) / (j2 * Fraction(m) ** j2) < target:
+        if abs(bern[j2]) / (j2 * Fraction(m) ** j2) < target:
             break
     else:
         raise ValueError("precision beyond supported range")
@@ -257,8 +258,7 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> BigFixed:
     acc = acc - ln2(work + 2).rescale(work).mul_int(q)
     acc = acc - BigFixed.from_fraction(Fraction(1, 2 * m), work)
     for j in range(1, order + 1):
-        b2j = bernoulli(2 * j)
-        acc = acc + BigFixed.from_fraction(b2j / (2 * j * Fraction(m) ** (2 * j)), work)
+        acc = acc + BigFixed.from_fraction(bern[2 * j] / (2 * j * Fraction(m) ** (2 * j)), work)
     return acc.rescale(precision)
 
 
@@ -309,8 +309,9 @@ def moment_series_constant(budget: PrecisionBudget | None = None) -> ConstantRes
     # (1/3)**k / 2, and each Bernoulli term is geometric with ratio w/4**j.
     A = _W ** (K0 + 1) * ((K0 + 1) - K0 * _W) / (1 - _W) ** 2
     B = _geometric_tail(_W)
+    bern = bernoulli_numbers(2 * J)
     tail_rational = _geometric_tail(_W / 2) / 2 - sum(
-        bernoulli(2 * j) / (2 * j) * _geometric_tail(_W / 4**j)
+        bern[2 * j] / (2 * j) * _geometric_tail(_W / 4**j)
         for j in range(1, J + 1)
     )
     Q = -Fraction(1, 3) + two_thirds * (weighted_harmonic_sum_exact(K0) + tail_rational)

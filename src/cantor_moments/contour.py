@@ -41,7 +41,7 @@ from math import factorial
 
 import numpy as np
 
-from .exact import bernoulli
+from .exact import bernoulli_numbers
 
 # Verification-line constant: min |3*2**(sigma-1) - 1| on both lines
 # (sigma = -1/2 and 3/2 give the same modulus floor 3*2**-1.5 - 1).
@@ -84,7 +84,8 @@ class QuadratureError(ValueError):
 
 _EM_ORDER = 12
 _B_OVER_FACT = tuple(
-    float(bernoulli(2 * j) / factorial(2 * j)) for j in range(_EM_ORDER + 2)
+    float(b / factorial(2 * j))
+    for j, b in enumerate(bernoulli_numbers(2 * _EM_ORDER + 2)[::2])
 )
 _EM_TOL = 1.0e-10
 # Cutoffs are solved for half the guarded tolerance, so rounding in the

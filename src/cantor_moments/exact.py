@@ -12,10 +12,8 @@ are direct.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 # Hard cap for exact harmonic numbers; beyond this the asymptotic path in
 # cantor_moments.constant must be used (the exact denominator of H_{2^22}
@@ -45,42 +43,45 @@ def divround(num: int, den: int) -> int:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-# Memo table: _BERNOULLI[j] = B_j, grown on demand by bernoulli().  Each
-# new entry is computed from the published prefix and appended under the
-# lock only if no other thread published it first, so concurrent callers
-# can never append twice or out of order.  Reading a published entry
-# takes no lock.
-_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_BERNOULLI_LOCK = threading.Lock()
+def bernoulli_numbers(N: int) -> list[Fraction]:
+    """Bernoulli numbers B_0..B_N under the convention B1 = -1/2.
+
+    Built from the tangent numbers T_k, as Brent & Harvey propose ("Fast
+    computation of Bernoulli, tangent and secant numbers", 2011), by
+    their in-place triangle: integers only, small multiples and
+    additions, about N**2/8 steps.  Then
+
+        B_{2k} = (-1)**(k-1) * 2k * T_k / (4**k * (4**k - 1)),
+
+    one gcd each, and the odd-index Bernoulli numbers vanish for j >= 3.
+    The convention is validated downstream: only B1 = -1/2 makes the
+    moment formula agree with the independent self-similarity recursion.
+    """
+    if N < 0:
+        raise ValueError("invalid bernoulli index")
+    K = N // 2
+    # tangent[k] = T_k for 1 <= k <= K once the triangle is done.
+    tangent = [0, 1] + [0] * (K - 1)
+    for k in range(2, K + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    table = [Fraction(1), Fraction(-1, 2)][: N + 1]
+    for j in range(2, N + 1):
+        if j % 2:
+            table.append(Fraction(0))
+        else:
+            k = j // 2
+            sign = 1 if k % 2 else -1
+            table.append(Fraction(sign * j * tangent[k], 4**k * (4**k - 1)))
+    return table
 
 
 def bernoulli(j: int) -> Fraction:
-    """Bernoulli number B_j under the convention B1 = -1/2.
-
-    Computed by the defining recurrence
-    ``sum_{k=0}^{m} C(m+1, k) * B_k = 0`` for m >= 1 with B_0 = 1,
-    memoized across calls (thread-safe).  The convention is validated
-    downstream: only B1 = -1/2 makes the moment formula agree with the
-    independent self-similarity recursion.
-    """
-    if j < 0:
-        raise ValueError("invalid bernoulli index")
-    while len(_BERNOULLI) <= j:
-        m = len(_BERNOULLI)
-        if m % 2 == 1:
-            # Odd-index Bernoulli numbers vanish for m >= 3.
-            value = Fraction(0)
-        else:
-            acc = Fraction(0)
-            for k in range(m):
-                bk = _BERNOULLI[k]
-                if bk:
-                    acc += comb(m + 1, k) * bk
-            value = -acc / (m + 1)
-        with _BERNOULLI_LOCK:
-            if len(_BERNOULLI) == m:
-                _BERNOULLI.append(value)
-    return _BERNOULLI[j]
+    """Bernoulli number B_j (B1 = -1/2): the last entry of
+    :func:`bernoulli_numbers`; callers that need many take the table."""
+    return bernoulli_numbers(j)[j]
 
 
 # ---------------------------------------------------------------------------

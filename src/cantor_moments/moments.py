@@ -1,10 +1,13 @@
 """Singular moments of the Cantor distribution, exactly, two ways.
 
-``moment_bernoulli`` evaluates the closed-form Bernoulli-number sum;
-``moment_recursive`` evaluates a recursion derived independently from
-the self-similarity of the Cantor function.  The two share no code path
-beyond integer primitives, and agreeing exactly for n <= 64 is the
-package's core correctness oracle.
+:func:`bernoulli_moments` evaluates the closed-form Bernoulli-number sum
+for every n <= N at once, as one binomial transform over a common
+denominator; :func:`recursive_moments` evaluates a recursion derived
+independently from the self-similarity of the Cantor function.  The two
+share no code path beyond integer primitives, and agreeing exactly for
+n <= 64 is the package's core correctness oracle.  Both are pure
+functions of N; ``moment_bernoulli(n)`` and ``moment_recursive(n)`` are
+views of their last entry.
 
 ``decay_fit`` checks the remainder of the moment series empirically:
 the gap between the series' limit and its partial sums should shrink
@@ -14,55 +17,90 @@ like N**(1 - log2(3)) ~ N**-0.585.
 from __future__ import annotations
 
 import math
-import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lgamma
+from math import comb, gcd, lcm, lgamma
 from typing import TYPE_CHECKING
 
-from .exact import BigFixed, bernoulli
+from .exact import BigFixed, bernoulli_numbers
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-# Memo tables, one per method so the oracles stay independent.  The
-# dict takes one idempotent store per n; the list grows like the
-# Bernoulli table in :mod:`cantor_moments.exact`: compute from the
-# published prefix, then append under the lock only if still missing.
-_MEMO_BERNOULLI: dict[int, Fraction] = {0: Fraction(1)}
-_MEMO_RECURSIVE: list[Fraction] = [Fraction(1)]
-_MEMO_LOCK = threading.Lock()
+def _closed_form_terms(N: int) -> list[Fraction]:
+    """c_j = 2 B_j / (3 * 2**j - 2) = B_j / (3 * 2**(j-1) - 1) for j <= N + 1."""
+    return [2 * b / (3 * 2**j - 2) for j, b in enumerate(bernoulli_numbers(N + 1))]
+
+
+def _scaled_sums(terms: list[Fraction], L: int) -> Iterator[int]:
+    """Yield L * sum_{j<=n} C(n+1, j) * c_j for n = 1 .. len(terms) - 2.
+
+    ``L`` is a common denominator of the terms c_j.  The binomial
+    transform b_m = sum_j C(m, j) c_j is the head of row m of the table
+    r_{i+1}[j] = r_i[j] + r_i[j+1] started from r_0[j] = L * c_j, so
+    every row costs additions only.  One row is kept and updated in
+    place, and each head is yielded as soon as its row exists.
+    """
+    row = [c.numerator * (L // c.denominator) for c in terms]
+    for m in range(1, len(terms)):
+        for j in range(len(row) - 1):
+            row[j] += row[j + 1]
+        row.pop()
+        if m >= 2:
+            c = terms[m]
+            yield row[0] - c.numerator * (L // c.denominator)
+
+
+def iter_bernoulli_moments(N: int) -> Iterator[Fraction]:
+    """Yield the singular moments M_0..M_N via the Bernoulli closed form.
+
+    For n >= 1:
+
+        M_n = (2 / (3(n+1))) * sum_{j=0}^{n} C(n+1, j) * c_j,
+        c_j = 2 B_j / (3*2**j - 2),
+
+    with M_0 = 1; the j = 0 term is c_0 = 2.  The sums come from
+    :func:`_scaled_sums` over the lcm L of all the denominators.  The
+    n-th sum is L * A_n, and A_n already has the denominator L_n, the lcm
+    of those of c_j for j <= n, so it is divided exactly by L / L_n
+    before the one gcd that reduces 2 A_n / (3(n+1)).  Each M_n is
+    yielded as soon as it is known, so a caller that streams the table
+    never holds all of it.
+    """
+    if N < 0:
+        raise ValueError("moment index must be >= 0")
+    yield Fraction(1)
+    if N == 0:
+        return
+    terms = _closed_form_terms(N)
+    L = lcm(*(c.denominator for c in terms))
+    L_n, ratio = 1, L  # c_0 = 2 has denominator 1
+    for n, scaled in enumerate(_scaled_sums(terms, L), start=1):
+        den = terms[n].denominator
+        step = den // gcd(L_n, den)
+        L_n *= step
+        ratio //= step
+        yield Fraction(2 * (scaled // ratio), 3 * (n + 1) * L_n)
+
+
+def bernoulli_moments(N: int) -> list[Fraction]:
+    """The table M_0..M_N of :func:`iter_bernoulli_moments`."""
+    return list(iter_bernoulli_moments(N))
 
 
 def moment_bernoulli(n: int) -> Fraction:
     """n-th singular moment via the Bernoulli-number closed form.
 
-    For n >= 1:
-
-        M_n = (2 / (3(n+1))) * sum_{j=0}^{n} C(n+1, j) * B_j / (3*2**(j-1) - 1)
-
-    with M_0 = 1.  The j = 0 denominator is 3/2 - 1 = 1/2 (so that term
-    doubles); it is kept in exact rational arithmetic with no special
-    casing: 3*2**(j-1) - 1 = (3*2**j - 2)/2 for every j >= 0.
+    The last entry of :func:`bernoulli_moments`; callers that need many
+    n take the table.
     """
-    if n < 0:
-        raise ValueError("moment index must be >= 0")
-    cached = _MEMO_BERNOULLI.get(n)
-    if cached is not None:
-        return cached
-    acc = Fraction(0)
-    for j in range(n + 1):
-        bj = bernoulli(j)
-        if bj:
-            acc += comb(n + 1, j) * bj / Fraction(3 * 2**j - 2, 2)
-    value = Fraction(2, 3 * (n + 1)) * acc
-    _MEMO_BERNOULLI[n] = value
-    return value
+    return bernoulli_moments(n)[n]
 
 
-def moment_recursive(n: int) -> Fraction:
-    """n-th singular moment via the self-similarity recursion (oracle).
+def recursive_moments(N: int) -> list[Fraction]:
+    """Singular moments M_0..M_N via the self-similarity recursion (oracle).
 
     Derivation (independent of the closed form): write the moment as
     M_n = integral_0^1 C(x)**n dx for the Cantor function C, split the
@@ -81,33 +119,48 @@ def moment_recursive(n: int) -> Fraction:
 
         M_n = (1 + sum_{k=0}^{n-1} C(n, k) * M_k) / (3*2**n - 2).
 
-    All lower moments are memoized.
+    Each moment is built from the lower entries of the same table; no
+    Bernoulli number is involved.
     """
-    if n < 0:
+    if N < 0:
         raise ValueError("moment index must be >= 0")
-    while len(_MEMO_RECURSIVE) <= n:
-        m = len(_MEMO_RECURSIVE)
+    table = [Fraction(1)]
+    for m in range(1, N + 1):
         acc = Fraction(1)
         for k in range(m):
-            acc += comb(m, k) * _MEMO_RECURSIVE[k]
-        value = acc / (3 * 2**m - 2)
-        with _MEMO_LOCK:
-            if len(_MEMO_RECURSIVE) == m:
-                _MEMO_RECURSIVE.append(value)
-    return _MEMO_RECURSIVE[n]
+            acc += comb(m, k) * table[k]
+        table.append(acc / (3 * 2**m - 2))
+    return table
+
+
+def moment_recursive(n: int) -> Fraction:
+    """n-th singular moment via the self-similarity recursion: the last
+    entry of :func:`recursive_moments`."""
+    return recursive_moments(n)[n]
 
 
 def partial_sum(N: int) -> Fraction:
     """Exact sum of the first N+1 moments, sum_{n=0}^{N} M_n.
 
-    Uses the Bernoulli closed form.  Exact rational arithmetic: cost
-    grows quickly with N (N = 512 takes about 7 s from a cold start on a
-    2-core x86_64 machine); the decay diagnostics use
+    Uses the Bernoulli closed form.  Since M_n = 2 s_n / (3(n+1) L) for
+    the n-th scaled sum s_n of :func:`_scaled_sums`, the sum over
+    n >= 1 is one integer combination over the denominator 3 L l, with
+    l = lcm(2..N+1), reduced by a single gcd.  N = 512 takes about 1 s
+    on a 2-core x86_64 machine; the decay diagnostics use
     :func:`log_moments` instead.
     """
     if N < 0:
         raise ValueError("partial sum index must be >= 0")
-    return sum((moment_bernoulli(n) for n in range(1, N + 1)), Fraction(1))
+    if N == 0:
+        return Fraction(1)
+    terms = _closed_form_terms(N)
+    L = lcm(*(c.denominator for c in terms))
+    ell = lcm(*range(2, N + 2))
+    total = sum(
+        scaled * (ell // (n + 1))
+        for n, scaled in enumerate(_scaled_sums(terms, L), start=1)
+    )
+    return 1 + Fraction(2 * total, 3 * L * ell)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +252,3 @@ def decay_fit(Ns: list[int], constant: BigFixed) -> DecayFit:
     residual_norm = float(np.sqrt(res[0])) if res.size else 0.0
     return DecayFit(float(slope), float(intercept), residual_norm, tuple(remainders))
 
-
-def clear_memos() -> None:
-    """Reset both moment memo tables (used by tests)."""
-    with _MEMO_LOCK:
-        _MEMO_BERNOULLI.clear()
-        _MEMO_BERNOULLI[0] = Fraction(1)
-        del _MEMO_RECURSIVE[1:]

@@ -9,8 +9,6 @@ measured value and the tolerance side by side.
 
 from __future__ import annotations
 
-import sys
-import threading
 from collections import OrderedDict
 
 import pytest
@@ -29,39 +27,6 @@ def _record(name: str, ok: bool, detail: str) -> None:
 def constant_d30():
     """The 30-digit certified constant, shared across tests."""
     return moment_series_constant(default_budget(30))
-
-
-@pytest.fixture
-def race():
-    """Call ``fn`` from four threads at once, switching every microsecond.
-
-    Returns the four results in thread order (None where a thread raised).
-    """
-
-    def _run(fn, threads: int = 4) -> list:
-        barrier = threading.Barrier(threads)
-        results = [None] * threads
-
-        def worker(i: int) -> None:
-            barrier.wait()
-            results[i] = fn()
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [
-                threading.Thread(target=worker, args=(i,)) for i in range(threads)
-            ]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=120)
-                assert not w.is_alive(), "racing thread did not finish"
-        finally:
-            sys.setswitchinterval(previous)
-        return results
-
-    return _run
 
 
 @pytest.fixture

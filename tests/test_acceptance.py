@@ -18,6 +18,7 @@ import pytest
 
 from cantor_moments import (
     QuadratureSpec,
+    bernoulli_moments,
     decay_fit,
     default_budget,
     euler_gamma,
@@ -26,13 +27,12 @@ from cantor_moments import (
     ln2,
     ln2_alt,
     moment_bernoulli,
-    moment_recursive,
     moment_series_constant,
     perron_kernel,
+    recursive_moments,
     zeta_contours,
 )
 from cantor_moments.constant import double_sum_check
-from cantor_moments.moments import clear_memos
 
 # The reference constant as printed (29 fractional digits, last rounded).
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
@@ -67,11 +67,10 @@ def test_constant_cli_30_digits(acceptance):
 
 @pytest.mark.criterion("oracle equivalence n <= 64 (exact, < 5 s)")
 def test_oracle_equivalence(acceptance):
-    clear_memos()
     t0 = time.perf_counter()
-    mismatches = [
-        n for n in range(65) if moment_bernoulli(n) != moment_recursive(n)
-    ]
+    closed_form = bernoulli_moments(64)
+    recursion = recursive_moments(64)
+    mismatches = [n for n in range(65) if closed_form[n] != recursion[n]]
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 5.0
     acceptance(

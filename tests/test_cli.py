@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import re
@@ -128,6 +129,20 @@ def test_moments_json_fields(capsys):
         assert Fraction(row["num"], row["den"]) == moments.moment_bernoulli(row["n"])
 
 
+# SHA-256 of the 256 table's stdout, as pinned in perfbench/reference.json.
+MOMENTS_256_SHA256 = {
+    "csv": "a85ba546cd62bf234d2482b235b98b464735f8e76639dd6c366fd406e196a2ce",
+    "json": "f573b7fac119de4c70f9c4160a1bf94fde0e35d14c941c3acaaed667c9310644",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MOMENTS_256_SHA256))
+def test_moments_256_stdout_pinned(capsys, fmt):
+    code, out, _ = run_cli(capsys, ["moments", "--max-n", "256", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MOMENTS_256_SHA256[fmt]
+
+
 def test_moments_range_error(capsys):
     code, _, err = run_cli(capsys, ["moments", "--max-n", "513", "--format", "csv"])
     assert code == 2
@@ -179,13 +194,16 @@ def test_verify_json_deterministic(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    # Sabotage one oracle so the suite records a failing check.
-    real = moments.moment_recursive
+    # Sabotage one entry of the recursion table so the suite records a
+    # failing check.
+    real = moments.recursive_moments
 
-    def broken(n):
-        return Fraction(1, 7) if n == 3 else real(n)
+    def broken(N):
+        table = real(N)
+        table[3] = Fraction(1, 7)
+        return table
 
-    monkeypatch.setattr(moments, "moment_recursive", broken)
+    monkeypatch.setattr(moments, "recursive_moments", broken)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "oracle", "--json"])
     assert code == 1
     payload = json.loads(out)

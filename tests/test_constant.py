@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from cantor_moments import (
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
+from cantor_moments.cli import main
 from cantor_moments.constant import K0
 
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
@@ -228,6 +230,19 @@ def test_certified_bound_holds_for_every_digit_count():
         assert res.value.decimal_string(digits) == ref.value.decimal_string(digits)
         truth_gap = abs(res.value.to_fraction() - truth) + Fraction(1, 2 * 10**75)
         assert truth_gap <= Fraction(res.certified_error)
+
+
+def test_printed_constant_within_certified_error_plus_rounding(capsys):
+    # The printed certified_error bounds the unrounded working value; the
+    # printed D-digit string adds up to 1/2 * 10**-D on top.  The
+    # reference's own rounding (1/2 * 10**-75) is counted against it.
+    truth = Fraction(REFERENCE_CONSTANT)
+    for digits in range(1, 61):
+        assert main(["constant", "--digits", str(digits), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        gap = abs(Fraction(payload["constant"]) - truth) + Fraction(1, 2 * 10**75)
+        bound = Fraction(payload["certified_error"]) + Fraction(1, 2 * 10**digits)
+        assert gap <= bound, digits
 
 
 def test_reference_constant_from_mpmath():

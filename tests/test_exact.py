@@ -7,8 +7,7 @@ from math import comb
 
 import pytest
 
-from cantor_moments import BigFixed, bernoulli, harmonic_exact
-from cantor_moments import exact
+from cantor_moments import BigFixed, bernoulli, bernoulli_numbers, harmonic_exact
 from cantor_moments.exact import HARMONIC_CAP, divround
 
 
@@ -39,33 +38,28 @@ def _primes_up_to(n):
 
 
 def test_bernoulli_von_staudt_clausen():
-    # denominator of B_{2n} is the product of primes p with (p-1) | 2n
-    for two_n in range(2, 31, 2):
+    # denominator of B_{2n} is the product of primes p with (p-1) | 2n,
+    # and B_{2n} + sum of 1/p over those primes is an integer
+    table = bernoulli_numbers(512)
+    primes = _primes_up_to(513)
+    for two_n in range(2, 513, 2):
+        divisors = [p for p in primes if two_n % (p - 1) == 0]
         expected = 1
-        for p in _primes_up_to(two_n + 1):
-            if two_n % (p - 1) == 0:
-                expected *= p
-        assert bernoulli(two_n).denominator == expected
+        for p in divisors:
+            expected *= p
+        assert table[two_n].denominator == expected
+        assert (table[two_n] + sum(Fraction(1, p) for p in divisors)).denominator == 1
 
 
 def test_bernoulli_defining_recurrence():
     # sum_{k=0}^{m} binom(m+1, k) B_k = 0 for m >= 1
-    for m in range(1, 40):
-        total = sum(comb(m + 1, k) * bernoulli(k) for k in range(m + 1))
+    table = bernoulli_numbers(120)
+    for m in range(1, 121):
+        total = sum(comb(m + 1, k) * table[k] for k in range(m + 1))
         assert total == 0
-
-
-def test_bernoulli_table_threadsafe(race):
-    # Four threads grow a cold table at once; a check-then-append memo
-    # appended duplicate and misplaced entries here.
-    def cold():
-        del exact._BERNOULLI[2:]
-
-    cold()
-    expected = [bernoulli(j) for j in range(301)]
-    cold()
-    assert race(lambda: bernoulli(300)) == [expected[300]] * 4
-    assert exact._BERNOULLI == expected
+    assert [bernoulli(j) for j in range(31)] == table[:31]
+    with pytest.raises(ValueError, match="invalid bernoulli index"):
+        bernoulli(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from cantor_moments import (
+    bernoulli_moments,
+    bernoulli_numbers,
     decay_fit,
     default_budget,
     moment_bernoulli,
     moment_recursive,
     moment_series_constant,
     partial_sum,
+    recursive_moments,
 )
-from cantor_moments import moments
-from cantor_moments.moments import clear_memos, log_moments
+from cantor_moments import exact, moments
+from cantor_moments.moments import log_moments
+
+
+@pytest.fixture(scope="module")
+def table_512():
+    """The closed-form table M_0..M_512, built once for the tests that read it."""
+    return bernoulli_moments(512)
 
 
 KNOWN = {
@@ -35,30 +45,75 @@ def test_known_values_both_methods(n):
 
 
 def test_methods_agree_exactly_to_64():
-    clear_memos()
     for n in range(65):
         assert moment_bernoulli(n) == moment_recursive(n)
 
 
-def test_recursive_memo_threadsafe(race):
-    # Four threads grow a cold recursion table at once; a check-then-append
-    # memo appended duplicate and misplaced entries here.
-    clear_memos()
-    expected = [moment_recursive(n) for n in range(121)]
-    clear_memos()
-    assert race(lambda: moment_recursive(120)) == [expected[120]] * 4
-    assert moments._MEMO_RECURSIVE == expected
+def _direct_closed_form(n, B):
+    """Test-only reference: M_n as one direct Fraction sum per n.
+
+    M_n = (2 / (3(n+1))) * sum_{j<=n} C(n+1, j) * B_j / ((3*2**j - 2)/2)
+    for n >= 1, with M_0 = 1, term by term with a gcd per addition.
+    """
+    if n == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(n + 1):
+        if B[j]:
+            acc += comb(n + 1, j) * B[j] / Fraction(3 * 2**j - 2, 2)
+    return Fraction(2, 3 * (n + 1)) * acc
+
+
+def test_closed_form_table_matches_direct_sum(table_512):
+    B = bernoulli_numbers(513)
+    for n in [*range(65), 127, 128, 255, 256, 511, 512]:
+        expected = _direct_closed_form(n, B)
+        assert (table_512[n].numerator, table_512[n].denominator) == (
+            expected.numerator,
+            expected.denominator,
+        ), n
+
+
+def test_recursion_table_equals_closed_form_to_128():
+    assert recursive_moments(128) == bernoulli_moments(128)
+
+
+def test_tables_are_pure():
+    # Interleaved calls with different N agree on their common prefix.
+    for table in (bernoulli_moments, recursive_moments, bernoulli_numbers):
+        long = table(40)
+        short = table(17)
+        assert table(40) == long
+        assert short == long[:18]
+    assert list(moments.iter_bernoulli_moments(40)) == bernoulli_moments(40)
+    # No module-level container of results (a memo) in the exact modules.
+    for module in (exact, moments):
+        held = [
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("__")
+            and isinstance(value, (list, dict, set))
+        ]
+        assert held == [], (module.__name__, held)
+
+
+def test_table_domain_errors():
+    for fn in (bernoulli_moments, recursive_moments, moment_bernoulli, moment_recursive):
+        with pytest.raises(ValueError, match="moment index"):
+            fn(-1)
+    with pytest.raises(ValueError, match="partial sum index"):
+        partial_sum(-1)
 
 
 def test_positivity_and_monotonicity():
-    values = [moment_bernoulli(n) for n in range(65)]
+    values = bernoulli_moments(64)
     assert all(0 < v <= 1 for v in values)
     # strictly decreasing from n = 1 onward
     assert all(values[n + 1] < values[n] for n in range(1, 64))
 
 
-def test_moments_in_unit_interval_to_512():
-    values = [moment_bernoulli(n) for n in range(513)]
+def test_moments_in_unit_interval_to_512(table_512):
+    values = table_512
     assert all(0 < v <= 1 for v in values)
     assert all(values[n + 1] < values[n] for n in range(1, 512))
 
@@ -69,15 +124,16 @@ def test_partial_sum_examples():
     assert partial_sum(3) == 2  # 1 + 1/2 + 3/10 + 1/5 exactly
 
 
-def test_partial_sum_strictly_increasing_to_512():
+def test_partial_sum_strictly_increasing_to_512(table_512):
     # Incremental: partial_sum(n) - partial_sum(n-1) = M_n > 0, so the
     # running sum is strictly increasing; spot-check partial_sum itself
     # at every power of two.
     checkpoints = {2**j for j in range(10)} | {512}
-    running = moment_bernoulli(0)
+    values = table_512
+    running = values[0]
     prev = running
     for n in range(1, 513):
-        running += moment_bernoulli(n)
+        running += values[n]
         assert running > prev
         if n in checkpoints:
             assert partial_sum(n) == running
@@ -95,9 +151,9 @@ def test_log_moments_match_exact_values():
     import math
 
     logs = log_moments(64)
-    for n in range(65):
-        exact = float(moment_bernoulli(n))
-        assert abs(math.exp(logs[n]) - exact) <= 1e-7 * exact
+    for n, value in enumerate(bernoulli_moments(64)):
+        expected = float(value)
+        assert abs(math.exp(logs[n]) - expected) <= 1e-7 * expected
 
 
 # ---------------------------------------------------------------------------
