@@ -5,7 +5,7 @@ Library layout:
 * :mod:`cantor_moments.exact` — Bernoulli numbers from tangent numbers,
   exact harmonic numbers, decimal fixed point;
 * :mod:`cantor_moments.moments` — the moment tables by two independent
-  exact methods, partial sums, remainder-decay fit;
+  exact methods, remainder-decay fit;
 * :mod:`cantor_moments.constant` — certified evaluation of the series
   constant -1/3 + (2/3) sum (2/3)**k H(2**k);
 * :mod:`cantor_moments.cantor` — Cantor function values and the
@@ -19,8 +19,6 @@ import importlib
 
 from .constant import (
     ConstantResult,
-    PrecisionBudget,
-    default_budget,
     double_sum_check,
     euler_gamma,
     ln2,
@@ -35,7 +33,6 @@ from .moments import (
     decay_fit,
     moment_bernoulli,
     moment_recursive,
-    partial_sum,
     recursive_moments,
 )
 
@@ -55,7 +52,6 @@ _LAZY = {
         "constant_contour",
         "moment_contour",
         "perron_kernel",
-    "recursive_moments",
         "zeta_contours",
     ),
 }
@@ -73,7 +69,6 @@ __all__ = [
     "BigFixed",
     "ConstantResult",
     "DecayFit",
-    "PrecisionBudget",
     "QuadratureError",
     "QuadratureSpec",
     "bernoulli",
@@ -82,7 +77,6 @@ __all__ = [
     "cantor_value",
     "constant_contour",
     "decay_fit",
-    "default_budget",
     "double_sum_check",
     "euler_gamma",
     "harmonic_exact",
@@ -94,7 +88,6 @@ __all__ = [
     "moment_contour",
     "moment_recursive",
     "moment_series_constant",
-    "partial_sum",
     "perron_kernel",
     "recursive_moments",
     "weighted_harmonic_sum_exact",

@@ -23,6 +23,9 @@ import numpy as np
 # 2**-64.
 _DEPTH = 64
 
+# The identity checks run at x = i / _GRID, i = 0.._GRID.
+_GRID = 10**4
+
 
 def cantor_value(x) -> float:
     """Cantor function C(x) for x in [0, 1], to within 2**-64.
@@ -104,14 +107,14 @@ def integral_quadrature(n: int, points: int) -> float:
     return float(np.mean(values**n))
 
 
-def self_similarity_residuals(grid: int):
+def self_similarity_residuals():
     """Max residuals of the defining identities over a uniform grid.
 
     Returns (monotone_ok, symmetry_max, self_similar_max) where the
-    residuals test C(x) + C(1-x) = 1 and C(x/3) = C(x)/2 at exact
-    rational grid points x = i/grid.
+    residuals test C(x) + C(1-x) = 1 and C(x/3) = C(x)/2 at the exact
+    rational grid points x = i/10**4.
     """
-    xs = [Fraction(i, grid) for i in range(grid + 1)]
+    xs = [Fraction(i, _GRID) for i in range(_GRID + 1)]
     vals = [cantor_value(x) for x in xs]
     monotone_ok = all(b >= a for a, b in zip(vals, vals[1:]))
     symmetry_max = max(

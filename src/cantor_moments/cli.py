@@ -20,7 +20,8 @@ The numpy-backed modules (``contour``, ``cantor``) are imported only by
 the suites that use them, so ``constant`` and ``moments`` never load
 numpy.
 
-Exit codes: 0 all-pass, 1 check failure, 2 usage error.  JSON output is
+Exit codes: 0 all-pass, 1 check failure, 2 usage error, 141 when the
+reader closes the output pipe early (as ``| head`` does).  JSON output is
 byte-deterministic for identical invocations (fixed field order and
 rendering; wall time is reported only on stderr in human mode).
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -120,8 +122,7 @@ def _fmt_up(x: float) -> str:
 
 def cmd_constant(digits: int, json_mode: bool) -> int:
     start = time.monotonic()
-    budget = constant.default_budget(digits)
-    result = constant.moment_series_constant(budget)
+    result = constant.moment_series_constant(digits)
     rendered = result.value.decimal_string(digits)
     if json_mode:
         payload = {
@@ -129,10 +130,10 @@ def cmd_constant(digits: int, json_mode: bool) -> int:
             "digits": digits,
             "certified_error": _fmt_up(result.certified_error),
             "budget": {
-                "target_digits": budget.target_digits,
-                "guard_digits": budget.guard_digits,
-                "exact_switch": budget.exact_switch,
-                "em_order": budget.em_order,
+                "target_digits": digits,
+                "guard_digits": constant.GUARD_DIGITS,
+                "exact_switch": constant.K0,
+                "em_order": result.em_order,
             },
         }
         print(json.dumps(payload, indent=2))
@@ -145,8 +146,8 @@ def cmd_constant(digits: int, json_mode: bool) -> int:
         f"rounding {_fmt_up(result.rounding_error)}"
     )
     print(
-        f"budget: K0 = {budget.exact_switch}, J = {budget.em_order}, "
-        f"guard = {budget.guard_digits}"
+        f"budget: K0 = {constant.K0}, J = {result.em_order}, "
+        f"guard = {constant.GUARD_DIGITS}"
     )
     _print_wall_time(start)
     return 0
@@ -213,9 +214,7 @@ def _suite_identity(report: RunReport) -> None:
 
 
 def _suite_decay(report: RunReport) -> None:
-    result = constant.moment_series_constant(constant.default_budget(30))
-    Ns = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    fit = moments.decay_fit(Ns, result.value)
+    fit = moments.decay_fit(constant.moment_series_constant().value)
     in_band = -0.75 <= fit.slope <= -0.45
     report.add_check(
         "decay_slope_band", in_band, f"{fit.slope:.4f}", "[-0.75, -0.45]"
@@ -269,7 +268,7 @@ def _suite_mellin(report: RunReport) -> None:
     for n, got in zip(orders, got_moments):
         err = abs(got - float(moments.moment_bernoulli(n)))
         report.add_check(f"moment_contour_n{n}", err <= 1.0e-3, _fmt(err), _fmt(1.0e-3))
-    reference = constant.moment_series_constant(constant.default_budget(30))
+    reference = constant.moment_series_constant()
     err = abs(got_constant - reference.value.to_float())
     report.add_check("constant_contour", err <= 5.0e-3, _fmt(err), _fmt(5.0e-3))
 
@@ -283,9 +282,7 @@ def _suite_cantor(report: RunReport) -> None:
         report.add_check(
             f"cantor_integral_n{n}", err <= 5.0e-3, _fmt(err), _fmt(5.0e-3)
         )
-    monotone_ok, symmetry_max, self_similar_max = cantor.self_similarity_residuals(
-        10**4
-    )
+    monotone_ok, symmetry_max, self_similar_max = cantor.self_similarity_residuals()
     report.add_check(
         "cantor_monotone",
         monotone_ok,
@@ -380,9 +377,19 @@ def main(argv: list[str] | None = None) -> int:
             code = cmd_moments(args.max_n, args.format)
         else:
             code = cmd_verify(args.suite, args.json)
+        # Flush here, so that a reader that closed the pipe early is caught
+        # below and not in the interpreter's final flush.
+        sys.stdout.flush()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at the null device so that the final flush of what
+        # is still buffered stays silent, and exit as a shell reports SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return code
 
 

@@ -20,15 +20,20 @@ with a dual-method oracle.  Everything is evaluated in decimal fixed
 point (:class:`~cantor_moments.exact.BigFixed`), and the certified error
 is the sum of named parts: the Euler-Maclaurin remainder, the ln 2 and
 gamma errors scaled by their coefficients, and the roundings.
+
+The requested digit count D is the only input.  The working precision
+is P = D + GUARD_DIGITS, and the order J is the smallest whose remainder
+is below 10**-(P+2); euler_gamma picks its own order by the same search.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BigFixed, bernoulli, bernoulli_numbers, divround, harmonic_exact
+from .exact import BigFixed, bernoulli_numbers, divround, harmonic_exact
 
 # Exponents k <= K0 are summed as exact rationals; the closed-form tail
 # covers k > K0.
@@ -37,8 +42,15 @@ K0 = 8
 # Weight of the k-th term of S.
 _W = Fraction(2, 3)
 
+# Guard digits: D requested digits are computed at working precision
+# P = D + GUARD_DIGITS.
+GUARD_DIGITS = 12
+
 # Digits carried beyond the working precision P until the final rounding.
 _PAD = 6
+
+# Highest Euler-Maclaurin order either expansion may use.
+_MAX_ORDER = 60
 
 # gamma comes from Euler-Maclaurin at m = 2**8: a 256-term direct sum plus
 # the order that euler_gamma picks for the precision.
@@ -51,7 +63,7 @@ _Q_CAP = 22
 
 
 # ---------------------------------------------------------------------------
-# Precision budget
+# Euler-Maclaurin order
 # ---------------------------------------------------------------------------
 
 
@@ -60,74 +72,41 @@ def _geometric_tail(x: Fraction) -> Fraction:
     return x ** (K0 + 1) / (1 - x)
 
 
-def _em_tail_remainder(order: int) -> Fraction:
-    """Bound on sum_{k>K0} w**k |R_J(k)| for the order-J expansion.
+def _em_order(
+    precision: int, scale: Callable[[int], Fraction]
+) -> tuple[int, Fraction]:
+    """The smallest Euler-Maclaurin order J and its remainder bound.
 
-    Each remainder is below its first omitted term,
-    |B_{2J+2}| / ((2J+2) * 4**((J+1)k)), so the weighted sum is geometric
-    with ratio r = w / 4**(J+1).
+    The bound is |B_{2J+2}| / (2J+2) * scale(J): the first omitted
+    Bernoulli term times the factor the expansion applies to it, which is
+    1 / m**(2J+2) for H_m itself and a geometric sum over k > K0 for the
+    constant's tail.  J is the smallest order that brings the bound
+    below 10**-(precision+2); the constant's tail and :func:`euler_gamma`
+    both pick their order here.
+
+    Raises:
+        ValueError: "precision beyond supported range" when no J <= 60
+            meets the bound.
     """
-    j2 = 2 * order + 2
-    return abs(bernoulli(j2)) / j2 * _geometric_tail(_W / 4 ** (order + 1))
-
-
-@dataclass(frozen=True)
-class PrecisionBudget:
-    """Parameters controlling the certified evaluation.
-
-    Fields: requested digits D, guard digits G (working precision
-    P = D + G), and the Euler-Maclaurin order J of the closed-form tail.
-    """
-
-    target_digits: int
-    guard_digits: int
-    em_order: int
-
-    @property
-    def working_precision(self) -> int:
-        return self.target_digits + self.guard_digits
-
-    @property
-    def exact_switch(self) -> int:
-        """The last exponent summed in exact rationals (K0)."""
-        return K0
-
-    def validate(self) -> None:
-        """Check every budget invariant; raise with the failing bound."""
-        if self.target_digits < 1 or self.guard_digits < 1:
-            raise ValueError("budget insufficient for target: digits must be positive")
-        if self.em_order < 1:
-            raise ValueError("budget insufficient for target: em_order must be >= 1")
-        rem = _em_tail_remainder(self.em_order)
-        if rem >= Fraction(1, 10 ** (self.working_precision + 2)):
-            raise ValueError(
-                f"budget insufficient for target: Euler-Maclaurin tail remainder "
-                f"{float(rem):.3e} not below 10^-{self.working_precision + 2}"
-            )
-
-
-def default_budget(target_digits: int) -> PrecisionBudget:
-    """Default budget for D requested digits (1 <= D <= 60).
-
-    G = 12 guard digits and J = the smallest order whose tail remainder
-    is below 10**-(P+2): J = 2 at D = 1, J = 14 at D = 60.
-    """
-    if not (1 <= target_digits <= 60):
-        raise ValueError("target digits out of supported range [1, 60]")
-    guard = 12
-    cap = Fraction(1, 10 ** (target_digits + guard + 2))
-    em_order = 1
-    while _em_tail_remainder(em_order) >= cap:
-        em_order += 1
-    budget = PrecisionBudget(target_digits, guard, em_order)
-    budget.validate()
-    return budget
+    target = Fraction(1, 10 ** (precision + 2))
+    bern: list[Fraction] = []
+    for order in range(1, _MAX_ORDER + 1):
+        j2 = 2 * order + 2
+        if j2 >= len(bern):
+            # Grow the table geometrically; the constant's searches stop by J = 19.
+            bern = bernoulli_numbers(2 * j2)
+        bound = abs(bern[j2]) / j2 * scale(order)
+        if bound < target:
+            return order, bound
+    raise ValueError("precision beyond supported range")
 
 
 @dataclass(frozen=True)
 class ConstantResult:
     """A certified value: fixed-point number, total error bound, its parts.
 
+    ``value`` carries P = ``digits`` + :data:`GUARD_DIGITS` digits, and
+    ``em_order`` is the Euler-Maclaurin order J of the closed-form tail.
     ``certified_error`` is the sum of ``em_remainder`` (the tail's
     Euler-Maclaurin remainder), ``ln2_error`` and ``gamma_error`` (each
     constant's error times its coefficient) and ``rounding_error``; every
@@ -136,7 +115,8 @@ class ConstantResult:
 
     value: BigFixed
     certified_error: float
-    budget: PrecisionBudget
+    digits: int
+    em_order: int
     em_remainder: float
     ln2_error: float
     gamma_error: float
@@ -145,10 +125,10 @@ class ConstantResult:
     def __post_init__(self) -> None:
         if self.certified_error < 0:
             raise ValueError("certified error must be nonnegative")
-        if self.certified_error > 10.0 ** (-self.budget.target_digits):
+        if self.certified_error > 10.0 ** (-self.digits):
             raise ValueError(
                 f"budget insufficient for target: certified error "
-                f"{self.certified_error:.3e} exceeds 10^-{self.budget.target_digits}"
+                f"{self.certified_error:.3e} exceeds 10^-{self.digits}"
             )
 
 
@@ -230,10 +210,10 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> BigFixed:
         gamma = H_m - ln m - 1/(2m) + sum_{j=1..J} B_{2j} / (2j * m**(2j))
 
     with J the smallest order whose remainder bound
-    |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below 10**-(precision+2).  H_m
-    comes from the certified direct summation.  The default q = 8 serves
-    every precision the constant needs; a second q gives the dual-method
-    oracle.
+    |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below 10**-(precision+2), found
+    by the same search as the constant's tail order.  H_m comes from the
+    certified direct summation.  The default q = 8 serves every precision
+    the constant needs; a second q gives the dual-method oracle.
 
     Raises:
         ValueError: "precision beyond supported range" when q is outside
@@ -244,14 +224,8 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> BigFixed:
     if not (1 <= q <= _Q_CAP):
         raise ValueError("precision beyond supported range")
     m = 2**q
-    target = Fraction(1, 10 ** (precision + 2))
-    bern = bernoulli_numbers(122)  # B_{2J+2} for every order J <= 60
-    for order in range(1, 61):
-        j2 = 2 * order + 2
-        if abs(bern[j2]) / (j2 * Fraction(m) ** j2) < target:
-            break
-    else:
-        raise ValueError("precision beyond supported range")
+    order, _ = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
+    bern = bernoulli_numbers(2 * order)
 
     work = precision + 6
     acc = _harmonic_direct_fixed(m, work)
@@ -286,10 +260,13 @@ def _float_up(x: Fraction) -> float:
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
-def moment_series_constant(budget: PrecisionBudget | None = None) -> ConstantResult:
-    """The limit of the moment series: -1/3 + (2/3) * S, certified.
+def moment_series_constant(digits: int = 30) -> ConstantResult:
+    """The limit of the moment series: -1/3 + (2/3) * S, certified to D digits.
 
-    Default budget targets 30 digits.  The value is Q + (2/3)A ln 2 +
+    D = ``digits`` (1 <= D <= 60) is the only input.  The working
+    precision is P = D + :data:`GUARD_DIGITS`, and the tail's order J is
+    the smallest whose remainder is below 10**-(P+2): J = 2 at D = 1,
+    7 at D = 30, 14 at D = 60.  The value is Q + (2/3)A ln 2 +
     (2/3)B gamma (see the module docstring), each part rounded once at
     W = P + 6 digits and the sum rounded to P.  The certified error is
     (2/3) times the tail remainder, plus the ln 2 and gamma errors times
@@ -297,12 +274,11 @@ def moment_series_constant(budget: PrecisionBudget | None = None) -> ConstantRes
     and 1/2 * 10**-P for the last; it must come in below 10**-D or the
     result is refused.
     """
-    if budget is None:
-        budget = default_budget(30)
-    budget.validate()
-    P = budget.working_precision
+    if not (1 <= digits <= 60):
+        raise ValueError("target digits out of supported range [1, 60]")
+    P = digits + GUARD_DIGITS
     W = P + _PAD
-    J = budget.em_order
+    J, tail_remainder = _em_order(P, lambda j: _geometric_tail(_W / 4 ** (j + 1)))
     two_thirds = Fraction(2, 3)
 
     # Tail over k > K0: A = sum k w**k, B = sum w**k; w**k 2**-(k+1) is
@@ -328,14 +304,15 @@ def moment_series_constant(budget: PrecisionBudget | None = None) -> ConstantRes
     value = total.rescale(P)
 
     ulp = Fraction(1, 10**W)
-    em = two_thirds * _em_tail_remainder(J)
+    em = two_thirds * tail_remainder
     ln2_err = ln2_coeff * ulp
     gamma_err = gamma_coeff * ulp
     rounding = 3 * ulp / 2 + Fraction(1, 2 * 10**P)
     return ConstantResult(
         value,
         _float_up(em + ln2_err + gamma_err + rounding),
-        budget,
+        digits,
+        J,
         em_remainder=_float_up(em),
         ln2_error=_float_up(ln2_err),
         gamma_error=_float_up(gamma_err),

@@ -10,8 +10,9 @@ functions of N; ``moment_bernoulli(n)`` and ``moment_recursive(n)`` are
 views of their last entry.
 
 ``decay_fit`` checks the remainder of the moment series empirically:
-the gap between the series' limit and its partial sums should shrink
-like N**(1 - log2(3)) ~ N**-0.585.
+the gap between the series' limit and its partial sums, at the fixed
+grid N = 16, 32, ..., 4096, should shrink like
+N**(1 - log2(3)) ~ N**-0.585.
 """
 
 from __future__ import annotations
@@ -139,33 +140,12 @@ def moment_recursive(n: int) -> Fraction:
     return recursive_moments(n)[n]
 
 
-def partial_sum(N: int) -> Fraction:
-    """Exact sum of the first N+1 moments, sum_{n=0}^{N} M_n.
-
-    Uses the Bernoulli closed form.  Since M_n = 2 s_n / (3(n+1) L) for
-    the n-th scaled sum s_n of :func:`_scaled_sums`, the sum over
-    n >= 1 is one integer combination over the denominator 3 L l, with
-    l = lcm(2..N+1), reduced by a single gcd.  N = 512 takes about 1 s
-    on a 2-core x86_64 machine; the decay diagnostics use
-    :func:`log_moments` instead.
-    """
-    if N < 0:
-        raise ValueError("partial sum index must be >= 0")
-    if N == 0:
-        return Fraction(1)
-    terms = _closed_form_terms(N)
-    L = lcm(*(c.denominator for c in terms))
-    ell = lcm(*range(2, N + 2))
-    total = sum(
-        scaled * (ell // (n + 1))
-        for n, scaled in enumerate(_scaled_sums(terms, L), start=1)
-    )
-    return 1 + Fraction(2 * total, 3 * L * ell)
-
-
 # ---------------------------------------------------------------------------
 # Remainder decay
 # ---------------------------------------------------------------------------
+
+# The N of the decay fit: nine doublings, 8 octaves from 16 to 4096.
+DECAY_NS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def log_moments(N: int) -> np.ndarray:
@@ -204,48 +184,40 @@ class DecayFit:
     remainders: tuple[float, ...]
 
 
-def decay_fit(Ns: list[int], constant: BigFixed) -> DecayFit:
+def decay_fit(constant: BigFixed) -> DecayFit:
     """Fit the remainder decay exponent of the moment series.
 
-    For each N the remainder is ``constant - sum_{n<=N} M_n``; the fit
-    is ordinary least squares of log(remainder) against log(N).  The
-    expected slope is 1 - log2(3) ~ -0.585 up to multiplicatively
-    periodic fluctuation.
+    For each N in :data:`DECAY_NS` the remainder is
+    ``constant - sum_{n<=N} M_n``; the fit is ordinary least squares of
+    log(remainder) against log(N).  The expected slope is
+    1 - log2(3) ~ -0.585 up to multiplicatively periodic fluctuation.
 
-    Preconditions: Ns strictly increasing, each >= 16, at least 5
-    entries spanning at least 3 octaves; ``constant`` must carry an
-    error bound <= 1e-20 (precision >= 20 digits).
+    Precondition: ``constant`` must carry an error bound <= 1e-20
+    (precision >= 20 digits).
 
     Raises:
-        ValueError: on precondition violations, or if a remainder is too
-            small to be resolved ("insufficient constant precision").
+        ValueError: "insufficient constant precision" if the constant has
+            fewer than 20 digits or a remainder is too small to be
+            resolved.
     """
-    if len(Ns) < 5:
-        raise ValueError("too few points (need at least 5)")
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("Ns must be strictly increasing")
-    if Ns[0] < 16:
-        raise ValueError("Ns entries must be >= 16")
-    if Ns[-1] < 8 * Ns[0]:
-        raise ValueError("Ns must span at least 3 octaves")
     if constant.precision_digits < 20:
         raise ValueError("insufficient constant precision")
 
     import numpy as np
 
     limit = constant.to_float()
-    sums = np.cumsum(np.exp(log_moments(Ns[-1])))
+    sums = np.cumsum(np.exp(log_moments(DECAY_NS[-1])))
     # Float path carries ~1e-8 relative error; anything under 1e-6
     # cannot be attributed to the true remainder.
     floor = 1e-6
     remainders = []
-    for N in Ns:
+    for N in DECAY_NS:
         r = limit - float(sums[N])
         if r <= floor:
             raise ValueError("insufficient constant precision")
         remainders.append(r)
 
-    x = np.log(np.asarray(Ns, dtype=float))
+    x = np.log(np.asarray(DECAY_NS, dtype=float))
     y = np.log(np.asarray(remainders))
     design = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), res, _, _ = np.linalg.lstsq(design, y, rcond=None)

@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 import pytest
 
-from cantor_moments import default_budget, moment_series_constant
+from cantor_moments import moment_series_constant
 
 _LINES: "OrderedDict[str, str]" = OrderedDict()
 
@@ -26,7 +26,7 @@ def _record(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def constant_d30():
     """The 30-digit certified constant, shared across tests."""
-    return moment_series_constant(default_budget(30))
+    return moment_series_constant(30)
 
 
 @pytest.fixture

@@ -65,7 +65,7 @@ def test_grid_matches_scalar_evaluation():
 
 
 def test_grid_properties():
-    mono, sym, selfsim = self_similarity_residuals(10**4)
+    mono, sym, selfsim = self_similarity_residuals()
     assert mono
     assert sym <= 2 * 2.0**-64
     assert selfsim <= 2 * 2.0**-64

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -17,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import cantor_moments
-from cantor_moments import default_budget, moment_series_constant, moments
+from cantor_moments import moment_series_constant, moments
 from cantor_moments.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, argv):
@@ -67,11 +70,11 @@ def test_certified_error_printed_rounded_up(capsys):
     # A printed bound must never be below the computed one: the D = 30
     # bound 5.003468159758599e-43 rounded to nearest prints 5.003468e-43.
     for digits in range(1, 61):
-        result = moment_series_constant(default_budget(digits))
+        result = moment_series_constant(digits)
         _, out, _ = run_cli(capsys, ["constant", "--digits", str(digits), "--json"])
         printed = Decimal(json.loads(out)["certified_error"])
         assert printed >= Decimal(result.certified_error), digits
-    result = moment_series_constant(default_budget(30))
+    result = moment_series_constant(30)
     _, out, _ = run_cli(capsys, ["constant", "--digits", "30"])
     printed = [Decimal(x) for x in re.findall(r"\d\.\d{6}e[-+]\d+", out)]
     exact = [
@@ -83,6 +86,26 @@ def test_certified_error_printed_rounded_up(capsys):
     ]
     assert len(printed) == len(exact)
     assert all(p >= Decimal(x) for p, x in zip(printed, exact))
+
+
+# SHA-256 of the stdout of `constant --digits D` for D = 1..60, concatenated
+# in order, in JSON and in human mode (human mode prints its wall time on
+# stderr only).
+CONSTANT_STDOUT_SHA256 = {
+    "json": "9d4aa04fab98a6d49b71ae3516e4c99ed4fa9d01f82fd41b959e568e7f5ddd7f",
+    "human": "708c9af3ea88ebed5f8e0834519e0f5348ccf355831299c811f451fc6bf97684",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CONSTANT_STDOUT_SHA256))
+def test_constant_stdout_pinned_for_every_digit_count(capsys, mode):
+    flags = ["--json"] if mode == "json" else []
+    digest = hashlib.sha256()
+    for digits in range(1, 61):
+        code, out, _ = run_cli(capsys, ["constant", "--digits", str(digits), *flags])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == CONSTANT_STDOUT_SHA256[mode]
 
 
 def test_constant_json_deterministic(capsys):
@@ -234,6 +257,26 @@ def test_quadrature_non_convergence_fails_checks(capsys, monkeypatch):
         assert checks[name] == ("fail", "quadrature not converged")
 
 
+def test_closed_pipe_exits_quietly():
+    # A reader that stops early (`moments | head -1`) closes the pipe; the
+    # command exits with the shell's SIGPIPE status and no traceback.
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cantor_moments.cli", "moments", "--max-n", "512"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,num,den,decimal\n"
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert b"Traceback" not in stderr, stderr.decode()
+    assert proc.returncode == 141
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "bogus"])
@@ -255,15 +298,21 @@ def test_usage_errors(capsys):
 
 def test_public_names_resolve():
     # __all__ is exactly the eagerly imported names plus the lazy ones,
-    # and every name in it resolves.
+    # the two sets are disjoint, each lazy name is defined in the module
+    # it maps to, and every name in __all__ resolves.
     eager = {
         name
         for name, value in vars(cantor_moments).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
+    lazy = cantor_moments._LAZY_MODULE
     names = cantor_moments.__all__
     assert len(names) == len(set(names))
-    assert set(names) == eager | set(cantor_moments._LAZY_MODULE)
+    assert eager.isdisjoint(lazy)
+    assert set(names) == eager | set(lazy)
+    for name, module in lazy.items():
+        value = getattr(importlib.import_module(f"cantor_moments.{module}"), name)
+        assert value.__module__ == f"cantor_moments.{module}", name
     for name in names:
         assert getattr(cantor_moments, name) is not None
 
@@ -278,8 +327,7 @@ def test_constant_and_moments_do_not_import_numpy():
         "from cantor_moments import constant_contour, cantor_value\n"
         "assert callable(constant_contour) and callable(cantor_value)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )

@@ -8,9 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cantor_moments import (
-    PrecisionBudget,
     bernoulli,
-    default_budget,
     double_sum_check,
     euler_gamma,
     harmonic_exact,
@@ -20,7 +18,7 @@ from cantor_moments import (
     weighted_harmonic_sum_exact,
 )
 from cantor_moments.cli import main
-from cantor_moments.constant import K0
+from cantor_moments.constant import GUARD_DIGITS, K0
 
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
 
@@ -97,9 +95,8 @@ def test_harmonic_fixed_switch_point_agreement():
     assert K0 == 8
     exact = {k: harmonic_exact(2**k) for k in range(K0 + 1, 15)}
     for digits in (1, 30, 60):
-        budget = default_budget(digits)
-        J = budget.em_order
-        W = budget.working_precision + 6
+        J = moment_series_constant(digits).em_order
+        W = digits + GUARD_DIGITS + 6
         log2 = ln2(W).to_fraction()
         gamma = euler_gamma(W, q=8).to_fraction()
         for k, h in exact.items():
@@ -140,33 +137,22 @@ def test_series_tail_bound_dominates_true_tail():
         assert series_tail_bound(K) > partial_tail
 
 
-def test_default_budget_30():
-    b = default_budget(30)
-    assert b.target_digits == 30
-    assert b.guard_digits == 12
-    assert b.em_order == 7
-    assert b.exact_switch == 8
-    assert b.working_precision == 42
-    b.validate()  # must not raise
+def test_default_budget_30(constant_d30):
+    assert constant_d30.digits == 30
+    assert GUARD_DIGITS == 12
+    assert constant_d30.em_order == 7
+    assert K0 == 8
+    assert constant_d30.value.precision_digits == 42
 
 
 def test_default_budget_range():
-    for d in (1, 20, 60):
-        default_budget(d).validate()
-    with pytest.raises(ValueError):
-        default_budget(0)
-    with pytest.raises(ValueError):
-        default_budget(61)
-
-
-def test_budget_validation_rejects_low_em_order():
-    bad = PrecisionBudget(
-        target_digits=40,
-        guard_digits=12,
-        em_order=1,
-    )
-    with pytest.raises(ValueError, match="budget insufficient for target"):
-        bad.validate()
+    for d, J in ((1, 2), (20, 5), (60, 14)):
+        res = moment_series_constant(d)
+        assert res.em_order == J
+        assert res.value.precision_digits == d + GUARD_DIGITS
+    for d in (0, 61):
+        with pytest.raises(ValueError, match="out of supported range"):
+            moment_series_constant(d)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +166,7 @@ def test_weighted_harmonic_sum_exact_truncations():
     # constant, S = (3/2)(L + 1/3): the gap must be below the tail bound
     # at the truncation
     exact_10 = weighted_harmonic_sum_exact(10)
-    res = moment_series_constant(default_budget(30))
+    res = moment_series_constant(30)
     series = Fraction(3, 2) * (res.value.to_fraction() + Fraction(1, 3))
     gap = abs(series - exact_10)
     assert gap < series_tail_bound(10)
@@ -195,23 +181,20 @@ def test_constant_matches_printed_value(constant_d30):
 
 
 def test_constant_certified_bound_honesty():
-    r20 = moment_series_constant(default_budget(20))
-    r40 = moment_series_constant(default_budget(40))
+    r20 = moment_series_constant(20)
+    r40 = moment_series_constant(40)
     gap = abs(r40.value.to_fraction() - r20.value.to_fraction())
     assert gap < Fraction(r20.certified_error)
 
 
 def test_constant_prefix_stability():
-    r20 = moment_series_constant(default_budget(20))
-    r40 = moment_series_constant(default_budget(40))
+    r20 = moment_series_constant(20)
+    r40 = moment_series_constant(40)
     assert r40.value.decimal_string(20) == r20.value.decimal_string(20)
 
 
 def test_constant_default_budget(constant_d30):
-    assert constant_d30.budget == default_budget(30)
-    assert moment_series_constant().value.to_fraction() == (
-        constant_d30.value.to_fraction()
-    )
+    assert moment_series_constant() == constant_d30
 
 
 def test_certified_bound_holds_for_every_digit_count():
@@ -220,11 +203,11 @@ def test_certified_bound_holds_for_every_digit_count():
     # value rounded to D digits.  Against the outside reference, the
     # working value lies within its certified error of the truth, counting
     # the reference's own rounding (at most 1/2 * 10**-75) against it.
-    ref = moment_series_constant(default_budget(60))
+    ref = moment_series_constant(60)
     ref_value = ref.value.to_fraction()
     truth = Fraction(REFERENCE_CONSTANT)
     for digits in range(1, 61):
-        res = moment_series_constant(default_budget(digits))
+        res = moment_series_constant(digits)
         gap = abs(res.value.to_fraction() - ref_value)
         assert gap <= Fraction(res.certified_error) + Fraction(ref.certified_error)
         assert res.value.decimal_string(digits) == ref.value.decimal_string(digits)
@@ -258,16 +241,16 @@ def test_reference_constant_from_mpmath():
 
 def test_certified_error_is_the_sum_of_its_parts():
     for digits in (1, 30, 60):
-        res = moment_series_constant(default_budget(digits))
+        res = moment_series_constant(digits)
         parts = (res.em_remainder, res.ln2_error, res.gamma_error, res.rounding_error)
         assert all(p > 0 for p in parts)
         assert sum(parts) == pytest.approx(res.certified_error, rel=1e-12)
         # the final rounding to P digits dominates
-        assert res.rounding_error >= 0.5 * 10.0 ** -res.budget.working_precision
+        assert res.rounding_error >= 0.5 * 10.0 ** -(digits + GUARD_DIGITS)
 
 
 def test_constant_five_digits():
-    res = moment_series_constant(default_budget(5))
+    res = moment_series_constant(5)
     assert res.value.decimal_string(5) == "3.36465"
 
 
@@ -275,7 +258,7 @@ def test_constant_agrees_with_exact_truncation():
     # -1/3 + (2/3) * S_exact(14) must agree with the certified value to
     # within tail(14) + certified error
     exact = -Fraction(1, 3) + Fraction(2, 3) * weighted_harmonic_sum_exact(14)
-    res = moment_series_constant(default_budget(30))
+    res = moment_series_constant(30)
     gap = abs(res.value.to_fraction() - exact)
     assert gap < Fraction(2, 3) * series_tail_bound(14) + Fraction(res.certified_error)
 

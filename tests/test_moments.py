@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -11,21 +12,24 @@ from cantor_moments import (
     bernoulli_moments,
     bernoulli_numbers,
     decay_fit,
-    default_budget,
     moment_bernoulli,
     moment_recursive,
-    moment_series_constant,
-    partial_sum,
     recursive_moments,
 )
 from cantor_moments import exact, moments
-from cantor_moments.moments import log_moments
+from cantor_moments.moments import DECAY_NS, log_moments
 
 
 @pytest.fixture(scope="module")
 def table_512():
     """The closed-form table M_0..M_512, built once for the tests that read it."""
     return bernoulli_moments(512)
+
+
+@pytest.fixture(scope="module")
+def partial_sums_512(table_512):
+    """The exact partial sums sum_{n<=N} M_n for N = 0..512."""
+    return list(accumulate(table_512))
 
 
 KNOWN = {
@@ -101,8 +105,6 @@ def test_table_domain_errors():
     for fn in (bernoulli_moments, recursive_moments, moment_bernoulli, moment_recursive):
         with pytest.raises(ValueError, match="moment index"):
             fn(-1)
-    with pytest.raises(ValueError, match="partial sum index"):
-        partial_sum(-1)
 
 
 def test_positivity_and_monotonicity():
@@ -119,32 +121,21 @@ def test_moments_in_unit_interval_to_512(table_512):
 
 
 def test_partial_sum_examples():
-    assert partial_sum(0) == 1
-    assert partial_sum(1) == Fraction(3, 2)
-    assert partial_sum(3) == 2  # 1 + 1/2 + 3/10 + 1/5 exactly
+    assert sum(bernoulli_moments(0)) == 1
+    assert sum(bernoulli_moments(1)) == Fraction(3, 2)
+    assert sum(bernoulli_moments(3)) == 2  # 1 + 1/2 + 3/10 + 1/5 exactly
 
 
-def test_partial_sum_strictly_increasing_to_512(table_512):
-    # Incremental: partial_sum(n) - partial_sum(n-1) = M_n > 0, so the
-    # running sum is strictly increasing; spot-check partial_sum itself
-    # at every power of two.
-    checkpoints = {2**j for j in range(10)} | {512}
-    values = table_512
-    running = values[0]
-    prev = running
-    for n in range(1, 513):
-        running += values[n]
-        assert running > prev
-        if n in checkpoints:
-            assert partial_sum(n) == running
-        prev = running
+def test_partial_sum_strictly_increasing_to_512(partial_sums_512):
+    # Each step adds M_n > 0.
+    assert len(partial_sums_512) == 513
+    assert all(b > a for a, b in zip(partial_sums_512, partial_sums_512[1:]))
 
 
-def test_partial_sums_below_constant():
-    result = moment_series_constant(default_budget(30))
-    limit = result.value.to_fraction() - Fraction(result.certified_error)
+def test_partial_sums_below_constant(constant_d30, partial_sums_512):
+    limit = constant_d30.value.to_fraction() - Fraction(constant_d30.certified_error)
     for n in (1, 16, 64, 256, 512):
-        assert partial_sum(n) < limit
+        assert partial_sums_512[n] < limit
 
 
 def test_log_moments_match_exact_values():
@@ -160,26 +151,16 @@ def test_log_moments_match_exact_values():
 # decay_fit
 # ---------------------------------------------------------------------------
 
-NS = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-
-
 def test_decay_fit_slope_band(constant_d30):
-    fit = decay_fit(NS, constant_d30.value)
+    fit = decay_fit(constant_d30.value)
+    assert DECAY_NS == (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+    assert len(fit.remainders) == len(DECAY_NS)
     assert -0.75 <= fit.slope <= -0.45
     assert all(r > 0 for r in fit.remainders)
     assert all(a > b for a, b in zip(fit.remainders, fit.remainders[1:]))
 
 
 def test_decay_fit_preconditions(constant_d30):
-    good = constant_d30.value
-    with pytest.raises(ValueError, match="too few points"):
-        decay_fit([16, 32], good)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        decay_fit([16, 32, 32, 64, 128, 256], good)
-    with pytest.raises(ValueError, match=">= 16"):
-        decay_fit([8, 16, 32, 64, 128, 256], good)
-    with pytest.raises(ValueError, match="octaves"):
-        decay_fit([16, 20, 24, 28, 32], good)
-    low_precision = good.rescale(10)
+    low_precision = constant_d30.value.rescale(10)
     with pytest.raises(ValueError, match="insufficient constant precision"):
-        decay_fit(NS, low_precision)
+        decay_fit(low_precision)
