@@ -73,19 +73,20 @@ def _grid_values(points: int) -> np.ndarray:
     den = 2 * points
     num = np.arange(1, den, 2, dtype=np.int64)
     values = np.zeros(points, dtype=np.float64)
-    active = np.ones(points, dtype=bool)
+    # Only the points whose expansion is still running are carried on:
+    # idx[i] is the grid index of the i-th of them, num[i] its remainder.
+    idx = np.arange(points)
     scale = 0.5
     for _ in range(_DEPTH):
-        num = num * 3
+        num *= 3
         digit = num // den
-        num = num - digit * den
-        hit_one = active & (digit == 1)
-        values[hit_one] += scale
-        active = active & ~hit_one
-        values[active & (digit == 2)] += scale
-        active = active & (num != 0)
+        num -= digit * den
+        values[idx[digit != 0]] += scale
+        running = (digit != 1) & (num != 0)
+        idx = idx[running]
+        num = num[running]
         scale *= 0.5
-        if not active.any():
+        if not len(idx):
             break
     return values
 

@@ -24,13 +24,18 @@ integrates the constant's integrand together with the moment integrands
 of any orders: one zeta evaluation per node serves them all, and a panel
 is bisected while any of them misses its share of the tolerance.
 :func:`moment_contour` and :func:`constant_contour` are views of it.
-Its starting panels are one period 2*pi/ln 2 of the denominators
-3*2**(s-1) - 1 and 3*2**(-s) - 1 wide, so their near-poles fall on panel
-edges.  Zeta, on arrays of points, is one Euler-Maclaurin path with a
-cutoff solved from its remainder bound at every height; the Dirichlet
-powers n**(-s) are built multiplicatively from a smallest-prime-factor
-sieve, with exp taken only at primes.  The Gamma ratio of the moment
-integrand is a finite product.
+Its starting panels are one period P = 2*pi/ln 2 of the denominators
+3*2**(s-1) - 1 and 3*2**(-s) - 1 wide, so their zeros, which sit
+delta = log2(3) - 3/2 ~ 0.085 off the lines at every height k*P, fall
+on panel edges.  On each starting panel the principal parts
+residue / (s - pole) of the two near-poles at its edges are subtracted
+before quadrature and integrated in closed form (a logarithm) instead,
+so the mesh only resolves what is smooth; the residues take one zeta
+call at the poles.  Zeta, on arrays of points, is one Euler-Maclaurin
+path with a cutoff solved from its remainder bound at every height and
+applied per block of 64 points; the Dirichlet powers n**(-s) are built
+multiplicatively from a smallest-prime-factor sieve, with exp taken only
+at primes.  The Gamma ratio of the moment integrand is a finite product.
 """
 
 from __future__ import annotations
@@ -104,40 +109,46 @@ def _spf_sieve(M: int) -> np.ndarray:
     return spf
 
 
-def _dirichlet_sum(s: np.ndarray, M: int) -> np.ndarray:
+def _dirichlet_sum(s: np.ndarray, M) -> np.ndarray:
     """sum_{n=1..M} n**(-s), with exp taken only at the primes.
 
-    Every composite n = p * (n/p), p = spf(n), gets n**(-s) as
+    M is one cutoff for all of s, or one per block of _DIRICHLET_BLOCK
+    consecutive points; the sieve is built once, for the largest.  Every
+    composite n = p * (n/p), p = spf(n), gets n**(-s) as
     p**(-s) * (n/p)**(-s); both factors are below 2**j when n lies in
     [2**j, 2**(j+1)), so one gather-and-multiply per such level fills the
-    table, a block of nodes at a time.
+    table, a block of nodes at a time and only up to that block's cutoff.
     """
-    spf = _spf_sieve(M)
-    n = np.arange(M + 1)
+    cutoffs = np.broadcast_to(M, (-(-len(s) // _DIRICHLET_BLOCK),))
+    top = int(cutoffs.max())
+    spf = _spf_sieve(top)
+    n = np.arange(top + 1)
     primes = np.flatnonzero(spf[2:] == n[2:]) + 2
     log_p = np.log(primes)[:, None]
     levels = []
-    for j in range(2, M.bit_length()):
-        lo, hi = 2**j, min(2 ** (j + 1), M + 1)
+    for j in range(2, top.bit_length()):
+        lo, hi = 2**j, min(2 ** (j + 1), top + 1)
         c = n[lo:hi][spf[lo:hi] != n[lo:hi]]
         levels.append((c, spf[c], c // spf[c]))
     out = np.empty(s.shape, dtype=np.complex128)
-    table = np.empty((M + 1, _DIRICHLET_BLOCK), dtype=np.complex128)
-    for lo in range(0, len(s), _DIRICHLET_BLOCK):
+    table = np.empty((top + 1, _DIRICHLET_BLOCK), dtype=np.complex128)
+    for lo, cutoff in zip(range(0, len(s), _DIRICHLET_BLOCK), cutoffs):
         block = s[lo : lo + _DIRICHLET_BLOCK]
-        w = table[:, : len(block)]
+        w = table[: cutoff + 1, : len(block)]
         w[1] = 1.0
-        w[primes] = np.exp(-log_p * block[None, :])
+        k = np.searchsorted(primes, cutoff, side="right")
+        w[primes[:k]] = np.exp(-log_p[:k] * block[None, :])
         for c, p, q in levels:
-            w[c] = w[p] * w[q]
+            k = np.searchsorted(c, cutoff, side="right")
+            w[c[:k]] = w[p[:k]] * w[q[:k]]
         out[lo : lo + len(block)] = w[1:].sum(axis=0)
     return out
 
 
-def _zeta_em_group(s: np.ndarray, M: int) -> np.ndarray:
-    """Euler-Maclaurin zeta for an array of points sharing the cutoff M."""
+def _zeta_em(s: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin zeta, each block of _DIRICHLET_BLOCK points at its cutoff in M."""
     acc = _dirichlet_sum(s, M)
-    logM = math.log(M)
+    logM = np.log(np.repeat(M, _DIRICHLET_BLOCK)[: len(s)])
     acc += np.exp(-(s - 1) * logM) / (s - 1)
     acc -= np.exp(-s * logM) / 2.0
     rising = s.copy()
@@ -163,7 +174,7 @@ def _zeta_em_group(s: np.ndarray, M: int) -> np.ndarray:
 def _em_cutoff(s: np.ndarray) -> np.ndarray:
     """Smallest M whose Euler-Maclaurin remainder bound is below target.
 
-    The bound checked in :func:`_zeta_em_group` is
+    The bound checked in :func:`_zeta_em` is
     C(s) * M**-(sigma + 2J + 1) with
     C(s) = |B_{2J+2}| / (2J+2)! * |s (s+1) ... (s+2J+1)| / (sigma + 2J + 1),
     so M follows in closed form.
@@ -179,20 +190,18 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
 def _zeta_line(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for arrays with Re s > 0, s != 1; error under 1e-10.
 
-    Points are grouped by the cutoff M solved for each; every group is
-    evaluated at its largest M and its remainder bound checked.
+    Points are sorted by the cutoff M solved for each; every block of
+    _DIRICHLET_BLOCK sorted points is evaluated at its largest M and its
+    remainder bound checked there.
     """
     s = np.asarray(s, dtype=np.complex128)
-    M = _em_cutoff(s)
     out = np.empty(s.shape, dtype=np.complex128)
+    if not len(s):
+        return out
+    M = _em_cutoff(s)
     order = np.argsort(M, kind="stable")
-    Ms = M[order]
-    idx = 0
-    while idx < len(order):
-        hi = int(np.searchsorted(Ms, 2 * Ms[idx], side="right"))
-        group = order[idx:hi]
-        out[group] = _zeta_em_group(s[group], int(Ms[hi - 1]))
-        idx = hi
+    starts = np.arange(0, len(s), _DIRICHLET_BLOCK)
+    out[order] = _zeta_em(s[order], np.maximum.reduceat(M[order], starts))
     return out
 
 
@@ -315,6 +324,14 @@ def _pole_aligned_edges(T: float) -> np.ndarray:
     return np.append(np.arange(0.0, T, _POLE_PERIOD), T)
 
 
+# The near-poles themselves are the zeros s_k = 1 - log2(3) + i*tau_k of
+# 3*2**(s-1) - 1 and s'_k = log2(3) + i*tau_k of 3*2**(-s) - 1, each
+# delta = log2(3) - 3/2 ~ 0.085 off its line: on it, s - s_k = delta + i*u
+# and s - s'_k = -delta + i*u, u = tau - tau_k.
+_LOG2_3 = math.log2(3.0)
+_POLE_OFFSET = _LOG2_3 - 1.5
+
+
 # ---------------------------------------------------------------------------
 # The three identities
 # ---------------------------------------------------------------------------
@@ -381,12 +398,17 @@ def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray) -> np.ndarray:
     moment_s = -0.5 + 1j * tau
     zeta_conj = np.conj(zeta)
     for row, n in enumerate(orders):
-        ratio = np.full(tau.shape, float(factorial(n)), dtype=np.complex128)
-        for j in range(1, n + 2):
-            ratio = ratio / (j - moment_s)
-        out[row] = ratio * zeta_conj / den
+        out[row] = _gamma_ratio(n, moment_s) * zeta_conj / den
     out[-1] = zeta / (s * (s - 1) * np.conj(den))
     return out
+
+
+def _gamma_ratio(n: int, s: np.ndarray) -> np.ndarray:
+    """Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) as n! / prod_{j=1..n+1} (j - s)."""
+    ratio = np.full(s.shape, float(factorial(n)), dtype=np.complex128)
+    for j in range(1, n + 2):
+        ratio = ratio / (j - s)
+    return ratio
 
 
 def moment_contour_integrand(n: int, tau: np.ndarray) -> np.ndarray:
@@ -403,6 +425,54 @@ def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
     return _zeta_integrands((), tau)[0]
 
 
+def _near_poles(orders: tuple[int, ...], edges: np.ndarray):
+    """Residues at the near-poles tau_k = k*P, k = 0..K, and their panel integrals.
+
+    Rows as in :func:`_zeta_integrands`.  Pole k is subtracted on the
+    starting panels k - 1 and k (see :func:`_principal_parts`), so its
+    principal part residue / (side*delta + i*u) is integrated in closed
+    form over [edges[k-1], edges[k+1]] clipped to [0, T]: the integral is
+    -i * [log(delta + i*side*u)], whose argument keeps real part
+    delta > 0, so the principal branch is continuous.  One zeta call at
+    the s'_k serves every row: zeta(1 - s_k) = conj zeta(s'_k).
+
+    Returns (residues, integrals, side), the first two of shape
+    (rows, K + 1), and side = +1 for the moment rows, -1 for the constant.
+    """
+    K = len(edges) - 1
+    k = np.arange(K + 1)
+    tau_k = k * _POLE_PERIOD
+    constant_pole = _LOG2_3 + 1j * tau_k  # 3*2**(-s) - 1 has derivative -ln 2 here
+    moment_pole = 1.0 - np.conj(constant_pole)  # 3*2**(s-1) - 1: derivative ln 2
+    zeta = _zeta_line(constant_pole)
+    ln2 = math.log(2.0)
+    residues = np.empty((len(orders) + 1, K + 1), dtype=np.complex128)
+    for row, n in enumerate(orders):
+        residues[row] = _gamma_ratio(n, moment_pole) * np.conj(zeta) / ln2
+    residues[-1] = zeta / (constant_pole * (constant_pole - 1) * -ln2)
+    side = np.ones((len(orders) + 1, 1))
+    side[-1] = -1.0
+    lo = edges[np.maximum(k - 1, 0)] - tau_k
+    hi = edges[np.minimum(k + 1, K)] - tau_k
+    integrals = -1j * (
+        np.log(_POLE_OFFSET + 1j * side * hi) - np.log(_POLE_OFFSET + 1j * side * lo)
+    )
+    return residues, integrals, side
+
+
+def _principal_parts(residues: np.ndarray, side: np.ndarray, tau: np.ndarray):
+    """Every row's principal parts at the two near-poles bounding tau's starting panel.
+
+    Nodes are interior to their panels, so the panel index floor(tau/P)
+    is constant on each, and what is left after subtraction is smooth.
+    """
+    k = np.floor(tau / _POLE_PERIOD).astype(np.intp)
+    parts = np.zeros(residues.shape[:1] + tau.shape, dtype=np.complex128)
+    for j in (k, k + 1):
+        parts += residues[:, j] / (side * _POLE_OFFSET + 1j * (tau - j * _POLE_PERIOD))
+    return parts
+
+
 def zeta_contours(
     orders: tuple[int, ...], spec: QuadratureSpec | None = None
 ) -> tuple[tuple[float, ...], float]:
@@ -416,18 +486,30 @@ def zeta_contours(
 
     All integrands share the pole-aligned mesh, refined wherever any of
     them needs it, so zeta is evaluated once per node for all of them.
+    On each starting panel [kP, min((k+1)P, T)] the principal parts of
+    the near-poles at k and k+1 are subtracted from every row before
+    quadrature, and their exact integrals added back: what the mesh then
+    resolves is smooth, so it needs about 7x fewer nodes at T = 1e4.
 
     Raises:
         ValueError: an order outside [1, 16].
-        QuadratureError: evaluation budget exhausted before tolerance.
+        QuadratureError: evaluation budget exhausted before tolerance
+            (its estimate is of the integral with the principal parts
+            subtracted).
     """
     if not all(1 <= n <= 16 for n in orders):
         raise ValueError("moment order out of [1, 16]")
     if spec is None:
         spec = QuadratureSpec()
+    edges = _pole_aligned_edges(spec.T)
+    residues, pole_integrals, side = _near_poles(orders, edges)
     integrals, _, _ = _adaptive_line(
-        lambda tau: _zeta_integrands(orders, tau), _pole_aligned_edges(spec.T), spec
+        lambda tau: _zeta_integrands(orders, tau)
+        - _principal_parts(residues, side, tau),
+        edges,
+        spec,
     )
+    integrals = integrals + (residues * pole_integrals).sum(axis=1)
     moments = (2.0 / 3.0) * 2.0 * integrals[:-1].real / (2.0 * math.pi)
     constant = 1.0 + (2.0 / 3.0) * 2.0 * integrals[-1].real / (2.0 * math.pi)
     return tuple(float(m) for m in moments), float(constant)

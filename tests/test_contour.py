@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_constant import REFERENCE_CONSTANT
 
 from cantor_moments import (
     QuadratureError,
@@ -191,6 +193,14 @@ def test_dirichlet_sum_against_direct_powers(M):
     direct = (n[None, :] ** -s[:, None]).sum(axis=1)
     scale = (n[None, :] ** -s.real[:, None]).sum(axis=1)
     assert np.all(np.abs(_dirichlet_sum(s, M) - direct) <= 1e-12 * scale)
+    # One cutoff per block of 64 nodes, the middle block summed to fewer terms
+    short = max(M // 3, 1)
+    cut = np.where((np.arange(150) >= 64) & (np.arange(150) < 128), short, M)
+    terms = n[None, :] <= cut[:, None]
+    direct = np.where(terms, n[None, :] ** -s[:, None], 0).sum(axis=1)
+    scale = np.where(terms, n[None, :] ** -s.real[:, None], 0).sum(axis=1)
+    got = _dirichlet_sum(s, np.array([M, short, M]))
+    assert np.all(np.abs(got - direct) <= 1e-12 * scale)
 
 
 def test_quadrature_spec_validation():
@@ -278,6 +288,74 @@ def test_perron_domain():
 
 
 SHARED = QuadratureSpec(T=1000.0)
+PERIOD = 2.0 * math.pi / math.log(2.0)
+DELTA = math.log2(3.0) - 1.5  # distance of the near-poles from both lines
+
+
+@pytest.mark.parametrize("k", [0, 552, 1000, 1103, 1104])
+def test_near_pole_integrals_closed_form(k):
+    # Pole k is subtracted on the panels either side of tau_k = k*P: its
+    # closed-form integral there must match quadrature of the principal
+    # part, 1/(s - s_k) = 1/(DELTA + i*u) on the moment line and
+    # 1/(s - s'_k) = 1/(-DELTA + i*u) on the constant line.  k = 0 is
+    # the tau = 0 panel alone, and k = 1104 the partial last panel [kP, T].
+    T = 1.0e4
+    edges = contour._pole_aligned_edges(T)
+    assert len(edges) == 1105 and edges[-2] < T < 1104 * PERIOD
+    window = edges[max(k - 1, 0) : k + 2]
+    _, integrals, _ = contour._near_poles((1,), edges)
+    spec = QuadratureSpec(T=T, abs_tol=1e-10)
+    for row, offset in ((0, DELTA), (1, -DELTA)):
+        (want,), _, _ = contour._adaptive_line(
+            lambda tau: 1.0 / (offset + 1j * (tau - k * PERIOD)), window, spec
+        )
+        assert abs(integrals[row, k] - want) <= 1e-12
+
+
+def test_near_pole_residues():
+    # Against (1/2*pi*i) times the integral of each integrand, as a function
+    # of s, around a circle of radius 0.02 about the pole (trapezoid rule,
+    # 16 points; the nearest other singularity is over 1.5 away), in mpmath.
+    mpmath = pytest.importorskip("mpmath")
+    orders = (1, 5)
+    residues, _, _ = contour._near_poles(orders, contour._pole_aligned_edges(1.0e4))
+
+    def moments(s):
+        zeta_den = mpmath.zeta(1 - s) / (3 * mpmath.power(2, s - 1) - 1)
+        return [
+            mpmath.factorial(n) * mpmath.gamma(1 - s) / mpmath.gamma(n + 2 - s) * zeta_den
+            for n in orders
+        ]
+
+    def constant(s):
+        return [mpmath.zeta(s) / (s * (s - 1) * (3 * mpmath.power(2, -s) - 1))]
+
+    def residue(f, pole, points=16, radius=0.02):
+        total = 0
+        for j in range(points):
+            step = radius * mpmath.expjpi(2 * mpmath.mpf(j) / points)
+            total += np.array(f(pole + step)) * step
+        return np.array([complex(v / points) for v in total])
+
+    with mpmath.workdps(20):
+        for k in (0, 1, 100):
+            tau_k = k * 2 * mpmath.pi / mpmath.log(2)
+            log2_3 = mpmath.log(3, 2)
+            want = np.concatenate([
+                residue(moments, mpmath.mpc(1 - log2_3, tau_k)),
+                residue(constant, mpmath.mpc(log2_3, tau_k)),
+            ])
+            assert np.all(np.abs(residues[:, k] - want) <= 1e-9 * np.abs(want))
+
+
+def test_zeta_contours_subtract_the_tail_to_2e_8():
+    # The n = 1 and constant checks carry a truncation tail of 1/(3*pi*T);
+    # what is left at T = 1e4 is the O(1/T**2) rest and quadrature error.
+    T = 1.0e4
+    tail = 1.0 / (3.0 * math.pi * T)
+    (n1,), const = zeta_contours((1,), QuadratureSpec(T=T))
+    assert abs(n1 - 0.5 - tail) <= 2e-8
+    assert abs(const - float(Fraction(REFERENCE_CONSTANT)) - tail) <= 2e-8
 
 
 def test_zeta_contours_match_the_views():
@@ -305,9 +383,14 @@ def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
     monkeypatch.setattr(contour, "_zeta_line", counted_zeta)
     monkeypatch.setattr(contour, "_zeta_integrands", counted_integrands)
     zeta_contours((1, 2, 5), SHARED)
+    # One height per integrand node, plus one per near-pole tau_k = k*P,
+    # k = 0..ceil(T/P), for the principal parts; all distinct.
+    poles = math.ceil(SHARED.T / PERIOD) + 1
     tau = np.concatenate(heights)
-    assert len(tau) == sum(nodes) > 0
+    assert sum(nodes) > 0
+    assert len(tau) == sum(nodes) + poles
     assert len(np.unique(tau)) == len(tau)
+    assert any(np.array_equal(h, np.arange(poles) * PERIOD) for h in heights)
 
 
 def test_moment_contour_fast():
