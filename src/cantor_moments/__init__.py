@@ -26,15 +26,8 @@ from .constant import (
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
-from .exact import BigFixed, bernoulli, bernoulli_numbers, harmonic_exact
-from .moments import (
-    DecayFit,
-    bernoulli_moments,
-    decay_fit,
-    moment_bernoulli,
-    moment_recursive,
-    recursive_moments,
-)
+from .exact import BigFixed, bernoulli_numbers, harmonic_exact
+from .moments import DecayFit, bernoulli_moments, decay_fit, recursive_moments
 
 __version__ = "0.1.0"
 
@@ -49,8 +42,6 @@ _LAZY = {
     "contour": (
         "QuadratureError",
         "QuadratureSpec",
-        "constant_contour",
-        "moment_contour",
         "perron_kernel",
         "zeta_contours",
     ),
@@ -71,11 +62,9 @@ __all__ = [
     "DecayFit",
     "QuadratureError",
     "QuadratureSpec",
-    "bernoulli",
     "bernoulli_moments",
     "bernoulli_numbers",
     "cantor_value",
-    "constant_contour",
     "decay_fit",
     "double_sum_check",
     "euler_gamma",
@@ -84,9 +73,6 @@ __all__ = [
     "self_similarity_residuals",
     "ln2",
     "ln2_alt",
-    "moment_bernoulli",
-    "moment_contour",
-    "moment_recursive",
     "moment_series_constant",
     "perron_kernel",
     "recursive_moments",

@@ -7,10 +7,10 @@ the only error is the truncation after 64 digits, 2**-64, plus whatever
 error the caller accepted when representing the input in binary.
 
 ``integral_quadrature`` ties the exact moment machinery to its
-integral origin: a midpoint rule for integral_0^1 C(x)**n dx.  C is
-Hoelder continuous with exponent log 2 / log 3 ~ 0.6309, so the
-deterministic midpoint error at 10**6 cells is ~10**-3.8 — no RNG, no
-seeds, reproducible.
+integral origin: a midpoint rule for integral_0^1 C(x)**n dx, for
+several n on one grid.  C is Hoelder continuous with exponent
+log 2 / log 3 ~ 0.6309, so the deterministic midpoint error at 10**6
+cells is ~10**-3.8 — no RNG, no seeds, reproducible.
 """
 
 from __future__ import annotations
@@ -91,21 +91,24 @@ def _grid_values(points: int) -> np.ndarray:
     return values
 
 
-def integral_quadrature(n: int, points: int) -> float:
-    """Midpoint-rule estimate of integral_0^1 C(x)**n dx with ``points`` cells.
+def integral_quadrature(orders: tuple[int, ...], points: int) -> tuple[float, ...]:
+    """Midpoint-rule estimates of integral_0^1 C(x)**n dx, one per n in orders.
 
-    Error budget: Hoelder modulus gives ~n * points**-0.6309 for the
-    n-th power; 10**6 points keeps n <= 5 within 10**-3.
+    All orders share one grid of ``points`` cells.  Error budget: the
+    Hoelder modulus gives ~n * points**-0.6309 for the n-th power;
+    10**6 points keeps n <= 5 within 10**-3.
 
     Raises:
-        ValueError: if n < 1 or points < 10**4.
+        ValueError: if an order is below 1 or points < 10**4.
     """
-    if n < 1:
+    if not all(n >= 1 for n in orders):
         raise ValueError("moment order must be positive")
     if points < 10**4:
         raise ValueError("need at least 10**4 points")
     values = _grid_values(points)
-    return float(np.mean(values**n))
+    # One power at a time: a (len(orders), points) array would hold every
+    # power at once.
+    return tuple(float(np.mean(values**n)) for n in orders)
 
 
 def self_similarity_residuals():

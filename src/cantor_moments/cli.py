@@ -34,70 +34,21 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 
 from . import constant, exact, moments
 
-_MAX_DIGITS = 60
 _MAX_MOMENT_INDEX = 512
 _SUITES = ("oracle", "identity", "decay", "mellin", "cantor", "all")
 
 
 # ---------------------------------------------------------------------------
-# Report plumbing
+# Output helpers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunReport:
-    """Outcome of one ``verify`` run."""
-
-    command: str
-    parameters: dict
-    checks: list = field(default_factory=list)
-
-    def add_check(self, name: str, passed: bool, measured: str, tolerance: str) -> None:
-        self.checks.append(
-            {
-                "name": name,
-                "status": "pass" if passed else "fail",
-                "measured": measured,
-                "tolerance": tolerance,
-            }
-        )
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        # No wall time here: identical invocations must produce
-        # byte-identical JSON.
-        out = {"command": self.command, "parameters": self.parameters}
-        if self.checks:
-            out["checks"] = self.checks
-            out["all_pass"] = self.all_pass
-        return out
 
 
 def _print_wall_time(start: float) -> None:
     print(f"wall time: {int((time.monotonic() - start) * 1000)} ms", file=sys.stderr)
-
-
-def _emit(
-    report: RunReport, json_mode: bool, human_lines: list[str], start: float
-) -> None:
-    if json_mode:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-        for check in report.checks:
-            print(
-                f"[{check['status'].upper():4}] {check['name']}: "
-                f"measured {check['measured']}, tolerance {check['tolerance']}"
-            )
-        _print_wall_time(start)
 
 
 def _fmt(x: float) -> str:
@@ -181,22 +132,21 @@ def cmd_moments(max_n: int, fmt: str) -> int:
 
 
 # -- verify suites -----------------------------------------------------------
+#
+# Each suite yields its checks as (name, passed, measured, tolerance).
+
+_Check = tuple[str, bool, str, str]
 
 
-def _suite_oracle(report: RunReport) -> None:
+def _suite_oracle() -> Iterator[_Check]:
     closed_form = moments.bernoulli_moments(64)
     recursion = moments.recursive_moments(64)
     for n, (a, b) in enumerate(zip(closed_form, recursion)):
         equal = a == b
-        report.add_check(
-            f"moment_oracle_n{n}",
-            equal,
-            "equal" if equal else "unequal",
-            "exact",
-        )
+        yield f"moment_oracle_n{n}", equal, "equal" if equal else "unequal", "exact"
 
 
-def _suite_identity(report: RunReport) -> None:
+def _suite_identity() -> Iterator[_Check]:
     # double_sum_check raises if the double sum and the harmonic form of
     # the truncation disagree.
     for K in range(1, 13):
@@ -205,29 +155,22 @@ def _suite_identity(report: RunReport) -> None:
             equal = True
         except AssertionError:
             equal = False
-        report.add_check(
-            f"double_sum_K{K}",
-            equal,
-            "equal" if equal else "unequal",
-            "exact",
-        )
+        yield f"double_sum_K{K}", equal, "equal" if equal else "unequal", "exact"
 
 
-def _suite_decay(report: RunReport) -> None:
+def _suite_decay() -> Iterator[_Check]:
     fit = moments.decay_fit(constant.moment_series_constant().value)
     in_band = -0.75 <= fit.slope <= -0.45
-    report.add_check(
-        "decay_slope_band", in_band, f"{fit.slope:.4f}", "[-0.75, -0.45]"
-    )
+    yield "decay_slope_band", in_band, f"{fit.slope:.4f}", "[-0.75, -0.45]"
     positive = all(r > 0 for r in fit.remainders)
-    report.add_check(
+    yield (
         "remainders_positive",
         positive,
         "all positive" if positive else "sign violation",
         "> 0",
     )
     decreasing = all(b < a for a, b in zip(fit.remainders, fit.remainders[1:]))
-    report.add_check(
+    yield (
         "remainders_decreasing",
         decreasing,
         "strictly decreasing" if decreasing else "non-monotone",
@@ -235,7 +178,7 @@ def _suite_decay(report: RunReport) -> None:
     )
 
 
-def _suite_mellin(report: RunReport) -> None:
+def _suite_mellin() -> Iterator[_Check]:
     from . import contour
 
     # A quadrature that does not converge is a failing check, not a usage
@@ -252,48 +195,44 @@ def _suite_mellin(report: RunReport) -> None:
         try:
             err = abs(contour.perron_kernel(t, spec) - expected)
         except contour.QuadratureError:
-            report.add_check(f"perron_t_{t}", False, not_converged, _fmt(tol))
+            yield f"perron_t_{t}", False, not_converged, _fmt(tol)
         else:
-            report.add_check(f"perron_t_{t}", err <= tol, _fmt(err), _fmt(tol))
+            yield f"perron_t_{t}", err <= tol, _fmt(err), _fmt(tol)
     orders = (1, 2, 5)
     try:
         got_moments, got_constant = contour.zeta_contours(orders, spec)
     except contour.QuadratureError:
         for n in orders:
-            report.add_check(
-                f"moment_contour_n{n}", False, not_converged, _fmt(1.0e-3)
-            )
-        report.add_check("constant_contour", False, not_converged, _fmt(5.0e-3))
+            yield f"moment_contour_n{n}", False, not_converged, _fmt(1.0e-3)
+        yield "constant_contour", False, not_converged, _fmt(5.0e-3)
         return
+    table = moments.bernoulli_moments(max(orders))
     for n, got in zip(orders, got_moments):
-        err = abs(got - float(moments.moment_bernoulli(n)))
-        report.add_check(f"moment_contour_n{n}", err <= 1.0e-3, _fmt(err), _fmt(1.0e-3))
+        err = abs(got - float(table[n]))
+        yield f"moment_contour_n{n}", err <= 1.0e-3, _fmt(err), _fmt(1.0e-3)
     reference = constant.moment_series_constant()
     err = abs(got_constant - reference.value.to_float())
-    report.add_check("constant_contour", err <= 5.0e-3, _fmt(err), _fmt(5.0e-3))
+    yield "constant_contour", err <= 5.0e-3, _fmt(err), _fmt(5.0e-3)
 
 
-def _suite_cantor(report: RunReport) -> None:
+def _suite_cantor() -> Iterator[_Check]:
     from . import cantor
 
-    for n in (1, 2, 5):
-        got = cantor.integral_quadrature(n, 10**6)
-        err = abs(got - float(moments.moment_bernoulli(n)))
-        report.add_check(
-            f"cantor_integral_n{n}", err <= 5.0e-3, _fmt(err), _fmt(5.0e-3)
-        )
+    orders = (1, 2, 5)
+    table = moments.bernoulli_moments(max(orders))
+    for n, got in zip(orders, cantor.integral_quadrature(orders, 10**6)):
+        err = abs(got - float(table[n]))
+        yield f"cantor_integral_n{n}", err <= 5.0e-3, _fmt(err), _fmt(5.0e-3)
     monotone_ok, symmetry_max, self_similar_max = cantor.self_similarity_residuals()
-    report.add_check(
+    yield (
         "cantor_monotone",
         monotone_ok,
         "nondecreasing" if monotone_ok else "violation",
         "nondecreasing on grid",
     )
     bound = 2.0 * 2.0**-64
-    report.add_check(
-        "cantor_symmetry", symmetry_max <= bound, _fmt(symmetry_max), _fmt(bound)
-    )
-    report.add_check(
+    yield "cantor_symmetry", symmetry_max <= bound, _fmt(symmetry_max), _fmt(bound)
+    yield (
         "cantor_self_similarity",
         self_similar_max <= bound,
         _fmt(self_similar_max),
@@ -303,7 +242,6 @@ def _suite_cantor(report: RunReport) -> None:
 
 def cmd_verify(suite: str, json_mode: bool) -> int:
     start = time.monotonic()
-    report = RunReport(command="verify", parameters={"suite": suite})
     runners = {
         "oracle": _suite_oracle,
         "identity": _suite_identity,
@@ -312,12 +250,37 @@ def cmd_verify(suite: str, json_mode: bool) -> int:
         "cantor": _suite_cantor,
     }
     selected = list(runners) if suite == "all" else [suite]
-    for name in selected:
-        runners[name](report)
-    passed = sum(1 for c in report.checks if c["status"] == "pass")
-    human = [f"suite '{suite}': {passed}/{len(report.checks)} checks passed"]
-    _emit(report, json_mode, human, start)
-    return 0 if report.all_pass else 1
+    checks = [
+        {
+            "name": name,
+            "status": "pass" if passed else "fail",
+            "measured": measured,
+            "tolerance": tolerance,
+        }
+        for runner in selected
+        for name, passed, measured, tolerance in runners[runner]()
+    ]
+    all_pass = all(c["status"] == "pass" for c in checks)
+    if json_mode:
+        # No wall time here: identical invocations must produce
+        # byte-identical JSON.
+        report = {
+            "command": "verify",
+            "parameters": {"suite": suite},
+            "checks": checks,
+            "all_pass": all_pass,
+        }
+        print(json.dumps(report, indent=2))
+    else:
+        passed = sum(c["status"] == "pass" for c in checks)
+        print(f"suite '{suite}': {passed}/{len(checks)} checks passed")
+        for c in checks:
+            print(
+                f"[{c['status'].upper():4}] {c['name']}: "
+                f"measured {c['measured']}, tolerance {c['tolerance']}"
+            )
+        _print_wall_time(start)
+    return 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--digits",
         type=int,
         required=True,
-        help="fractional digits, 1..60; the certified error bounds the "
-        "unrounded value, and rounding it to D digits adds up to 1/2*10^-D",
+        help=f"fractional digits, 1..{constant.MAX_DIGITS}; the certified error "
+        "bounds the unrounded value, and rounding it to D digits adds up to "
+        "1/2*10^-D",
     )
     p_const.add_argument("--json", action="store_true")
 
@@ -360,9 +324,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.subcommand == "constant":
-            if not (1 <= args.digits <= _MAX_DIGITS):
+            if not (1 <= args.digits <= constant.MAX_DIGITS):
                 print(
-                    f"error: --digits must be in [1, {_MAX_DIGITS}]",
+                    f"error: --digits must be in [1, {constant.MAX_DIGITS}]",
                     file=sys.stderr,
                 )
                 return 2

@@ -42,6 +42,9 @@ K0 = 8
 # Weight of the k-th term of S.
 _W = Fraction(2, 3)
 
+# The supported digit counts D are 1..MAX_DIGITS.
+MAX_DIGITS = 60
+
 # Guard digits: D requested digits are computed at working precision
 # P = D + GUARD_DIGITS.
 GUARD_DIGITS = 12
@@ -263,10 +266,10 @@ def _float_up(x: Fraction) -> float:
 def moment_series_constant(digits: int = 30) -> ConstantResult:
     """The limit of the moment series: -1/3 + (2/3) * S, certified to D digits.
 
-    D = ``digits`` (1 <= D <= 60) is the only input.  The working
-    precision is P = D + :data:`GUARD_DIGITS`, and the tail's order J is
-    the smallest whose remainder is below 10**-(P+2): J = 2 at D = 1,
-    7 at D = 30, 14 at D = 60.  The value is Q + (2/3)A ln 2 +
+    D = ``digits`` (1 <= D <= :data:`MAX_DIGITS`) is the only input.  The
+    working precision is P = D + :data:`GUARD_DIGITS`, and the tail's
+    order J is the smallest whose remainder is below 10**-(P+2): J = 2 at
+    D = 1, 7 at D = 30, 14 at D = 60.  The value is Q + (2/3)A ln 2 +
     (2/3)B gamma (see the module docstring), each part rounded once at
     W = P + 6 digits and the sum rounded to P.  The certified error is
     (2/3) times the tail remainder, plus the ln 2 and gamma errors times
@@ -274,8 +277,8 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     and 1/2 * 10**-P for the last; it must come in below 10**-D or the
     result is refused.
     """
-    if not (1 <= digits <= 60):
-        raise ValueError("target digits out of supported range [1, 60]")
+    if not (1 <= digits <= MAX_DIGITS):
+        raise ValueError(f"target digits out of supported range [1, {MAX_DIGITS}]")
     P = digits + GUARD_DIGITS
     W = P + _PAD
     J, tail_remainder = _em_order(P, lambda j: _geometric_tail(_W / 4 ** (j + 1)))

@@ -23,7 +23,6 @@ its conjugate, times elementary factors of tau, so :func:`zeta_contours`
 integrates the constant's integrand together with the moment integrands
 of any orders: one zeta evaluation per node serves them all, and a panel
 is bisected while any of them misses its share of the tolerance.
-:func:`moment_contour` and :func:`constant_contour` are views of it.
 Its starting panels are one period P = 2*pi/ln 2 of the denominators
 3*2**(s-1) - 1 and 3*2**(-s) - 1 wide, so their zeros, which sit
 delta = log2(3) - 3/2 ~ 0.085 off the lines at every height k*P, fall
@@ -367,15 +366,6 @@ def perron_kernel(t: float, spec: QuadratureSpec | None = None) -> float:
     return 2.0 * integral.real / (2.0 * math.pi)
 
 
-def _line_denominator(sigma: float, tau: np.ndarray) -> np.ndarray:
-    """3*2**(s-1) - 1 on s = sigma + i*tau, with the drift guard."""
-    s = sigma + 1j * np.asarray(tau, dtype=np.float64)
-    den = 3.0 * 2.0 ** (s - 1) - 1.0
-    if np.abs(den).min() < 0.9 * _DENOM_FLOOR:
-        raise ValueError("verification line drifted: denominator below floor")
-    return den
-
-
 def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray) -> np.ndarray:
     """The moment integrand for each n in orders, then the constant's.
 
@@ -393,9 +383,11 @@ def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray) -> np.ndarray:
     tau = np.asarray(tau, dtype=np.float64)
     s = 1.5 + 1j * tau
     zeta = _zeta_line(s)
-    den = _line_denominator(-0.5, tau)
-    out = np.empty((len(orders) + 1,) + tau.shape, dtype=np.complex128)
     moment_s = -0.5 + 1j * tau
+    den = 3.0 * 2.0 ** (moment_s - 1) - 1.0
+    if np.abs(den).min() < 0.9 * _DENOM_FLOOR:
+        raise ValueError("verification line drifted: denominator below floor")
+    out = np.empty((len(orders) + 1,) + tau.shape, dtype=np.complex128)
     zeta_conj = np.conj(zeta)
     for row, n in enumerate(orders):
         out[row] = _gamma_ratio(n, moment_s) * zeta_conj / den
@@ -409,15 +401,6 @@ def _gamma_ratio(n: int, s: np.ndarray) -> np.ndarray:
     for j in range(1, n + 2):
         ratio = ratio / (j - s)
     return ratio
-
-
-def moment_contour_integrand(n: int, tau: np.ndarray) -> np.ndarray:
-    """Integrand of the moment representation on s = -1/2 + i*tau.
-
-    n! / prod_{j=1..n+1} (j - s) * zeta(1 - s) / (3*2**(s-1) - 1); the
-    tests check the Gamma-ratio product against math.gamma at tau = 0.
-    """
-    return _zeta_integrands((n,), tau)[0]
 
 
 def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
@@ -483,6 +466,8 @@ def zeta_contours(
     and the numerical constant 1 + (2/3) * (1/2*pi) int_{-T}^{T} of the
     constant integrand on Re s = 3/2; to be compared against the exact
     moments and the certified constant.  Truncation decays like O(1/T).
+    ``zeta_contours((), spec)[1]`` is the constant alone and
+    ``zeta_contours((n,), spec)[0][0]`` one moment alone.
 
     All integrands share the pole-aligned mesh, refined wherever any of
     them needs it, so zeta is evaluated once per node for all of them.
@@ -490,6 +475,8 @@ def zeta_contours(
     the near-poles at k and k+1 are subtracted from every row before
     quadrature, and their exact integrals added back: what the mesh then
     resolves is smooth, so it needs about 7x fewer nodes at T = 1e4.
+    The mesh depends on which rows are integrated together, so a value
+    can differ in its last digits between calls with different orders.
 
     Raises:
         ValueError: an order outside [1, 16].
@@ -514,26 +501,3 @@ def zeta_contours(
     constant = 1.0 + (2.0 / 3.0) * 2.0 * integrals[-1].real / (2.0 * math.pi)
     return tuple(float(m) for m in moments), float(constant)
 
-
-def moment_contour(n: int, spec: QuadratureSpec | None = None) -> float:
-    """Numerical moment via the vertical-line representation at Re s = -1/2.
-
-    The moment alone from :func:`zeta_contours` (its mesh is the one the
-    moment and the constant integrand need together).
-
-    Raises:
-        ValueError: n outside [1, 16].
-        QuadratureError: evaluation budget exhausted before tolerance.
-    """
-    return zeta_contours((n,), spec)[0][0]
-
-
-def constant_contour(spec: QuadratureSpec | None = None) -> float:
-    """Numerical moment-series constant via the line integral at Re s = 3/2.
-
-    The constant alone from :func:`zeta_contours`.
-
-    Raises:
-        QuadratureError: evaluation budget exhausted before tolerance.
-    """
-    return zeta_contours((), spec)[1]

@@ -78,12 +78,6 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
     return table
 
 
-def bernoulli(j: int) -> Fraction:
-    """Bernoulli number B_j (B1 = -1/2): the last entry of
-    :func:`bernoulli_numbers`; callers that need many take the table."""
-    return bernoulli_numbers(j)[j]
-
-
 # ---------------------------------------------------------------------------
 # Harmonic numbers
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from cantor_moments import (
     integral_quadrature,
     ln2,
     ln2_alt,
-    moment_bernoulli,
     moment_series_constant,
     perron_kernel,
     recursive_moments,
@@ -141,8 +140,9 @@ def test_contour_representation(acceptance, constant_d30):
     details = []
     ok = True
     got_moments, got_constant = zeta_contours((1, 2, 5), spec)
+    table = bernoulli_moments(5)
     for n, got in zip((1, 2, 5), got_moments):
-        err = abs(got - float(moment_bernoulli(n)))
+        err = abs(got - float(table[n]))
         ok = ok and err <= 1e-3
         details.append(f"n={n}: {err:.2e} (tol 1e-03)")
     err = abs(got_constant - constant_d30.value.to_float())
@@ -155,9 +155,9 @@ def test_contour_representation(acceptance, constant_d30):
 def test_cantor_integral_consistency(acceptance):
     details = []
     ok = True
-    for n in (1, 2, 5):
-        got = integral_quadrature(n, 10**6)
-        err = abs(got - float(moment_bernoulli(n)))
+    table = bernoulli_moments(5)
+    for n, got in zip((1, 2, 5), integral_quadrature((1, 2, 5), 10**6)):
+        err = abs(got - float(table[n]))
         ok = ok and err <= 5e-3
         details.append(f"n={n}: {err:.2e}")
     acceptance(ok, "measured errors " + ", ".join(details) + " vs tolerance 5e-03")

@@ -148,8 +148,9 @@ def test_moments_json_fields(capsys):
         "den": 46,
         "decimal": "0.10869565217391304348",
     }
+    table = moments.bernoulli_moments(5)
     for row in rows:
-        assert Fraction(row["num"], row["den"]) == moments.moment_bernoulli(row["n"])
+        assert Fraction(row["num"], row["den"]) == table[row["n"]]
 
 
 # SHA-256 of the 256 table's stdout, as pinned in perfbench/reference.json.
@@ -317,6 +318,14 @@ def test_public_names_resolve():
         assert getattr(cantor_moments, name) is not None
 
 
+def test_readme_library_example_runs():
+    # The README's library example runs as printed, so removing or
+    # renaming a public name it uses fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+
+
 def test_constant_and_moments_do_not_import_numpy():
     code = (
         "import sys\n"
@@ -324,8 +333,8 @@ def test_constant_and_moments_do_not_import_numpy():
         "assert cli.main(['constant', '--digits', '5', '--json']) == 0\n"
         "assert cli.main(['moments', '--max-n', '8']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        "from cantor_moments import constant_contour, cantor_value\n"
-        "assert callable(constant_contour) and callable(cantor_value)\n"
+        "from cantor_moments import zeta_contours, cantor_value\n"
+        "assert callable(zeta_contours) and callable(cantor_value)\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     run = subprocess.run(
@@ -346,4 +355,4 @@ def test_moments_restores_int_str_limit(capsys):
         sys.set_int_max_str_digits(previous)
     assert code == 0
     n, num, den, _ = out.strip().splitlines()[-1].split(",")
-    assert Fraction(int(num), int(den)) == moments.moment_bernoulli(int(n))
+    assert Fraction(int(num), int(den)) == moments.bernoulli_moments(120)[int(n)]

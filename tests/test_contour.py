@@ -12,9 +12,7 @@ from test_constant import REFERENCE_CONSTANT
 from cantor_moments import (
     QuadratureError,
     QuadratureSpec,
-    constant_contour,
-    moment_bernoulli,
-    moment_contour,
+    bernoulli_moments,
     perron_kernel,
     zeta_contours,
 )
@@ -26,9 +24,9 @@ from cantor_moments.contour import (
     _dirichlet_sum,
     _em_cutoff,
     _spf_sieve,
+    _zeta_integrands,
     _zeta_line,
     constant_contour_integrand,
-    moment_contour_integrand,
     perron_integrand,
 )
 
@@ -230,7 +228,7 @@ def test_integrand_conjugate_symmetry():
     for f in (
         lambda tau: perron_integrand(2.0, tau),
         constant_contour_integrand,
-        lambda tau: moment_contour_integrand(3, tau),
+        lambda tau: _zeta_integrands((3,), tau)[0],
     ):
         lo = f(-taus)
         hi = f(taus)
@@ -257,7 +255,7 @@ def test_moment_integrand_gamma_ratio_at_origin():
             * ZETA_3_2
             / (3 * 2**-1.5 - 1)
         )
-        got = complex(moment_contour_integrand(n, np.array([0.0]))[0])
+        got = complex(_zeta_integrands((n,), np.array([0.0]))[0][0])
         assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
@@ -359,11 +357,13 @@ def test_zeta_contours_subtract_the_tail_to_2e_8():
 
 
 def test_zeta_contours_match_the_views():
+    # Each row integrated together with the others agrees with the same
+    # row integrated alone, on its own mesh.
     (n1, n2, n5), const = zeta_contours((1, 2, 5), SHARED)
-    assert n1 == moment_contour(1, SHARED)
-    assert abs(const - constant_contour(SHARED)) <= 1e-15
-    assert abs(n2 - moment_contour(2, SHARED)) <= 1e-9
-    assert abs(n5 - moment_contour(5, SHARED)) <= 1e-9
+    assert n1 == zeta_contours((1,), SHARED)[0][0]
+    assert abs(const - zeta_contours((), SHARED)[1]) <= 1e-15
+    assert abs(n2 - zeta_contours((2,), SHARED)[0][0]) <= 1e-9
+    assert abs(n5 - zeta_contours((5,), SHARED)[0][0]) <= 1e-9
 
 
 def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
@@ -394,24 +394,25 @@ def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
 
 
 def test_moment_contour_fast():
+    table = bernoulli_moments(2)
     for n in (1, 2):
-        got = moment_contour(n, QuadratureSpec(T=1000.0))
-        assert abs(got - float(moment_bernoulli(n))) <= 1e-3
+        (got,), _ = zeta_contours((n,), QuadratureSpec(T=1000.0))
+        assert abs(got - float(table[n])) <= 1e-3
 
 
 def test_moment_contour_domain():
     with pytest.raises(ValueError):
-        moment_contour(0, FAST)
+        zeta_contours((0,), FAST)
     with pytest.raises(ValueError):
-        moment_contour(17, FAST)
+        zeta_contours((17,), FAST)
 
 
 def test_constant_contour_truncation_scaling(constant_d30):
     # O(1/T): the T = 1e3 truncation error is ~10x the T = 1e4 error;
     # also covers the fast-path accuracy claim at moderate T.
     limit = constant_d30.value.to_float()
-    err_coarse = abs(constant_contour(QuadratureSpec(T=1000.0)) - limit)
-    err_fine = abs(constant_contour(QuadratureSpec(T=4000.0)) - limit)
+    err_coarse = abs(zeta_contours((), QuadratureSpec(T=1000.0))[1] - limit)
+    err_fine = abs(zeta_contours((), QuadratureSpec(T=4000.0))[1] - limit)
     assert err_coarse <= 5e-3
     assert err_fine < err_coarse
     ratio = err_coarse / err_fine

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from cantor_moments import BigFixed, bernoulli, bernoulli_numbers, harmonic_exact
+from cantor_moments import BigFixed, bernoulli_numbers, harmonic_exact
 from cantor_moments.exact import HARMONIC_CAP, divround
 
 
@@ -17,15 +17,19 @@ from cantor_moments.exact import HARMONIC_CAP, divround
 
 
 def test_bernoulli_examples():
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(3) == 0
-    assert bernoulli(12) == Fraction(-691, 2730)
+    B = bernoulli_numbers(12)
+    assert B[0] == 1
+    assert B[1] == Fraction(-1, 2)
+    assert B[2] == Fraction(1, 6)
+    assert B[3] == 0
+    assert B[12] == Fraction(-691, 2730)
+    assert bernoulli_numbers(0) == [1]
+    assert bernoulli_numbers(1) == [1, Fraction(-1, 2)]
 
 
 def test_bernoulli_odd_vanish():
-    assert all(bernoulli(j) == 0 for j in range(3, 61, 2))
+    B = bernoulli_numbers(60)
+    assert all(B[j] == 0 for j in range(3, 61, 2))
 
 
 def _primes_up_to(n):
@@ -57,9 +61,8 @@ def test_bernoulli_defining_recurrence():
     for m in range(1, 121):
         total = sum(comb(m + 1, k) * table[k] for k in range(m + 1))
         assert total == 0
-    assert [bernoulli(j) for j in range(31)] == table[:31]
     with pytest.raises(ValueError, match="invalid bernoulli index"):
-        bernoulli(-1)
+        bernoulli_numbers(-1)
 
 
 # ---------------------------------------------------------------------------

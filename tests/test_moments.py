@@ -12,12 +12,10 @@ from cantor_moments import (
     bernoulli_moments,
     bernoulli_numbers,
     decay_fit,
-    moment_bernoulli,
-    moment_recursive,
     recursive_moments,
 )
 from cantor_moments import exact, moments
-from cantor_moments.moments import DECAY_NS, log_moments
+from cantor_moments.moments import DECAY_NS, float_moments
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +42,8 @@ KNOWN = {
 
 @pytest.mark.parametrize("n", sorted(KNOWN))
 def test_known_values_both_methods(n):
-    assert moment_bernoulli(n) == KNOWN[n]
-    assert moment_recursive(n) == KNOWN[n]
-
-
-def test_methods_agree_exactly_to_64():
-    for n in range(65):
-        assert moment_bernoulli(n) == moment_recursive(n)
+    assert bernoulli_moments(n)[n] == KNOWN[n]
+    assert recursive_moments(n)[n] == KNOWN[n]
 
 
 def _direct_closed_form(n, B):
@@ -102,7 +95,7 @@ def test_tables_are_pure():
 
 
 def test_table_domain_errors():
-    for fn in (bernoulli_moments, recursive_moments, moment_bernoulli, moment_recursive):
+    for fn in (bernoulli_moments, recursive_moments):
         with pytest.raises(ValueError, match="moment index"):
             fn(-1)
 
@@ -138,13 +131,11 @@ def test_partial_sums_below_constant(constant_d30, partial_sums_512):
         assert partial_sums_512[n] < limit
 
 
-def test_log_moments_match_exact_values():
-    import math
-
-    logs = log_moments(64)
-    for n, value in enumerate(bernoulli_moments(64)):
+def test_float_moments_match_exact_values(table_512):
+    floats = float_moments(256)
+    for n, value in enumerate(table_512[:257]):
         expected = float(value)
-        assert abs(math.exp(logs[n]) - expected) <= 1e-7 * expected
+        assert abs(floats[n] - expected) <= 1e-12 * expected
 
 
 # ---------------------------------------------------------------------------
