@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`cantor_moments.exact` — Bernoulli numbers from tangent numbers,
-  exact harmonic numbers, decimal fixed point;
+  exact harmonic numbers, decimal fixed point (exact fractions on the
+  10**-p grid, rounded half away from zero);
 * :mod:`cantor_moments.moments` — the moment tables by two independent
   exact methods, remainder-decay fit;
 * :mod:`cantor_moments.constant` — certified evaluation of the series
@@ -26,7 +27,7 @@ from .constant import (
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
-from .exact import BigFixed, bernoulli_numbers, harmonic_exact
+from .exact import bernoulli_numbers, harmonic_exact
 from .moments import DecayFit, bernoulli_moments, decay_fit, recursive_moments
 
 __version__ = "0.1.0"
@@ -57,7 +58,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BigFixed",
     "ConstantResult",
     "DecayFit",
     "QuadratureError",

@@ -2,9 +2,12 @@
 
 The Cantor function C is evaluated through exact ternary digit
 extraction: the input is taken as an exact rational (every float is
-one), so digit extraction involves no floating-point rounding at all —
-the only error is the truncation after 64 digits, 2**-64, plus whatever
-error the caller accepted when representing the input in binary.
+one), so digit extraction involves no floating-point rounding at all.
+The value is accumulated in a float, so |error| <= 2**-53: C(x) < 1 and
+the accumulator keeps 53 significant bits, so what it rounds or drops
+past them (the truncation after 64 digits included) is at most one unit
+of the 53rd bit.  The caller adds whatever error it accepted when
+representing the input in binary.
 
 ``integral_quadrature`` ties the exact moment machinery to its
 integral origin: a midpoint rule for integral_0^1 C(x)**n dx, for
@@ -19,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-# Ternary digits examined per evaluation; the truncation error is at most
-# 2**-64.
+# Ternary digits examined per evaluation.  The truncation after them is at
+# most 2**-64, below the float accumulator's own error of up to 2**-53 (it
+# keeps 53 significant bits of C(x) < 1).
 _DEPTH = 64
 
 # The identity checks run at x = i / _GRID, i = 0.._GRID.
@@ -28,14 +32,16 @@ _GRID = 10**4
 
 
 def cantor_value(x) -> float:
-    """Cantor function C(x) for x in [0, 1], to within 2**-64.
+    """Cantor function C(x) for x in [0, 1], to within 2**-53.
 
     Accepts floats, Fractions, and ints (anything with
     ``as_integer_ratio``); the input rational is processed exactly.
     Ternary digits accumulate as binary ones (digit/2) until the first
     digit 1, which contributes 2**-position and ends the expansion —
-    exactly the standard construction, and exact for ternary rationals
-    whose expansion terminates within 64 digits.
+    exactly the standard construction.  The float accumulator keeps 53
+    significant bits of C(x) < 1, so the error is at most 2**-53
+    (1365 * 2**-64 at x = 11/12), and zero when the expansion ends within
+    53 digits.
 
     Raises:
         ValueError: if x is outside [0, 1].

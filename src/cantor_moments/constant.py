@@ -16,8 +16,9 @@ A = sum_{k>K0} k w**k and B = sum_{k>K0} w**k.  Its remainder
 sum_{k>K0} w**k |R_J(k)| is one more geometric sum.  There is no series
 cutoff: the rational parts fold into one exact Q that is rounded once,
 and only ln 2 and Euler's gamma are computed to working precision, each
-with a dual-method oracle.  Everything is evaluated in decimal fixed
-point (:class:`~cantor_moments.exact.BigFixed`), and the certified error
+with a dual-method oracle.  Every high-precision value is an exact
+``Fraction`` on the grid of multiples of 10**-p, put there by
+:func:`~cantor_moments.exact.round_decimal`, and the certified error
 is the sum of named parts: the Euler-Maclaurin remainder, the ln 2 and
 gamma errors scaled by their coefficients, and the roundings.
 
@@ -33,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BigFixed, bernoulli_numbers, divround, harmonic_exact
+from .exact import bernoulli_numbers, divround, harmonic_exact, round_decimal
 
 # Exponents k <= K0 are summed as exact rationals; the closed-form tail
 # covers k > K0.
@@ -106,17 +107,18 @@ def _em_order(
 
 @dataclass(frozen=True)
 class ConstantResult:
-    """A certified value: fixed-point number, total error bound, its parts.
+    """A certified value: exact decimal, total error bound, its parts.
 
-    ``value`` carries P = ``digits`` + :data:`GUARD_DIGITS` digits, and
-    ``em_order`` is the Euler-Maclaurin order J of the closed-form tail.
+    ``value`` is the exact ``Fraction`` m / 10**P, P = ``digits`` +
+    :data:`GUARD_DIGITS`, and ``em_order`` is the Euler-Maclaurin order J
+    of the closed-form tail.
     ``certified_error`` is the sum of ``em_remainder`` (the tail's
     Euler-Maclaurin remainder), ``ln2_error`` and ``gamma_error`` (each
     constant's error times its coefficient) and ``rounding_error``; every
     float is rounded up from the exact bound.
     """
 
-    value: BigFixed
+    value: Fraction
     certified_error: float
     digits: int
     em_order: int
@@ -140,8 +142,8 @@ class ConstantResult:
 # ---------------------------------------------------------------------------
 
 
-def ln2(precision: int) -> BigFixed:
-    """ln 2 with error <= 10**-precision.
+def ln2(precision: int) -> Fraction:
+    """ln 2 with error <= 10**-precision, a multiple of 10**-precision.
 
     Series: ln 2 = 2 * atanh(1/3) = 2 * sum_{j>=0} (1/3)**(2j+1) / (2j+1).
     Terms shrink by at least 9x, so once a rounded term reaches zero the
@@ -161,10 +163,10 @@ def ln2(precision: int) -> BigFixed:
             break
         acc += term
         j += 1
-    return BigFixed(acc, work).rescale(precision)
+    return round_decimal(Fraction(acc, 10**work), precision)
 
 
-def ln2_alt(precision: int) -> BigFixed:
+def ln2_alt(precision: int) -> Fraction:
     """Independent ln 2 oracle: sum_{k>=1} 1/(k * 2**k).
 
     Same certification pattern as :func:`ln2`; the two series share no
@@ -183,7 +185,7 @@ def ln2_alt(precision: int) -> BigFixed:
             break
         acc += term
         k += 1
-    return BigFixed(acc, work).rescale(precision)
+    return round_decimal(Fraction(acc, 10**work), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def ln2_alt(precision: int) -> BigFixed:
 # ---------------------------------------------------------------------------
 
 
-def _harmonic_direct_fixed(m: int, precision: int) -> BigFixed:
+def _harmonic_direct_fixed(m: int, precision: int) -> Fraction:
     """H_m by direct summation of fixed-point terms.
 
     Each term is one exact floor division 10**P' // i (error < 1 ulp,
@@ -202,11 +204,11 @@ def _harmonic_direct_fixed(m: int, precision: int) -> BigFixed:
     pad = len(str(m)) + 2
     scale = 10 ** (precision + pad)
     total = sum(scale // i for i in range(1, m + 1))
-    return BigFixed(total, precision + pad).rescale(precision)
+    return round_decimal(Fraction(total, scale), precision)
 
 
-def euler_gamma(precision: int, q: int = _GAMMA_Q) -> BigFixed:
-    """Euler's gamma with error <= 10**-precision.
+def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
+    """Euler's gamma with error <= 10**-precision, a multiple of 10**-precision.
 
     Euler-Maclaurin at m = 2**q:
 
@@ -230,13 +232,14 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> BigFixed:
     order, _ = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
     bern = bernoulli_numbers(2 * order)
 
+    # Every term is rounded once at `work` digits; sums on that grid are exact.
     work = precision + 6
     acc = _harmonic_direct_fixed(m, work)
-    acc = acc - ln2(work + 2).rescale(work).mul_int(q)
-    acc = acc - BigFixed.from_fraction(Fraction(1, 2 * m), work)
+    acc -= q * round_decimal(ln2(work + 2), work)
+    acc -= round_decimal(Fraction(1, 2 * m), work)
     for j in range(1, order + 1):
-        acc = acc + BigFixed.from_fraction(bern[2 * j] / (2 * j * Fraction(m) ** (2 * j)), work)
-    return acc.rescale(precision)
+        acc += round_decimal(bern[2 * j] / (2 * j * Fraction(m) ** (2 * j)), work)
+    return round_decimal(acc, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +300,12 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     ln2_coeff = two_thirds * A
     gamma_coeff = two_thirds * B
 
-    total = (
-        BigFixed.from_fraction(Q, W)
-        + ln2(W).mul_int(ln2_coeff.numerator).div_int(ln2_coeff.denominator)
-        + euler_gamma(W)
-        .mul_int(gamma_coeff.numerator)
-        .div_int(gamma_coeff.denominator)
+    value = round_decimal(
+        round_decimal(Q, W)
+        + round_decimal(ln2_coeff * ln2(W), W)
+        + round_decimal(gamma_coeff * euler_gamma(W), W),
+        P,
     )
-    value = total.rescale(P)
 
     ulp = Fraction(1, 10**W)
     em = two_thirds * tail_remainder

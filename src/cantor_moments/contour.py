@@ -9,7 +9,7 @@ Three identities are checked numerically:
   Re s = 3/2.
 
 Verification targets 3-4 digits, so everything here runs in ordinary
-double precision — the high-precision fixed-point machinery stays in
+double precision — the high-precision decimal arithmetic stays in
 :mod:`cantor_moments.constant`.
 
 All integrands satisfy f(conj s) = conj f(s), so integrals over

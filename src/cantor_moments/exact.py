@@ -2,17 +2,17 @@
 
 This module supplies the exact building blocks used everywhere else:
 Bernoulli numbers (``B1 = -1/2`` convention), exact harmonic numbers,
-and :class:`BigFixed` — a decimal fixed-point carrier for
-high-precision real values.
+and decimal rounding: :func:`round_decimal` puts an exact rational on
+the grid of multiples of 10**-p, and :func:`decimal_string` prints it.
 
-All values are exact rationals (``fractions.Fraction``) or scaled big
-integers; no binary floating point is involved, so decimal digit claims
-are direct.
+All values are exact rationals (``fractions.Fraction``); a
+high-precision real is a ``Fraction`` whose denominator divides 10**p.
+No binary floating point is involved, so decimal digit claims are
+direct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Hard cap for exact harmonic numbers; beyond this the asymptotic path in
@@ -29,14 +29,36 @@ def divround(num: int, den: int) -> int:
     """Nearest integer to num/den, rounding half away from zero.
 
     ``den`` must be positive.  This is the single rounding primitive for
-    all fixed-point arithmetic, so every operation's rounding error is
-    at most half a unit in the last place.
+    all decimal arithmetic, so every rounding step's error is at most
+    half a unit in the last place.
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
     if num >= 0:
         return (2 * num + den) // (2 * den)
     return -((-2 * num + den) // (2 * den))
+
+
+def round_decimal(x: Fraction, p: int) -> Fraction:
+    """The multiple of 10**-p nearest to x, rounding half away from zero.
+
+    The error is at most 1/2 * 10**-p, and a value already on the grid is
+    returned unchanged.
+    """
+    scale = 10**p
+    return Fraction(divround(x.numerator * scale, x.denominator), scale)
+
+
+def decimal_string(x: Fraction, digits: int) -> str:
+    """x rounded by :func:`round_decimal` and printed with ``digits``
+    fractional digits; a value that rounds to zero prints without a sign.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    mantissa = int(round_decimal(x, digits) * 10**digits)
+    sign = "-" if mantissa < 0 else ""
+    whole, frac = divmod(abs(mantissa), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 # ---------------------------------------------------------------------------
@@ -112,110 +134,3 @@ def harmonic_exact(m: int) -> Fraction:
     if m > HARMONIC_CAP:
         raise ValueError("harmonic index above cap")
     return _harmonic_range(1, m)
-
-
-# ---------------------------------------------------------------------------
-# Decimal fixed point
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BigFixed:
-    """High-precision real as a scaled big integer.
-
-    The represented value is ``mantissa * 10**(-precision_digits)``.
-    The base is decimal, not binary, so rendering to
-    ``precision_digits`` decimal digits is exact — digit-count claims
-    against printed reference constants need no conversion argument.
-
-    Arithmetic contract: results carry the *minimum* precision of the
-    operands; every operation rounds half away from zero and is
-    accurate to <= 1/2 unit in the last place (exactly 0 for add,
-    subtract, and small-integer multiply).  Callers count operations to
-    bound total rounding error.
-    """
-
-    mantissa: int
-    precision_digits: int
-
-    def __post_init__(self) -> None:
-        if self.precision_digits < 1:
-            raise ValueError("precision must be >= 1")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_fraction(x: Fraction, precision: int) -> "BigFixed":
-        """Round the exact rational x to ``precision`` decimal digits."""
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        num = x.numerator * 10**precision
-        return BigFixed(divround(num, x.denominator), precision)
-
-    # -- precision plumbing -------------------------------------------------
-
-    def rescale(self, precision: int) -> "BigFixed":
-        """Re-express at a different precision (rounds when narrowing)."""
-        if precision == self.precision_digits:
-            return self
-        if precision > self.precision_digits:
-            shift = 10 ** (precision - self.precision_digits)
-            return BigFixed(self.mantissa * shift, precision)
-        shift = 10 ** (self.precision_digits - precision)
-        return BigFixed(divround(self.mantissa, shift), precision)
-
-    def _common(self, other: "BigFixed") -> tuple[int, int, int]:
-        p = min(self.precision_digits, other.precision_digits)
-        return self.rescale(p).mantissa, other.rescale(p).mantissa, p
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "BigFixed") -> "BigFixed":
-        a, b, p = self._common(other)
-        return BigFixed(a + b, p)
-
-    def __sub__(self, other: "BigFixed") -> "BigFixed":
-        a, b, p = self._common(other)
-        return BigFixed(a - b, p)
-
-    def __neg__(self) -> "BigFixed":
-        return BigFixed(-self.mantissa, self.precision_digits)
-
-    def mul_int(self, k: int) -> "BigFixed":
-        """Exact multiplication by an integer (no rounding)."""
-        return BigFixed(self.mantissa * k, self.precision_digits)
-
-    def div_int(self, k: int) -> "BigFixed":
-        """Division by a nonzero integer, <= 1/2 ulp rounding."""
-        if k == 0:
-            raise ZeroDivisionError("division by zero")
-        if k < 0:
-            return (-self).div_int(-k)
-        return BigFixed(divround(self.mantissa, k), self.precision_digits)
-
-    # -- conversions ---------------------------------------------------------
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 10**self.precision_digits)
-
-    def to_float(self) -> float:
-        return self.mantissa / 10**self.precision_digits
-
-    def decimal_string(self, digits: int | None = None) -> str:
-        """Render with ``digits`` fractional digits (default: full precision).
-
-        Narrowing rounds half away from zero, matching every other
-        rounding step in this module.
-        """
-        if digits is None:
-            digits = self.precision_digits
-        x = self.rescale(digits)
-        mant, p = x.mantissa, x.precision_digits
-        sign = "-" if mant < 0 else ""
-        mant = abs(mant)
-        whole, frac = divmod(mant, 10**p)
-        return f"{sign}{whole}.{frac:0{p}d}"
-
-    def __str__(self) -> str:
-        return self.decimal_string()
-

@@ -24,10 +24,12 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import TYPE_CHECKING
 
-from .exact import BigFixed, bernoulli_numbers
+from .exact import bernoulli_numbers
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .constant import ConstantResult
 
 
 def iter_bernoulli_moments(N: int) -> Iterator[Fraction]:
@@ -155,7 +157,7 @@ class DecayFit:
     remainders: tuple[float, ...]
 
 
-def decay_fit(constant: BigFixed) -> DecayFit:
+def decay_fit(constant: ConstantResult) -> DecayFit:
     """Fit the remainder decay exponent of the moment series.
 
     For each N in :data:`DECAY_NS` the remainder is
@@ -164,20 +166,21 @@ def decay_fit(constant: BigFixed) -> DecayFit:
     expected slope is 1 - log2(3) ~ -0.585 up to multiplicatively
     periodic fluctuation.
 
-    Precondition: ``constant`` must carry an error bound <= 1e-20
-    (precision >= 20 digits).
+    Precondition: ``constant`` must carry a certified error <= 1e-20,
+    which :func:`~cantor_moments.constant.moment_series_constant` meets
+    for D >= 8 digits.
 
     Raises:
-        ValueError: "insufficient constant precision" if the constant has
-            fewer than 20 digits or a remainder is too small to be
+        ValueError: "insufficient constant precision" if the certified
+            error exceeds 1e-20 or a remainder is too small to be
             resolved.
     """
-    if constant.precision_digits < 20:
+    if constant.certified_error > 1e-20:
         raise ValueError("insufficient constant precision")
 
     import numpy as np
 
-    limit = constant.to_float()
+    limit = float(constant.value)
     sums = np.cumsum(float_moments(DECAY_NS[-1]))
     # The float sums and the float limit each carry rounding error; a
     # remainder under 1e-6 is too close to it to be attributed to the

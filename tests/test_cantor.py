@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantor_moments import (
     bernoulli_moments,
@@ -69,6 +71,66 @@ def test_grid_properties():
     assert mono
     assert sym <= 2 * 2.0**-64
     assert selfsim <= 2 * 2.0**-64
+
+
+def _cantor_exact(x: Fraction) -> Fraction:
+    """C(x) as an exact rational, from the eventually periodic ternary digits.
+
+    The digits are read until a digit 1 ends the expansion or a remainder
+    repeats; the repeating binary block then sums as a geometric series.
+    """
+    num, den = x.numerator, x.denominator
+    if num == den:
+        return Fraction(1)
+    seen = {}  # remainder -> number of digits read before it
+    bits, n = 0, 0
+    while num not in seen:
+        seen[num] = n
+        digit, num = divmod(3 * num, den)
+        bits, n = 2 * bits + (digit != 0), n + 1
+        if digit == 1:
+            return Fraction(bits, 2**n)
+    start = seen[num]
+    period = n - start
+    head, cycle = divmod(bits, 2**period)
+    return Fraction(head, 2**start) + Fraction(cycle, 2**start * (2**period - 1))
+
+
+# Rationals in [0, 1]; a denominator 4k gives expansions such as 1/4 =
+# 0.0202...(3), which never reach a digit 1 and run to the full depth.
+_RATIONALS = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4),
+    st.integers(1, 2500).flatmap(
+        lambda k: st.integers(0, 4 * k).map(lambda j: Fraction(j, 4 * k))
+    ),
+)
+_ULP = Fraction(1, 2**53)
+
+
+def test_cantor_exact_reference():
+    assert _cantor_exact(Fraction(1, 4)) == Fraction(1, 3)
+    assert _cantor_exact(Fraction(1, 3)) == Fraction(1, 2)
+    assert _cantor_exact(Fraction(7, 9)) == Fraction(3, 4)
+    assert _cantor_exact(Fraction(0)) == 0
+
+
+@settings(deadline=None)
+@given(_RATIONALS)
+def test_cantor_value_within_2_pow_53(x):
+    assert abs(Fraction(cantor_value(x)) - _cantor_exact(x)) <= _ULP
+
+
+@settings(deadline=None)
+@given(_RATIONALS)
+def test_cantor_identities_at_random_rationals(x):
+    # Each side is within 2**-53 of the exact value, so each residual,
+    # taken in exact arithmetic, is within 2 * 2**-53.
+    def c(y):
+        return Fraction(cantor_value(y))
+
+    assert abs(c(x) + c(1 - x) - 1) <= 2 * _ULP
+    assert abs(c(x / 3) - c(x) / 2) <= 2 * _ULP
+    assert abs(c(Fraction(2, 3) + x / 3) - (Fraction(1, 2) + c(x) / 2)) <= 2 * _ULP
 
 
 def test_grid_monotone_large():

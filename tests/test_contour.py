@@ -410,7 +410,7 @@ def test_moment_contour_domain():
 def test_constant_contour_truncation_scaling(constant_d30):
     # O(1/T): the T = 1e3 truncation error is ~10x the T = 1e4 error;
     # also covers the fast-path accuracy claim at moderate T.
-    limit = constant_d30.value.to_float()
+    limit = float(constant_d30.value)
     err_coarse = abs(zeta_contours((), QuadratureSpec(T=1000.0))[1] - limit)
     err_fine = abs(zeta_contours((), QuadratureSpec(T=4000.0))[1] - limit)
     assert err_coarse <= 5e-3

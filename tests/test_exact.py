@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cantor_moments import BigFixed, bernoulli_numbers, harmonic_exact
-from cantor_moments.exact import HARMONIC_CAP, divround
+from cantor_moments import bernoulli_numbers, harmonic_exact
+from cantor_moments.exact import HARMONIC_CAP, decimal_string, divround, round_decimal
 
 
 # ---------------------------------------------------------------------------
@@ -92,32 +95,34 @@ def test_harmonic_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# BigFixed
+# Decimal rounding and rendering
 # ---------------------------------------------------------------------------
 
 
 def test_to_fixed_examples():
-    assert BigFixed.from_fraction(Fraction(1, 2), 3).decimal_string(3) == "0.500"
-    assert BigFixed.from_fraction(Fraction(3, 10), 2).decimal_string(2) == "0.30"
-    third = BigFixed.from_fraction(Fraction(761, 280), 10)
-    assert third.decimal_string(10) == "2.7178571429"
+    assert decimal_string(Fraction(1, 2), 3) == "0.500"
+    assert decimal_string(Fraction(3, 10), 2) == "0.30"
+    assert decimal_string(Fraction(761, 280), 10) == "2.7178571429"
+    assert round_decimal(Fraction(761, 280), 10) == Fraction(27178571429, 10**10)
+    # a value on the grid is returned unchanged
+    assert round_decimal(Fraction(3, 10), 5) == Fraction(3, 10)
 
 
 def test_to_fixed_error_bound():
     for frac in (Fraction(1, 3), Fraction(761, 280), Fraction(-22, 7)):
         for p in (1, 5, 12):
-            fixed = BigFixed.from_fraction(frac, p)
-            assert abs(fixed.to_fraction() - frac) <= Fraction(1, 10**p)
+            rounded = round_decimal(frac, p)
+            assert (rounded * 10**p).denominator == 1
+            assert abs(rounded - frac) <= Fraction(1, 2 * 10**p)
 
 
 def test_to_fixed_precision_stability():
-    # P+10 digits truncated back to P agree with direct P within 1 ulp.
+    # P+10 digits rounded back to P agree with direct P within 1 ulp.
     for frac in (Fraction(761, 280), Fraction(2, 3), Fraction(355, 113)):
         for p in (5, 10, 20):
-            direct = BigFixed.from_fraction(frac, p)
-            refined = BigFixed.from_fraction(frac, p + 10).rescale(p)
-            gap = abs(direct.to_fraction() - refined.to_fraction())
-            assert gap <= Fraction(1, 10**p)
+            direct = round_decimal(frac, p)
+            refined = round_decimal(round_decimal(frac, p + 10), p)
+            assert abs(direct - refined) <= Fraction(1, 10**p)
 
 
 def test_divround_half_away_from_zero():
@@ -128,23 +133,58 @@ def test_divround_half_away_from_zero():
     assert divround(-7, 3) == -2
 
 
-def test_bigfixed_arithmetic_and_precision():
-    a = BigFixed.from_fraction(Fraction(1, 3), 20)
-    b = BigFixed.from_fraction(Fraction(1, 6), 10)
-    # results carry the minimum precision of the operands
-    assert (a + b).precision_digits == 10
-    half = (a + b).to_fraction()
+def test_decimal_string_rounding():
+    x = Fraction(2718281828, 10**9)
+    assert decimal_string(x, 3) == "2.718"
+    assert decimal_string(x, 4) == "2.7183"  # 2.71828... rounds up
+    assert decimal_string(Fraction(-5, 1000), 2) == "-0.01"  # half away from zero
+    assert round_decimal(Fraction(-5, 1000), 2) == Fraction(-1, 100)
+    assert decimal_string(Fraction(-4, 1000), 2) == "0.00"  # no signed zero
+    with pytest.raises(ValueError):
+        decimal_string(x, 0)
+
+
+def test_round_decimal_fixed_point_steps():
+    # The steps of the certified constant: round each part at W digits,
+    # add on the grid exactly, scale by a rational, round the sum to P.
+    a = round_decimal(Fraction(1, 3), 20)
+    b = round_decimal(Fraction(1, 6), 10)
+    half = round_decimal(a + b, 10)
+    assert (half * 10**10).denominator == 1
     assert abs(half - Fraction(1, 2)) <= Fraction(2, 10**10)
-    assert (a - a).mantissa == 0
-    third_scaled = a.mul_int(3)
-    assert abs(third_scaled.to_fraction() - 1) <= Fraction(3, 10**20)
-    assert abs(a.div_int(2).to_fraction() - Fraction(1, 6)) <= Fraction(1, 10**20)
+    assert a - a == 0
+    assert abs(3 * a - 1) <= Fraction(3, 10**20)
+    assert abs(round_decimal(a / 2, 20) - Fraction(1, 6)) <= Fraction(1, 10**20)
 
 
-def test_bigfixed_decimal_string_rounding():
-    x = BigFixed.from_fraction(Fraction(2718281828, 10**9), 9)
-    assert x.decimal_string(3) == "2.718"
-    assert x.decimal_string(4) == "2.7183"  # 2.71828... rounds up
-    neg = BigFixed.from_fraction(Fraction(-5, 1000), 5)
-    assert neg.decimal_string(2) == "-0.01"  # half away from zero
+def _quantized(x: Fraction, digits: int) -> str:
+    """x rounded half away from zero by the ``decimal`` module.
 
+    The quotient is truncated toward zero at a precision that holds every
+    tie k * 10**-digits / 2 of the tested range exactly, so truncation
+    never moves a value across a tie and the one ROUND_HALF_UP step sees
+    the same side of it as the exact value.
+    """
+    ctx = decimal.Context(prec=digits + 40, rounding=decimal.ROUND_DOWN)
+    quotient = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    q = quotient.quantize(decimal.Decimal(1).scaleb(-digits), decimal.ROUND_HALF_UP, ctx)
+    # decimal keeps the sign of a negative value that rounds to zero.
+    return format(q.copy_abs() if q == 0 else q, "f")
+
+
+_NUMERATORS = st.integers(-(10**12), 10**12)
+_DIGITS = st.integers(1, 30)
+
+
+@given(_NUMERATORS, st.integers(1, 10**12), _DIGITS)
+def test_decimal_string_matches_decimal_module(num, den, digits):
+    x = Fraction(num, den)
+    assert decimal_string(x, digits) == _quantized(x, digits)
+    assert abs(round_decimal(x, digits) - x) <= Fraction(1, 2 * 10**digits)
+
+
+@given(_NUMERATORS, _DIGITS)
+def test_decimal_string_ties_round_away_from_zero(k, digits):
+    tie = Fraction(2 * k + 1, 2 * 10**digits)
+    assert decimal_string(tie, digits) == _quantized(tie, digits)
+    assert abs(round_decimal(tie, digits)) == abs(tie) + Fraction(1, 2 * 10**digits)

@@ -12,6 +12,7 @@ from cantor_moments import (
     bernoulli_moments,
     bernoulli_numbers,
     decay_fit,
+    moment_series_constant,
     recursive_moments,
 )
 from cantor_moments import exact, moments
@@ -126,7 +127,7 @@ def test_partial_sum_strictly_increasing_to_512(partial_sums_512):
 
 
 def test_partial_sums_below_constant(constant_d30, partial_sums_512):
-    limit = constant_d30.value.to_fraction() - Fraction(constant_d30.certified_error)
+    limit = constant_d30.value - Fraction(constant_d30.certified_error)
     for n in (1, 16, 64, 256, 512):
         assert partial_sums_512[n] < limit
 
@@ -143,7 +144,7 @@ def test_float_moments_match_exact_values(table_512):
 # ---------------------------------------------------------------------------
 
 def test_decay_fit_slope_band(constant_d30):
-    fit = decay_fit(constant_d30.value)
+    fit = decay_fit(constant_d30)
     assert DECAY_NS == (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
     assert len(fit.remainders) == len(DECAY_NS)
     assert -0.75 <= fit.slope <= -0.45
@@ -151,7 +152,8 @@ def test_decay_fit_slope_band(constant_d30):
     assert all(a > b for a, b in zip(fit.remainders, fit.remainders[1:]))
 
 
-def test_decay_fit_preconditions(constant_d30):
-    low_precision = constant_d30.value.rescale(10)
+def test_decay_fit_preconditions():
+    # The certified error must be <= 1e-20: 5.0e-20 at D = 7, 5.0e-21 at D = 8.
     with pytest.raises(ValueError, match="insufficient constant precision"):
-        decay_fit(low_precision)
+        decay_fit(moment_series_constant(7))
+    decay_fit(moment_series_constant(8))
