@@ -9,6 +9,14 @@ n <= 64 is the package's core correctness oracle.  Both are pure
 functions of N that return the whole table M_0..M_N; a caller that needs
 M_n indexes it.
 
+The closed-form table reduces each M_n by a gcd with the small part of
+its denominator only.  A prime p > N + 2 that divides the denominator of
+exactly one c_j = 2 B_j / (3*2**j - 2), j <= N + 1, cannot cancel from
+any M_n: every other term of the sum is p-integral, and p divides
+neither that term's binomial coefficient nor 6(n+1).  Stripped of those
+lonely primes, the denominators' lcm is 762 bits at N = 512, against
+65,061.
+
 ``decay_fit`` checks the remainder of the moment series empirically:
 the gap between the series' limit and its partial sums, at the fixed
 grid N = 16, 32, ..., 4096, should shrink like
@@ -21,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import TYPE_CHECKING
 
 from .exact import bernoulli_numbers
@@ -47,10 +55,19 @@ def iter_bernoulli_moments(N: int) -> Iterator[Fraction]:
     every row costs additions only; one row is kept and updated in
     place.  The n-th sum A_n = sum_{j<=n} C(n+1, j) c_j is b_{n+1} less
     its j = n+1 term, and A_n already has the denominator L_n, the lcm of
-    those of c_j for j <= n, so L * A_n is divided exactly by L / L_n
-    before the one gcd that reduces 2 A_n / (3(n+1)).  Each M_n is
-    yielded as soon as its row exists, so a caller that streams the
-    table never holds all of it.
+    those of c_j for j <= n, so L * A_n is divided exactly by L / L_n.
+    Each M_n is yielded as soon as its row exists, so a caller that
+    streams the table never holds all of it.
+
+    Reducing 2 L_n A_n / (3(n+1) L_n) needs no gcd with the whole
+    denominator.  Call a prime p *lonely* if p > N + 2 and p divides
+    exactly one denominator d_{j0} of c_0..c_{N+1}.  If j0 <= n, every
+    other term of A_n is p-integral, and p divides neither C(n+1, j0)
+    nor 6(n+1), since p > n + 1 and p > 3; so v_p(M_n) = v_p(c_{j0}) =
+    -v_p(L_n), and p never cancels.  With d_j = u_j v_j, u_j the lonely
+    part (:func:`_shared_parts`), the gcd is therefore the one with
+    V_n = 3(n+1) W_n, W_n = lcm_{j<=n} v_j, kept beside L_n: 772 bits
+    against the 65,071 of 3(n+1) L_n at n = N = 512.
     """
     if N < 0:
         raise ValueError("moment index must be >= 0")
@@ -58,9 +75,11 @@ def iter_bernoulli_moments(N: int) -> Iterator[Fraction]:
     if N == 0:
         return
     terms = [2 * b / (3 * 2**j - 2) for j, b in enumerate(bernoulli_numbers(N + 1))]
-    L = lcm(*(c.denominator for c in terms))
+    denominators = [c.denominator for c in terms]
+    L = lcm(*denominators)
+    shared = _shared_parts(denominators, N)
     row = [c.numerator * (L // c.denominator) for c in terms]
-    L_n, ratio = 1, L  # c_0 = 2 has denominator 1
+    L_n, W_n, ratio = 1, 1, L  # c_0 = 2 has denominator 1
     for n in range(N + 1):
         for j in range(len(row) - 1):
             row[j] += row[j + 1]
@@ -73,7 +92,47 @@ def iter_bernoulli_moments(N: int) -> Iterator[Fraction]:
         step = den // gcd(L_n, den)
         L_n *= step
         ratio //= step
-        yield Fraction(2 * (scaled // ratio), 3 * (n + 1) * L_n)
+        W_n = lcm(W_n, shared[n])
+        num = 2 * (scaled // ratio)
+        V_n = 3 * (n + 1) * W_n
+        g = gcd(num % V_n, V_n)
+        yield _coprime_fraction(num // g, 3 * (n + 1) * L_n // g)
+
+
+def _shared_parts(denominators: list[int], N: int) -> list[int]:
+    """The part v_j of each d_j in primes that are not lonely.
+
+    A prime p is lonely if p > N + 2 and p divides exactly one of the
+    denominators d_0..d_{N+1}; v_j is d_j stripped of the full powers of
+    its lonely primes, that is, of the primes of d_j that divide no
+    other d_k and not (N+2)!.
+    """
+    total = prod(denominators)
+    small = factorial(N + 2)
+    shared = []
+    for d in denominators:
+        # The primes of d that divide prod_{k != j} d_k or (N+2)!.
+        g = gcd(d, total // d % d * small)
+        v = 1
+        while g > 1:
+            d //= g
+            v *= g
+            g = gcd(d, g)
+        shared.append(v)
+    return shared
+
+
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator of a coprime pair, denominator > 0.
+
+    ``Fraction(a, b)`` runs a gcd even on a coprime pair; this sets the
+    two slots directly, as CPython 3.12's ``Fraction._from_coprime_ints``
+    does.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = numerator
+    f._denominator = denominator
+    return f
 
 
 def bernoulli_moments(N: int) -> list[Fraction]:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, factorial, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantor_moments import (
     bernoulli_moments,
@@ -74,6 +76,45 @@ def test_closed_form_table_matches_direct_sum(table_512):
 
 def test_recursion_table_equals_closed_form_to_128():
     assert recursive_moments(128) == bernoulli_moments(128)
+
+
+def test_table_512_is_in_lowest_terms(table_512):
+    # The full-size gcd that the table itself no longer runs.
+    for n, value in enumerate(table_512):
+        assert value.denominator > 0, n
+        assert gcd(value.numerator, value.denominator) == 1, n
+
+
+@settings(deadline=None)
+@given(st.integers(1, 96).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N))))
+def test_closed_form_entry_is_reduced_for_every_table_size(N_and_n):
+    # The lonely primes, and so the reduction, depend on N.
+    N, n = N_and_n
+    value = bernoulli_moments(N)[n]
+    expected = _direct_closed_form(n, bernoulli_numbers(N + 1))
+    assert value.numerator == expected.numerator
+    assert value.denominator == expected.denominator
+    assert gcd(value.numerator, value.denominator) == 1
+
+
+def test_shared_parts_meet_the_lonely_prime_lemma():
+    # 7 is shared by d_1 = 7**2 * 5 and d_2 = 7, so all of 7**2 stays in v_1;
+    # 5 > N + 2 = 3 divides d_1 alone, so it is lonely.
+    assert moments._shared_parts([1, 7**2 * 5, 7], 1) == [1, 7**2, 7]
+    N = 512
+    d = [
+        (2 * b / (3 * 2**j - 2)).denominator
+        for j, b in enumerate(bernoulli_numbers(N + 1))
+    ]
+    v = moments._shared_parts(d, N)
+    assert all(dj % vj == 0 for dj, vj in zip(d, v))
+    u = [dj // vj for dj, vj in zip(d, v)]
+    U = prod(u)
+    shared = prod(v) * factorial(N + 2)
+    assert any(uj > 1 for uj in u)
+    for uj in u:
+        assert gcd(uj, U // uj) == 1  # pairwise coprime
+        assert gcd(uj, shared) == 1  # coprime to every v_k and to (N+2)!
 
 
 def test_tables_are_pure():
