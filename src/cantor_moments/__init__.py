@@ -14,9 +14,12 @@ Library layout:
 * :mod:`cantor_moments.contour` — double-precision verification of the
   vertical-line integral identities;
 * :mod:`cantor_moments.cli` — the ``cantor-moments`` command.
-"""
 
-import importlib
+The package root exports the exact and certified API.  The numpy-backed
+modules, ``cantor`` and ``contour``, are imported by their path
+(``from cantor_moments.contour import zeta_contours``), so importing the
+package never imports numpy.
+"""
 
 from .constant import (
     ConstantResult,
@@ -32,50 +35,18 @@ from .moments import DecayFit, bernoulli_moments, decay_fit, recursive_moments
 
 __version__ = "0.1.0"
 
-# The numpy-backed modules load on first use of one of their names (PEP 562),
-# so the exact and certified paths never import numpy.
-_LAZY = {
-    "cantor": (
-        "cantor_value",
-        "integral_quadrature",
-        "self_similarity_residuals",
-    ),
-    "contour": (
-        "QuadratureError",
-        "QuadratureSpec",
-        "perron_kernel",
-        "zeta_contours",
-    ),
-}
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name: str):
-    module = _LAZY_MODULE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
-
-
 __all__ = [
     "ConstantResult",
     "DecayFit",
-    "QuadratureError",
-    "QuadratureSpec",
     "bernoulli_moments",
     "bernoulli_numbers",
-    "cantor_value",
     "decay_fit",
     "double_sum_check",
     "euler_gamma",
     "harmonic_exact",
-    "integral_quadrature",
-    "self_similarity_residuals",
     "ln2",
     "ln2_alt",
     "moment_series_constant",
-    "perron_kernel",
     "recursive_moments",
     "weighted_harmonic_sum_exact",
-    "zeta_contours",
 ]

@@ -44,11 +44,11 @@ def cantor_value(x) -> float:
     53 digits.
 
     Raises:
-        ValueError: if x is outside [0, 1].
+        ValueError: if x is outside [0, 1] or is NaN.
     """
-    num, den = x.as_integer_ratio()
-    if num < 0 or num > den:
+    if not 0 <= x <= 1:
         raise ValueError("input outside [0, 1]")
+    num, den = x.as_integer_ratio()
     if num == den:
         return 1.0
     value = 0.0

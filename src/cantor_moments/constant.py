@@ -34,7 +34,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import bernoulli_numbers, divround, harmonic_exact, round_decimal
+from .exact import (
+    _balanced_sum,
+    bernoulli_numbers,
+    divround,
+    harmonic_exact,
+    round_decimal,
+)
 
 # Exponents k <= K0 are summed as exact rationals; the closed-form tail
 # covers k > K0.
@@ -329,16 +335,6 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_fraction_sum(terms: list[Fraction], lo: int, hi: int) -> Fraction:
-    """Balanced pairwise sum (keeps denominators near the range lcm)."""
-    if lo == hi:
-        return terms[lo]
-    mid = (lo + hi) // 2
-    return _pairwise_fraction_sum(terms, lo, mid) + _pairwise_fraction_sum(
-        terms, mid + 1, hi
-    )
-
-
 def double_sum_check(K: int) -> Fraction:
     """Exact truncation of the double-sum form, checked against the
     harmonic-number form.
@@ -361,8 +357,7 @@ def double_sum_check(K: int) -> Fraction:
     outer = Fraction(0)
     for k in range(1, K + 1):
         two_k = 2**k
-        inner_terms = [Fraction(two_k - m, m) for m in range(1, two_k + 1)]
-        inner = _pairwise_fraction_sum(inner_terms, 0, len(inner_terms) - 1)
+        inner = _balanced_sum(lambda m: Fraction(two_k - m, m), 1, two_k)
         outer += Fraction(1, 3**k) * inner
     double_form = 1 + Fraction(2, 3) * outer
 

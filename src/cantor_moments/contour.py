@@ -40,7 +40,6 @@ at primes.  The Gamma ratio of the moment integrand is a finite product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -52,21 +51,11 @@ from .exact import bernoulli_numbers
 _DENOM_FLOOR = 3.0 * 2.0**-1.5 - 1.0  # ~0.06066
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Truncation height, absolute tolerance, and evaluation budget."""
-
-    T: float = 1.0e4
-    abs_tol: float = 1.0e-4
-    max_evals: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if self.T < 10:
-            raise ValueError("truncation height must be >= 10")
-        if self.abs_tol < 1.0e-10:
-            raise ValueError("abs_tol must be >= 1e-10")
-        if self.max_evals < 1000:
-            raise ValueError("max_evals must be >= 1000")
+# Default truncation height of the line integrals, and the quadrature's
+# absolute tolerance and evaluation budget.
+_T = 1.0e4
+_ABS_TOL = 1.0e-4
+_MAX_EVALS = 2_000_000
 
 
 class QuadratureError(ValueError):
@@ -260,15 +249,15 @@ def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive_line(f, edges: np.ndarray, spec: QuadratureSpec):
+def _adaptive_line(f, edges: np.ndarray):
     """Adaptive quadrature of every row of f over [0, T], T = edges[-1].
 
     Starts from the caller's panels [edges[i], edges[i+1]] (fitted to the
     integrand: a fraction of its oscillation period, or a mesh whose
     edges sit at its near-poles), then bisects every panel where any
     row's Gauss-Kronrod error estimate |K15 - G7| exceeds its share
-    abs_tol * width / (2T) of the budget, re-evaluating only split
-    panels, until all pass or the evaluation budget runs out.  All rows
+    _ABS_TOL * width / (2T) of the budget, re-evaluating only split
+    panels, until all pass or the _MAX_EVALS budget runs out.  All rows
     share one mesh, so each node is evaluated once for all of them.
 
     Returns (integrals, error_estimates, evaluations), one integral and
@@ -282,11 +271,11 @@ def _adaptive_line(f, edges: np.ndarray, spec: QuadratureSpec):
     evals = 15 * len(a)
 
     while True:
-        allowance = spec.abs_tol * (b - a) / (2.0 * T)
+        allowance = _ABS_TOL * (b - a) / (2.0 * T)
         bad = (errs > allowance).any(axis=0)
         if not bad.any():
             break
-        if evals + 30 * int(bad.sum()) > spec.max_evals:
+        if evals + 30 * int(bad.sum()) > _MAX_EVALS:
             worst = int(np.argmax(errs.sum(axis=1)))
             raise QuadratureError(
                 "quadrature budget exhausted before tolerance",
@@ -342,26 +331,26 @@ def perron_integrand(t: float, tau: np.ndarray) -> np.ndarray:
     return t**s / (s * (s - 1))
 
 
-def perron_kernel(t: float, spec: QuadratureSpec | None = None) -> float:
+def perron_kernel(t: float, *, T: float = _T) -> float:
     """(1/2*pi) int_{-T}^{T} t**(3/2+i*tau) / ((3/2+i*tau)(1/2+i*tau)) dtau.
 
     Converges to max(t - 1, 0) as T grows, with truncation error
     O(t**(3/2) / T).
 
     Raises:
-        ValueError: t <= 0.
+        ValueError: t <= 0, or T < 10.
         QuadratureError: evaluation budget exhausted before tolerance.
     """
     if t <= 0:
         raise ValueError("kernel argument must be positive")
-    if spec is None:
-        spec = QuadratureSpec()
+    if T < 10:
+        raise ValueError("truncation height must be >= 10")
     # Quarter-period panels against the e^{i tau ln t} oscillation
     # (evaluations are cheap here — no zeta).
     period = 2 * math.pi / abs(math.log(t)) if t != 1.0 else math.inf
     width = min(2.0, period / 4)
-    edges = np.linspace(0.0, spec.T, max(8, math.ceil(spec.T / width)) + 1)
-    integrals, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges, spec)
+    edges = np.linspace(0.0, T, max(8, math.ceil(T / width)) + 1)
+    integrals, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges)
     integral = complex(integrals[0])
     return 2.0 * integral.real / (2.0 * math.pi)
 
@@ -457,7 +446,7 @@ def _principal_parts(residues: np.ndarray, side: np.ndarray, tau: np.ndarray):
 
 
 def zeta_contours(
-    orders: tuple[int, ...], spec: QuadratureSpec | None = None
+    orders: tuple[int, ...], *, T: float = _T
 ) -> tuple[tuple[float, ...], float]:
     """The moment and constant line integrals, integrated as one.
 
@@ -466,8 +455,8 @@ def zeta_contours(
     and the numerical constant 1 + (2/3) * (1/2*pi) int_{-T}^{T} of the
     constant integrand on Re s = 3/2; to be compared against the exact
     moments and the certified constant.  Truncation decays like O(1/T).
-    ``zeta_contours((), spec)[1]`` is the constant alone and
-    ``zeta_contours((n,), spec)[0][0]`` one moment alone.
+    ``zeta_contours(())[1]`` is the constant alone and
+    ``zeta_contours((n,))[0][0]`` one moment alone.
 
     All integrands share the pole-aligned mesh, refined wherever any of
     them needs it, so zeta is evaluated once per node for all of them.
@@ -479,22 +468,21 @@ def zeta_contours(
     can differ in its last digits between calls with different orders.
 
     Raises:
-        ValueError: an order outside [1, 16].
+        ValueError: an order outside [1, 16], or T < 10.
         QuadratureError: evaluation budget exhausted before tolerance
             (its estimate is of the integral with the principal parts
             subtracted).
     """
     if not all(1 <= n <= 16 for n in orders):
         raise ValueError("moment order out of [1, 16]")
-    if spec is None:
-        spec = QuadratureSpec()
-    edges = _pole_aligned_edges(spec.T)
+    if T < 10:
+        raise ValueError("truncation height must be >= 10")
+    edges = _pole_aligned_edges(T)
     residues, pole_integrals, side = _near_poles(orders, edges)
     integrals, _, _ = _adaptive_line(
         lambda tau: _zeta_integrands(orders, tau)
         - _principal_parts(residues, side, tau),
         edges,
-        spec,
     )
     integrals = integrals + (residues * pole_integrals).sum(axis=1)
     moments = (2.0 / 3.0) * 2.0 * integrals[:-1].real / (2.0 * math.pi)

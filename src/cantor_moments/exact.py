@@ -13,6 +13,7 @@ direct.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 # Hard cap for exact harmonic numbers; beyond this the asymptotic path in
@@ -105,17 +106,17 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _harmonic_range(lo: int, hi: int) -> Fraction:
-    """Exact sum of 1/k for lo <= k <= hi by balanced divide & conquer.
+def _balanced_sum(term: Callable[[int], Fraction], lo: int, hi: int) -> Fraction:
+    """Exact sum of term(k) for lo <= k <= hi by balanced divide & conquer.
 
     Balanced splitting keeps intermediate denominators near the lcm of
-    the range instead of the full factorial product, and the final gcd
-    per merge is far cheaper than one gcd per term.
+    the range instead of the full product, and the final gcd per merge
+    is far cheaper than one gcd per term.  No list of terms is built.
     """
     if lo == hi:
-        return Fraction(1, lo)
+        return term(lo)
     mid = (lo + hi) // 2
-    return _harmonic_range(lo, mid) + _harmonic_range(mid + 1, hi)
+    return _balanced_sum(term, lo, mid) + _balanced_sum(term, mid + 1, hi)
 
 
 def harmonic_exact(m: int) -> Fraction:
@@ -133,4 +134,4 @@ def harmonic_exact(m: int) -> Fraction:
         raise ValueError("harmonic index must be positive")
     if m > HARMONIC_CAP:
         raise ValueError("harmonic index above cap")
-    return _harmonic_range(1, m)
+    return _balanced_sum(lambda k: Fraction(1, k), 1, m)

@@ -17,20 +17,18 @@ from fractions import Fraction
 import pytest
 
 from cantor_moments import (
-    QuadratureSpec,
     bernoulli_moments,
     decay_fit,
     euler_gamma,
     harmonic_exact,
-    integral_quadrature,
     ln2,
     ln2_alt,
     moment_series_constant,
-    perron_kernel,
     recursive_moments,
-    zeta_contours,
 )
+from cantor_moments.cantor import integral_quadrature
 from cantor_moments.constant import double_sum_check
+from cantor_moments.contour import perron_kernel, zeta_contours
 
 # The reference constant as printed (29 fractional digits, last rounded).
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
@@ -116,7 +114,6 @@ def test_decay_exponent(acceptance, constant_d30):
 
 @pytest.mark.criterion("Perron kernel step values at T = 1e4")
 def test_perron_kernel_steps(acceptance):
-    spec = QuadratureSpec()  # T = 1e4, abs_tol = 1e-4
     cases = [
         (0.5, 0.0, 1e-3),
         (1.0, 0.0, 1e-2),
@@ -127,7 +124,7 @@ def test_perron_kernel_steps(acceptance):
     details = []
     ok = True
     for t, want, tol in cases:
-        got = perron_kernel(t, spec)
+        got = perron_kernel(t, T=1.0e4)
         err = abs(got - want)
         ok = ok and err <= tol
         details.append(f"t={t}: {err:.2e} (tol {tol:g})")
@@ -136,10 +133,9 @@ def test_perron_kernel_steps(acceptance):
 
 @pytest.mark.criterion("contour representation of moments and constant")
 def test_contour_representation(acceptance, constant_d30):
-    spec = QuadratureSpec()
     details = []
     ok = True
-    got_moments, got_constant = zeta_contours((1, 2, 5), spec)
+    got_moments, got_constant = zeta_contours((1, 2, 5), T=1.0e4)
     table = bernoulli_moments(5)
     for n, got in zip((1, 2, 5), got_moments):
         err = abs(got - float(table[n]))

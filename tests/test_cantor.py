@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_moments import (
-    bernoulli_moments,
+from cantor_moments import bernoulli_moments
+from cantor_moments.cantor import (
+    _grid_values,
     cantor_value,
     integral_quadrature,
     self_similarity_residuals,
 )
-from cantor_moments.cantor import _grid_values
 
 
 def test_endpoints():
@@ -52,10 +52,9 @@ def test_self_similar_identities_exact():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        cantor_value(-0.1)
-    with pytest.raises(ValueError):
-        cantor_value(1.1)
+    for x in (-0.1, 1.1, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="input outside"):
+            cantor_value(x)
 
 
 def test_grid_matches_scalar_evaluation():

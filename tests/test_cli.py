@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import importlib
 import json
 import os
 import re
@@ -211,6 +209,46 @@ def test_verify_decay_suite_human(capsys):
     assert "3/3 checks passed" in out
 
 
+def test_verify_all_report_contract(capsys):
+    # The full report: every check's name and tolerance, in order, and the
+    # measured values of the exact suites (oracle, identity, decay).  The
+    # float suites' measured values depend on numpy's SIMD and BLAS.
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "all", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    checks = payload["checks"]
+    assert payload["parameters"] == {"suite": "all"}
+    assert payload["all_pass"] is True
+    assert all(c["status"] == "pass" for c in checks)
+    exact = [(f"moment_oracle_n{n}", "equal", "exact") for n in range(65)]
+    exact += [(f"double_sum_K{K}", "equal", "exact") for K in range(1, 13)]
+    exact += [
+        ("decay_slope_band", "-0.5759", "[-0.75, -0.45]"),
+        ("remainders_positive", "all positive", "> 0"),
+        ("remainders_decreasing", "strictly decreasing", "decreasing at each doubling"),
+    ]
+    floats = [
+        ("perron_t_0.5", "1.000000e-03"),
+        ("perron_t_1.0", "1.000000e-02"),
+        ("perron_t_1.5", "1.000000e-03"),
+        ("perron_t_2.0", "1.000000e-03"),
+        ("perron_t_4.0", "1.000000e-03"),
+        ("moment_contour_n1", "1.000000e-03"),
+        ("moment_contour_n2", "1.000000e-03"),
+        ("moment_contour_n5", "1.000000e-03"),
+        ("constant_contour", "5.000000e-03"),
+        ("cantor_integral_n1", "5.000000e-03"),
+        ("cantor_integral_n2", "5.000000e-03"),
+        ("cantor_integral_n5", "5.000000e-03"),
+        ("cantor_monotone", "nondecreasing on grid"),
+        ("cantor_symmetry", "1.084202e-19"),
+        ("cantor_self_similarity", "1.084202e-19"),
+    ]
+    assert len(checks) == len(exact) + len(floats) == 95
+    assert [(c["name"], c["measured"], c["tolerance"]) for c in checks[:80]] == exact
+    assert [(c["name"], c["tolerance"]) for c in checks[80:]] == floats
+
+
 def test_verify_json_deterministic(capsys):
     _, first, _ = run_cli(capsys, ["verify", "--suite", "decay", "--json"])
     _, second, _ = run_cli(capsys, ["verify", "--suite", "decay", "--json"])
@@ -241,8 +279,7 @@ def test_quadrature_non_convergence_fails_checks(capsys, monkeypatch):
     # usage error (exit 2, no report).
     from cantor_moments import contour
 
-    starved = functools.partial(contour.QuadratureSpec, max_evals=1000)
-    monkeypatch.setattr(contour, "QuadratureSpec", starved)
+    monkeypatch.setattr(contour, "_MAX_EVALS", 1000)
     code, out, _ = run_cli(capsys, ["verify", "--suite", "mellin", "--json"])
     assert code == 1
     payload = json.loads(out)
@@ -298,22 +335,16 @@ def test_usage_errors(capsys):
 
 
 def test_public_names_resolve():
-    # __all__ is exactly the eagerly imported names plus the lazy ones,
-    # the two sets are disjoint, each lazy name is defined in the module
-    # it maps to, and every name in __all__ resolves.
-    eager = {
+    # __all__ is exactly the package's public names, without repeats, and
+    # every name in it resolves.
+    public = {
         name
         for name, value in vars(cantor_moments).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    lazy = cantor_moments._LAZY_MODULE
     names = cantor_moments.__all__
     assert len(names) == len(set(names))
-    assert eager.isdisjoint(lazy)
-    assert set(names) == eager | set(lazy)
-    for name, module in lazy.items():
-        value = getattr(importlib.import_module(f"cantor_moments.{module}"), name)
-        assert value.__module__ == f"cantor_moments.{module}", name
+    assert set(names) == public
     for name in names:
         assert getattr(cantor_moments, name) is not None
 
@@ -333,8 +364,6 @@ def test_constant_and_moments_do_not_import_numpy():
         "assert cli.main(['constant', '--digits', '5', '--json']) == 0\n"
         "assert cli.main(['moments', '--max-n', '8']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        "from cantor_moments import zeta_contours, cantor_value\n"
-        "assert callable(zeta_contours) and callable(cantor_value)\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     run = subprocess.run(

@@ -9,18 +9,12 @@ import numpy as np
 import pytest
 from test_constant import REFERENCE_CONSTANT
 
-from cantor_moments import (
-    QuadratureError,
-    QuadratureSpec,
-    bernoulli_moments,
-    perron_kernel,
-    zeta_contours,
-)
-from cantor_moments import contour
+from cantor_moments import bernoulli_moments, contour
 from cantor_moments.contour import (
     _G7_WEIGHTS,
     _K15_NODES,
     _K15_WEIGHTS,
+    QuadratureError,
     _dirichlet_sum,
     _em_cutoff,
     _spf_sieve,
@@ -28,6 +22,8 @@ from cantor_moments.contour import (
     _zeta_line,
     constant_contour_integrand,
     perron_integrand,
+    perron_kernel,
+    zeta_contours,
 )
 
 
@@ -201,21 +197,19 @@ def test_dirichlet_sum_against_direct_powers(M):
     assert np.all(np.abs(got - direct) <= 1e-12 * scale)
 
 
-def test_quadrature_spec_validation():
-    QuadratureSpec()  # defaults valid
-    with pytest.raises(ValueError):
-        QuadratureSpec(T=5.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=1e-12)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_evals=10)
+def test_truncation_height_validation():
+    with pytest.raises(ValueError, match="truncation height must be >= 10"):
+        perron_kernel(2.0, T=5.0)
+    with pytest.raises(ValueError, match="truncation height must be >= 10"):
+        zeta_contours((1,), T=5.0)
 
 
-def test_quadrature_error_carries_diagnostics():
+def test_quadrature_error_carries_diagnostics(monkeypatch):
     # Starve the budget so bisection cannot reach the tolerance.
-    spec = QuadratureSpec(T=10_000.0, abs_tol=1e-10, max_evals=1_000)
+    monkeypatch.setattr(contour, "_ABS_TOL", 1e-10)
+    monkeypatch.setattr(contour, "_MAX_EVALS", 1_000)
     with pytest.raises(QuadratureError) as excinfo:
-        perron_kernel(2.0, spec)
+        perron_kernel(2.0, T=10_000.0)
     err = excinfo.value
     assert err.estimate is not None
     assert err.achieved_error > 0
@@ -263,35 +257,35 @@ def test_moment_integrand_gamma_ratio_at_origin():
 # the three identities at reduced T (fast variants)
 # ---------------------------------------------------------------------------
 
-FAST = QuadratureSpec(T=500.0, abs_tol=1e-4)
+FAST_T = 500.0
 
 
 def test_perron_step_values_fast():
-    assert abs(perron_kernel(0.5, FAST) - 0.0) <= 1e-3
-    assert abs(perron_kernel(2.0, FAST) - 1.0) <= 1e-3
-    assert abs(perron_kernel(4.0, FAST) - 3.0) <= 1e-3
+    assert abs(perron_kernel(0.5, T=FAST_T) - 0.0) <= 1e-3
+    assert abs(perron_kernel(2.0, T=FAST_T) - 1.0) <= 1e-3
+    assert abs(perron_kernel(4.0, T=FAST_T) - 3.0) <= 1e-3
 
 
 def test_perron_truncation_error_shrinks():
-    coarse = abs(perron_kernel(2.0, QuadratureSpec(T=100.0)) - 1.0)
-    fine = abs(perron_kernel(2.0, QuadratureSpec(T=2000.0)) - 1.0)
+    coarse = abs(perron_kernel(2.0, T=100.0) - 1.0)
+    fine = abs(perron_kernel(2.0, T=2000.0) - 1.0)
     assert fine < coarse
 
 
 def test_perron_domain():
     with pytest.raises(ValueError):
-        perron_kernel(0.0, FAST)
+        perron_kernel(0.0, T=FAST_T)
     with pytest.raises(ValueError):
-        perron_kernel(-1.0, FAST)
+        perron_kernel(-1.0, T=FAST_T)
 
 
-SHARED = QuadratureSpec(T=1000.0)
+SHARED_T = 1000.0
 PERIOD = 2.0 * math.pi / math.log(2.0)
 DELTA = math.log2(3.0) - 1.5  # distance of the near-poles from both lines
 
 
 @pytest.mark.parametrize("k", [0, 552, 1000, 1103, 1104])
-def test_near_pole_integrals_closed_form(k):
+def test_near_pole_integrals_closed_form(k, monkeypatch):
     # Pole k is subtracted on the panels either side of tau_k = k*P: its
     # closed-form integral there must match quadrature of the principal
     # part, 1/(s - s_k) = 1/(DELTA + i*u) on the moment line and
@@ -302,10 +296,10 @@ def test_near_pole_integrals_closed_form(k):
     assert len(edges) == 1105 and edges[-2] < T < 1104 * PERIOD
     window = edges[max(k - 1, 0) : k + 2]
     _, integrals, _ = contour._near_poles((1,), edges)
-    spec = QuadratureSpec(T=T, abs_tol=1e-10)
+    monkeypatch.setattr(contour, "_ABS_TOL", 1e-10)
     for row, offset in ((0, DELTA), (1, -DELTA)):
         (want,), _, _ = contour._adaptive_line(
-            lambda tau: 1.0 / (offset + 1j * (tau - k * PERIOD)), window, spec
+            lambda tau: 1.0 / (offset + 1j * (tau - k * PERIOD)), window
         )
         assert abs(integrals[row, k] - want) <= 1e-12
 
@@ -351,7 +345,7 @@ def test_zeta_contours_subtract_the_tail_to_2e_8():
     # what is left at T = 1e4 is the O(1/T**2) rest and quadrature error.
     T = 1.0e4
     tail = 1.0 / (3.0 * math.pi * T)
-    (n1,), const = zeta_contours((1,), QuadratureSpec(T=T))
+    (n1,), const = zeta_contours((1,), T=T)
     assert abs(n1 - 0.5 - tail) <= 2e-8
     assert abs(const - float(Fraction(REFERENCE_CONSTANT)) - tail) <= 2e-8
 
@@ -359,11 +353,11 @@ def test_zeta_contours_subtract_the_tail_to_2e_8():
 def test_zeta_contours_match_the_views():
     # Each row integrated together with the others agrees with the same
     # row integrated alone, on its own mesh.
-    (n1, n2, n5), const = zeta_contours((1, 2, 5), SHARED)
-    assert n1 == zeta_contours((1,), SHARED)[0][0]
-    assert abs(const - zeta_contours((), SHARED)[1]) <= 1e-15
-    assert abs(n2 - zeta_contours((2,), SHARED)[0][0]) <= 1e-9
-    assert abs(n5 - zeta_contours((5,), SHARED)[0][0]) <= 1e-9
+    (n1, n2, n5), const = zeta_contours((1, 2, 5), T=SHARED_T)
+    assert n1 == zeta_contours((1,), T=SHARED_T)[0][0]
+    assert abs(const - zeta_contours((), T=SHARED_T)[1]) <= 1e-15
+    assert abs(n2 - zeta_contours((2,), T=SHARED_T)[0][0]) <= 1e-9
+    assert abs(n5 - zeta_contours((5,), T=SHARED_T)[0][0]) <= 1e-9
 
 
 def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
@@ -382,10 +376,10 @@ def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
 
     monkeypatch.setattr(contour, "_zeta_line", counted_zeta)
     monkeypatch.setattr(contour, "_zeta_integrands", counted_integrands)
-    zeta_contours((1, 2, 5), SHARED)
+    zeta_contours((1, 2, 5), T=SHARED_T)
     # One height per integrand node, plus one per near-pole tau_k = k*P,
     # k = 0..ceil(T/P), for the principal parts; all distinct.
-    poles = math.ceil(SHARED.T / PERIOD) + 1
+    poles = math.ceil(SHARED_T / PERIOD) + 1
     tau = np.concatenate(heights)
     assert sum(nodes) > 0
     assert len(tau) == sum(nodes) + poles
@@ -396,23 +390,23 @@ def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
 def test_moment_contour_fast():
     table = bernoulli_moments(2)
     for n in (1, 2):
-        (got,), _ = zeta_contours((n,), QuadratureSpec(T=1000.0))
+        (got,), _ = zeta_contours((n,), T=1000.0)
         assert abs(got - float(table[n])) <= 1e-3
 
 
 def test_moment_contour_domain():
     with pytest.raises(ValueError):
-        zeta_contours((0,), FAST)
+        zeta_contours((0,), T=FAST_T)
     with pytest.raises(ValueError):
-        zeta_contours((17,), FAST)
+        zeta_contours((17,), T=FAST_T)
 
 
 def test_constant_contour_truncation_scaling(constant_d30):
     # O(1/T): the T = 1e3 truncation error is ~10x the T = 1e4 error;
     # also covers the fast-path accuracy claim at moderate T.
     limit = float(constant_d30.value)
-    err_coarse = abs(zeta_contours((), QuadratureSpec(T=1000.0))[1] - limit)
-    err_fine = abs(zeta_contours((), QuadratureSpec(T=4000.0))[1] - limit)
+    err_coarse = abs(zeta_contours((), T=1000.0)[1] - limit)
+    err_fine = abs(zeta_contours((), T=4000.0)[1] - limit)
     assert err_coarse <= 5e-3
     assert err_fine < err_coarse
     ratio = err_coarse / err_fine
