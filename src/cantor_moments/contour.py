@@ -5,8 +5,10 @@ Three identities are checked numerically:
 * the Perron kernel (1/2*pi*i) int t**s/(s(s-1)) ds over Re s = 3/2,
   which equals max(t - 1, 0);
 * the line-integral representation of the n-th moment on Re s = -1/2;
-* the line-integral representation of the moment-series constant on
-  Re s = 3/2.
+* the line-integral representation of the moment-series constant,
+  whose integrand on Re s = 3/2 becomes, under s -> 1 - s, the moment
+  integrand on Re s = -1/2 with the weight n! / prod_{j=1..n+1} (j - s)
+  replaced by 1/(s(s-1)), the sum of those weights over n >= 1.
 
 Verification targets 3-4 digits, so everything here runs in ordinary
 double precision — the high-precision decimal arithmetic stays in
@@ -18,23 +20,21 @@ itself is asserted in the test suite.  The quadrature is adaptive
 Gauss-Kronrod 7-15 with all panels of a refinement wave evaluated in one
 vectorized batch, for one integrand or several sharing one mesh.
 
-The moment and constant integrands all reduce to zeta(3/2 + i*tau), or
-its conjugate, times elementary factors of tau, so :func:`zeta_contours`
-integrates the constant's integrand together with the moment integrands
-of any orders: one zeta evaluation per node serves them all, and a panel
-is bisected while any of them misses its share of the tolerance.
-Its starting panels are one period P = 2*pi/ln 2 of the denominators
-3*2**(s-1) - 1 and 3*2**(-s) - 1 wide, so their zeros, which sit
-delta = log2(3) - 3/2 ~ 0.085 off the lines at every height k*P, fall
-on panel edges.  On each starting panel the principal parts
-residue / (s - pole) of the two near-poles at its edges are subtracted
+Every row of :func:`zeta_contours`, each moment and the constant, is
+weight * zeta(1 - s) / (3*2**(s-1) - 1) on Re s = -1/2, so one zeta
+evaluation per node serves them all, and a panel is bisected while any
+of them misses its share of the tolerance.  Its starting panels are one
+period P = 2*pi/ln 2 of the denominator wide, so its zeros s_k, which
+sit delta = log2(3) - 3/2 ~ 0.085 off the line at every height k*P,
+fall on panel edges.  On each starting panel the principal parts
+residue / (s - s_k) of the two near-poles at its edges are subtracted
 before quadrature and integrated in closed form (a logarithm) instead,
 so the mesh only resolves what is smooth; the residues take one zeta
 call at the poles.  Zeta, on arrays of points, is one Euler-Maclaurin
 path with a cutoff solved from its remainder bound at every height and
 applied per block of 64 points; the Dirichlet powers n**(-s) are built
 multiplicatively from a smallest-prime-factor sieve, with exp taken only
-at primes.  The Gamma ratio of the moment integrand is a finite product.
+at primes.  The weights are finite products.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ import numpy as np
 
 from .exact import bernoulli_numbers
 
-# Verification-line constant: min |3*2**(sigma-1) - 1| on both lines
-# (sigma = -1/2 and 3/2 give the same modulus floor 3*2**-1.5 - 1).
+# Verification-line constant: min |3*2**(s-1) - 1| on Re s = -1/2.
 _DENOM_FLOOR = 3.0 * 2.0**-1.5 - 1.0  # ~0.06066
 
 
@@ -262,8 +261,14 @@ def _adaptive_line(f, edges: np.ndarray):
 
     Returns (integrals, error_estimates, evaluations), one integral and
     one estimate per row.  A QuadratureError carries the estimate and
-    error of the row with the largest error.
+    error of the row with the largest error; one raised because the
+    starting mesh alone exceeds the budget, before f is called, carries
+    estimate nan and error inf.
     """
+    if 15 * (len(edges) - 1) > _MAX_EVALS:
+        raise QuadratureError(
+            "starting mesh exceeds the evaluation budget", math.nan, math.inf
+        )
     T = float(edges[-1])
     a = edges[:-1].copy()
     b = edges[1:].copy()
@@ -300,10 +305,10 @@ def _adaptive_line(f, edges: np.ndarray):
     return vals.sum(axis=1), errs.sum(axis=1), evals
 
 
-# The line denominators 3*2**(s-1) - 1 (Re s = -1/2) and 3*2**(-s) - 1
-# (Re s = 3/2) have zeros 0.085 off the line at every tau_k = k * P,
-# P = 2*pi/ln 2 ~ 9.06.  Panels exactly P wide from tau = 0 put each of
-# these near-poles on a panel edge, where the Kronrod nodes cluster.
+# The line denominator 3*2**(s-1) - 1 on Re s = -1/2 has zeros 0.085 off
+# the line at every tau_k = k * P, P = 2*pi/ln 2 ~ 9.06.  Panels exactly
+# P wide from tau = 0 put each of these near-poles on a panel edge, where
+# the Kronrod nodes cluster.
 _POLE_PERIOD = 2.0 * math.pi / math.log(2.0)
 
 
@@ -313,9 +318,8 @@ def _pole_aligned_edges(T: float) -> np.ndarray:
 
 
 # The near-poles themselves are the zeros s_k = 1 - log2(3) + i*tau_k of
-# 3*2**(s-1) - 1 and s'_k = log2(3) + i*tau_k of 3*2**(-s) - 1, each
-# delta = log2(3) - 3/2 ~ 0.085 off its line: on it, s - s_k = delta + i*u
-# and s - s'_k = -delta + i*u, u = tau - tau_k.
+# 3*2**(s-1) - 1, delta = log2(3) - 3/2 ~ 0.085 off the line: on it,
+# s - s_k = delta + i*u, u = tau - tau_k.
 _LOG2_3 = math.log2(3.0)
 _POLE_OFFSET = _LOG2_3 - 1.5
 
@@ -338,12 +342,12 @@ def perron_kernel(t: float, *, T: float = _T) -> float:
     O(t**(3/2) / T).
 
     Raises:
-        ValueError: t <= 0, or T < 10.
+        ValueError: t not in (0, inf), or T not in [10, inf).
         QuadratureError: evaluation budget exhausted before tolerance.
     """
-    if t <= 0:
-        raise ValueError("kernel argument must be positive")
-    if T < 10:
+    if not 0 < t < math.inf:
+        raise ValueError("kernel argument must be positive and finite")
+    if not 10 <= T < math.inf:
         raise ValueError("truncation height must be >= 10")
     # Quarter-period panels against the e^{i tau ln t} oscillation
     # (evaluations are cheap here — no zeta).
@@ -355,84 +359,70 @@ def perron_kernel(t: float, *, T: float = _T) -> float:
     return 2.0 * integral.real / (2.0 * math.pi)
 
 
-def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray) -> np.ndarray:
-    """The moment integrand for each n in orders, then the constant's.
+def _weights(orders: tuple[int, ...], s: np.ndarray) -> np.ndarray:
+    """n! / prod_{j=1..n+1} (j - s) for each n in orders, then 1/(s(s-1)).
 
-    One row per integrand, all from one zeta evaluation at
-    3/2 + i*tau: the moment integrand on s = -1/2 + i*tau needs
-    zeta(1 - s) = zeta(3/2 - i*tau) = conj zeta(3/2 + i*tau) (bit for bit
-    in :func:`_zeta_line`), and the constant's denominator 3*2**(-s) - 1 on
-    s = 3/2 + i*tau is the conjugate of the moments' 3*2**(s-1) - 1 on
-    s = -1/2 + i*tau.
-
-    The Gamma ratio Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) of the moment
-    integrand collapses exactly to n! / prod_{j=1..n+1} (j - s) — an
-    overflow-free form for n <= 16 at any height.
+    The moment weight is Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) collapsed
+    exactly to a product — overflow-free for n <= 16 at any height.  On
+    Re s < 0 the moment weights sum over n >= 1 to the constant's.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    s = 1.5 + 1j * tau
-    zeta = _zeta_line(s)
-    moment_s = -0.5 + 1j * tau
-    den = 3.0 * 2.0 ** (moment_s - 1) - 1.0
-    if np.abs(den).min() < 0.9 * _DENOM_FLOOR:
-        raise ValueError("verification line drifted: denominator below floor")
-    out = np.empty((len(orders) + 1,) + tau.shape, dtype=np.complex128)
-    zeta_conj = np.conj(zeta)
+    out = np.empty((len(orders) + 1,) + s.shape, dtype=np.complex128)
     for row, n in enumerate(orders):
-        out[row] = _gamma_ratio(n, moment_s) * zeta_conj / den
-    out[-1] = zeta / (s * (s - 1) * np.conj(den))
+        out[row] = float(factorial(n))
+        for j in range(1, n + 2):
+            out[row] /= j - s
+    out[-1] = 1.0 / (s * (s - 1))
     return out
 
 
-def _gamma_ratio(n: int, s: np.ndarray) -> np.ndarray:
-    """Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) as n! / prod_{j=1..n+1} (j - s)."""
-    ratio = np.full(s.shape, float(factorial(n)), dtype=np.complex128)
-    for j in range(1, n + 2):
-        ratio = ratio / (j - s)
-    return ratio
+def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray) -> np.ndarray:
+    """Each weight times zeta(1 - s) / (3*2**(s-1) - 1) on s = -1/2 + i*tau.
+
+    Rows as in :func:`_weights`: the moment integrand for each n in
+    orders, then the constant's.  zeta(1 - s) = zeta(3/2 - i*tau) is
+    taken as conj zeta(3/2 + i*tau) (bit for bit in :func:`_zeta_line`).
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    s = -0.5 + 1j * tau
+    zeta = np.conj(_zeta_line(1.5 + 1j * tau))
+    den = 3.0 * 2.0 ** (s - 1) - 1.0
+    if np.abs(den).min() < 0.9 * _DENOM_FLOOR:
+        raise ValueError("verification line drifted: denominator below floor")
+    return _weights(orders, s) * zeta / den
 
 
 def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
-    """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau."""
-    return _zeta_integrands((), tau)[0]
+    """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau: the constant row, conjugated."""
+    return np.conj(_zeta_integrands((), tau)[0])
 
 
 def _near_poles(orders: tuple[int, ...], edges: np.ndarray):
-    """Residues at the near-poles tau_k = k*P, k = 0..K, and their panel integrals.
+    """Residues at the near-poles s_k, tau_k = k*P, k = 0..K, and their panel integrals.
 
-    Rows as in :func:`_zeta_integrands`.  Pole k is subtracted on the
-    starting panels k - 1 and k (see :func:`_principal_parts`), so its
-    principal part residue / (side*delta + i*u) is integrated in closed
-    form over [edges[k-1], edges[k+1]] clipped to [0, T]: the integral is
-    -i * [log(delta + i*side*u)], whose argument keeps real part
-    delta > 0, so the principal branch is continuous.  One zeta call at
-    the s'_k serves every row: zeta(1 - s_k) = conj zeta(s'_k).
+    Rows as in :func:`_zeta_integrands`; the residue of row r at s_k is
+    weight_r(s_k) * zeta(1 - s_k) / ln 2, with one zeta call for all rows.
+    Pole k is subtracted on the starting panels k - 1 and k (see
+    :func:`_principal_parts`), so its principal part
+    residue / (delta + i*u) is integrated in closed form over
+    [edges[k-1], edges[k+1]] clipped to [0, T]: the integral is
+    -i * [log(delta + i*u)], whose argument keeps real part delta > 0,
+    so the principal branch is continuous.
 
-    Returns (residues, integrals, side), the first two of shape
-    (rows, K + 1), and side = +1 for the moment rows, -1 for the constant.
+    Returns (residues, integrals), of shapes (rows, K + 1) and (K + 1,).
     """
     K = len(edges) - 1
     k = np.arange(K + 1)
     tau_k = k * _POLE_PERIOD
-    constant_pole = _LOG2_3 + 1j * tau_k  # 3*2**(-s) - 1 has derivative -ln 2 here
-    moment_pole = 1.0 - np.conj(constant_pole)  # 3*2**(s-1) - 1: derivative ln 2
-    zeta = _zeta_line(constant_pole)
-    ln2 = math.log(2.0)
-    residues = np.empty((len(orders) + 1, K + 1), dtype=np.complex128)
-    for row, n in enumerate(orders):
-        residues[row] = _gamma_ratio(n, moment_pole) * np.conj(zeta) / ln2
-    residues[-1] = zeta / (constant_pole * (constant_pole - 1) * -ln2)
-    side = np.ones((len(orders) + 1, 1))
-    side[-1] = -1.0
+    zeta = np.conj(_zeta_line(_LOG2_3 + 1j * tau_k))
+    pole = 1.0 - _LOG2_3 + 1j * tau_k  # 3*2**(s-1) - 1 has derivative ln 2 here
+    residues = _weights(orders, pole) * zeta / math.log(2.0)
     lo = edges[np.maximum(k - 1, 0)] - tau_k
     hi = edges[np.minimum(k + 1, K)] - tau_k
-    integrals = -1j * (
-        np.log(_POLE_OFFSET + 1j * side * hi) - np.log(_POLE_OFFSET + 1j * side * lo)
-    )
-    return residues, integrals, side
+    integrals = -1j * (np.log(_POLE_OFFSET + 1j * hi) - np.log(_POLE_OFFSET + 1j * lo))
+    return residues, integrals
 
 
-def _principal_parts(residues: np.ndarray, side: np.ndarray, tau: np.ndarray):
+def _principal_parts(residues: np.ndarray, tau: np.ndarray):
     """Every row's principal parts at the two near-poles bounding tau's starting panel.
 
     Nodes are interior to their panels, so the panel index floor(tau/P)
@@ -441,7 +431,7 @@ def _principal_parts(residues: np.ndarray, side: np.ndarray, tau: np.ndarray):
     k = np.floor(tau / _POLE_PERIOD).astype(np.intp)
     parts = np.zeros(residues.shape[:1] + tau.shape, dtype=np.complex128)
     for j in (k, k + 1):
-        parts += residues[:, j] / (side * _POLE_OFFSET + 1j * (tau - j * _POLE_PERIOD))
+        parts += residues[:, j] / (_POLE_OFFSET + 1j * (tau - j * _POLE_PERIOD))
     return parts
 
 
@@ -453,8 +443,9 @@ def zeta_contours(
     Returns, for each n in orders, the numerical moment
     (2/3) * (1/2*pi) int_{-T}^{T} of the moment integrand on Re s = -1/2,
     and the numerical constant 1 + (2/3) * (1/2*pi) int_{-T}^{T} of the
-    constant integrand on Re s = 3/2; to be compared against the exact
-    moments and the certified constant.  Truncation decays like O(1/T).
+    constant integrand, taken on the same line; to be compared against
+    the exact moments and the certified constant.  Truncation decays
+    like O(1/T).
     ``zeta_contours(())[1]`` is the constant alone and
     ``zeta_contours((n,))[0][0]`` one moment alone.
 
@@ -468,20 +459,19 @@ def zeta_contours(
     can differ in its last digits between calls with different orders.
 
     Raises:
-        ValueError: an order outside [1, 16], or T < 10.
+        ValueError: an order outside [1, 16], or T not in [10, inf).
         QuadratureError: evaluation budget exhausted before tolerance
             (its estimate is of the integral with the principal parts
             subtracted).
     """
     if not all(1 <= n <= 16 for n in orders):
         raise ValueError("moment order out of [1, 16]")
-    if T < 10:
+    if not 10 <= T < math.inf:
         raise ValueError("truncation height must be >= 10")
     edges = _pole_aligned_edges(T)
-    residues, pole_integrals, side = _near_poles(orders, edges)
+    residues, pole_integrals = _near_poles(orders, edges)
     integrals, _, _ = _adaptive_line(
-        lambda tau: _zeta_integrands(orders, tau)
-        - _principal_parts(residues, side, tau),
+        lambda tau: _zeta_integrands(orders, tau) - _principal_parts(residues, tau),
         edges,
     )
     integrals = integrals + (residues * pole_integrals).sum(axis=1)

@@ -18,6 +18,7 @@ from cantor_moments.contour import (
     _dirichlet_sum,
     _em_cutoff,
     _spf_sieve,
+    _weights,
     _zeta_integrands,
     _zeta_line,
     constant_contour_integrand,
@@ -198,21 +199,49 @@ def test_dirichlet_sum_against_direct_powers(M):
 
 
 def test_truncation_height_validation():
-    with pytest.raises(ValueError, match="truncation height must be >= 10"):
-        perron_kernel(2.0, T=5.0)
-    with pytest.raises(ValueError, match="truncation height must be >= 10"):
-        zeta_contours((1,), T=5.0)
+    for T in (5.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="truncation height must be >= 10"):
+            perron_kernel(2.0, T=T)
+        with pytest.raises(ValueError, match="truncation height must be >= 10"):
+            zeta_contours((1,), T=T)
 
 
 def test_quadrature_error_carries_diagnostics(monkeypatch):
-    # Starve the budget so bisection cannot reach the tolerance.
+    # Starve the budget so bisection cannot reach the tolerance: the
+    # starting mesh (5,000 panels, 75,000 nodes) fits, its refinement to
+    # 1e-10 (about 75,330 nodes) does not.
     monkeypatch.setattr(contour, "_ABS_TOL", 1e-10)
-    monkeypatch.setattr(contour, "_MAX_EVALS", 1_000)
+    monkeypatch.setattr(contour, "_MAX_EVALS", 75_100)
     with pytest.raises(QuadratureError) as excinfo:
         perron_kernel(2.0, T=10_000.0)
     err = excinfo.value
     assert err.estimate is not None
-    assert err.achieved_error > 0
+    assert math.isfinite(err.estimate)
+    assert 0 < err.achieved_error < math.inf
+
+
+def test_starting_mesh_over_budget_evaluates_nothing(monkeypatch):
+    # A starting mesh larger than the budget is refused before the
+    # integrand is called: 5,000 Perron panels and 1,104 pole-aligned
+    # panels at T = 1e4, one node short of each budget.
+    calls = []
+    real_perron, real_zeta = contour.perron_integrand, contour._zeta_integrands
+    monkeypatch.setattr(
+        contour, "perron_integrand", lambda *a: (calls.append(1), real_perron(*a))[1]
+    )
+    monkeypatch.setattr(
+        contour, "_zeta_integrands", lambda *a: (calls.append(1), real_zeta(*a))[1]
+    )
+    for budget, run in (
+        (15 * 5000 - 1, lambda: perron_kernel(2.0, T=1.0e4)),
+        (15 * 1104 - 1, lambda: zeta_contours((1, 2), T=1.0e4)),
+    ):
+        monkeypatch.setattr(contour, "_MAX_EVALS", budget)
+        with pytest.raises(QuadratureError) as excinfo:
+            run()
+        assert math.isnan(excinfo.value.estimate)
+        assert excinfo.value.achieved_error == math.inf
+    assert calls == []
 
 
 def test_integrand_conjugate_symmetry():
@@ -236,6 +265,33 @@ def test_constant_integrand_at_origin():
     got = complex(constant_contour_integrand(np.array([0.0]))[0])
     assert abs(got - expected) <= 1e-12 * abs(expected)
     assert abs(got.imag) <= 1e-12
+
+
+def test_constant_integrand_against_its_own_line():
+    # The constant's integrand, computed as the conjugate of its row on
+    # Re s = -1/2, against zeta(s) / (s(s-1)(3*2**(-s) - 1)) built
+    # directly on Re s = 3/2, at heights up to 1e4 and at near-poles.
+    tau = np.array([0.0, 0.5, 3.0, PERIOD, 100.0, 1103 * PERIOD, 1.0e3, 1.0e4])
+    s = 1.5 + 1j * tau
+    want = _zeta_line(s) / (s * (s - 1) * (3.0 * 2.0**-s - 1.0))
+    got = constant_contour_integrand(tau)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_weights_telescope_to_the_constant_weight():
+    # w_n(s) = n! / prod_{j=1..n+1} (j - s) is R_{n-1}(s) - R_n(s) with
+    # R_n(s) = prod_{j=1..n+1} j/(j - s) / (-s), and R_0(s) = 1/(s(s-1)):
+    # the moment weights for n = 1..16 plus R_16 give the constant's
+    # weight, on the line and at the near-poles s_k.
+    orders = tuple(range(1, 17))
+    tau = np.concatenate([[0.0], np.geomspace(0.1, 1.0e4, 40)])
+    k = np.arange(1105)
+    for s in (-0.5 + 1j * tau, 1.0 - math.log2(3.0) + 1j * k * PERIOD):
+        w = _weights(orders, s)
+        rest = 1.0 / -s
+        for j in range(1, 18):
+            rest = rest * j / (j - s)
+        assert np.all(np.abs(w[:-1].sum(axis=0) + rest - w[-1]) <= 1e-13 * np.abs(w[-1]))
 
 
 def test_moment_integrand_gamma_ratio_at_origin():
@@ -273,54 +329,50 @@ def test_perron_truncation_error_shrinks():
 
 
 def test_perron_domain():
-    with pytest.raises(ValueError):
-        perron_kernel(0.0, T=FAST_T)
-    with pytest.raises(ValueError):
-        perron_kernel(-1.0, T=FAST_T)
+    for t in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            perron_kernel(t, T=FAST_T)
 
 
 SHARED_T = 1000.0
 PERIOD = 2.0 * math.pi / math.log(2.0)
-DELTA = math.log2(3.0) - 1.5  # distance of the near-poles from both lines
+DELTA = math.log2(3.0) - 1.5  # distance of the near-poles from the line
 
 
 @pytest.mark.parametrize("k", [0, 552, 1000, 1103, 1104])
 def test_near_pole_integrals_closed_form(k, monkeypatch):
     # Pole k is subtracted on the panels either side of tau_k = k*P: its
     # closed-form integral there must match quadrature of the principal
-    # part, 1/(s - s_k) = 1/(DELTA + i*u) on the moment line and
-    # 1/(s - s'_k) = 1/(-DELTA + i*u) on the constant line.  k = 0 is
+    # part 1/(s - s_k) = 1/(DELTA + i*u), one for every row.  k = 0 is
     # the tau = 0 panel alone, and k = 1104 the partial last panel [kP, T].
     T = 1.0e4
     edges = contour._pole_aligned_edges(T)
     assert len(edges) == 1105 and edges[-2] < T < 1104 * PERIOD
     window = edges[max(k - 1, 0) : k + 2]
-    _, integrals, _ = contour._near_poles((1,), edges)
+    _, integrals = contour._near_poles((1,), edges)
+    assert integrals.shape == (1105,)
     monkeypatch.setattr(contour, "_ABS_TOL", 1e-10)
-    for row, offset in ((0, DELTA), (1, -DELTA)):
-        (want,), _, _ = contour._adaptive_line(
-            lambda tau: 1.0 / (offset + 1j * (tau - k * PERIOD)), window
-        )
-        assert abs(integrals[row, k] - want) <= 1e-12
+    (want,), _, _ = contour._adaptive_line(
+        lambda tau: 1.0 / (DELTA + 1j * (tau - k * PERIOD)), window
+    )
+    assert abs(integrals[k] - want) <= 1e-12
 
 
 def test_near_pole_residues():
     # Against (1/2*pi*i) times the integral of each integrand, as a function
-    # of s, around a circle of radius 0.02 about the pole (trapezoid rule,
-    # 16 points; the nearest other singularity is over 1.5 away), in mpmath.
+    # of s, around a circle of radius 0.02 about the pole s_k (trapezoid
+    # rule, 16 points; the nearest other singularity is over 1.5 away), in
+    # mpmath.  The constant's row is zeta(1-s) / (s(s-1)(3*2**(s-1) - 1)).
     mpmath = pytest.importorskip("mpmath")
     orders = (1, 5)
-    residues, _, _ = contour._near_poles(orders, contour._pole_aligned_edges(1.0e4))
+    residues, _ = contour._near_poles(orders, contour._pole_aligned_edges(1.0e4))
 
-    def moments(s):
+    def integrands(s):
         zeta_den = mpmath.zeta(1 - s) / (3 * mpmath.power(2, s - 1) - 1)
         return [
             mpmath.factorial(n) * mpmath.gamma(1 - s) / mpmath.gamma(n + 2 - s) * zeta_den
             for n in orders
-        ]
-
-    def constant(s):
-        return [mpmath.zeta(s) / (s * (s - 1) * (3 * mpmath.power(2, -s) - 1))]
+        ] + [zeta_den / (s * (s - 1))]
 
     def residue(f, pole, points=16, radius=0.02):
         total = 0
@@ -333,10 +385,7 @@ def test_near_pole_residues():
         for k in (0, 1, 100):
             tau_k = k * 2 * mpmath.pi / mpmath.log(2)
             log2_3 = mpmath.log(3, 2)
-            want = np.concatenate([
-                residue(moments, mpmath.mpc(1 - log2_3, tau_k)),
-                residue(constant, mpmath.mpc(log2_3, tau_k)),
-            ])
+            want = residue(integrands, mpmath.mpc(1 - log2_3, tau_k))
             assert np.all(np.abs(residues[:, k] - want) <= 1e-9 * np.abs(want))
 
 
