@@ -35,6 +35,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
+from fractions import Fraction
 
 from . import constant, exact, moments
 
@@ -104,29 +105,28 @@ def cmd_constant(digits: int, json_mode: bool) -> int:
 
 
 def cmd_moments(max_n: int, fmt: str) -> int:
-    rows = (
-        {
-            "n": n,
-            "num": value.numerator,
-            "den": value.denominator,
-            "decimal": exact.decimal_string(value, 20),
-        }
-        for n, value in enumerate(moments.iter_bernoulli_moments(max_n))
-    )
-    # CPython refuses to render ints above 4300 digits by default, and
-    # large tables exceed that: lift the limit for this output only.
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        if fmt == "json":
-            print(json.dumps(list(rows), indent=2))
+    # The table runs on Decimal integers, which str() renders in linear
+    # time, and each row is printed as it is computed, so the table is
+    # never held.  The JSON rows are written by hand, byte for byte as
+    # json.dumps(rows, indent=2) prints them.
+    scale = 10**20
+    if fmt == "csv":
+        print("n,num,den,decimal")
+    for n, (num, den) in enumerate(moments.closed_form_rows(max_n, decimal.Decimal)):
+        with decimal.localcontext(moments.EXACT):
+            mantissa = exact.divround(num * scale, den)
+        rendered = exact.decimal_string(Fraction(int(mantissa), scale), 20)
+        if fmt == "csv":
+            print(f"{n},{num},{den},{rendered}")
         else:
-            # Rows are printed as they are computed, so the table is never held.
-            print("n,num,den,decimal")
-            for row in rows:
-                print(f"{row['n']},{row['num']},{row['den']},{row['decimal']}")
-    finally:
-        sys.set_int_max_str_digits(previous)
+            # Each row closes the one before it; the last is closed below.
+            print("  }," if n else "[")
+            print(
+                f'  {{\n    "n": {n},\n    "num": {num},\n    "den": {den},\n'
+                f'    "decimal": "{rendered}"'
+            )
+    if fmt == "json":
+        print("  }\n]")
     return 0
 
 

@@ -248,6 +248,21 @@ def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
+def _check_budget(panels: float) -> None:
+    """Refuse a starting mesh of this many panels if its 15 Kronrod nodes
+    a panel alone exceed the _MAX_EVALS budget.
+
+    The mesh builders pass T / width before any array exists, so a mesh
+    refused there is never allocated (and T / width may be inf); one
+    whose last, partial panel tips it over is refused by _adaptive_line,
+    which passes the count of the mesh it is given.
+    """
+    if 15 * panels > _MAX_EVALS:
+        raise QuadratureError(
+            "starting mesh exceeds the evaluation budget", math.nan, math.inf
+        )
+
+
 def _adaptive_line(f, edges: np.ndarray):
     """Adaptive quadrature of every row of f over [0, T], T = edges[-1].
 
@@ -265,10 +280,7 @@ def _adaptive_line(f, edges: np.ndarray):
     starting mesh alone exceeds the budget, before f is called, carries
     estimate nan and error inf.
     """
-    if 15 * (len(edges) - 1) > _MAX_EVALS:
-        raise QuadratureError(
-            "starting mesh exceeds the evaluation budget", math.nan, math.inf
-        )
+    _check_budget(len(edges) - 1)
     T = float(edges[-1])
     a = edges[:-1].copy()
     b = edges[1:].copy()
@@ -314,6 +326,7 @@ _POLE_PERIOD = 2.0 * math.pi / math.log(2.0)
 
 def _pole_aligned_edges(T: float) -> np.ndarray:
     """Panel edges 0, P, 2P, ... below T, then T."""
+    _check_budget(T / _POLE_PERIOD)
     return np.append(np.arange(0.0, T, _POLE_PERIOD), T)
 
 
@@ -353,6 +366,7 @@ def perron_kernel(t: float, *, T: float = _T) -> float:
     # (evaluations are cheap here — no zeta).
     period = 2 * math.pi / abs(math.log(t)) if t != 1.0 else math.inf
     width = min(2.0, period / 4)
+    _check_budget(T / width)
     edges = np.linspace(0.0, T, max(8, math.ceil(T / width)) + 1)
     integrals, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges)
     integral = complex(integrals[0])

@@ -17,6 +17,19 @@ neither that term's binomial coefficient nor 6(n+1).  Stripped of those
 lonely primes, the denominators' lcm is 762 bits at N = 512, against
 65,061.
 
+The table body, :func:`closed_form_rows`, runs over ``int`` for the
+Fraction API and over ``decimal.Decimal`` for the CLI, which prints
+every integer in full.  CPython 3.11 renders a binary int in decimal in
+quadratic time, about half of the N = 512 command's run time; libmpdec,
+CPython's C ``decimal``, stores integers in base 10**19 and renders them
+in linear time, and its exact + - * // % cost no more than int's.  The
+one body serves both types because every ``//`` in it is an exact
+division and every ``%`` has positive operands, where Decimal's
+truncating division and int's floor division agree; its rows run in the
+trapping context :data:`EXACT`, so a Decimal step that would round
+raises instead.  The Fraction API stays on int: converting the 1,026
+Decimals back would cost more than the rendering saves.
+
 ``decay_fit`` checks the remainder of the moment series empirically:
 the gap between the series' limit and its partial sums, at the fixed
 grid N = 16, 32, ..., 4096, should shrink like
@@ -26,11 +39,12 @@ N**(1 - log2(3)) ~ N**-0.585.  Its moments come from
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import decimal
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from .exact import bernoulli_numbers
 
@@ -39,11 +53,29 @@ if TYPE_CHECKING:
 
     from .constant import ConstantResult
 
+_Z = TypeVar("_Z", int, decimal.Decimal)
 
-def iter_bernoulli_moments(N: int) -> Iterator[Fraction]:
-    """Yield the singular moments M_0..M_N via the Bernoulli closed form.
 
-    For n >= 1:
+# The context of every row of closed_form_rows: integer arithmetic in it
+# never rounds, and an operation that would round raises.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.Inexact,
+        decimal.Rounded,
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+    ],
+)
+
+
+def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z]]:
+    """Yield M_0..M_N as reduced pairs (num, den) in the type lift makes.
+
+    ``lift`` is ``int`` or ``decimal.Decimal``; it is applied to 1 and to
+    the lcm L below, and everything else follows L's type.  For n >= 1:
 
         M_n = (2 / (3(n+1))) * sum_{j=0}^{n} C(n+1, j) * c_j,
         c_j = 2 B_j / (3*2**j - 2),
@@ -68,35 +100,46 @@ def iter_bernoulli_moments(N: int) -> Iterator[Fraction]:
     part (:func:`_shared_parts`), the gcd is therefore the one with
     V_n = 3(n+1) W_n, W_n = lcm_{j<=n} v_j, kept beside L_n: 772 bits
     against the 65,071 of 3(n+1) L_n at n = N = 512.
+
+    Every ``//`` below is an exact division, and every ``%`` has
+    positive operands (L_n and d_n, and num = 2 L_n A_n and V_n, with
+    num > 0 because M_n is), so int floor division and Decimal
+    truncation agree.  Each row runs in ``decimal.localcontext(EXACT)``,
+    entered and left between two yields, so the caller's context never
+    reaches the arithmetic and EXACT never reaches the caller.
     """
     if N < 0:
         raise ValueError("moment index must be >= 0")
-    yield Fraction(1)
+    one = lift(1)
+    yield one, one
     if N == 0:
         return
     terms = [2 * b / (3 * 2**j - 2) for j, b in enumerate(bernoulli_numbers(N + 1))]
     denominators = [c.denominator for c in terms]
-    L = lcm(*denominators)
+    L = lift(lcm(*denominators))
     shared = _shared_parts(denominators, N)
-    row = [c.numerator * (L // c.denominator) for c in terms]
-    L_n, W_n, ratio = 1, 1, L  # c_0 = 2 has denominator 1
+    with decimal.localcontext(EXACT):
+        row = [c.numerator * (L // c.denominator) for c in terms]
+    L_n, W_n, ratio = one, 1, L  # c_0 = 2 has denominator 1
     for n in range(N + 1):
-        for j in range(len(row) - 1):
-            row[j] += row[j + 1]
-        row.pop()  # row[0] = L * b_{n+1}
-        if n == 0:
-            continue
-        c = terms[n + 1]
-        scaled = row[0] - c.numerator * (L // c.denominator)
-        den = terms[n].denominator
-        step = den // gcd(L_n, den)
-        L_n *= step
-        ratio //= step
-        W_n = lcm(W_n, shared[n])
-        num = 2 * (scaled // ratio)
-        V_n = 3 * (n + 1) * W_n
-        g = gcd(num % V_n, V_n)
-        yield _coprime_fraction(num // g, 3 * (n + 1) * L_n // g)
+        with decimal.localcontext(EXACT):
+            for j in range(len(row) - 1):
+                row[j] += row[j + 1]
+            row.pop()  # row[0] = L * b_{n+1}
+            if n == 0:
+                continue
+            c = terms[n + 1]
+            scaled = row[0] - c.numerator * (L // c.denominator)
+            den = terms[n].denominator
+            step = den // gcd(int(L_n % den), den)
+            L_n *= step
+            ratio //= step
+            W_n = lcm(W_n, shared[n])
+            num = 2 * (scaled // ratio)
+            V_n = 3 * (n + 1) * W_n
+            g = gcd(int(num % V_n), V_n)
+            pair = num // g, 3 * (n + 1) * L_n // g
+        yield pair
 
 
 def _shared_parts(denominators: list[int], N: int) -> list[int]:
@@ -136,8 +179,8 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
 
 
 def bernoulli_moments(N: int) -> list[Fraction]:
-    """The table M_0..M_N of :func:`iter_bernoulli_moments`."""
-    return list(iter_bernoulli_moments(N))
+    """The singular moments M_0..M_N, from :func:`closed_form_rows` over int."""
+    return [_coprime_fraction(num, den) for num, den in closed_form_rows(N, int)]
 
 
 def recursive_moments(N: int) -> list[Fraction]:

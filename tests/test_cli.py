@@ -151,6 +151,15 @@ def test_moments_json_fields(capsys):
         assert Fraction(row["num"], row["den"]) == table[row["n"]]
 
 
+@pytest.mark.parametrize("max_n", [0, 1, 5])
+def test_moments_json_is_json_dumps_output(capsys, max_n):
+    # The rows are written by hand; they read as json.dumps(rows, indent=2).
+    code, out, _ = run_cli(capsys, ["moments", "--max-n", str(max_n), "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)) == max_n + 1
+
+
 # SHA-256 of the 256 table's stdout, as pinned in perfbench/reference.json.
 MOMENTS_256_SHA256 = {
     "csv": "a85ba546cd62bf234d2482b235b98b464735f8e76639dd6c366fd406e196a2ce",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,30 @@ def test_starting_mesh_over_budget_evaluates_nothing(monkeypatch):
         assert math.isnan(excinfo.value.estimate)
         assert excinfo.value.achieved_error == math.inf
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # 4.4 million quarter-period panels at t = 1e-300.
+        lambda: perron_kernel(1e-300),
+        # 110 million pole-aligned panels at T = 1e9.
+        lambda: zeta_contours((1,), T=1.0e9),
+    ],
+    ids=["perron", "zeta"],
+)
+def test_oversized_mesh_is_refused_before_it_is_built(run):
+    # The budget gate refuses the mesh from T and the panel width alone.
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="starting mesh exceeds") as excinfo:
+            run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isnan(excinfo.value.estimate)
+    assert excinfo.value.achieved_error == math.inf
+    assert peak < 1_000_000
 
 
 def test_integrand_conjugate_symmetry():

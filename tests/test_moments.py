@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, prod
@@ -95,6 +98,42 @@ def test_closed_form_entry_is_reduced_for_every_table_size(N_and_n):
     assert value.numerator == expected.numerator
     assert value.denominator == expected.denominator
     assert gcd(value.numerator, value.denominator) == 1
+    # The CLI's Decimal view prints the same text as the Fraction table.
+    assert _text(moments.closed_form_rows(N, Decimal)) == _text(
+        (f.numerator, f.denominator) for f in bernoulli_moments(N)
+    )
+
+
+def _text(rows):
+    return [(str(num), str(den)) for num, den in rows]
+
+
+def test_decimal_view_matches_table_512(table_512):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        got = _text(moments.closed_form_rows(512, Decimal))
+        want = _text((f.numerator, f.denominator) for f in table_512)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert len(got) == 513
+    assert got == want
+
+
+def test_decimal_view_keeps_the_callers_context():
+    # Each row runs in the exact context and leaves it before the yield:
+    # a 5-digit caller context neither rounds the table nor is changed.
+    expected = bernoulli_moments(40)
+    with decimal.localcontext(decimal.Context(prec=5)) as caller:
+        rows = moments.closed_form_rows(40, Decimal)
+        for n in range(12):
+            num, den = next(rows)
+            assert decimal.getcontext() is caller
+            assert caller.prec == 5
+            assert not any(caller.flags.values())
+            assert Fraction(int(num), int(den)) == expected[n]
+        assert bernoulli_moments(40) == expected
+    assert not any(moments.EXACT.flags.values())
 
 
 def test_shared_parts_meet_the_lonely_prime_lemma():
@@ -124,7 +163,6 @@ def test_tables_are_pure():
         short = table(17)
         assert table(40) == long
         assert short == long[:18]
-    assert list(moments.iter_bernoulli_moments(40)) == bernoulli_moments(40)
     # No module-level container of results (a memo) in the exact modules.
     for module in (exact, moments):
         held = [
