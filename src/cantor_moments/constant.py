@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     _balanced_sum,
@@ -111,19 +111,7 @@ def _em_order(
     raise ValueError("precision beyond supported range")
 
 
-@dataclass(frozen=True)
-class ConstantResult:
-    """A certified value: exact decimal, total error bound, its parts.
-
-    ``value`` is the exact ``Fraction`` m / 10**P, P = ``digits`` +
-    :data:`GUARD_DIGITS`, and ``em_order`` is the Euler-Maclaurin order J
-    of the closed-form tail.
-    ``certified_error`` is the sum of ``em_remainder`` (the tail's
-    Euler-Maclaurin remainder), ``ln2_error`` and ``gamma_error`` (each
-    constant's error times its coefficient) and ``rounding_error``; every
-    float is rounded up from the exact bound.
-    """
-
+class _ConstantFields(NamedTuple):
     value: Fraction
     certified_error: float
     digits: int
@@ -133,7 +121,24 @@ class ConstantResult:
     gamma_error: float
     rounding_error: float
 
-    def __post_init__(self) -> None:
+
+class ConstantResult(_ConstantFields):
+    """A certified value: exact decimal, total error bound, its parts.
+
+    ``value`` is the exact ``Fraction`` m / 10**P, P = ``digits`` +
+    :data:`GUARD_DIGITS`, and ``em_order`` is the Euler-Maclaurin order J
+    of the closed-form tail.
+    ``certified_error`` is the sum of ``em_remainder`` (the tail's
+    Euler-Maclaurin remainder), ``ln2_error`` and ``gamma_error`` (each
+    constant's error times its coefficient) and ``rounding_error``; every
+    float is rounded up from the exact bound.  The result is refused if
+    that error is negative or above 10**-digits.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ConstantResult:
+        self = super().__new__(cls, *args, **kwargs)
         if self.certified_error < 0:
             raise ValueError("certified error must be nonnegative")
         if self.certified_error > 10.0 ** (-self.digits):
@@ -141,6 +146,7 @@ class ConstantResult:
                 f"budget insufficient for target: certified error "
                 f"{self.certified_error:.3e} exceeds 10^-{self.digits}"
             )
+        return self
 
 
 # ---------------------------------------------------------------------------

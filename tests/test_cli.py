@@ -373,6 +373,8 @@ def test_constant_and_moments_do_not_import_numpy():
         "assert cli.main(['constant', '--digits', '5', '--json']) == 0\n"
         "assert cli.main(['moments', '--max-n', '8']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+        "assert 'inspect' not in sys.modules, 'inspect was imported'\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     run = subprocess.run(

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cantor_moments import (
+    ConstantResult,
     bernoulli_numbers,
     double_sum_check,
     euler_gamma,
@@ -249,6 +250,17 @@ def test_certified_error_is_the_sum_of_its_parts():
         assert sum(parts) == pytest.approx(res.certified_error, rel=1e-12)
         # the final rounding to P digits dominates
         assert res.rounding_error >= 0.5 * 10.0 ** -(digits + GUARD_DIGITS)
+
+
+def test_constant_result_refuses_a_bad_error():
+    good = moment_series_constant(5)
+    parts = dict(good._asdict(), certified_error=-1e-9)
+    with pytest.raises(ValueError, match="certified error must be nonnegative"):
+        ConstantResult(**parts)
+    too_large = r"budget insufficient for target: certified error 2\.000e-05 exceeds 10\^-5"
+    with pytest.raises(ValueError, match=too_large):
+        ConstantResult(*good[:1], 2e-5, *good[2:])
+    assert ConstantResult(**good._asdict()) == good
 
 
 def test_constant_five_digits():

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
+import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from cantor_moments import (
     moment_series_constant,
     recursive_moments,
 )
-from cantor_moments import exact, moments
+from cantor_moments import cli, exact, moments
 from cantor_moments.moments import DECAY_NS, float_moments
 
 
@@ -28,6 +31,12 @@ from cantor_moments.moments import DECAY_NS, float_moments
 def table_512():
     """The closed-form table M_0..M_512, built once for the tests that read it."""
     return bernoulli_moments(512)
+
+
+@pytest.fixture(scope="module")
+def decimal_rows_512():
+    """The CLI's view of the same table: closed_form_rows(512, Decimal)."""
+    return list(moments.closed_form_rows(512, Decimal))
 
 
 @pytest.fixture(scope="module")
@@ -108,16 +117,127 @@ def _text(rows):
     return [(str(num), str(den)) for num, den in rows]
 
 
-def test_decimal_view_matches_table_512(table_512):
+def test_decimal_view_matches_table_512(table_512, decimal_rows_512):
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        got = _text(moments.closed_form_rows(512, Decimal))
+        got = _text(decimal_rows_512)
         want = _text((f.numerator, f.denominator) for f in table_512)
     finally:
         sys.set_int_max_str_digits(previous)
     assert len(got) == 513
     assert got == want
+
+
+# The CLI's stdout digests for every (N, format) the benchmark runs.
+REFERENCE_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["moments_sha256"]
+
+
+@pytest.mark.parametrize("lift", [int, Decimal])
+def test_both_views_print_the_reference_tables(
+    lift, decimal_rows_512, monkeypatch, capsys
+):
+    # Each N mixes rows divided from the low digits with rows kept on
+    # schoolbook //, the latter where L_n is most of L.  The int rows at
+    # N = 512 print as the Decimal ones (test_decimal_view_matches_table_512).
+    closed_form_rows = moments.closed_form_rows
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for key, digest in REFERENCE_DIGESTS.items():
+            max_n, fmt = key.split("/")
+            N = int(max_n)
+            if N == 512 and lift is int:
+                continue
+            rows = decimal_rows_512 if N == 512 else list(closed_form_rows(N, lift))
+            monkeypatch.setattr(moments, "closed_form_rows", lambda n, _: iter(rows))
+            assert cli.cmd_moments(N, fmt) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@settings(deadline=None)
+@given(
+    # K up to 20,000 decimal digits, or the 66,439 bits as many, against
+    # the 19,600 digits of L at N = 512.
+    st.sampled_from([(moments._Base2, int, 66_439), (moments._Base10, Decimal, 20_000)])
+    .flatmap(lambda case: st.tuples(st.just(case[:2]), st.integers(1, case[2]))),
+    st.randoms(use_true_random=False),
+)
+def test_hensel_inverse_inverts_modulo_a_power_of_the_base(case_and_K, rng):
+    (digits, lift), K = case_and_K
+    B = digits.base
+    r = rng.randrange(B ** rng.randint(0, K + 5)) * B + rng.choice(
+        [u for u in range(1, B) if gcd(u, B) == 1]
+    )
+    with decimal.localcontext(moments.EXACT):
+        x = moments._hensel_inverse(lift(r), K, digits)
+    assert type(x) is lift
+    assert 0 <= int(x) < B**K
+    assert r * int(x) % B**K == 1
+
+
+@pytest.mark.parametrize("lift", [int, Decimal])
+def test_an_inexact_division_raises(lift):
+    # L + 10 P in place of L, P the part of L in 2s and 5s: the same 2s
+    # and 5s, so the rows run through the low-digit division, but
+    # L + 10 P is not a multiple of d_2 = 30.  Row 1 subtracts the
+    # misrounded c_2 term it added, so row 2 is the first wrong head, and
+    # the check of q * L = L A_n * L_n modulo a prime refuses it.
+    def corrupt(x):
+        _, rest = moments._split(x, (2, 5))
+        return lift(x + 10 * (x // rest))
+
+    with pytest.raises(ArithmeticError, match=r"row 2: L \* A_n is not divisible"):
+        list(moments.closed_form_rows(64, corrupt))
+
+
+RECURSION_PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
+
+
+def _recursion_failures(rows, p):
+    """The n in 1..N where the rows break the recursion modulo the prime p.
+
+    Each row (num, den) is reduced to num * den**-1 mod p, and
+    M_n (3*2**n - 2) = 1 + sum_{k<n} C(n, k) M_k is tested with one
+    Pascal row kept modulo p.  Nothing is shared with the closed form.
+    Raises ValueError if p divides a denominator.
+    """
+    M = []
+    with decimal.localcontext(moments.EXACT):
+        for n, (num, den) in enumerate(rows):
+            d = int(den % p)
+            if d == 0:
+                raise ValueError(f"{p} divides the denominator of row {n}")
+            M.append(int(num % p) * pow(d, -1, p) % p)
+    failures = []
+    pascal = [1]  # C(n, k) mod p for k <= n
+    for n in range(1, len(M)):
+        pascal = [1, *((a + b) % p for a, b in zip(pascal, pascal[1:])), 1]
+        rhs = 1 + sum(c * m for c, m in zip(pascal, M[:n]))
+        if (M[n] * (3 * 2**n - 2) - rhs) % p:
+            failures.append(n)
+    return failures
+
+
+def test_table_512_meets_the_recursion_modulo_primes(table_512, decimal_rows_512):
+    fractions = [(f.numerator, f.denominator) for f in table_512]
+    for p in RECURSION_PRIMES:
+        assert _recursion_failures(fractions, p) == [], p
+        assert _recursion_failures(decimal_rows_512, p) == [], p
+
+
+def test_recursion_check_finds_the_first_wrong_row(table_512):
+    rows = [(f.numerator, f.denominator) for f in table_512]
+    rows[400] = (rows[400][0] + 1, rows[400][1])
+    for p in RECURSION_PRIMES:
+        assert _recursion_failures(rows, p)[0] == 400
+    with pytest.raises(ValueError, match="divides the denominator of row 1"):
+        _recursion_failures([(1, 1), (1, RECURSION_PRIMES[0])], RECURSION_PRIMES[0])
 
 
 def test_decimal_view_keeps_the_callers_context():
