@@ -66,10 +66,15 @@ _MAX_ORDER = 60
 # the order that euler_gamma picks for the precision.
 _GAMMA_Q = 8
 
-# Largest q for euler_gamma's direct sum H(2**q).  The sum is fixed-point,
-# so the exact harmonic cap does not bind it; the limit bounds its run
-# time (2**22 terms take about 1 s).
-_Q_CAP = 22
+# Largest q for euler_gamma's direct sum H(2**q): the dual gamma oracle
+# uses q = 18 and 20.  The sum is fixed-point, so the exact harmonic cap
+# does not bind it; 2**20 terms take about 0.2 s.
+_Q_CAP = 20
+
+# Largest K for the exact weighted sum and the double-sum identity: the
+# constant uses K0 and the identity suite K <= 12.  H(2**K) stays within
+# exact.HARMONIC_CAP.
+_K_CAP = 14
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +239,7 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
 
     Raises:
         ValueError: "precision beyond supported range" when q is outside
-            [1, 22] or no J <= 60 meets the remainder bound.
+            [1, 20] or no J <= 60 meets the remainder bound.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -265,8 +270,8 @@ def weighted_harmonic_sum_exact(K: int) -> Fraction:
     The exact head of the constant (K = K0), the double-sum identity and
     the tests use it; K is capped where exact harmonic numbers stay cheap.
     """
-    if not (1 <= K <= 14):
-        raise ValueError("exact weighted sum supports 1 <= K <= 14")
+    if not (1 <= K <= _K_CAP):
+        raise ValueError(f"exact weighted sum supports 1 <= K <= {_K_CAP}")
     return sum(
         Fraction(2, 3) ** k * harmonic_exact(2**k) for k in range(1, K + 1)
     )
@@ -358,7 +363,7 @@ def double_sum_check(K: int) -> Fraction:
     Raises:
         ValueError: K out of [1, 14] ("inner sum too large for exact mode").
     """
-    if K < 1 or K > 14:
+    if not (1 <= K <= _K_CAP):
         raise ValueError("inner sum too large for exact mode")
     outer = Fraction(0)
     for k in range(1, K + 1):

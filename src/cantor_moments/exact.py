@@ -16,10 +16,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-# Hard cap for exact harmonic numbers; beyond this the asymptotic path in
-# cantor_moments.constant must be used (the exact denominator of H_{2^22}
-# has ~1.8 million digits).
-HARMONIC_CAP = 2**22
+# Hard cap for exact harmonic numbers: H(2**14) is the largest the exact
+# weighted sum needs (K <= 14).  Beyond it the asymptotic path in
+# cantor_moments.constant is used (the exact denominator of H_{2^14} has
+# about 7,100 digits).
+HARMONIC_CAP = 2**14
 
 # ---------------------------------------------------------------------------
 # Rounding
@@ -122,13 +123,12 @@ def _balanced_sum(term: Callable[[int], Fraction], lo: int, hi: int) -> Fraction
 def harmonic_exact(m: int) -> Fraction:
     """Exact harmonic number H_m = sum_{k=1..m} 1/k.
 
-    The cap guards against pathological memory use: at the cap the
-    reduced denominator already has about 1.8 million digits.  Calls
-    near the cap are *slow* (minutes); high-precision consumers use the
-    asymptotic path in :mod:`cantor_moments.constant` instead.
+    The cap is the largest index the exact weighted sum uses;
+    high-precision consumers use the asymptotic path in
+    :mod:`cantor_moments.constant` instead.
 
     Raises:
-        ValueError: if m < 1 or m exceeds the 2**22 cap.
+        ValueError: if m < 1 or m exceeds the 2**14 cap.
     """
     if m < 1:
         raise ValueError("harmonic index must be positive")
