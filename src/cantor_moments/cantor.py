@@ -25,8 +25,10 @@ _DEPTH = 64
 # The identity checks run at x = i / _GRID, i = 0.._GRID.
 _GRID = 10**4
 
-# Cells of the quadrature's midpoint grid.
+# Cells of the quadrature's midpoint grid, evaluated _BLOCK at a time:
+# each _values call holds several int64 arrays of its length at once.
 _POINTS = 10**6
+_BLOCK = 2**16
 
 
 def _values(num: np.ndarray, den: int) -> np.ndarray:
@@ -74,7 +76,11 @@ def integral_quadrature(orders: tuple[int, ...]) -> tuple[float, ...]:
     if not all(n >= 1 for n in orders):
         raise ValueError("moment order must be positive")
     den = 2 * _POINTS
-    values = _values(np.arange(1, den, 2, dtype=np.int64), den)
+    values = np.empty(_POINTS)
+    for start in range(0, _POINTS, _BLOCK):
+        stop = min(start + _BLOCK, _POINTS)
+        num = np.arange(2 * start + 1, 2 * stop, 2, dtype=np.int64)
+        values[start:stop] = _values(num, den)
     # One power at a time: a (len(orders), points) array would hold every
     # power at once.
     return tuple(float(np.mean(values**n)) for n in orders)

@@ -24,8 +24,8 @@ quadratic time, about half of the N = 512 command's run time; libmpdec,
 CPython's C ``decimal``, stores integers in base 10**19 and renders them
 in linear time, and its exact + - * // % cost no more than int's.  The
 one body serves both types because every operand in it is nonnegative
-and every ``//`` is an exact division or a truncation, where Decimal's
-truncating division and int's floor division agree; its rows run in the
+and every ``//`` is an exact division, where Decimal's truncating
+division and int's floor division agree; its rows run in the
 trapping context :data:`EXACT`, so a Decimal step that would round
 raises instead.  The Fraction API stays on int: converting the 1,026
 Decimals back would cost more than the rendering saves.
@@ -34,14 +34,16 @@ Each row's exact division L A_n / (L / L_n) is read off the low digits,
 as in Jebelean's exact division (J. Symbolic Comput. 15, 1993): the
 quotient is the dividend times an inverse of the divisor modulo a power
 of the base, which Newton-Hensel doubling finds once per table and one
-short product updates per row.  Schoolbook ``//`` is kept where the
-quotient is more than twice as long as the divisor, where it is the
-cheaper of the two.  The base is 2 for int, where the low digits are a
-mask and a shift (base 10 would take a long division), and 10 for
-Decimal, where they are an exponent shift.  Every quotient is checked
-modulo a 61-bit prime, and a division that is not exact raises
-ArithmeticError.  At N = 512 the division phase takes a little over half
-the time of ``//`` alone, in either view.
+short product updates per row.  That needs a divisor prime to the base,
+so the running lcm L_n starts at the part of L made of the base's
+primes, not at 1; the factor it adds to each row cancels in the
+reduction.  Schoolbook ``//`` is kept where the quotient is more than
+twice as long as the divisor, where it is the cheaper of the two.  The
+base is 2 for int, where the low digits are a mask (base 10 would take a
+long division), and 10 for Decimal, where they are an exponent shift.
+Every quotient is checked modulo a 61-bit prime, and a division that is
+not exact raises ArithmeticError.  At N = 512 the division phase takes a
+little over half the time of ``//`` alone, in either view.
 
 ``decay_fit`` checks the remainder of the moment series empirically:
 the gap between the series' limit and its partial sums, at the fixed
@@ -106,25 +108,24 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     Each M_n is yielded as soon as its row exists, so a caller that
     streams the table never holds all of it.
 
-    The exact division q = L A_n / (L / L_n) = L_n A_n is Jebelean's: it
-    is read off the low digits.  In a base B, write the divisor as
-    P * r with P a product of B's primes and r prime to B; then
-    q = (L A_n / P) * r**-1 mod B**k for any B**k > q.  The inverse of
-    L's own r is found once, modulo B**K with K = len(L) + 2, by
-    Newton-Hensel doubling (:func:`_hensel_inverse`); as L_n grows, r
-    loses the part of each new factor prime to B, and the inverse is
-    multiplied by that part, so each row costs one product of two k-digit
-    numbers, k = len(L A_n) - len(L) + len(L_n) + 2 >= len(q) + 1.
+    The exact division q = L A_n / (L / L_n) = L_n A_n is Jebelean's: in
+    a base B, q = L A_n * (L / L_n)**-1 mod B**k for any B**k > q, which
+    needs a divisor prime to B.  So L_n starts at P, the part of L made
+    of B's primes, instead of at 1; every L / L_n is then prime to B.
+    P is 4 in base 2, for ``int`` (d_1 = 4 holds all of L's 2s, every
+    other d_j at most one), and 4 * 5**e in base 10, for ``Decimal``.
+    The inverse of L / P is found once, modulo B**K with K = len(L) + 2,
+    by Newton-Hensel doubling (:func:`_hensel_inverse`), and multiplied
+    by each factor L_n grows by, so each row costs one product of two
+    k-digit numbers, k = len(L A_n) - len(L) + len(L_n) + 2 >= len(q) + 1.
     Schoolbook ``//`` costs about len(q) * len(L / L_n) instead, so it
     is kept where the quotient is more than twice as long as the divisor
     (k > 2 len(L / L_n)), in the last rows, where L_n is most of L, and
-    wherever k would exceed K.  ``int`` runs in base 2, where the low
-    digits are a mask and a shift and P is a power of 2; in base 10 they
-    would take a long division.  ``Decimal`` runs in base 10, where they
-    are a ``scaleb`` and an integral part, and P takes out the 2s and
-    the 5s.  Either way the quotient is checked: q * L = L A_n * L_n
-    modulo the prime :data:`_CHECK_PRIME`, and a row that fails raises
-    ArithmeticError, so a division that is not exact cannot pass unseen.
+    wherever k would exceed K.  The low digits are a mask for ``int``
+    and a ``scaleb`` and an integral part for ``Decimal``.  Either way
+    the quotient is checked: q * L = L A_n * L_n modulo the prime
+    :data:`_CHECK_PRIME`, and a row that fails raises ArithmeticError,
+    so a division that is not exact cannot pass unseen.
 
     Reducing 2 L_n A_n / (3(n+1) L_n) needs no gcd with the whole
     denominator.  Call a prime p *lonely* if p > N + 2 and p divides
@@ -133,12 +134,13 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     nor 6(n+1), since p > n + 1 and p > 3; so v_p(M_n) = v_p(c_{j0}) =
     -v_p(L_n), and p never cancels.  With d_j = u_j v_j, u_j the lonely
     part (:func:`_shared_parts`), the gcd is therefore the one with
-    V_n = 3(n+1) W_n, W_n = lcm_{j<=n} v_j, kept beside L_n: 772 bits
-    against the 65,071 of 3(n+1) L_n at n = N = 512.
+    V_n = 3(n+1) W_n, W_n = lcm(P, v_0..v_n), kept beside L_n: 772 bits
+    against the 65,071 of 3(n+1) L_n at n = N = 512.  W_n starts at P
+    too, so the part of P that L_n adds beyond lcm_{j<=n} d_j, and any
+    lonely 5 in P, divide V_n, and the gcd removes them.
 
     Every operand is nonnegative and every ``//`` is an exact division,
-    or a truncation of a nonnegative number to its high digits, so int
-    floor division and Decimal truncation agree.  Each row runs in
+    so int floor division and Decimal truncation agree.  Each row runs in
     ``decimal.localcontext(EXACT)``, entered and left between two yields,
     so the caller's context never reaches the arithmetic and EXACT never
     reaches the caller.
@@ -158,13 +160,12 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     K = length(L) + 2
     with decimal.localcontext(EXACT):
         row = [c.numerator * (L // c.denominator) for c in terms]
-        # ratio = L / L_n = prod(p**e for p, e in zip(primes, exponents)) * r,
-        # with inverse = r**-1 mod B**K.
-        exponents, r = _split(L, digits.primes)
-        inverse = _hensel_inverse(r, K, digits)
+        # ratio = L / L_n, prime to the base, and inverse = ratio**-1 mod B**K.
+        ratio = _strip(L, digits.primes)
+        inverse = _hensel_inverse(ratio, K, digits)
+        L_n = L // ratio  # P; c_0 = 2 has denominator 1
         L_check = int(L % _CHECK_PRIME)
-    L_n, W_n, ratio = one, 1, L  # c_0 = 2 has denominator 1
-    L_n_check = 1
+    W_n = L_n_check = int(L_n)
     for n in range(N + 1):
         with decimal.localcontext(EXACT):
             for j in range(len(row) - 1):
@@ -179,19 +180,13 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
             L_n *= step
             ratio //= step
             L_n_check = L_n_check * step % _CHECK_PRIME
-            step_exponents, step_rest = _split(step, digits.primes)
-            exponents = [e - a for e, a in zip(exponents, step_exponents)]
-            if step_rest > 1:
-                inverse = low(inverse * step_rest, K)
+            if step > 1:
+                inverse = low(inverse * step, K)
             k = length(scaled) - length(L) + length(L_n) + 2
             if k > 2 * length(ratio) or k > K:
                 quotient = scaled // ratio
             else:
-                # scaled / P = scaled * (B**e / P) / B**e, exactly.
-                e = max(exponents)
-                scale = prod(p ** (e - a) for p, a in zip(digits.primes, exponents))
-                s = digits.high(scaled * scale, e)
-                quotient = low(low(s, k) * low(inverse, k), k)
+                quotient = low(low(scaled, k) * low(inverse, k), k)
             if (
                 int(quotient % _CHECK_PRIME) * L_check
                 - int(scaled % _CHECK_PRIME) * L_n_check
@@ -206,7 +201,7 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
 
 
 class _Base2:
-    """Low and high digits of a nonnegative ``int`` in base 2."""
+    """Low digits of a nonnegative ``int`` in base 2."""
 
     base = 2
     primes = (2,)
@@ -214,11 +209,6 @@ class _Base2:
     @staticmethod
     def length(x: int) -> int:
         return x.bit_length()
-
-    @staticmethod
-    def high(x: int, k: int) -> int:
-        """x // 2**k."""
-        return x >> k
 
     @staticmethod
     def low(x: int, k: int) -> int:
@@ -231,7 +221,7 @@ class _Base2:
 
 
 class _Base10:
-    """Low and high digits of a nonnegative integral ``Decimal`` in base 10.
+    """Low digits of a nonnegative integral ``Decimal`` in base 10.
 
     ``scaleb`` moves the exponent without touching the coefficient, and
     ``to_integral_value`` truncates without signalling Inexact or
@@ -247,30 +237,21 @@ class _Base10:
         return x.adjusted() + 1
 
     @staticmethod
-    def high(x: decimal.Decimal, k: int) -> decimal.Decimal:
-        """x // 10**k."""
-        return x.scaleb(-k).to_integral_value(decimal.ROUND_DOWN)
-
-    @staticmethod
     def low(x: decimal.Decimal, k: int) -> decimal.Decimal:
         """x mod 10**k."""
-        return x - _Base10.high(x, k).scaleb(k)
+        return x - x.scaleb(-k).to_integral_value(decimal.ROUND_DOWN).scaleb(k)
 
     @staticmethod
     def power(k: int) -> decimal.Decimal:
         return decimal.Decimal(1).scaleb(k)
 
 
-def _split(x: _Z, primes: tuple[int, ...]) -> tuple[list[int], _Z]:
-    """The exponents e_p of the given primes in x > 0, and x / prod p**e_p."""
-    exponents = []
+def _strip(x: _Z, primes: tuple[int, ...]) -> _Z:
+    """x > 0 divided by every factor of it among the given primes."""
     for p in primes:
-        e = 0
         while x % p == 0:
             x //= p
-            e += 1
-        exponents.append(e)
-    return exponents, x
+    return x
 
 
 def _hensel_inverse(r: _Z, K: int, digits: type[_Base2] | type[_Base10]) -> _Z:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_moments import bernoulli_moments
+from cantor_moments import bernoulli_moments, cantor
 from cantor_moments.cantor import (
     _values,
     integral_quadrature,
@@ -159,6 +159,24 @@ def test_integral_converges_with_points():
     coarse = abs(float(np.mean(coarse_grid**2)) - exact)
     fine = abs(integral_quadrature((2,))[0] - exact)
     assert fine <= coarse
+
+
+def test_integral_grid_is_evaluated_in_blocks(monkeypatch):
+    # The 10**6 midpoints reach the evaluator at most one block at a time,
+    # so its int64 work arrays stay small, and the means are those of the
+    # grid evaluated in one piece.
+    sizes = []
+
+    def recording(num, den):
+        sizes.append(len(num))
+        return _values(num, den)
+
+    monkeypatch.setattr(cantor, "_values", recording)
+    estimates = integral_quadrature((1, 2, 5))
+    assert max(sizes) <= cantor._BLOCK
+    assert sum(sizes) == 10**6
+    grid = _values(np.arange(1, 2 * 10**6, 2, dtype=np.int64), 2 * 10**6)
+    assert estimates == tuple(float(np.mean(grid**n)) for n in (1, 2, 5))
 
 
 def test_integral_preconditions():

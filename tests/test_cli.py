@@ -304,6 +304,27 @@ def test_quadrature_non_convergence_fails_checks(capsys, monkeypatch):
         assert checks[name] == ("fail", "quadrature not converged")
 
 
+def test_contour_guard_failure_fails_checks(capsys, monkeypatch):
+    # The contour layer's other ValueErrors, here the zeta remainder guard,
+    # are check failures too: exit 1, report printed, message as measured.
+    from cantor_moments import contour
+
+    monkeypatch.setattr(contour, "_EM_TOL", 1e-30)
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "mellin", "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_pass"] is False
+    failing = {c["name"]: c["measured"] for c in payload["checks"] if c["status"] == "fail"}
+    assert sorted(failing) == [
+        "constant_contour",
+        "moment_contour_n1",
+        "moment_contour_n2",
+        "moment_contour_n5",
+    ]
+    for measured in failing.values():
+        assert measured.startswith("zeta Euler-Maclaurin remainder above tolerance")
+
+
 def test_closed_pipe_exits_quietly():
     # A reader that stops early (`moments | head -1`) closes the pipe; the
     # command exits with the shell's SIGPIPE status and no traceback.

@@ -59,6 +59,11 @@ KNOWN = {
 def test_known_values_both_methods(n):
     assert bernoulli_moments(n)[n] == KNOWN[n]
     assert recursive_moments(n)[n] == KNOWN[n]
+    # The CLI's view, in lowest terms.  At N = 1 and 2 the 5 of d_2 = 30 is a
+    # lonely prime that also lies in the base's part of L, so it cancels
+    # through W_n.
+    num, den = list(moments.closed_form_rows(n, Decimal))[-1]
+    assert (int(num), int(den)) == (KNOWN[n].numerator, KNOWN[n].denominator)
 
 
 def _direct_closed_form(n, B):
@@ -189,7 +194,7 @@ def test_an_inexact_division_raises(lift):
     # misrounded c_2 term it added, so row 2 is the first wrong head, and
     # the check of q * L = L A_n * L_n modulo a prime refuses it.
     def corrupt(x):
-        _, rest = moments._split(x, (2, 5))
+        rest = moments._strip(x, (2, 5))
         return lift(x + 10 * (x // rest))
 
     with pytest.raises(ArithmeticError, match=r"row 2: L \* A_n is not divisible"):
