@@ -18,7 +18,11 @@ All integrands satisfy f(conj s) = conj f(s), so integrals over
 [-T, T] are evaluated as twice the real part over [0, T]; the symmetry
 itself is asserted in the test suite.  The quadrature is adaptive
 Gauss-Kronrod 7-15 with all panels of a refinement wave evaluated in one
-vectorized batch, for one integrand or several sharing one mesh.
+vectorized batch, for one integrand or several sharing one mesh.  Both
+line integrals start from equal panels built by one function,
+:func:`_edges`, which also checks T and the evaluation budget: P wide
+(below) for the zeta rows, and for the Perron kernel no wider than P nor
+than one period 2*pi/|ln t| of its t**(i*tau) oscillation.
 
 Every row of :func:`zeta_contours`, each moment and the constant, is
 weight * zeta(1 - s) / (3*2**(s-1) - 1) on Re s = -1/2, so one zeta
@@ -248,39 +252,21 @@ def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _check_budget(panels: float) -> None:
-    """Refuse a starting mesh of this many panels if its 15 Kronrod nodes
-    a panel alone exceed the _MAX_EVALS budget.
-
-    The mesh builders pass T / width before any array exists, so a mesh
-    refused there is never allocated (and T / width may be inf); one
-    whose last, partial panel tips it over is refused by _adaptive_line,
-    which passes the count of the mesh it is given.
-    """
-    if 15 * panels > _MAX_EVALS:
-        raise QuadratureError(
-            "starting mesh exceeds the evaluation budget", math.nan, math.inf
-        )
-
-
 def _adaptive_line(f, edges: np.ndarray):
     """Adaptive quadrature of every row of f over [0, T], T = edges[-1].
 
-    Starts from the caller's panels [edges[i], edges[i+1]] (fitted to the
-    integrand: a fraction of its oscillation period, or a mesh whose
-    edges sit at its near-poles), then bisects every panel where any
-    row's Gauss-Kronrod error estimate |K15 - G7| exceeds its share
-    _ABS_TOL * width / (2T) of the budget, re-evaluating only split
-    panels, until all pass or the _MAX_EVALS budget runs out.  All rows
-    share one mesh, so each node is evaluated once for all of them.
+    Starts from the caller's panels [edges[i], edges[i+1]] (in the
+    program always a mesh from :func:`_edges`, which has checked T and
+    the budget), then bisects every panel where any row's Gauss-Kronrod
+    error estimate |K15 - G7| exceeds its share _ABS_TOL * width / (2T)
+    of the budget, re-evaluating only split panels, until all pass or the
+    _MAX_EVALS budget runs out.  All rows share one mesh, so each node is
+    evaluated once for all of them.
 
     Returns (integrals, error_estimates, evaluations), one integral and
     one estimate per row.  A QuadratureError carries the estimate and
-    error of the row with the largest error; one raised because the
-    starting mesh alone exceeds the budget, before f is called, carries
-    estimate nan and error inf.
+    error of the row with the largest error.
     """
-    _check_budget(len(edges) - 1)
     T = float(edges[-1])
     a = edges[:-1].copy()
     b = edges[1:].copy()
@@ -324,10 +310,21 @@ def _adaptive_line(f, edges: np.ndarray):
 _POLE_PERIOD = 2.0 * math.pi / math.log(2.0)
 
 
-def _pole_aligned_edges(T: float) -> np.ndarray:
-    """Panel edges 0, P, 2P, ... below T, then T."""
-    _check_budget(T / _POLE_PERIOD)
-    return np.append(np.arange(0.0, T, _POLE_PERIOD), T)
+def _edges(T: float, width: float) -> np.ndarray:
+    """Starting panel edges 0, width, 2*width, ... below T, then T.
+
+    The one mesh builder of both line integrals.  T is checked to lie
+    in [10, inf), and a mesh whose 15 Kronrod nodes a panel alone exceed
+    the _MAX_EVALS budget is refused from T and width, before any array
+    exists; that QuadratureError carries estimate nan and error inf.
+    """
+    if not 10 <= T < math.inf:
+        raise ValueError("truncation height must be >= 10")
+    if 15 * math.ceil(T / width) > _MAX_EVALS:
+        raise QuadratureError(
+            "starting mesh exceeds the evaluation budget", math.nan, math.inf
+        )
+    return np.append(np.arange(0.0, T, width), T)
 
 
 # The near-poles themselves are the zeros s_k = 1 - log2(3) + i*tau_k of
@@ -356,18 +353,15 @@ def perron_kernel(t: float, *, T: float = _T) -> float:
 
     Raises:
         ValueError: t not in (0, inf), or T not in [10, inf).
-        QuadratureError: evaluation budget exhausted before tolerance.
+        QuadratureError: the starting mesh alone exceeds the evaluation
+            budget (refused by :func:`_edges` before it is built), or the
+            budget is exhausted before tolerance.
     """
     if not 0 < t < math.inf:
         raise ValueError("kernel argument must be positive and finite")
-    if not 10 <= T < math.inf:
-        raise ValueError("truncation height must be >= 10")
-    # Quarter-period panels against the e^{i tau ln t} oscillation
-    # (evaluations are cheap here — no zeta).
-    period = 2 * math.pi / abs(math.log(t)) if t != 1.0 else math.inf
-    width = min(2.0, period / 4)
-    _check_budget(T / width)
-    edges = np.linspace(0.0, T, max(8, math.ceil(T / width)) + 1)
+    # Panels as wide as the zeta rows', P = 2*pi/ln 2, or as one period
+    # 2*pi/|ln t| of the t**(i*tau) oscillation if that is shorter.
+    edges = _edges(T, 2.0 * math.pi / max(abs(math.log(t)), math.log(2.0)))
     integrals, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges)
     integral = complex(integrals[0])
     return 2.0 * integral.real / (2.0 * math.pi)
@@ -474,15 +468,14 @@ def zeta_contours(
 
     Raises:
         ValueError: an order outside [1, 16], or T not in [10, inf).
-        QuadratureError: evaluation budget exhausted before tolerance
-            (its estimate is of the integral with the principal parts
-            subtracted).
+        QuadratureError: the starting mesh alone exceeds the evaluation
+            budget (refused by :func:`_edges` before it is built), or the
+            budget is exhausted before tolerance (its estimate is then of
+            the integral with the principal parts subtracted).
     """
     if not all(1 <= n <= 16 for n in orders):
         raise ValueError("moment order out of [1, 16]")
-    if not 10 <= T < math.inf:
-        raise ValueError("truncation height must be >= 10")
-    edges = _pole_aligned_edges(T)
+    edges = _edges(T, _POLE_PERIOD)
     residues, pole_integrals = _near_poles(orders, edges)
     integrals, _, _ = _adaptive_line(
         lambda tau: _zeta_integrands(orders, tau) - _principal_parts(residues, tau),

@@ -325,6 +325,24 @@ def test_contour_guard_failure_fails_checks(capsys, monkeypatch):
         assert measured.startswith("zeta Euler-Maclaurin remainder above tolerance")
 
 
+def test_decay_fit_failure_fails_checks(capsys, monkeypatch):
+    # A ValueError inside the decay fit, here from float moments 1 % too
+    # large, fails the three decay checks; the other 92 checks still run.
+    real = moments.float_moments
+    monkeypatch.setattr(moments, "float_moments", lambda N: 1.01 * real(N))
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "all", "--json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 95
+    failing = [c for c in checks if c["status"] == "fail"]
+    assert [(c["name"], c["tolerance"]) for c in failing] == [
+        ("decay_slope_band", "[-0.75, -0.45]"),
+        ("remainders_positive", "> 0"),
+        ("remainders_decreasing", "decreasing at each doubling"),
+    ]
+    assert all(c["measured"] == "insufficient constant precision" for c in failing)
+
+
 def test_closed_pipe_exits_quietly():
     # A reader that stops early (`moments | head -1`) closes the pipe; the
     # command exits with the shell's SIGPIPE status and no traceback.

@@ -209,10 +209,10 @@ def test_truncation_height_validation():
 
 def test_quadrature_error_carries_diagnostics(monkeypatch):
     # Starve the budget so bisection cannot reach the tolerance: the
-    # starting mesh (5,000 panels, 75,000 nodes) fits, its refinement to
-    # 1e-10 (about 75,330 nodes) does not.
+    # starting mesh (1,104 panels, 16,560 nodes) fits, its refinement to
+    # 1e-10 (about 24,120 nodes) does not.
     monkeypatch.setattr(contour, "_ABS_TOL", 1e-10)
-    monkeypatch.setattr(contour, "_MAX_EVALS", 75_100)
+    monkeypatch.setattr(contour, "_MAX_EVALS", 16_600)
     with pytest.raises(QuadratureError) as excinfo:
         perron_kernel(2.0, T=10_000.0)
     err = excinfo.value
@@ -223,8 +223,8 @@ def test_quadrature_error_carries_diagnostics(monkeypatch):
 
 def test_starting_mesh_over_budget_evaluates_nothing(monkeypatch):
     # A starting mesh larger than the budget is refused before the
-    # integrand is called: 5,000 Perron panels and 1,104 pole-aligned
-    # panels at T = 1e4, one node short of each budget.
+    # integrand is called: 1,104 pole-aligned panels at T = 1e4 for
+    # either line integral, one node short of the budget.
     calls = []
     real_perron, real_zeta = contour.perron_integrand, contour._zeta_integrands
     monkeypatch.setattr(
@@ -234,7 +234,7 @@ def test_starting_mesh_over_budget_evaluates_nothing(monkeypatch):
         contour, "_zeta_integrands", lambda *a: (calls.append(1), real_zeta(*a))[1]
     )
     for budget, run in (
-        (15 * 5000 - 1, lambda: perron_kernel(2.0, T=1.0e4)),
+        (15 * 1104 - 1, lambda: perron_kernel(2.0, T=1.0e4)),
         (15 * 1104 - 1, lambda: zeta_contours((1, 2), T=1.0e4)),
     ):
         monkeypatch.setattr(contour, "_MAX_EVALS", budget)
@@ -248,7 +248,7 @@ def test_starting_mesh_over_budget_evaluates_nothing(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        # 4.4 million quarter-period panels at t = 1e-300.
+        # 1.1 million one-period panels at t = 1e-300.
         lambda: perron_kernel(1e-300),
         # 110 million pole-aligned panels at T = 1e9.
         lambda: zeta_contours((1,), T=1.0e9),
@@ -359,6 +359,31 @@ def test_perron_domain():
             perron_kernel(t, T=FAST_T)
 
 
+def test_perron_starts_on_one_period_panels(monkeypatch):
+    # At T = 1e4 the starting panels are min(P, 2*pi/|ln t|) wide, P the
+    # zeta rows' period 2*pi/ln 2: P for |ln t| <= ln 2, one period of
+    # t**(i*tau) beyond.
+    starts = []
+    real_adaptive_line = contour._adaptive_line
+
+    def spy(f, edges):
+        starts.append(len(edges) - 1)
+        return real_adaptive_line(f, edges)
+
+    monkeypatch.setattr(contour, "_adaptive_line", spy)
+    for t, panels in ((0.5, 1104), (1.0, 1104), (2.0, 1104), (4.0, 2207), (1e3, 10995)):
+        perron_kernel(t)
+        period = 2.0 * math.pi / abs(math.log(t)) if t != 1.0 else math.inf
+        assert starts[-1] == math.ceil(1.0e4 / min(PERIOD, period)) == panels
+
+
+def test_perron_step_values_away_from_the_cli_points():
+    # The CLI checks t in 0.5..4; far below and far above, the kernel still
+    # meets max(t - 1, 0) at the default T = 1e4.
+    for t in (1e-3, 8.0, 1e3):
+        assert abs(perron_kernel(t) - max(t - 1.0, 0.0)) <= 1e-3
+
+
 SHARED_T = 1000.0
 PERIOD = 2.0 * math.pi / math.log(2.0)
 DELTA = math.log2(3.0) - 1.5  # distance of the near-poles from the line
@@ -371,7 +396,7 @@ def test_near_pole_integrals_closed_form(k, monkeypatch):
     # part 1/(s - s_k) = 1/(DELTA + i*u), one for every row.  k = 0 is
     # the tau = 0 panel alone, and k = 1104 the partial last panel [kP, T].
     T = 1.0e4
-    edges = contour._pole_aligned_edges(T)
+    edges = contour._edges(T, PERIOD)
     assert len(edges) == 1105 and edges[-2] < T < 1104 * PERIOD
     window = edges[max(k - 1, 0) : k + 2]
     _, integrals = contour._near_poles((1,), edges)
@@ -390,7 +415,7 @@ def test_near_pole_residues():
     # mpmath.  The constant's row is zeta(1-s) / (s(s-1)(3*2**(s-1) - 1)).
     mpmath = pytest.importorskip("mpmath")
     orders = (1, 5)
-    residues, _ = contour._near_poles(orders, contour._pole_aligned_edges(1.0e4))
+    residues, _ = contour._near_poles(orders, contour._edges(1.0e4, PERIOD))
 
     def integrands(s):
         zeta_den = mpmath.zeta(1 - s) / (3 * mpmath.power(2, s - 1) - 1)
