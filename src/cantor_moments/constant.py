@@ -89,15 +89,15 @@ def _geometric_tail(x: Fraction) -> Fraction:
 
 def _em_order(
     precision: int, scale: Callable[[int], Fraction]
-) -> tuple[int, Fraction]:
-    """The smallest Euler-Maclaurin order J and its remainder bound.
+) -> tuple[int, Fraction, list[Fraction]]:
+    """The smallest Euler-Maclaurin order J, its remainder bound, B_0..B_{2J+2}.
 
     The bound is |B_{2J+2}| / (2J+2) * scale(J): the first omitted
     Bernoulli term times the factor the expansion applies to it, which is
     1 / m**(2J+2) for H_m itself and a geometric sum over k > K0 for the
     constant's tail.  J is the smallest order that brings the bound
     below 10**-(precision+2); the constant's tail and :func:`euler_gamma`
-    both pick their order here.
+    both pick their order here and sum with the table it returns.
 
     Raises:
         ValueError: "precision beyond supported range" when no J <= 60
@@ -112,22 +112,11 @@ def _em_order(
             bern = bernoulli_numbers(2 * j2)
         bound = abs(bern[j2]) / j2 * scale(order)
         if bound < target:
-            return order, bound
+            return order, bound, bern
     raise ValueError("precision beyond supported range")
 
 
-class _ConstantFields(NamedTuple):
-    value: Fraction
-    certified_error: float
-    digits: int
-    em_order: int
-    em_remainder: float
-    ln2_error: float
-    gamma_error: float
-    rounding_error: float
-
-
-class ConstantResult(_ConstantFields):
+class ConstantResult(NamedTuple):
     """A certified value: exact decimal, total error bound, its parts.
 
     ``value`` is the exact ``Fraction`` m / 10**P, P = ``digits`` +
@@ -136,22 +125,19 @@ class ConstantResult(_ConstantFields):
     ``certified_error`` is the sum of ``em_remainder`` (the tail's
     Euler-Maclaurin remainder), ``ln2_error`` and ``gamma_error`` (each
     constant's error times its coefficient) and ``rounding_error``; every
-    float is rounded up from the exact bound.  The result is refused if
-    that error is negative or above 10**-digits.
+    float is rounded up from a nonnegative exact bound.
+    :func:`moment_series_constant` refuses to build a result whose error
+    is above 10**-digits.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ConstantResult:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.certified_error < 0:
-            raise ValueError("certified error must be nonnegative")
-        if self.certified_error > 10.0 ** (-self.digits):
-            raise ValueError(
-                f"budget insufficient for target: certified error "
-                f"{self.certified_error:.3e} exceeds 10^-{self.digits}"
-            )
-        return self
+    value: Fraction
+    certified_error: float
+    digits: int
+    em_order: int
+    em_remainder: float
+    ln2_error: float
+    gamma_error: float
+    rounding_error: float
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +232,7 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
     if not (1 <= q <= _Q_CAP):
         raise ValueError("precision beyond supported range")
     m = 2**q
-    order, _ = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
-    bern = bernoulli_numbers(2 * order)
+    order, _, bern = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
 
     # Every term is rounded once at `work` digits; sums on that grid are exact.
     work = precision + 6
@@ -294,21 +279,22 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     W = P + 6 digits and the sum rounded to P.  The certified error is
     (2/3) times the tail remainder, plus the ln 2 and gamma errors times
     (2/3)A and (2/3)B, plus 1/2 ulp at W for each of the three roundings
-    and 1/2 * 10**-P for the last; it must come in below 10**-D or the
-    result is refused.
+    and 1/2 * 10**-P for the last; above 10**-D no result is built and
+    ValueError "budget insufficient for target" is raised.
     """
     if not (1 <= digits <= MAX_DIGITS):
         raise ValueError(f"target digits out of supported range [1, {MAX_DIGITS}]")
     P = digits + GUARD_DIGITS
     W = P + _PAD
-    J, tail_remainder = _em_order(P, lambda j: _geometric_tail(_W / 4 ** (j + 1)))
+    J, tail_remainder, bern = _em_order(
+        P, lambda j: _geometric_tail(_W / 4 ** (j + 1))
+    )
     two_thirds = Fraction(2, 3)
 
     # Tail over k > K0: A = sum k w**k, B = sum w**k; w**k 2**-(k+1) is
     # (1/3)**k / 2, and each Bernoulli term is geometric with ratio w/4**j.
     A = _W ** (K0 + 1) * ((K0 + 1) - K0 * _W) / (1 - _W) ** 2
     B = _geometric_tail(_W)
-    bern = bernoulli_numbers(2 * J)
     tail_rational = _geometric_tail(_W / 2) / 2 - sum(
         bern[2 * j] / (2 * j) * _geometric_tail(_W / 4**j)
         for j in range(1, J + 1)
@@ -329,9 +315,15 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     ln2_err = ln2_coeff * ulp
     gamma_err = gamma_coeff * ulp
     rounding = 3 * ulp / 2 + Fraction(1, 2 * 10**P)
+    certified = _float_up(em + ln2_err + gamma_err + rounding)
+    if certified > 10.0**-digits:
+        raise ValueError(
+            f"budget insufficient for target: certified error "
+            f"{certified:.3e} exceeds 10^-{digits}"
+        )
     return ConstantResult(
         value,
-        _float_up(em + ln2_err + gamma_err + rounding),
+        certified,
         digits,
         J,
         em_remainder=_float_up(em),

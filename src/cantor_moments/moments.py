@@ -114,16 +114,17 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     of B's primes, instead of at 1; every L / L_n is then prime to B.
     P is 4 in base 2, for ``int`` (d_1 = 4 holds all of L's 2s, every
     other d_j at most one), and 4 * 5**e in base 10, for ``Decimal``.
-    The inverse of L / P is found once, modulo B**K with K = len(L) + 2,
-    by Newton-Hensel doubling (:func:`_hensel_inverse`), and multiplied
-    by each factor L_n grows by, so each row costs one product of two
-    k-digit numbers, k = len(L A_n) - len(L) + len(L_n) + 2 >= len(q) + 1.
-    Schoolbook ``//`` costs about len(q) * len(L / L_n) instead, so it
-    is kept where the quotient is more than twice as long as the divisor
-    (k > 2 len(L / L_n)), in the last rows, where L_n is most of L, and
-    wherever k would exceed K.  The low digits are a mask for ``int``
-    and a ``scaleb`` and an integral part for ``Decimal``.  Either way
-    the quotient is checked: q * L = L A_n * L_n modulo the prime
+    The inverse of L / P is found once, modulo B**K with K = len(L) +
+    len(3(N+1)) + 3, by Newton-Hensel doubling (:func:`_hensel_inverse`),
+    and multiplied by each factor L_n grows by, so each row costs one
+    product of two k-digit numbers, k = len(L A_n) - len(L) + len(L_n) + 2,
+    and len(q) + 1 <= k <= len(q) + 3 <= K, as L A_n = q L / L_n and
+    M_n <= 1/2 bounds q = L_n A_n by 3(N+1) L / 4.  Schoolbook ``//`` costs
+    about len(q) * len(L / L_n) instead, so it is kept where the quotient
+    is more than twice as long as the divisor (k > 2 len(L / L_n)), in the
+    last rows, where L_n is most of L.  The low digits are a mask for
+    ``int`` and a ``scaleb`` and an integral part for ``Decimal``.  Either
+    way the quotient is checked: q * L = L A_n * L_n modulo the prime
     :data:`_CHECK_PRIME`, and a row that fails raises ArithmeticError,
     so a division that is not exact cannot pass unseen.
 
@@ -157,7 +158,7 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     shared = _shared_parts(denominators, N)
     digits = _Base10 if isinstance(L, decimal.Decimal) else _Base2
     length, low = digits.length, digits.low
-    K = length(L) + 2
+    K = length(L) + length(lift(3 * (N + 1))) + 3
     with decimal.localcontext(EXACT):
         row = [c.numerator * (L // c.denominator) for c in terms]
         # ratio = L / L_n, prime to the base, and inverse = ratio**-1 mod B**K.
@@ -183,7 +184,7 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
             if step > 1:
                 inverse = low(inverse * step, K)
             k = length(scaled) - length(L) + length(L_n) + 2
-            if k > 2 * length(ratio) or k > K:
+            if k > 2 * length(ratio):
                 quotient = scaled // ratio
             else:
                 quotient = low(low(scaled, k) * low(inverse, k), k)
@@ -404,8 +405,8 @@ def decay_fit(constant: ConstantResult) -> DecayFit:
 
     Raises:
         ValueError: "insufficient constant precision" if the certified
-            error exceeds 1e-20 or a remainder is too small to be
-            resolved.
+            error exceeds 1e-20; "remainder at N = ..." if a partial sum
+            comes within 1e-6 of the limit or passes it.
     """
     if constant.certified_error > 1e-20:
         raise ValueError("insufficient constant precision")
@@ -422,7 +423,7 @@ def decay_fit(constant: ConstantResult) -> DecayFit:
     for N in DECAY_NS:
         r = limit - float(sums[N])
         if r <= floor:
-            raise ValueError("insufficient constant precision")
+            raise ValueError(f"remainder at N = {N} is {r:.3e}, not above {floor:g}")
         remainders.append(r)
 
     slope = np.polyfit(np.log(DECAY_NS), np.log(remainders), 1)[0]

@@ -285,23 +285,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_quadrature_non_convergence_fails_checks(capsys, monkeypatch):
     # A starved budget is a check failure (exit 1, report printed), not a
-    # usage error (exit 2, no report).
+    # usage error (exit 2, no report), and each check reports the contour
+    # layer's own message.
     from cantor_moments import contour
 
-    monkeypatch.setattr(contour, "_MAX_EVALS", 1000)
-    code, out, _ = run_cli(capsys, ["verify", "--suite", "mellin", "--json"])
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["all_pass"] is False
-    checks = {c["name"]: (c["status"], c["measured"]) for c in payload["checks"]}
-    for name in (
-        "perron_t_4.0",
-        "moment_contour_n1",
-        "moment_contour_n2",
-        "moment_contour_n5",
-        "constant_contour",
-    ):
-        assert checks[name] == ("fail", "quadrature not converged")
+    def measured(budget):
+        monkeypatch.setattr(contour, "_MAX_EVALS", budget)
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "mellin", "--json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_pass"] is False
+        return {c["name"]: c["measured"] for c in payload["checks"] if c["status"] == "fail"}
+
+    refused = "starting mesh exceeds the evaluation budget: best estimate nan, achieved error inf"
+    # 1,000 nodes: every starting mesh is refused before any evaluation.
+    failing = measured(1000)
+    assert len(failing) == 9
+    assert set(failing.values()) == {refused}
+    # 16,600 nodes: the P-wide meshes fit and run out while refining; the
+    # t = 4 mesh, half as wide, is still refused.
+    failing = measured(16_600)
+    assert len(failing) == 9
+    assert failing.pop("perron_t_4.0") == refused
+    exhausted = "quadrature budget exhausted before tolerance: best estimate "
+    for message in failing.values():
+        assert message.startswith(exhausted) and "nan" not in message
 
 
 def test_contour_guard_failure_fails_checks(capsys, monkeypatch):
@@ -340,7 +348,9 @@ def test_decay_fit_failure_fails_checks(capsys, monkeypatch):
         ("remainders_positive", "> 0"),
         ("remainders_decreasing", "decreasing at each doubling"),
     ]
-    assert all(c["measured"] == "insufficient constant precision" for c in failing)
+    # The partial sum at N = 4096 passes the limit; the constant is not blamed.
+    expected = "remainder at N = 4096 is -7.082e-03, not above 1e-06"
+    assert all(c["measured"] == expected for c in failing)
 
 
 def test_closed_pipe_exits_quietly():

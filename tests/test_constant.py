@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from cantor_moments import (
-    ConstantResult,
     bernoulli_numbers,
+    constant,
     double_sum_check,
     euler_gamma,
     harmonic_exact,
@@ -252,15 +252,13 @@ def test_certified_error_is_the_sum_of_its_parts():
         assert res.rounding_error >= 0.5 * 10.0 ** -(digits + GUARD_DIGITS)
 
 
-def test_constant_result_refuses_a_bad_error():
-    good = moment_series_constant(5)
-    parts = dict(good._asdict(), certified_error=-1e-9)
-    with pytest.raises(ValueError, match="certified error must be nonnegative"):
-        ConstantResult(**parts)
-    too_large = r"budget insufficient for target: certified error 2\.000e-05 exceeds 10\^-5"
+def test_constant_result_refuses_a_bad_error(monkeypatch):
+    # The refusal lives in moment_series_constant, before any result is
+    # built: with P = D - 1 the rounding alone is 5e-5 at D = 5.
+    monkeypatch.setattr(constant, "GUARD_DIGITS", -1)
+    too_large = r"budget insufficient for target: certified error 5\.000e-05 exceeds 10\^-5"
     with pytest.raises(ValueError, match=too_large):
-        ConstantResult(*good[:1], 2e-5, *good[2:])
-    assert ConstantResult(**good._asdict()) == good
+        moment_series_constant(5)
 
 
 def test_constant_five_digits():
