@@ -20,10 +20,12 @@ The numpy-backed modules (``contour``, ``cantor``) are imported only by
 the suites that use them, so ``constant`` and ``moments`` never load
 numpy.
 
-Exit codes: 0 all-pass, 1 check failure, 2 usage error, 141 when the
-reader closes the output pipe early (as ``| head`` does).  JSON output is
-byte-deterministic for identical invocations (fixed field order and
-rendering; wall time is reported only on stderr in human mode).
+Exit codes: 0 all-pass, 1 check failure or an output that cannot be
+written (one ``error: cannot write output`` line on stderr, as on a full
+disk), 2 usage error, 141 when the reader closes the output pipe early
+(as ``| head`` does).  JSON output is byte-deterministic for identical
+invocations (fixed field order and rendering; wall time is reported only
+on stderr in human mode).
 """
 
 from __future__ import annotations
@@ -345,19 +347,23 @@ def main(argv: list[str] | None = None) -> int:
             code = cmd_moments(args.max_n, args.format)
         else:
             code = cmd_verify(args.suite, args.json)
-        # Flush here, so that a reader that closed the pipe early is caught
+        # Flush here, so that an output that cannot be written is caught
         # below and not in the interpreter's final flush.
         sys.stdout.flush()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
+    except OSError as err:
         # Point stdout at the null device so that the final flush of what
-        # is still buffered stays silent, and exit as a shell reports SIGPIPE.
+        # is still buffered stays silent.  A reader that closed the pipe
+        # early gets the status a shell reports for SIGPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(err, BrokenPipeError):
+            return 141
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -37,13 +37,10 @@ of the base, which Newton-Hensel doubling finds once per table and one
 short product updates per row.  That needs a divisor prime to the base,
 so the running lcm L_n starts at the part of L made of the base's
 primes, not at 1; the factor it adds to each row cancels in the
-reduction.  Schoolbook ``//`` is kept where the quotient is more than
-twice as long as the divisor, where it is the cheaper of the two.  The
-base is 2 for int, where the low digits are a mask (base 10 would take a
-long division), and 10 for Decimal, where they are an exponent shift.
-Every quotient is checked modulo a 61-bit prime, and a division that is
-not exact raises ArithmeticError.  At N = 512 the division phase takes a
-little over half the time of ``//`` alone, in either view.
+reduction.  The base is 2 for int, where the low digits are a mask
+(base 10 would take a long division), and 10 for Decimal, where they are
+an exponent shift.  Every quotient is checked modulo a 61-bit prime, and
+a division that is not exact raises ArithmeticError.
 
 ``decay_fit`` checks the remainder of the moment series empirically:
 the gap between the series' limit and its partial sums, at the fixed
@@ -119,14 +116,11 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     and multiplied by each factor L_n grows by, so each row costs one
     product of two k-digit numbers, k = len(L A_n) - len(L) + len(L_n) + 2,
     and len(q) + 1 <= k <= len(q) + 3 <= K, as L A_n = q L / L_n and
-    M_n <= 1/2 bounds q = L_n A_n by 3(N+1) L / 4.  Schoolbook ``//`` costs
-    about len(q) * len(L / L_n) instead, so it is kept where the quotient
-    is more than twice as long as the divisor (k > 2 len(L / L_n)), in the
-    last rows, where L_n is most of L.  The low digits are a mask for
-    ``int`` and a ``scaleb`` and an integral part for ``Decimal``.  Either
-    way the quotient is checked: q * L = L A_n * L_n modulo the prime
-    :data:`_CHECK_PRIME`, and a row that fails raises ArithmeticError,
-    so a division that is not exact cannot pass unseen.
+    M_n <= 1/2 bounds q = L_n A_n by 3(N+1) L / 4.  The low digits are a
+    mask for ``int`` and a ``scaleb`` and an integral part for
+    ``Decimal``.  Every quotient is checked: q * L = L A_n * L_n modulo
+    the prime :data:`_CHECK_PRIME`, and a row that fails raises
+    ArithmeticError, so a division that is not exact cannot pass unseen.
 
     Reducing 2 L_n A_n / (3(n+1) L_n) needs no gcd with the whole
     denominator.  Call a prime p *lonely* if p > N + 2 and p divides
@@ -161,7 +155,7 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     K = length(L) + length(lift(3 * (N + 1))) + 3
     with decimal.localcontext(EXACT):
         row = [c.numerator * (L // c.denominator) for c in terms]
-        # ratio = L / L_n, prime to the base, and inverse = ratio**-1 mod B**K.
+        # ratio = L / P, prime to the base, and inverse = ratio**-1 mod B**K.
         ratio = _strip(L, digits.primes)
         inverse = _hensel_inverse(ratio, K, digits)
         L_n = L // ratio  # P; c_0 = 2 has denominator 1
@@ -179,15 +173,11 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
             den = terms[n].denominator
             step = den // gcd(int(L_n % den), den)
             L_n *= step
-            ratio //= step
             L_n_check = L_n_check * step % _CHECK_PRIME
             if step > 1:
                 inverse = low(inverse * step, K)
             k = length(scaled) - length(L) + length(L_n) + 2
-            if k > 2 * length(ratio):
-                quotient = scaled // ratio
-            else:
-                quotient = low(low(scaled, k) * low(inverse, k), k)
+            quotient = low(low(scaled, k) * low(inverse, k), k)
             if (
                 int(quotient % _CHECK_PRIME) * L_check
                 - int(scaled % _CHECK_PRIME) * L_n_check

@@ -373,6 +373,41 @@ def test_closed_pipe_exits_quietly():
     assert proc.returncode == 141
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--max-n", "64"],
+        ["constant", "--digits", "10", "--json"],
+        ["verify", "--suite", "oracle", "--json"],
+    ],
+)
+def test_unwritable_output_is_one_error_line(argv, unbuffered):
+    # Every write to /dev/full fails with ENOSPC, at the first print when
+    # stdout is unbuffered and at the flush in main when it is not: one
+    # line on stderr, exit 1, and nothing from the interpreter's final
+    # flush, even with warnings as errors.
+    env = {
+        **os.environ,
+        "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        "PYTHONWARNINGS": "error",
+        "PYTHONUNBUFFERED": unbuffered,
+    }
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cantor_moments.cli", *argv],
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write output: [Errno 28] No space left on device"
+    ]
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "bogus"])
@@ -433,7 +468,7 @@ def test_constant_and_moments_do_not_import_numpy():
     assert "3.36465" in run.stdout
 
 
-def test_moments_restores_int_str_limit(capsys):
+def test_moments_prints_past_a_low_int_str_limit(capsys):
     # The n = 120 denominator has 1047 digits, above a 640-digit limit.
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import decimal
 import hashlib
 import json
+import math
+import pickle
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +15,7 @@ from itertools import accumulate
 from math import comb, factorial, gcd, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +27,7 @@ from cantor_moments import (
     moment_series_constant,
     recursive_moments,
 )
-from cantor_moments import cli, exact, moments
+from cantor_moments import cli, contour, exact, moments
 from cantor_moments.moments import DECAY_NS, float_moments
 
 
@@ -91,6 +95,33 @@ def test_closed_form_table_matches_direct_sum(table_512):
         ), n
 
 
+def test_coprime_fractions_behave_as_fractions(table_512):
+    # _coprime_fraction writes Fraction's private slots; on each supported
+    # Python the result must be indistinguishable from Fraction(num, den).
+    rows = [*bernoulli_moments(64), *(table_512[n] for n in (65, 127, 256, 511, 512))]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # repr of the 512 rows' 19,600 digits
+    try:
+        reprs = [(repr(f), repr(Fraction(f.numerator, f.denominator))) for f in rows]
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert all(a == b for a, b in reprs)
+    for f in rows:
+        g = Fraction(f.numerator, f.denominator)
+        assert type(f) is Fraction
+        assert f == g and hash(f) == hash(g)
+        for other in (Fraction(1, 3), 2, g):
+            for a, b in ((f + other, g + other), (f * other, g * other)):
+                assert type(a) is Fraction
+                assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
+            assert (f < other) == (g < other) and (other < f) == (other < g)
+        assert f.limit_denominator(1000) == g.limit_denominator(1000)
+        for h in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert type(h) is Fraction
+            assert (h.numerator, h.denominator) == (g.numerator, g.denominator)
+            assert h == g and hash(h) == hash(g)
+
+
 def test_recursion_table_equals_closed_form_to_128():
     assert recursive_moments(128) == bernoulli_moments(128)
 
@@ -144,9 +175,9 @@ REFERENCE_DIGESTS = json.loads(
 def test_both_views_print_the_reference_tables(
     lift, decimal_rows_512, monkeypatch, capsys
 ):
-    # Each N mixes rows divided from the low digits with rows kept on
-    # schoolbook //, the latter where L_n is most of L.  The int rows at
-    # N = 512 print as the Decimal ones (test_decimal_view_matches_table_512).
+    # Every row n >= 1 is divided from the low digits, in base 2 for int
+    # and base 10 for Decimal.  The int rows at N = 512 print as the
+    # Decimal ones (test_decimal_view_matches_table_512).
     closed_form_rows = moments.closed_form_rows
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -334,6 +365,34 @@ def test_partial_sums_below_constant(constant_d30, partial_sums_512):
     limit = constant_d30.value - Fraction(constant_d30.certified_error)
     for n in (1, 16, 64, 256, 512):
         assert partial_sums_512[n] < limit
+
+
+def test_table_512_meets_the_residue_series(table_512, partial_sums_512, constant_d30):
+    # M_n is the sum of the residues at the poles s_k = 1 - log2(3) + ikP,
+    # P = 2pi/ln 2, of the Mellin integrand (Grabner & Prodinger, Statist.
+    # Probab. Lett. 26, 1996):
+    #     M_n = (2/3) sum_k w_n(s_k) zeta(1 - s_k) / ln 2,
+    #     w_n(s) = n! / prod_{j=1..n+1} (j - s).
+    # |zeta(1 - s_k)| <= zeta(log2(3)) < 2.4 and |w_n(s_k)| <= n!/(|k|P)**(n+1),
+    # so the poles with |k| > 12 add less than 4e-20 of M_n for n >= 16.
+    # The weight is a running product, as n! overflows a float past n = 170.
+    P = 2 * math.pi / math.log(2)
+    k = np.arange(-12, 13)
+    s = 1 - math.log2(3) + 1j * k * P
+    zeta = np.conj(contour._zeta_line(math.log2(3) + 1j * k * P))
+    scale = 2 / 3 * zeta / math.log(2)  # residue at s_k over w_n(s_k)
+    w = 1 / (1 - s)
+    for n in range(1, 513):
+        w = w * n / (n + 1 - s)
+        if n >= 16:
+            M_n = float(table_512[n])
+            assert abs(np.sum(w * scale) - M_n) <= 1e-12 * M_n, n
+        if n in (16, 64, 128, 512):
+            # C - S_n, the residues of the weights summed over m > n:
+            # prod_{j=1..n+1} j / (j - s) = (n + 1) w_n, over -s.
+            remainder = np.sum((n + 1) * w / -s * scale)
+            exact = float(constant_d30.value - partial_sums_512[n])
+            assert abs(remainder - exact) <= 1e-13, n
 
 
 def test_float_moments_match_exact_values(table_512):
