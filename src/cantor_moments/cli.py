@@ -49,6 +49,9 @@ _MAX_MOMENT_INDEX = 512
 
 
 def _print_wall_time(start: float) -> None:
+    # Flush stdout first: output that cannot be written then fails here,
+    # and no time is printed for it.
+    sys.stdout.flush()
     print(f"wall time: {int((time.monotonic() - start) * 1000)} ms", file=sys.stderr)
 
 

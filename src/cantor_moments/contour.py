@@ -34,11 +34,21 @@ fall on panel edges.  On each starting panel the principal parts
 residue / (s - s_k) of the two near-poles at its edges are subtracted
 before quadrature and integrated in closed form (a logarithm) instead,
 so the mesh only resolves what is smooth; the residues take one zeta
-call at the poles.  Zeta, on arrays of points, is one Euler-Maclaurin
-path with a cutoff solved from its remainder bound at every height and
-applied per block of 64 points; the Dirichlet powers n**(-s) are built
-multiplicatively from a smallest-prime-factor sieve, with exp taken only
-at primes.  The weights are finite products.
+call at the poles.  The weights are finite products.
+
+Zeta, on arrays of points, takes one of two paths at each point, chosen
+from their error bounds.  Riemann-Siegel, in Arias de Reyna's form for
+any real part, serves a point where its truncation bound with 7
+correction terms is below target and its 2N = 2*floor(sqrt(tau/2pi))
+Dirichlet terms are fewer than Euler-Maclaurin's cutoff: on Re s = 3/2
+and log2(3), every height from about 1650 up, with N <= 39 at 1e4.
+chi(s) is built in logarithms, with Stirling's series for
+log Gamma(1 - s) and its remainder bound.
+Euler-Maclaurin serves the rest, with a cutoff solved from its
+remainder bound at every height and applied per block of 64 points.
+Each path checks its own bound and raises above 1e-10.  The Dirichlet
+powers n**(-s) of both paths are built multiplicatively from a
+smallest-prime-factor sieve, with exp taken only at primes.
 """
 
 from __future__ import annotations
@@ -100,17 +110,19 @@ def _spf_sieve(M: int) -> np.ndarray:
     return spf
 
 
-def _dirichlet_sum(s: np.ndarray, M) -> np.ndarray:
-    """sum_{n=1..M} n**(-s), with exp taken only at the primes.
+def _powers(x: np.ndarray, cutoffs, width: int):
+    """Tables of n**(-x), each for a run of width consecutive points of x.
 
-    M is one cutoff for all of s, or one per block of _DIRICHLET_BLOCK
-    consecutive points; the sieve is built once, for the largest.  Every
-    composite n = p * (n/p), p = spf(n), gets n**(-s) as
-    p**(-s) * (n/p)**(-s); both factors are below 2**j when n lies in
+    cutoffs is one cutoff for all runs, or one per run; the sieve is
+    built once, for the largest.  Yields (start, w) with
+    w[n, j] = n**(-x[start + j]) for 1 <= n <= the run's cutoff; w is one
+    buffer, overwritten by the next run.  exp is taken only at the
+    primes.  Every composite n = p * (n/p), p = spf(n), gets n**(-x) as
+    p**(-x) * (n/p)**(-x); both factors are below 2**j when n lies in
     [2**j, 2**(j+1)), so one gather-and-multiply per such level fills the
-    table, a block of nodes at a time and only up to that block's cutoff.
+    table, up to the run's cutoff.
     """
-    cutoffs = np.broadcast_to(M, (-(-len(s) // _DIRICHLET_BLOCK),))
+    cutoffs = np.broadcast_to(cutoffs, (-(-len(x) // width),))
     top = int(cutoffs.max())
     spf = _spf_sieve(top)
     n = np.arange(top + 1)
@@ -121,18 +133,24 @@ def _dirichlet_sum(s: np.ndarray, M) -> np.ndarray:
         lo, hi = 2**j, min(2 ** (j + 1), top + 1)
         c = n[lo:hi][spf[lo:hi] != n[lo:hi]]
         levels.append((c, spf[c], c // spf[c]))
-    out = np.empty(s.shape, dtype=np.complex128)
-    table = np.empty((top + 1, _DIRICHLET_BLOCK), dtype=np.complex128)
-    for lo, cutoff in zip(range(0, len(s), _DIRICHLET_BLOCK), cutoffs):
-        block = s[lo : lo + _DIRICHLET_BLOCK]
-        w = table[: cutoff + 1, : len(block)]
+    table = np.empty((top + 1, width), dtype=np.complex128)
+    for lo, cutoff in zip(range(0, len(x), width), cutoffs):
+        run = x[lo : lo + width]
+        w = table[: cutoff + 1, : len(run)]
         w[1] = 1.0
         k = np.searchsorted(primes, cutoff, side="right")
-        w[primes[:k]] = np.exp(-log_p[:k] * block[None, :])
+        w[primes[:k]] = np.exp(-log_p[:k] * run[None, :])
         for c, p, q in levels:
             k = np.searchsorted(c, cutoff, side="right")
             w[c[:k]] = w[p[:k]] * w[q[:k]]
-        out[lo : lo + len(block)] = w[1:].sum(axis=0)
+        yield lo, w
+
+
+def _dirichlet_sum(s: np.ndarray, M) -> np.ndarray:
+    """sum_{n=1..M} n**(-s), M one cutoff or one per block of _DIRICHLET_BLOCK points."""
+    out = np.empty(s.shape, dtype=np.complex128)
+    for lo, w in _powers(s, M, _DIRICHLET_BLOCK):
+        out[lo : lo + w.shape[1]] = w[1:].sum(axis=0)
     return out
 
 
@@ -178,22 +196,224 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
     return np.maximum(24, M).astype(np.int64)
 
 
+# Riemann-Siegel, in the general-sigma form of Arias de Reyna ("High
+# precision computation of Riemann's zeta function by the Riemann-Siegel
+# formula", Math. Comp. 80, 2011): zeta(s) = R(s) + chi(s) conj R(1 - conj s)
+# with, for Im s = tau > 0, a = sqrt(tau/2pi), N = floor(a), p = 1 - 2(a - N),
+#   R(s) = sum_{n<=N} n**-s + (-1)**(N-1) U a**-sigma sum_{k<K} C_k(p)/a**k + RS_K,
+#   U = exp(-i(tau/2 ln(tau/2pi) - tau/2 - pi/8)),
+#   C_k(p) = sum_l d_kl(sigma) F^(3k-2l)(p) / (pi**(2k-l) (2i)**l),
+# F(z) = (exp(pi*i*(z**2/2 + 3/8)) - i*sqrt(2)*cos(pi*z/2)) / (2*cos(pi*z)).
+# _RS_TERMS = K = 7 serves the lowest heights on Re s = 3/2: the theorem
+# holds from tau = 2pi * 37.5K ~ 236K up (3K < 2a**2/25), and at K = 6
+# the bound first meets the target near tau = 3040, at K = 7 from 1650.
+_RS_TERMS = 7
+# Points per chunk of the Riemann-Siegel tables.
+_RS_CHUNK = 1024
+
+
+def _rs_derivatives() -> np.ndarray:
+    """Row m: Taylor coefficients at 0 of F^(m), m <= 3(K - 1), degree < 48.
+
+    F is entire and even.  Cauchy's formula on |z| = 2 by the trapezoid
+    rule on 128 points is one FFT, and gives coefficient n of F within
+    about 1e-15 * 2**-n (|F| <= 10 on the circle); the odd ones are zero.
+    Cut at degree 48, no C_k(p) moves by 1e-18 on |p| <= 1.
+    """
+    z = 2.0 * np.exp(2j * np.pi * np.arange(128) / 128)
+    f = (
+        np.exp(1j * np.pi * (z * z / 2 + 3 / 8)) - 1j * math.sqrt(2) * np.cos(np.pi * z / 2)
+    ) / (2 * np.cos(np.pi * z))
+    c = np.fft.fft(f)[:64] / 128 / 2.0 ** np.arange(64)
+    c[1::2] = 0
+    rows = [c]
+    for _ in range(3 * (_RS_TERMS - 1)):
+        rows.append(np.append(rows[-1][1:] * np.arange(1, 64), 0))
+    return np.array(rows)[:, :48]
+
+
+_RS_DERIVATIVES = _rs_derivatives()
+
+
+def _rs_coefficients(sigma: float) -> np.ndarray:
+    """C_k(p), k < _RS_TERMS, as rows of polynomial coefficients in p.
+
+    d_00 = 1 and, with m = 3k - 2l (Arias de Reyna's recursion),
+    d_kl = d_{k-1,l}/(4m) + (1 - 2 sigma) d_{k-1,l-1}/(2m) - (m+1) d_{k-1,l-2}
+    for m != 0, and d_kl = -sum_{r<l} (-1)**(l-r) (2l-2r)!/(l-r)! d_kr.
+    """
+    d = {(0, 0): 1.0}
+    for k in range(1, _RS_TERMS):
+        for l in range(3 * k // 2 + 1):
+            m = 3 * k - 2 * l
+            if m:
+                d[k, l] = (
+                    d.get((k - 1, l), 0.0) / (4 * m)
+                    + (1 - 2 * sigma) * d.get((k - 1, l - 1), 0.0) / (2 * m)
+                    - (m + 1) * d.get((k - 1, l - 2), 0.0)
+                )
+            else:
+                d[k, l] = -sum(
+                    (-1) ** (l - r) * factorial(2 * (l - r)) / factorial(l - r) * d[k, r]
+                    for r in range(l)
+                )
+    out = np.zeros((_RS_TERMS, _RS_DERIVATIVES.shape[1]), dtype=np.complex128)
+    for (k, l), d_kl in d.items():
+        out[k] += d_kl / (math.pi ** (2 * k - l) * (2j) ** l) * _RS_DERIVATIVES[3 * k - 2 * l]
+    return out
+
+
+def _rs_side_bound(sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Bound on |RS_K| for one side of the formula, real part sigma.
+
+    3 c Gamma(K/2) / (b a)**K, with b = 2 and c = 9**sigma / (sqrt(2) pi)
+    for sigma > 0, b = sqrt((3 - 2 ln 2) pi) and c = 2**-sigma / (sqrt(2) pi)
+    otherwise: b and c as in Arias de Reyna's Theorem 2 (part I, eq. 26),
+    and the factor 3 as his own implementation (mpmath's rszeta) applies.
+    """
+    b = np.where(sigma > 0, 2.0, math.sqrt((3.0 - 2.0 * math.log(2.0)) * math.pi))
+    c = np.where(sigma > 0, 9.0**sigma, 2.0**-sigma) / (math.sqrt(2.0) * math.pi)
+    return 3.0 * c * math.gamma(_RS_TERMS / 2) / (b * a) ** _RS_TERMS
+
+
+def _log_chi(s: np.ndarray):
+    """log chi(s) for Im s = tau > 0, and the bound on its Stirling remainder.
+
+    log chi(s) = s ln 2 + (s - 1) ln pi + log sin(pi s/2) + log Gamma(1 - s),
+    in logarithms, since sin(pi s/2) alone overflows and Gamma(1 - s)
+    underflows by tau ~ 450.  Here log sin(pi s/2) =
+    log((i/2) exp(-i pi s/2)) + log(1 - exp(i pi s)), and log Gamma(w),
+    w = 1 - s = -i tau (1 + i e), e = (1 - sigma)/tau, is Stirling's
+    series to the 1/(360 w**3) term, whose remainder is at most
+    sec(arg(w)/2)**6 / (1260 |w|**5).  Their terms of size tau cancel in
+    closed form to -i tau (ln(tau/2pi) - 1); the rest is of order one, so
+    the phase is rounded once, not term by term.
+    """
+    sigma, tau = s.real, s.imag
+    e = (1.0 - sigma) / tau
+    log_w = 0.5 * np.log1p(e * e) + 1j * np.arctan(e)  # log(w / (-i tau))
+    log_t = np.log(tau / (2.0 * math.pi))
+    w = 1.0 - s
+    log_chi = (
+        (0.5 - sigma) * (log_t + log_w) - 1j * tau * log_w - (1.0 - sigma) + 0.25j * math.pi
+        + 1.0 / (12.0 * w) - 1.0 / (360.0 * w**3)
+        + np.log1p(-np.exp(1j * math.pi * s))
+        - 1j * tau * (log_t - 1.0)
+    )
+    stirling = 1.0 / (1260.0 * np.abs(w) ** 5 * np.cos(np.angle(w) / 2) ** 6)
+    return log_chi, stirling
+
+
+def _rs_bound(s: np.ndarray):
+    """Riemann-Siegel truncation bound at each s with Im s > 0.
+
+    The bound is a**-sigma |RS_K(s)| + |chi(s)| a**(sigma-1) |RS_K(1 - conj s)|,
+    each |RS_K| as in :func:`_rs_side_bound`, and inf wherever the
+    theorem's conditions fail: 3K < 2a**2/25, |sigma| and |1 - sigma| at
+    most a/2, 3K + 2 + sigma and 3K + 3 - sigma at least 0.  chi is only
+    taken where they hold, so |1 - s| > 2pi * 37.5K there.
+
+    Returns (bound, log chi, Stirling bound), the last two nan off the
+    served points.
+    """
+    sigma = s.real
+    a = np.sqrt(s.imag / (2.0 * math.pi))
+    K = _RS_TERMS
+    ok = (
+        (3 * K < 2 * a * a / 25)
+        & (np.abs(sigma) <= a / 2)
+        & (np.abs(1.0 - sigma) <= a / 2)
+        & (3 * K + 2 + sigma >= 0)
+        & (3 * K + 3 - sigma >= 0)
+    )
+    bound = np.full(s.shape, np.inf)
+    log_chi = np.full(s.shape, np.nan, dtype=np.complex128)
+    stirling = np.full(s.shape, np.nan)
+    log_chi[ok], stirling[ok] = _log_chi(s[ok])
+    a, sigma = a[ok], sigma[ok]
+    bound[ok] = a**-sigma * _rs_side_bound(sigma, a) + np.exp(
+        log_chi[ok].real + (sigma - 1.0) * np.log(a)
+    ) * _rs_side_bound(1.0 - sigma, a)
+    return bound, log_chi, stirling
+
+
+def _zeta_rs(s: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel zeta at points with Im s > 0, error under 1e-10.
+
+    R(s) and R(1 - conj s) are built side by side, for each real part
+    sigma among the points, a chunk of points at a time: one table of
+    n**(-i tau) serves both main sums, with the weights n**-sigma and
+    n**(sigma-1), and one table of powers of p both series.  The bound of
+    :func:`_rs_bound` is checked before, and with the Stirling error of
+    chi times |chi conj R(1 - conj s)| added, after.
+    """
+    bound, log_chi, stirling = _rs_bound(s)
+    if not np.all(bound < _EM_TOL):
+        raise ValueError("zeta Riemann-Siegel remainder above tolerance")
+    sigma, tau = s.real, s.imag
+    a = np.sqrt(tau / (2.0 * math.pi))
+    log_a = np.log(a)
+    N = np.floor(a).astype(np.int64)
+    p = 1.0 - 2.0 * (a - N)
+    K = _RS_TERMS
+    # (-1)**(N-1) U, the phase of both correction series
+    rotation = np.where(N % 2 == 1, 1.0, -1.0) * np.exp(
+        -1j * (tau * (log_a - 0.5) - math.pi / 8)
+    )
+    R = np.empty((len(s), 2), dtype=np.complex128)
+    values, groups = np.unique(sigma, return_inverse=True)
+    for g, value in enumerate(values):
+        at = np.flatnonzero(groups == g)
+        top = int(N[at].max())
+        n = np.arange(1, top + 1)
+        sides = np.array([value, 1.0 - value])
+        weights = np.exp(-np.outer(np.log(n), sides))
+        C = np.concatenate([_rs_coefficients(x) for x in sides])
+        C = np.concatenate([C.real, C.imag]).T  # real columns, for one real product
+        # einsum, not @: with threaded BLAS on 2 cores, zeta_contours
+        # took 0.4 s instead of 0.1 s in 5 of 14 runs (numpy 2.4, OpenBLAS).
+        for lo, phase in _powers(1j * tau[at], top, _RS_CHUNK):
+            rows = at[lo : lo + phase.shape[1]]
+            sums = np.einsum("np,nj->pj", phase[1:] * (n[:, None] <= N[rows]), weights)
+            series = np.einsum("pd,dc->pc", np.vander(p[rows], C.shape[0], increasing=True), C)
+            series = (series[:, : 2 * K] + 1j * series[:, 2 * K :]).reshape(-1, 2, K)
+            series = (series * a[rows, None, None] ** -np.arange(K)).sum(axis=2)
+            scale = np.exp(-np.outer(log_a[rows], sides))  # a**-sigma, a**(sigma-1)
+            R[rows] = sums + rotation[rows, None] * scale * series
+    reflected = np.exp(log_chi) * R[:, 1].conj()
+    if not np.all(bound + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
+        raise ValueError("zeta Riemann-Siegel remainder above tolerance")
+    return R[:, 0] + reflected
+
+
 def _zeta_line(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for arrays with Re s > 0, s != 1; error under 1e-10.
 
-    Points are sorted by the cutoff M solved for each; every block of
-    _DIRICHLET_BLOCK sorted points is evaluated at its largest M and its
-    remainder bound checked there.
+    Each point takes the path its bounds choose.  Riemann-Siegel
+    (:func:`_zeta_rs`) serves it where its truncation bound with K =
+    _RS_TERMS terms is below _EM_TARGET and its 2N Dirichlet terms are
+    fewer than the Euler-Maclaurin cutoff M; on Re s = 3/2 that is from
+    Im s ~ 1650 up.  Euler-Maclaurin (:func:`_zeta_em`) serves the rest:
+    points sorted by M, every block of _DIRICHLET_BLOCK sorted points
+    evaluated at its largest M and its remainder bound checked there.
+    Every point is evaluated at |Im s| and conjugated back where
+    Im s < 0, so zeta(conj s) is conj zeta(s) bit for bit.
     """
     s = np.asarray(s, dtype=np.complex128)
+    below = s.imag < 0
+    s = np.where(below, s.conj(), s)
     out = np.empty(s.shape, dtype=np.complex128)
-    if not len(s):
-        return out
     M = _em_cutoff(s)
-    order = np.argsort(M, kind="stable")
-    starts = np.arange(0, len(s), _DIRICHLET_BLOCK)
-    out[order] = _zeta_em(s[order], np.maximum.reduceat(M[order], starts))
-    return out
+    terms = 2 * np.floor(np.sqrt(s.imag / (2.0 * math.pi)))
+    rs = (_rs_bound(s)[0] < _EM_TARGET) & (terms < M)
+    em = np.flatnonzero(~rs)
+    if len(em):
+        order = em[np.argsort(M[em], kind="stable")]
+        starts = np.arange(0, len(order), _DIRICHLET_BLOCK)
+        out[order] = _zeta_em(s[order], np.maximum.reduceat(M[order], starts))
+    if rs.any():
+        out[rs] = _zeta_rs(s[rs])
+    return np.where(below, out.conj(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +467,9 @@ def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
     if not np.all(np.isfinite(y.real) & np.isfinite(y.imag)):
         raise ValueError("integrand produced a non-finite value")
     y = y.reshape(-1, len(a), 15)
-    k15 = half * (y @ _K15_WEIGHTS)
-    g7 = half * (y[..., 1::2] @ _G7_WEIGHTS)
+    # einsum, not @, as in _zeta_rs: no BLAS threads for these products.
+    k15 = half * np.einsum("rpn,n->rp", y, _K15_WEIGHTS)
+    g7 = half * np.einsum("rpn,n->rp", y[..., 1::2], _G7_WEIGHTS)
     return k15, np.abs(k15 - g7)
 
 

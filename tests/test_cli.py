@@ -381,6 +381,9 @@ def test_closed_pipe_exits_quietly():
         ["moments", "--max-n", "64"],
         ["constant", "--digits", "10", "--json"],
         ["verify", "--suite", "oracle", "--json"],
+        # Human mode prints the wall time to stderr, after stdout is flushed.
+        ["constant", "--digits", "10"],
+        ["verify", "--suite", "oracle"],
     ],
 )
 def test_unwritable_output_is_one_error_line(argv, unbuffered):

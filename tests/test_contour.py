@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from cantor_moments.contour import (
     _em_cutoff,
     _spf_sieve,
     _weights,
+    _zeta_em,
     _zeta_integrands,
     _zeta_line,
+    _zeta_rs,
     constant_contour_integrand,
     perron_integrand,
     perron_kernel,
@@ -34,6 +37,7 @@ from cantor_moments.contour import (
 # ---------------------------------------------------------------------------
 
 ZETA_3_2 = 2.6123753486854883
+LOG2_3 = math.log2(3.0)
 
 
 def zeta(s: complex) -> complex:
@@ -71,6 +75,27 @@ def _height_with_cutoff(sigma: float, M: int) -> float:
     return hi
 
 
+def _rs_heights(s: np.ndarray) -> np.ndarray:
+    """The heights of s that _zeta_line hands to Riemann-Siegel."""
+    seen = [np.empty(0)]
+    real = contour._zeta_rs
+
+    def spy(x):
+        seen.append(x.imag.copy())
+        return real(x)
+
+    with mock.patch.object(contour, "_zeta_rs", spy):
+        _zeta_line(s)
+    return np.concatenate(seen)
+
+
+def _crossover(sigma: float) -> float:
+    """Lowest height on Re s = sigma, on a grid of step 0.1, served by Riemann-Siegel."""
+    tau = _rs_heights(sigma + 1j * np.arange(1000.0, 4000.0, 0.1))
+    assert len(tau)
+    return float(tau.min())
+
+
 def test_zeta_examples():
     assert abs(zeta(2.0 + 0j) - math.pi**2 / 6) <= 1e-10
     assert abs(zeta(1.5 + 0j) - ZETA_3_2) <= 1e-10
@@ -89,10 +114,14 @@ def test_zeta_against_dirichlet_oracle():
             s = complex(sigma, tau)
             assert abs(zeta(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
     # Cutoffs just at and past a power of two, and prime cutoffs, where
-    # the Dirichlet table's last level is nearly empty or ends in a prime
+    # the Dirichlet table's last level is nearly empty or ends in a prime.
+    # These heights lie above the crossover, where zeta is Riemann-Siegel,
+    # so Euler-Maclaurin is also called at each cutoff directly.
     for M in (1024, 1025, 2048, 2049, 2053, 3067):
         s = complex(1.5, _height_with_cutoff(1.5, M))
-        assert abs(zeta(s) - _zeta_dirichlet_oracle(s)) <= 1e-9
+        want = _zeta_dirichlet_oracle(s)
+        assert abs(zeta(s) - want) <= 1e-9
+        assert abs(complex(_zeta_em(np.array([s]), np.array([M]))[0]) - want) <= 1e-9
 
 
 def test_zeta_cutoff_follows_sigma():
@@ -124,16 +153,96 @@ def test_zeta_conjugate_symmetry():
 
 
 def test_zeta_against_mpmath():
-    # An outside reference: 50 heights up to 1e4 on Re s = 3/2 and on the
-    # critical line, within the 1e-10 remainder guard.
+    # An outside reference: 50 heights up to 1e4 on Re s = 3/2, on the
+    # near-pole line Re s = log2(3) and on the critical line, and heights
+    # either side of each line's Riemann-Siegel crossover, within the
+    # 1e-10 remainder guard.
     mpmath = pytest.importorskip("mpmath")
-    taus = np.geomspace(0.5, 1.0e4, 50)
     with mpmath.workdps(30):
-        for sigma in (1.5, 0.5):
+        for sigma in (1.5, LOG2_3, 0.5):
+            cross = _crossover(sigma)
+            straddle = cross + np.array([-5.0, -0.1, 0.0, 0.1, 5.0])
+            assert list(np.isin(straddle, _rs_heights(sigma + 1j * straddle))) == [
+                False, False, True, True, True
+            ]
+            taus = np.concatenate([np.geomspace(0.5, 1.0e4, 50), straddle])
             got = _zeta_line(sigma + 1j * taus)
             for tau, value in zip(taus, got):
                 want = complex(mpmath.zeta(mpmath.mpc(sigma, tau)))
                 assert abs(value - want) <= 1e-10
+
+
+def test_zeta_riemann_siegel_against_euler_maclaurin():
+    # Two independent methods on 1,200 seeded heights above the crossover,
+    # on Re s = 3/2 (every node) and Re s = log2(3) (the near-pole residues).
+    rng = np.random.default_rng(20111)
+    for sigma in (1.5, LOG2_3):
+        tau = np.sort(rng.uniform(_crossover(sigma), 1.0e4, 1200))
+        s = sigma + 1j * tau
+        M = np.maximum.reduceat(_em_cutoff(s), np.arange(0, len(s), 64))
+        assert np.all(np.abs(_zeta_rs(s) - _zeta_em(s, M)) <= 2e-10)
+
+
+def test_zeta_paths_follow_the_bounds():
+    # Riemann-Siegel takes exactly the points whose truncation bound is
+    # below target and whose 2N terms undercut the Euler-Maclaurin cutoff;
+    # on Re s = 3/2 that is everything from the theorem's lowest height
+    # tau = 2*pi * 37.5 * K up.
+    tau = np.linspace(0.0, 1.0e4, 20_001)
+    s = 1.5 + 1j * tau
+    served = np.isin(tau, _rs_heights(s))
+    bound = contour._rs_bound(s)[0]
+    terms = 2 * np.floor(np.sqrt(tau / (2 * math.pi)))
+    assert np.array_equal(served, (bound < contour._EM_TARGET) & (terms < _em_cutoff(s)))
+    lowest = 2 * math.pi * 37.5 * contour._RS_TERMS
+    assert np.array_equal(served, tau > lowest)
+
+
+def test_riemann_siegel_guard(monkeypatch):
+    # Forced above tolerance, the Riemann-Siegel path raises rather than
+    # return a value: with K = 2 terms, and below the theorem's range.
+    s = 1.5 + 1j * np.array([2000.0, 5000.0, 1.0e4])
+    want = _zeta_rs(s)
+    with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
+        _zeta_rs(np.array([1.5 + 1000j]))
+    monkeypatch.setattr(contour, "_RS_TERMS", 2)
+    with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
+        _zeta_rs(s)
+    # _zeta_line then leaves every point to Euler-Maclaurin.
+    assert len(_rs_heights(s)) == 0
+    assert np.all(np.abs(_zeta_line(s) - want) <= 2e-10)
+
+
+def test_riemann_siegel_bound_holds(monkeypatch):
+    # With K = 3 and 5 correction terms the truncation error is far above
+    # rounding; against mpmath it stays below the bound, with the guard
+    # lifted so that the value comes back.
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(contour, "_EM_TOL", 1.0)
+    for sigma in (1.5, LOG2_3, 0.5):
+        s = sigma + 1j * np.geomspace(1300.0, 1.0e4, 10)
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.zeta(mpmath.mpc(x.real, x.imag))) for x in s])
+        for K in (3, 5):
+            monkeypatch.setattr(contour, "_RS_TERMS", K)
+            bound = contour._rs_bound(s)[0]
+            assert np.all(bound < 1e-4)
+            assert np.all(np.abs(_zeta_rs(s) - want) <= bound)
+
+
+def test_riemann_siegel_taylor_coefficients():
+    # F(z) = (exp(pi i (z^2/2 + 3/8)) - i sqrt(2) cos(pi z/2)) / (2 cos(pi z)),
+    # expanded at 0 by mpmath, against the FFT table: within 1e-14 * 2**-n.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+
+        def F(z):
+            wave = mpmath.expjpi(z * z / 2 + mpmath.mpf(3) / 8)
+            return (wave - 1j * mpmath.sqrt(2) * mpmath.cospi(z / 2)) / (2 * mpmath.cospi(z))
+
+        want = np.array([complex(c) for c in mpmath.taylor(F, 0, 47)])
+    got = contour._RS_DERIVATIVES[0]
+    assert np.all(np.abs(got - want) <= 1e-14 * 2.0 ** -np.arange(48))
 
 
 def test_zeta_critical_strip_accuracy():
