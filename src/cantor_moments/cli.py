@@ -18,7 +18,11 @@ Commands
 
 The numpy-backed modules (``contour``, ``cantor``) are imported only by
 the suites that use them, so ``constant`` and ``moments`` never load
-numpy.
+numpy.  Unless ``OPENBLAS_NUM_THREADS`` is set, :func:`main` sets it to
+1 before numpy loads: no product in the program is large enough for
+BLAS threads, and starting OpenBLAS's worker pool cost about 70 ms of
+each numpy-backed run on 2 cores.  Library callers keep numpy's
+default.
 
 Exit codes: 0 all-pass, 1 check failure or an output that cannot be
 written (one ``error: cannot write output`` line on stderr, as on a full
@@ -328,6 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Before numpy loads, so OpenBLAS starts no worker pool: about 70 ms
+    # of each numpy-backed run on 2 cores, for products too small to use it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
 

@@ -337,17 +337,20 @@ def _rs_bound(s: np.ndarray):
     return bound, log_chi, stirling
 
 
-def _zeta_rs(s: np.ndarray) -> np.ndarray:
+def _zeta_rs(
+    s: np.ndarray, bound: np.ndarray, log_chi: np.ndarray, stirling: np.ndarray
+) -> np.ndarray:
     """Riemann-Siegel zeta at points with Im s > 0, error under 1e-10.
 
-    R(s) and R(1 - conj s) are built side by side, for each real part
-    sigma among the points, a chunk of points at a time: one table of
-    n**(-i tau) serves both main sums, with the weights n**-sigma and
-    n**(sigma-1), and one table of powers of p both series.  The bound of
-    :func:`_rs_bound` is checked before, and with the Stirling error of
-    chi times |chi conj R(1 - conj s)| added, after.
+    bound, log_chi and stirling are :func:`_rs_bound` at s, which the
+    caller has already computed to choose the path.  R(s) and
+    R(1 - conj s) are built side by side, for each real part sigma among
+    the points, a chunk of points at a time: one table of n**(-i tau)
+    serves both main sums, with the weights n**-sigma and n**(sigma-1),
+    and one table of powers of p both series.  The bound is checked
+    before, and with the Stirling error of chi times
+    |chi conj R(1 - conj s)| added, after.
     """
-    bound, log_chi, stirling = _rs_bound(s)
     if not np.all(bound < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     sigma, tau = s.real, s.imag
@@ -372,6 +375,8 @@ def _zeta_rs(s: np.ndarray) -> np.ndarray:
         C = np.concatenate([C.real, C.imag]).T  # real columns, for one real product
         # einsum, not @: with threaded BLAS on 2 cores, zeta_contours
         # took 0.4 s instead of 0.1 s in 5 of 14 runs (numpy 2.4, OpenBLAS).
+        # The CLI starts BLAS on one thread, but library callers, the
+        # tests and perfbench/tracer.py load numpy first and keep the pool.
         for lo, phase in _powers(1j * tau[at], top, _RS_CHUNK):
             rows = at[lo : lo + phase.shape[1]]
             sums = np.einsum("np,nj->pj", phase[1:] * (n[:, None] <= N[rows]), weights)
@@ -393,9 +398,11 @@ def _zeta_line(s: np.ndarray) -> np.ndarray:
     (:func:`_zeta_rs`) serves it where its truncation bound with K =
     _RS_TERMS terms is below _EM_TARGET and its 2N Dirichlet terms are
     fewer than the Euler-Maclaurin cutoff M; on Re s = 3/2 that is from
-    Im s ~ 1650 up.  Euler-Maclaurin (:func:`_zeta_em`) serves the rest:
-    points sorted by M, every block of _DIRICHLET_BLOCK sorted points
-    evaluated at its largest M and its remainder bound checked there.
+    Im s ~ 1650 up.  The bound, with the log chi it needs, is computed
+    once here and handed to that path.  Euler-Maclaurin (:func:`_zeta_em`)
+    serves the rest: points sorted by M, every block of _DIRICHLET_BLOCK
+    sorted points evaluated at its largest M and its remainder bound
+    checked there.
     Every point is evaluated at |Im s| and conjugated back where
     Im s < 0, so zeta(conj s) is conj zeta(s) bit for bit.
     """
@@ -405,14 +412,15 @@ def _zeta_line(s: np.ndarray) -> np.ndarray:
     out = np.empty(s.shape, dtype=np.complex128)
     M = _em_cutoff(s)
     terms = 2 * np.floor(np.sqrt(s.imag / (2.0 * math.pi)))
-    rs = (_rs_bound(s)[0] < _EM_TARGET) & (terms < M)
+    bound, log_chi, stirling = _rs_bound(s)
+    rs = (bound < _EM_TARGET) & (terms < M)
     em = np.flatnonzero(~rs)
     if len(em):
         order = em[np.argsort(M[em], kind="stable")]
         starts = np.arange(0, len(order), _DIRICHLET_BLOCK)
         out[order] = _zeta_em(s[order], np.maximum.reduceat(M[order], starts))
     if rs.any():
-        out[rs] = _zeta_rs(s[rs])
+        out[rs] = _zeta_rs(s[rs], bound[rs], log_chi[rs], stirling[rs])
     return np.where(below, out.conj(), out)
 
 
@@ -467,7 +475,8 @@ def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
     if not np.all(np.isfinite(y.real) & np.isfinite(y.imag)):
         raise ValueError("integrand produced a non-finite value")
     y = y.reshape(-1, len(a), 15)
-    # einsum, not @, as in _zeta_rs: no BLAS threads for these products.
+    # einsum, not @, as in _zeta_rs: no BLAS threads for these products,
+    # also where numpy was loaded before the CLI could set one thread.
     k15 = half * np.einsum("rpn,n->rp", y, _K15_WEIGHTS)
     g7 = half * np.einsum("rpn,n->rp", y[..., 1::2], _G7_WEIGHTS)
     return k15, np.abs(k15 - g7)

@@ -471,6 +471,65 @@ def test_constant_and_moments_do_not_import_numpy():
     assert "3.36465" in run.stdout
 
 
+def _blas_env(threads: str | None) -> dict[str, str]:
+    # In-process main() calls by other tests leave OPENBLAS_NUM_THREADS
+    # set here, so the child's value is set or dropped explicitly.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def _after_cantor_suite(threads: str | None, expression: str) -> str:
+    """What a child prints of ``expression`` after main() ran the cantor suite."""
+    code = (
+        "import contextlib, io, os\n"
+        "from cantor_moments import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'cantor', '--json']) == 0\n"
+        f"print({expression})\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_blas_env(threads),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_runs_openblas_on_one_thread():
+    # numpy loads inside the suite, after main() has asked OpenBLAS for
+    # one thread, so no worker pool is started: one thread in the process.
+    assert _after_cantor_suite(None, "len(os.listdir('/proc/self/task'))") == "1\n"
+
+
+def test_cli_keeps_a_set_blas_thread_count():
+    assert _after_cantor_suite("2", "os.environ['OPENBLAS_NUM_THREADS']") == "2\n"
+
+
+@pytest.mark.parametrize("suite", ["decay", "mellin"])
+def test_verify_output_does_not_depend_on_blas_threads(suite):
+    # decay calls BLAS (a dot product and a least-squares fit); mellin's
+    # products are einsum.  One thread or two, the report is the same bytes.
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "cantor_moments.cli", "verify", "--suite", suite, "--json"],
+            env=_blas_env(threads),
+            capture_output=True,
+            timeout=120,
+            check=True,
+        ).stdout
+        for threads in (None, "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["all_pass"] is True
+
+
 def test_moments_prints_past_a_low_int_str_limit(capsys):
     # The n = 120 denominator has 1047 digits, above a 640-digit limit.
     previous = sys.get_int_max_str_digits()

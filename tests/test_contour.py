@@ -80,9 +80,9 @@ def _rs_heights(s: np.ndarray) -> np.ndarray:
     seen = [np.empty(0)]
     real = contour._zeta_rs
 
-    def spy(x):
+    def spy(x, *bounds):
         seen.append(x.imag.copy())
-        return real(x)
+        return real(x, *bounds)
 
     with mock.patch.object(contour, "_zeta_rs", spy):
         _zeta_line(s)
@@ -180,7 +180,7 @@ def test_zeta_riemann_siegel_against_euler_maclaurin():
         tau = np.sort(rng.uniform(_crossover(sigma), 1.0e4, 1200))
         s = sigma + 1j * tau
         M = np.maximum.reduceat(_em_cutoff(s), np.arange(0, len(s), 64))
-        assert np.all(np.abs(_zeta_rs(s) - _zeta_em(s, M)) <= 2e-10)
+        assert np.all(np.abs(_zeta_rs(s, *contour._rs_bound(s)) - _zeta_em(s, M)) <= 2e-10)
 
 
 def test_zeta_paths_follow_the_bounds():
@@ -202,12 +202,13 @@ def test_riemann_siegel_guard(monkeypatch):
     # Forced above tolerance, the Riemann-Siegel path raises rather than
     # return a value: with K = 2 terms, and below the theorem's range.
     s = 1.5 + 1j * np.array([2000.0, 5000.0, 1.0e4])
-    want = _zeta_rs(s)
+    want = _zeta_rs(s, *contour._rs_bound(s))
+    low = np.array([1.5 + 1000j])
     with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
-        _zeta_rs(np.array([1.5 + 1000j]))
+        _zeta_rs(low, *contour._rs_bound(low))
     monkeypatch.setattr(contour, "_RS_TERMS", 2)
     with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
-        _zeta_rs(s)
+        _zeta_rs(s, *contour._rs_bound(s))
     # _zeta_line then leaves every point to Euler-Maclaurin.
     assert len(_rs_heights(s)) == 0
     assert np.all(np.abs(_zeta_line(s) - want) <= 2e-10)
@@ -227,7 +228,7 @@ def test_riemann_siegel_bound_holds(monkeypatch):
             monkeypatch.setattr(contour, "_RS_TERMS", K)
             bound = contour._rs_bound(s)[0]
             assert np.all(bound < 1e-4)
-            assert np.all(np.abs(_zeta_rs(s) - want) <= bound)
+            assert np.all(np.abs(_zeta_rs(s, *contour._rs_bound(s)) - want) <= bound)
 
 
 def test_riemann_siegel_taylor_coefficients():
