@@ -26,7 +26,6 @@ from .constant import (
     double_sum_check,
     euler_gamma,
     ln2,
-    ln2_alt,
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "euler_gamma",
     "harmonic_exact",
     "ln2",
-    "ln2_alt",
     "moment_series_constant",
     "recursive_moments",
     "weighted_harmonic_sum_exact",

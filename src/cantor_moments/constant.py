@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import (
+    HARMONIC_CAP,
     _balanced_sum,
     bernoulli_numbers,
     divround,
@@ -71,10 +72,10 @@ _GAMMA_Q = 8
 # does not bind it; 2**20 terms take about 0.2 s.
 _Q_CAP = 20
 
-# Largest K for the exact weighted sum and the double-sum identity: the
-# constant uses K0 and the identity suite K <= 12.  H(2**K) stays within
-# exact.HARMONIC_CAP.
-_K_CAP = 14
+# Largest K for the exact weighted sum and the double-sum identity, the
+# exponent of exact.HARMONIC_CAP: the constant uses K0 and the identity
+# suite K <= 12.
+_K_CAP = HARMONIC_CAP.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +167,6 @@ def ln2(precision: int) -> Fraction:
             break
         acc += term
         j += 1
-    return round_decimal(Fraction(acc, 10**work), precision)
-
-
-def ln2_alt(precision: int) -> Fraction:
-    """Independent ln 2 oracle: sum_{k>=1} 1/(k * 2**k).
-
-    Same certification pattern as :func:`ln2`; the two series share no
-    structure beyond big-integer division, so 30-digit agreement is a
-    strong implementation check.
-    """
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    work = precision + 6
-    scale = 10**work
-    acc = 0
-    k = 1
-    while True:
-        term = divround(scale, k * 2**k)
-        if term == 0:
-            break
-        acc += term
-        k += 1
     return round_decimal(Fraction(acc, 10**work), precision)
 
 

@@ -598,18 +598,21 @@ def perron_kernel(t: float, *, T: float = _T) -> float:
 
 
 def _weights(orders: tuple[int, ...], s: np.ndarray) -> np.ndarray:
-    """n! / prod_{j=1..n+1} (j - s) for each n in orders, then 1/(s(s-1)).
+    """n! / prod_{j=1..n+1} (j - s) for each n >= 1 in orders, then 1/(s(s-1)).
 
-    The moment weight is Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) collapsed
-    exactly to a product — overflow-free for n <= 16 at any height.  On
-    Re s < 0 the moment weights sum over n >= 1 to the constant's.
+    The moment weight w_n is Gamma(n+1)Gamma(1-s)/Gamma(n+2-s) collapsed
+    exactly to a product, taken from one running product:
+    R_0 = 1/(s(s-1)), R_n = R_{n-1} (n+1)/(n+1-s) and w_n = R_n (-s)/(n+1),
+    so R_{n-1} - R_n = w_n and on Re s < 0 the moment weights sum over
+    n >= 1 to the constant's, R_0.  There (on the line and at every
+    near-pole) each factor has modulus below 1, so no order overflows.
     """
     out = np.empty((len(orders) + 1,) + s.shape, dtype=np.complex128)
-    for row, n in enumerate(orders):
-        out[row] = float(factorial(n))
-        for j in range(1, n + 2):
-            out[row] /= j - s
-    out[-1] = 1.0 / (s * (s - 1))
+    R = out[-1] = 1.0 / (s * (s - 1))
+    for n in range(1, max(orders, default=0) + 1):
+        R = R * (n + 1) / (n + 1 - s)
+        if n in orders:
+            out[[row for row, m in enumerate(orders) if m == n]] = R * -s / (n + 1)
     return out
 
 
@@ -697,14 +700,14 @@ def zeta_contours(
     can differ in its last digits between calls with different orders.
 
     Raises:
-        ValueError: an order outside [1, 16], or T not in [10, inf).
+        ValueError: an order below 1, or T not in [10, inf).
         QuadratureError: the starting mesh alone exceeds the evaluation
             budget (refused by :func:`_edges` before it is built), or the
             budget is exhausted before tolerance (its estimate is then of
             the integral with the principal parts subtracted).
     """
-    if not all(1 <= n <= 16 for n in orders):
-        raise ValueError("moment order out of [1, 16]")
+    if not all(n >= 1 for n in orders):
+        raise ValueError("moment order below 1")
     edges = _edges(T, _POLE_PERIOD)
     residues, pole_integrals = _near_poles(orders, edges)
     integrals, _, _ = _adaptive_line(

@@ -16,10 +16,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-# Hard cap for exact harmonic numbers: H(2**14) is the largest the exact
-# weighted sum needs (K <= 14).  Beyond it the asymptotic path in
-# cantor_moments.constant is used (the exact denominator of H_{2^14} has
-# about 7,100 digits).
+# Hard cap for exact harmonic numbers, and through its exponent the
+# largest K of the exact weighted sum (constant._K_CAP = 14).  Beyond it
+# the asymptotic path in cantor_moments.constant is used (the exact
+# denominator of H_{2^14} has about 7,100 digits).
 HARMONIC_CAP = 2**14
 
 # ---------------------------------------------------------------------------

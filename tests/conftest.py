@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 import pytest
 
-from cantor_moments import moment_series_constant
+from cantor_moments import bernoulli_moments, moment_series_constant
 
 _LINES: "OrderedDict[str, str]" = OrderedDict()
 
@@ -27,6 +27,12 @@ def _record(name: str, ok: bool, detail: str) -> None:
 def constant_d30():
     """The 30-digit certified constant, shared across tests."""
     return moment_series_constant(30)
+
+
+@pytest.fixture(scope="session")
+def table_512():
+    """The closed-form table M_0..M_512, built once for the tests that read it."""
+    return bernoulli_moments(512)
 
 
 @pytest.fixture

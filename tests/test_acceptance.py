@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_constant import ln2_alt
 
 from cantor_moments import (
     bernoulli_moments,
@@ -22,7 +23,6 @@ from cantor_moments import (
     euler_gamma,
     harmonic_exact,
     ln2,
-    ln2_alt,
     moment_series_constant,
     recursive_moments,
 )

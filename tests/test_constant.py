@@ -14,13 +14,12 @@ from cantor_moments import (
     euler_gamma,
     harmonic_exact,
     ln2,
-    ln2_alt,
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
 from cantor_moments.cli import main
 from cantor_moments.constant import GUARD_DIGITS, K0
-from cantor_moments.exact import decimal_string
+from cantor_moments.exact import decimal_string, divround, round_decimal
 
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
 
@@ -42,6 +41,28 @@ def series_tail_bound(K: int) -> Fraction:
     at x = 2/3.
     """
     return Fraction(2**(K + 1) * (3 * (K + 2) + 6), 3**(K + 1))
+
+
+def ln2_alt(precision: int) -> Fraction:
+    """Independent ln 2 oracle: sum_{k>=1} 1/(k * 2**k).
+
+    Same certification pattern as :func:`cantor_moments.constant.ln2`;
+    the two series share no structure beyond big-integer division, so
+    30-digit agreement is a strong implementation check.
+    """
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    work = precision + 6
+    scale = 10**work
+    acc = 0
+    k = 1
+    while True:
+        term = divround(scale, k * 2**k)
+        if term == 0:
+            break
+        acc += term
+        k += 1
+    return round_decimal(Fraction(acc, 10**work), precision)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from test_constant import REFERENCE_CONSTANT
 
-from cantor_moments import bernoulli_moments, contour
+from cantor_moments import contour
 from cantor_moments.contour import (
     _G7_WEIGHTS,
     _K15_NODES,
@@ -416,23 +416,28 @@ def test_constant_integrand_against_its_own_line():
 def test_weights_telescope_to_the_constant_weight():
     # w_n(s) = n! / prod_{j=1..n+1} (j - s) is R_{n-1}(s) - R_n(s) with
     # R_n(s) = prod_{j=1..n+1} j/(j - s) / (-s), and R_0(s) = 1/(s(s-1)):
-    # the moment weights for n = 1..16 plus R_16 give the constant's
-    # weight, on the line and at the near-poles s_k.
-    orders = tuple(range(1, 17))
+    # the moment weights for n = 1..512 plus R_512 give the constant's
+    # weight, on the line and at the near-poles s_k.  R_512 is built here
+    # independently, as the reference.
+    orders = tuple(range(1, 513))
     tau = np.concatenate([[0.0], np.geomspace(0.1, 1.0e4, 40)])
     k = np.arange(1105)
     for s in (-0.5 + 1j * tau, 1.0 - math.log2(3.0) + 1j * k * PERIOD):
         w = _weights(orders, s)
         rest = 1.0 / -s
-        for j in range(1, 18):
+        for j in range(1, 514):
             rest = rest * j / (j - s)
         assert np.all(np.abs(w[:-1].sum(axis=0) + rest - w[-1]) <= 1e-13 * np.abs(w[-1]))
 
 
 def test_moment_integrand_gamma_ratio_at_origin():
     # At tau = 0 (s = -1/2) the product form of the Gamma ratio must equal
-    # n! Gamma(3/2) / Gamma(n + 5/2), taken from math.gamma.
-    for n in range(1, 17):
+    # n! Gamma(3/2) / Gamma(n + 5/2), taken from math.gamma, up to
+    # n = 169, the largest order whose Gamma(n + 5/2) is a finite float.
+    orders = tuple(range(1, 170))
+    assert math.isfinite(math.gamma(orders[-1] + 2.5))
+    rows = _zeta_integrands(orders, np.array([0.0]))[:-1]
+    for n, (got,) in zip(orders, rows):
         expected = (
             math.factorial(n)
             * math.gamma(1.5)
@@ -440,8 +445,7 @@ def test_moment_integrand_gamma_ratio_at_origin():
             * ZETA_3_2
             / (3 * 2**-1.5 - 1)
         )
-        got = complex(_zeta_integrands((n,), np.array([0.0]))[0][0])
-        assert abs(got - expected) <= 1e-13 * abs(expected)
+        assert abs(got - expected) <= 1e-13 * abs(expected), n
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +600,18 @@ def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
     assert any(np.array_equal(h, np.arange(poles) * PERIOD) for h in heights)
 
 
-def test_moment_contour_fast():
-    table = bernoulli_moments(2)
-    for n in (1, 2):
+def test_moment_contour_fast(table_512):
+    # Any order n >= 1 is accepted: 17 is the first the cap used to
+    # refuse, and 512 the end of the table.
+    for n in (1, 2, 17, 64, 512):
         (got,), _ = zeta_contours((n,), T=1000.0)
-        assert abs(got - float(table[n])) <= 1e-3
+        assert abs(got - float(table_512[n])) <= 1e-3, n
 
 
 def test_moment_contour_domain():
-    with pytest.raises(ValueError):
-        zeta_contours((0,), T=FAST_T)
-    with pytest.raises(ValueError):
-        zeta_contours((17,), T=FAST_T)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="moment order below 1"):
+            zeta_contours((n,), T=FAST_T)
 
 
 def test_constant_contour_truncation_scaling(constant_d30):

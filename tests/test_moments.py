@@ -32,12 +32,6 @@ from cantor_moments.moments import DECAY_NS, float_moments
 
 
 @pytest.fixture(scope="module")
-def table_512():
-    """The closed-form table M_0..M_512, built once for the tests that read it."""
-    return bernoulli_moments(512)
-
-
-@pytest.fixture(scope="module")
 def decimal_rows_512():
     """The CLI's view of the same table: closed_form_rows(512, Decimal)."""
     return list(moments.closed_form_rows(512, Decimal))
@@ -372,24 +366,28 @@ def test_table_512_meets_the_residue_series(table_512, partial_sums_512, constan
     # P = 2pi/ln 2, of the Mellin integrand (Grabner & Prodinger, Statist.
     # Probab. Lett. 26, 1996):
     #     M_n = (2/3) sum_k w_n(s_k) zeta(1 - s_k) / ln 2,
-    #     w_n(s) = n! / prod_{j=1..n+1} (j - s).
-    # |zeta(1 - s_k)| <= zeta(log2(3)) < 2.4 and |w_n(s_k)| <= n!/(|k|P)**(n+1),
-    # so the poles with |k| > 12 add less than 4e-20 of M_n for n >= 16.
-    # The weight is a running product, as n! overflows a float past n = 170.
+    #     w_n(s) = n! / prod_{j=1..n+1} (j - s),
+    # with w_n and R_n = (n + 1) w_n / -s from contour._weights.
+    # |zeta(1 - s_k)| <= zeta(log2(3)) < 2.4, and for n >= 16
+    # |w_n(s_k)| <= |w_16(s_k)| <= 16!/(|k|P)**17, as |R_n| falls with n on
+    # Re s < 0.  Bounding the sum over k > K by an integral, the poles with
+    # |k| > K add at most tail / K**16 to M_n, and for K >= 2 less than
+    # that to R_n.  K is the smallest cutoff that puts this 1e-3 below the
+    # smallest tolerance, 1e-12 M_512.
     P = 2 * math.pi / math.log(2)
-    k = np.arange(-12, 13)
+    tail = 2 * (2 / 3) * 2.4 / math.log(2) * factorial(16) / P**17 / 16
+    K = math.ceil((tail / (1e-3 * 1e-12 * float(table_512[512]))) ** (1 / 16))
+    assert K >= 2
+    k = np.arange(-K, K + 1)
     s = 1 - math.log2(3) + 1j * k * P
     zeta = np.conj(contour._zeta_line(math.log2(3) + 1j * k * P))
     scale = 2 / 3 * zeta / math.log(2)  # residue at s_k over w_n(s_k)
-    w = 1 / (1 - s)
-    for n in range(1, 513):
-        w = w * n / (n + 1 - s)
-        if n >= 16:
-            M_n = float(table_512[n])
-            assert abs(np.sum(w * scale) - M_n) <= 1e-12 * M_n, n
+    orders = tuple(range(16, 513))
+    for n, w in zip(orders, contour._weights(orders, s)[:-1]):
+        M_n = float(table_512[n])
+        assert abs(np.sum(w * scale) - M_n) <= 1e-12 * M_n, n
         if n in (16, 64, 128, 512):
-            # C - S_n, the residues of the weights summed over m > n:
-            # prod_{j=1..n+1} j / (j - s) = (n + 1) w_n, over -s.
+            # C - S_n, the residues of R_n = sum_{m>n} w_m.
             remainder = np.sum((n + 1) * w / -s * scale)
             exact = float(constant_d30.value - partial_sums_512[n])
             assert abs(remainder - exact) <= 1e-13, n
