@@ -1,0 +1,213 @@
+"""Before/after timings of the ``cantor-moments`` command and its exact layers.
+
+Run from the repository root, with another checkout of the repository
+(the parent commit, say ``git clone . DIR && git -C DIR checkout REV``)
+to compare against:
+
+    python3 scripts/bench.py PARENT_CHECKOUT --out BENCH_26.json
+
+Both trees run their own ``src/``; "change" is the tree this script lives
+in.  Two kinds of figures are written:
+
+* ``end_to_end``: each CLI command in a fresh interpreter, ``RUNS``
+  times per tree in alternating order (parent first in even rounds,
+  change first in odd ones), timed from spawn to exit.  Each command gets
+  the median, quartiles and raw samples per tree, the number of rounds
+  in which the change was faster, and whether the two trees' stdout
+  agreed byte for byte.
+* ``in_process``: the best of 5 calls of the exact layers, in one child
+  interpreter per tree.
+
+The record also holds the machine, the Python and numpy versions, and
+each tree's commit and source digest.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from importlib import metadata
+from pathlib import Path
+from time import perf_counter
+
+CHANGE = Path(__file__).resolve().parents[1]
+RUNS = 10
+
+COMMANDS = (
+    ("constant --digits 30 --json", ["constant", "--digits", "30", "--json"]),
+    ("constant --digits 60 --json", ["constant", "--digits", "60", "--json"]),
+    ("moments --max-n 512", ["moments", "--max-n", "512"]),
+    ("verify --suite identity --json", ["verify", "--suite", "identity", "--json"]),
+    ("verify --suite mellin --json", ["verify", "--suite", "mellin", "--json"]),
+    ("verify --suite all --json", ["verify", "--suite", "all", "--json"]),
+)
+
+# Run in a child interpreter on one tree's src/; prints one JSON object of
+# best-of-5 seconds per name.
+IN_PROCESS = r"""
+import json, time
+from cantor_moments import cli, constant, exact
+
+def best(call, reps=5):
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+timings = {}
+for k in (8, 12, 14):
+    timings[f"harmonic_exact(2**{k})"] = best(lambda: exact.harmonic_exact(2**k))
+for K in (8, 12, 14):
+    timings[f"weighted_harmonic_sum_exact({K})"] = best(
+        lambda: constant.weighted_harmonic_sum_exact(K)
+    )
+timings["double_sum_check(12)"] = best(lambda: constant.double_sum_check(12))
+timings["identity suite"] = best(lambda: list(cli._suite_identity()))
+for D in (30, 60):
+    timings[f"moment_series_constant({D})"] = best(
+        lambda: constant.moment_series_constant(D)
+    )
+print(json.dumps(timings))
+"""
+
+
+def child_env(tree: Path) -> dict[str, str]:
+    """The tree's src/ on the path and no other PYTHON* setting."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def timed_run(tree: Path, argv: list[str]) -> tuple[float, str]:
+    """Seconds from spawn to exit of one CLI run, and its stdout's SHA-256."""
+    start = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cantor_moments.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=child_env(tree),
+        cwd=tree,
+        check=True,
+    )
+    return perf_counter() - start, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def summary(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples_s": samples}
+
+
+def end_to_end(parent: Path) -> dict:
+    results = {}
+    for label, argv in COMMANDS:
+        times: dict[str, list[float]] = {"parent": [], "change": []}
+        digests: dict[str, set[str]] = {"parent": set(), "change": set()}
+        for i in range(RUNS):
+            order = (("parent", parent), ("change", CHANGE))
+            for name, tree in order if i % 2 == 0 else order[::-1]:
+                seconds, digest = timed_run(tree, argv)
+                times[name].append(seconds)
+                digests[name].add(digest)
+        results[label] = {
+            "parent": summary(times["parent"]),
+            "change": summary(times["change"]),
+            "change_faster_rounds": sum(
+                c < p for p, c in zip(times["parent"], times["change"])
+            ),
+            "stdout_identical": len(digests["parent"] | digests["change"]) == 1,
+        }
+        print(
+            f"{label}: parent {results[label]['parent']['median_s']:.3f} s, "
+            f"change {results[label]['change']['median_s']:.3f} s",
+            file=sys.stderr,
+        )
+    return results
+
+
+def in_process(tree: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS],
+        stdout=subprocess.PIPE,
+        env=child_env(tree),
+        cwd=tree,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def provenance(tree: Path) -> dict:
+    """The tree's git commit (None outside a repository) and a digest of its src/."""
+    try:
+        commit = subprocess.run(
+            ["git", "-C", str(tree), "rev-parse", "HEAD"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        dirty = bool(
+            subprocess.run(
+                ["git", "-C", str(tree), "status", "--porcelain", "--", "src"],
+                stdout=subprocess.PIPE,
+                text=True,
+                check=True,
+            ).stdout
+        )
+    except (OSError, subprocess.CalledProcessError):
+        commit, dirty = None, None
+    digest = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(src.rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return {"commit": commit, "src_uncommitted": dirty, "src_sha256": digest.hexdigest()}
+
+
+def machine() -> dict:
+    try:
+        numpy = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy = None
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "processor": platform.processor() or None,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "src" / "cantor_moments" / "cli.py").is_file():
+        parser.error(f"{parent} is not a checkout of cantor-moments")
+
+    record = {
+        "machine": machine(),
+        "trees": {"parent": provenance(parent), "change": provenance(CHANGE)},
+        "method": (
+            f"{RUNS} rounds per command, parent and change alternating in "
+            "fresh interpreters, timed from spawn to exit; quartiles by "
+            "statistics.quantiles(n=4); in-process figures are the best of 5 calls"
+        ),
+        "end_to_end": end_to_end(parent),
+        "in_process": {"parent": in_process(parent), "change": in_process(CHANGE)},
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

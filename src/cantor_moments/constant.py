@@ -30,8 +30,9 @@ is below 10**-(P+2); euler_gamma picks its own order by the same search.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .exact import (
@@ -39,7 +40,6 @@ from .exact import (
     _balanced_sum,
     bernoulli_numbers,
     divround,
-    harmonic_exact,
     round_decimal,
 )
 
@@ -228,17 +228,38 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _harmonic_prefixes() -> Iterator[Fraction]:
+    """H(2**k) for k = 1, 2, ..., _K_CAP, prefix by prefix.
+
+    H(2**k) = H(2**(k-1)) + sum_{2**(k-1) < m <= 2**k} 1/m, the block
+    summed by binary splitting and reduced once.
+    """
+    h = Fraction(1)
+    for k in range(1, _K_CAP + 1):
+        h += Fraction(*_balanced_sum(lambda m: (1, m), 2 ** (k - 1) + 1, 2**k))
+        yield h
+
+
+def _weighted_sums() -> Iterator[Fraction]:
+    """The running sums sum_{k<=K} (2/3)**k * H(2**k) for K = 1, ..., _K_CAP."""
+    total = Fraction(0)
+    for k, h in enumerate(_harmonic_prefixes(), 1):
+        total += _W**k * h
+        yield total
+
+
 def weighted_harmonic_sum_exact(K: int) -> Fraction:
     """Exact rational truncation sum_{k=1..K} (2/3)**k * H(2**k).
 
-    The exact head of the constant (K = K0), the double-sum identity and
-    the tests use it; K is capped where exact harmonic numbers stay cheap.
+    The K-th running sum of one cumulative pass over k: each H(2**k) is
+    the one before plus a block of 2**(k-1) terms, summed by binary
+    splitting.  The exact head of the constant (K = K0), the double-sum
+    identity and the tests use it; K is capped where exact harmonic
+    numbers stay cheap.
     """
     if not (1 <= K <= _K_CAP):
         raise ValueError(f"exact weighted sum supports 1 <= K <= {_K_CAP}")
-    return sum(
-        Fraction(2, 3) ** k * harmonic_exact(2**k) for k in range(1, K + 1)
-    )
+    return next(islice(_weighted_sums(), K - 1, None))
 
 
 def _float_up(x: Fraction) -> float:
@@ -317,38 +338,54 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
 # ---------------------------------------------------------------------------
 
 
+def _identity_forms() -> Iterator[tuple[Fraction, Fraction]]:
+    """(double_form, harmonic_form) of the truncation for K = 1, ..., _K_CAP.
+
+    The double form is 1 + (2/3) * sum_{k<=K} 3**-k * sum_{m<=2**k}
+    (2**k - m)/m, each inner sum built once, term by term, by binary
+    splitting: it is *not* collapsed into harmonic numbers, so the two
+    forms stay structurally independent.  The harmonic form is
+    1 + (2/3) * sum_{k<=K} ((2/3)**k * H(2**k) - (2/3)**k), whose
+    harmonic part is the running sum behind
+    :func:`weighted_harmonic_sum_exact`.  One pass yields every K.
+    """
+    outer = Fraction(0)
+    geometric = Fraction(0)
+    for k, weighted in enumerate(_weighted_sums(), 1):
+        two_k = 2**k
+        inner = Fraction(*_balanced_sum(lambda m: (two_k - m, m), 1, two_k))
+        outer += Fraction(1, 3**k) * inner
+        geometric += _W**k
+        yield 1 + Fraction(2, 3) * outer, 1 + Fraction(2, 3) * (weighted - geometric)
+
+
 def double_sum_check(K: int) -> Fraction:
     """Exact truncation of the double-sum form, checked against the
     harmonic-number form.
 
-    Evaluates 1 + (2/3) * sum_{k=1..K} 3**-k * sum_{m=1..2**k} (2**k/m - 1)
-    term by term in exact rationals (the inner sum is *not* collapsed
-    into harmonic numbers — the point is structural independence), then
-    verifies exact equality with
+    Walks one cumulative pass of both forms up to K (see
+    :func:`_identity_forms`): the double sum
+
+        1 + (2/3) * sum_{k=1..K} 3**-k * sum_{m=1..2**k} (2**k/m - 1),
+
+    with each inner sum built term by term, and
 
         1 + (2/3) * sum_{k=1..K} ((2/3)**k * H(2**k) - (2/3)**k),
 
     whose harmonic part is :func:`weighted_harmonic_sum_exact`, the exact
-    head of the constant, and returns the common value.
+    head of the constant.  Every truncation up to K must agree exactly;
+    the common value at K is returned.
 
     Raises:
         ValueError: K out of [1, 14] ("inner sum too large for exact mode").
+        AssertionError: if the two forms disagree at some K' <= K.
     """
     if not (1 <= K <= _K_CAP):
         raise ValueError("inner sum too large for exact mode")
-    outer = Fraction(0)
-    for k in range(1, K + 1):
-        two_k = 2**k
-        inner = _balanced_sum(lambda m: Fraction(two_k - m, m), 1, two_k)
-        outer += Fraction(1, 3**k) * inner
-    double_form = 1 + Fraction(2, 3) * outer
-
-    harmonic_form = 1 + Fraction(2, 3) * (
-        weighted_harmonic_sum_exact(K) - sum(_W**k for k in range(1, K + 1))
-    )
-    if double_form != harmonic_form:
-        raise AssertionError(
-            "double-sum and harmonic-form truncations disagree — "
-            "exact identity violated"
-        )
+    for double_form, harmonic_form in islice(_identity_forms(), K):
+        if double_form != harmonic_form:
+            raise AssertionError(
+                "double-sum and harmonic-form truncations disagree — "
+                "exact identity violated"
+            )
     return double_form

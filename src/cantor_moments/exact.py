@@ -107,25 +107,38 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _balanced_sum(term: Callable[[int], Fraction], lo: int, hi: int) -> Fraction:
-    """Exact sum of term(k) for lo <= k <= hi by balanced divide & conquer.
+def _balanced_sum(
+    term: Callable[[int], tuple[int, int]], lo: int, hi: int
+) -> tuple[int, int]:
+    """Sum of term(k) for lo <= k <= hi as an unreduced pair (p, q) = p/q.
 
-    Balanced splitting keeps intermediate denominators near the lcm of
-    the range instead of the full product, and the final gcd per merge
-    is far cheaper than one gcd per term.  No list of terms is built.
+    Binary splitting on integer pairs (Haible & Papanikolaou, "Fast
+    multiprecision evaluation of series of rational numbers", 1998):
+    ``term(k)`` returns ``(num, den)`` with den > 0, and each merge of
+    two halves is (p1*q2 + p2*q1, q1*q2), with no gcd.  The halves are
+    balanced, so each product multiplies operands of about equal size,
+    where CPython's Karatsuba multiplication pays off.  The caller
+    reduces once, with ``Fraction(p, q)``.  No list of terms is built.
     """
     if lo == hi:
         return term(lo)
     mid = (lo + hi) // 2
-    return _balanced_sum(term, lo, mid) + _balanced_sum(term, mid + 1, hi)
+    p1, q1 = _balanced_sum(term, lo, mid)
+    p2, q2 = _balanced_sum(term, mid + 1, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def harmonic_exact(m: int) -> Fraction:
     """Exact harmonic number H_m = sum_{k=1..m} 1/k.
 
-    The cap is the largest index the exact weighted sum uses;
-    high-precision consumers use the asymptotic path in
-    :mod:`cantor_moments.constant` instead.
+    Summed in dyadic blocks (2**(j-1), 2**j] cut at m: each block is one
+    binary-splitting pass of :func:`_balanced_sum` over the pairs (1, k),
+    reduced once, and the reduced blocks are added as fractions.  One
+    reduction per block keeps the pairs small: an unreduced pair over all
+    of [1, 2**14] reaches about 210k bits before its single gcd.  The cap
+    is the largest index the exact weighted sum uses; high-precision
+    consumers use the asymptotic path in :mod:`cantor_moments.constant`
+    instead.
 
     Raises:
         ValueError: if m < 1 or m exceeds the 2**14 cap.
@@ -134,4 +147,7 @@ def harmonic_exact(m: int) -> Fraction:
         raise ValueError("harmonic index must be positive")
     if m > HARMONIC_CAP:
         raise ValueError("harmonic index above cap")
-    return _balanced_sum(lambda k: Fraction(1, k), 1, m)
+    h = Fraction(1)
+    for j in range(1, (m - 1).bit_length() + 1):
+        h += Fraction(*_balanced_sum(lambda k: (1, k), 2 ** (j - 1) + 1, min(2**j, m)))
+    return h

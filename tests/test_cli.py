@@ -211,6 +211,22 @@ def test_verify_identity_suite(capsys):
     assert len(payload["checks"]) == 12
 
 
+# SHA-256 of `verify --suite S --json` stdout for the exact suites.  Their
+# output is pure exact strings, so unlike the float suites' it does not
+# depend on the platform.
+EXACT_SUITE_SHA256 = {
+    "identity": "7de76765801acbe9c9759874a252c960aa93f0ab8270507ac3106f923f67ab9f",
+    "oracle": "b170ee03cb0c7fcb3c438727439addf855df503dff1b837097015d6c73dbd205",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(EXACT_SUITE_SHA256))
+def test_exact_suite_stdout_pinned(capsys, suite):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SUITE_SHA256[suite]
+
+
 def test_verify_decay_suite_human(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "decay"])
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 
 from cantor_moments import (
     bernoulli_numbers,
+    cli,
     constant,
     double_sum_check,
     euler_gamma,
@@ -332,3 +333,38 @@ def test_double_sum_approaches_constant(constant_d30):
     gaps = [limit - v for v in values]
     assert all(g > 0 for g in gaps)
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_weighted_sum_matches_harmonic_numbers_from_scratch():
+    # The cumulative pass against each H(2**k) built on its own.
+    scratch = Fraction(0)
+    for K in range(1, 15):
+        scratch += Fraction(2, 3) ** K * harmonic_exact(2**K)
+        assert weighted_harmonic_sum_exact(K) == scratch
+
+
+def test_identity_prefixes_match_double_sum_check():
+    for K, (double_form, harmonic_form) in enumerate(constant._identity_forms(), 1):
+        assert double_form == harmonic_form == double_sum_check(K)
+    assert K == 14
+
+
+def test_identity_detects_a_planted_fault(monkeypatch):
+    # The harmonic side off by 10**-40 from k = 7 on: the suite reports
+    # K >= 7 unequal and the rest equal, and double_sum_check raises
+    # from K = 7.
+    prefixes = constant._harmonic_prefixes
+
+    def off_from_k7():
+        for k, h in enumerate(prefixes(), 1):
+            yield h + Fraction(1, 10**40) if k >= 7 else h
+
+    monkeypatch.setattr(constant, "_harmonic_prefixes", off_from_k7)
+    checks = list(cli._suite_identity())
+    assert [name for name, *_ in checks] == [f"double_sum_K{K}" for K in range(1, 13)]
+    assert [(passed, measured) for _, passed, measured, _ in checks] == (
+        [(True, "equal")] * 6 + [(False, "unequal")] * 6
+    )
+    double_sum_check(6)
+    with pytest.raises(AssertionError, match="exact identity violated"):
+        double_sum_check(7)

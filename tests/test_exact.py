@@ -11,7 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantor_moments import bernoulli_numbers, harmonic_exact
-from cantor_moments.exact import HARMONIC_CAP, decimal_string, divround, round_decimal
+from cantor_moments.exact import (
+    HARMONIC_CAP,
+    _balanced_sum,
+    decimal_string,
+    divround,
+    round_decimal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +91,28 @@ def test_harmonic_difference_property():
         cur = harmonic_exact(m)
         assert cur - prev == Fraction(1, m)
         prev = cur
+
+
+_RANGES = st.integers(1, 400).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 400)))
+
+
+@given(_RANGES, st.integers(-1000, 1000))
+def test_balanced_sum_pairs_match_a_plain_sum(bounds, c):
+    lo, hi = bounds
+    ks = range(lo, hi + 1)
+    assert Fraction(*_balanced_sum(lambda k: (1, k), lo, hi)) == sum(
+        Fraction(1, k) for k in ks
+    )
+    assert Fraction(*_balanced_sum(lambda k: (c - k, k), lo, hi)) == sum(
+        Fraction(c - k, k) for k in ks
+    )
+
+
+def test_harmonic_matches_a_naive_sum():
+    naive = Fraction(0)
+    for m in range(1, 301):
+        naive += Fraction(1, m)
+        assert harmonic_exact(m) == naive
 
 
 def test_harmonic_domain_errors():
