@@ -4,7 +4,7 @@ Run from the repository root, with another checkout of the repository
 (the parent commit, say ``git clone . DIR && git -C DIR checkout REV``)
 to compare against:
 
-    python3 scripts/bench.py PARENT_CHECKOUT --out BENCH_26.json
+    python3 scripts/bench.py PARENT_CHECKOUT --out BENCH_<n>.json
 
 Both trees run their own ``src/``; "change" is the tree this script lives
 in.  Two kinds of figures are written:
@@ -12,11 +12,14 @@ in.  Two kinds of figures are written:
 * ``end_to_end``: each CLI command in a fresh interpreter, ``RUNS``
   times per tree in alternating order (parent first in even rounds,
   change first in odd ones), timed from spawn to exit.  Each command gets
-  the median, quartiles and raw samples per tree, the number of rounds
-  in which the change was faster, and whether the two trees' stdout
-  agreed byte for byte.
-* ``in_process``: the best of 5 calls of the exact layers, in one child
-  interpreter per tree.
+  the median, quartiles and raw samples per tree, each run's peak RSS
+  (the child's ``ru_maxrss``, which on Linux starts from this script's
+  own peak, so smaller children all read that floor), the number of
+  rounds in which the change was faster, and whether the two trees'
+  stdout agreed byte for byte.
+* ``in_process``: the best of 5 calls of the exact layers and the Cantor
+  grid, in one child interpreter per tree, and the best of 5 times to
+  import the ``cantor`` module, each in a fresh interpreter.
 
 The record also holds the machine, the Python and numpy versions, and
 each tree's commit and source digest.  Only the standard library is used.
@@ -45,6 +48,7 @@ COMMANDS = (
     ("moments --max-n 512", ["moments", "--max-n", "512"]),
     ("verify --suite identity --json", ["verify", "--suite", "identity", "--json"]),
     ("verify --suite mellin --json", ["verify", "--suite", "mellin", "--json"]),
+    ("verify --suite cantor --json", ["verify", "--suite", "cantor", "--json"]),
     ("verify --suite all --json", ["verify", "--suite", "all", "--json"]),
 )
 
@@ -52,7 +56,7 @@ COMMANDS = (
 # best-of-5 seconds per name.
 IN_PROCESS = r"""
 import json, time
-from cantor_moments import cli, constant, exact
+from cantor_moments import cantor, cli, constant, exact
 
 def best(call, reps=5):
     times = []
@@ -75,7 +79,20 @@ for D in (30, 60):
     timings[f"moment_series_constant({D})"] = best(
         lambda: constant.moment_series_constant(D)
     )
+timings["cantor.integral_quadrature((1, 2, 5))"] = best(
+    lambda: cantor.integral_quadrature((1, 2, 5))
+)
+timings["cantor.self_similarity_residuals()"] = best(cantor.self_similarity_residuals)
 print(json.dumps(timings))
+"""
+
+# Run in a fresh interpreter per sample: the import loads whatever the
+# module needs (numpy, before the Cantor walk), which one process caches.
+IMPORT_CANTOR = r"""
+import time
+start = time.perf_counter()
+from cantor_moments import cantor
+print(time.perf_counter() - start)
 """
 
 
@@ -86,18 +103,30 @@ def child_env(tree: Path) -> dict[str, str]:
     return env
 
 
-def timed_run(tree: Path, argv: list[str]) -> tuple[float, str]:
-    """Seconds from spawn to exit of one CLI run, and its stdout's SHA-256."""
+def timed_run(tree: Path, argv: list[str]) -> tuple[float, float, str]:
+    """Seconds from spawn to exit of one CLI run, its peak RSS in MB, and its
+    stdout's SHA-256."""
     start = perf_counter()
-    proc = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-m", "cantor_moments.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         env=child_env(tree),
         cwd=tree,
-        check=True,
-    )
-    return perf_counter() - start, hashlib.sha256(proc.stdout).hexdigest()
+    ) as proc:
+        # Hashed in chunks, never held whole: a child's ru_maxrss starts
+        # from this process's own high-water mark.
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        # wait4, not wait: it also returns the child's resource usage.
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    # ru_maxrss is in KiB on Linux.
+    return seconds, usage.ru_maxrss / 1024, digest.hexdigest()
 
 
 def summary(samples: list[float]) -> dict:
@@ -109,16 +138,18 @@ def end_to_end(parent: Path) -> dict:
     results = {}
     for label, argv in COMMANDS:
         times: dict[str, list[float]] = {"parent": [], "change": []}
+        rss: dict[str, list[float]] = {"parent": [], "change": []}
         digests: dict[str, set[str]] = {"parent": set(), "change": set()}
         for i in range(RUNS):
             order = (("parent", parent), ("change", CHANGE))
             for name, tree in order if i % 2 == 0 else order[::-1]:
-                seconds, digest = timed_run(tree, argv)
+                seconds, peak_mb, digest = timed_run(tree, argv)
                 times[name].append(seconds)
+                rss[name].append(peak_mb)
                 digests[name].add(digest)
         results[label] = {
-            "parent": summary(times["parent"]),
-            "change": summary(times["change"]),
+            "parent": {**summary(times["parent"]), "peak_rss_mb": rss["parent"]},
+            "change": {**summary(times["change"]), "peak_rss_mb": rss["change"]},
             "change_faster_rounds": sum(
                 c < p for p, c in zip(times["parent"], times["change"])
             ),
@@ -126,21 +157,30 @@ def end_to_end(parent: Path) -> dict:
         }
         print(
             f"{label}: parent {results[label]['parent']['median_s']:.3f} s, "
-            f"change {results[label]['change']['median_s']:.3f} s",
+            f"{max(rss['parent']):.1f} MB; change "
+            f"{results[label]['change']['median_s']:.3f} s, {max(rss['change']):.1f} MB",
             file=sys.stderr,
         )
     return results
 
 
-def in_process(tree: Path) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", IN_PROCESS],
+def child_stdout(tree: Path, code: str) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", code],
         stdout=subprocess.PIPE,
         env=child_env(tree),
         cwd=tree,
         check=True,
+        text=True,
+    ).stdout
+
+
+def in_process(tree: Path) -> dict:
+    timings = json.loads(child_stdout(tree, IN_PROCESS))
+    timings["import cantor_moments.cantor"] = min(
+        float(child_stdout(tree, IMPORT_CANTOR)) for _ in range(5)
     )
-    return json.loads(proc.stdout)
+    return timings
 
 
 def provenance(tree: Path) -> dict:
@@ -199,8 +239,10 @@ def main(argv: list[str] | None = None) -> int:
         "trees": {"parent": provenance(parent), "change": provenance(CHANGE)},
         "method": (
             f"{RUNS} rounds per command, parent and change alternating in "
-            "fresh interpreters, timed from spawn to exit; quartiles by "
-            "statistics.quantiles(n=4); in-process figures are the best of 5 calls"
+            "fresh interpreters, timed from spawn to exit, peak RSS from "
+            "os.wait4's ru_maxrss; quartiles by statistics.quantiles(n=4); "
+            "in-process figures are the best of 5 calls, the import's the best "
+            "of 5 fresh interpreters"
         ),
         "end_to_end": end_to_end(parent),
         "in_process": {"parent": in_process(parent), "change": in_process(CHANGE)},

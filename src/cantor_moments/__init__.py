@@ -9,16 +9,19 @@ Library layout:
   exact methods, remainder-decay fit;
 * :mod:`cantor_moments.constant` — certified evaluation of the series
   constant -1/3 + (2/3) sum (2/3)**k H(2**k);
-* :mod:`cantor_moments.cantor` — Cantor function values and the
-  quadrature oracle for the defining integral;
+* :mod:`cantor_moments.cantor` — Cantor function values by an exact
+  ternary-interval walk and the quadrature oracle for the defining
+  integral;
 * :mod:`cantor_moments.contour` — double-precision verification of the
   vertical-line integral identities;
 * :mod:`cantor_moments.cli` — the ``cantor-moments`` command.
 
-The package root exports the exact and certified API.  The numpy-backed
-modules, ``cantor`` and ``contour``, are imported by their path
-(``from cantor_moments.contour import zeta_contours``), so importing the
-package never imports numpy.
+The package root exports the exact and certified API; ``contour`` and
+``cantor`` are imported by their path
+(``from cantor_moments.contour import zeta_contours``).  The numpy-backed
+code, ``contour`` and the decay fit (``float_moments`` and ``decay_fit``
+import numpy inside their calls), loads numpy only when used, so
+importing the package never imports numpy.
 """
 
 from .constant import (

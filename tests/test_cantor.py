@@ -3,49 +3,58 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_moments import bernoulli_moments, cantor
+from cantor_moments import bernoulli_moments
 from cantor_moments.cantor import (
-    _values,
+    _power_sums,
+    _runs,
     integral_quadrature,
     self_similarity_residuals,
 )
 
+_ONE = 2**64  # the evaluator's values are integers over 2**64
 
-def _c(x) -> float:
-    """C(x) from the library's evaluator, on a one-element grid."""
+
+def _grid(start: int, step: int, den: int, count: int) -> list[int]:
+    """The evaluator's values on a grid, one per point."""
+    return [value for points, value in _runs(start, step, den, count) for _ in range(points)]
+
+
+def _c(x) -> Fraction:
+    """C(x) from the library's evaluator, on a one-point grid."""
     num, den = x.as_integer_ratio()
-    return float(_values(np.array([num], dtype=np.int64), den)[0])
+    (value,) = _grid(num, den, den, 1)
+    return Fraction(value, _ONE)
 
 
 def test_endpoints():
-    assert _c(0.0) == 0.0
-    assert _c(1.0) == 1.0
-    assert _c(0) == 0.0
-    assert _c(1) == 1.0
+    assert _c(0.0) == 0
+    assert _c(1.0) == 1
+    assert _c(0) == 0
+    assert _c(1) == 1
 
 
 def test_middle_third_plateau():
     # C = 1/2 on [1/3, 2/3]; Fraction inputs are processed exactly
-    assert _c(Fraction(1, 3)) == 0.5
-    assert _c(Fraction(1, 2)) == 0.5
-    assert _c(Fraction(2, 3)) == 0.5
+    assert _c(Fraction(1, 3)) == Fraction(1, 2)
+    assert _c(Fraction(1, 2)) == Fraction(1, 2)
+    assert _c(Fraction(2, 3)) == Fraction(1, 2)
     # float(1/3) is merely close to 1/3; the value is within depth error
-    assert abs(_c(1 / 3) - 0.5) <= 1e-9
+    assert abs(_c(1 / 3) - Fraction(1, 2)) <= 1e-9
 
 
 def test_known_values():
-    # 1/4 = 0.020202...(3) -> 0.0101...(2) = 1/3
-    assert abs(_c(0.25) - 1 / 3) <= 2.0**-64 * 4
-    assert abs(_c(0.75) - 2 / 3) <= 2.0**-64 * 4
+    # 1/4 = 0.020202...(3) -> 0.0101...(2) = 1/3, truncated after 64 digits
+    assert 0 <= Fraction(1, 3) - _c(0.25) <= Fraction(1, _ONE)
+    assert 0 <= Fraction(2, 3) - _c(0.75) <= Fraction(1, _ONE)
     # dyadic ternary rationals are exact: C(1/9) = 1/4, C(7/9) = 3/4
-    assert _c(Fraction(1, 9)) == 0.25
-    assert _c(Fraction(7, 9)) == 0.75
+    assert _c(Fraction(1, 9)) == Fraction(1, 4)
+    assert _c(Fraction(7, 9)) == Fraction(3, 4)
 
 
 def test_self_similar_identities_exact():
@@ -53,7 +62,7 @@ def test_self_similar_identities_exact():
     for num in range(0, 28):
         x = Fraction(num, 27)
         assert _c(x / 3) == _c(x) / 2
-        assert _c(Fraction(2, 3) + x / 3) == 0.5 + _c(x) / 2
+        assert _c(Fraction(2, 3) + x / 3) == Fraction(1, 2) + _c(x) / 2
 
 
 def test_grid_properties():
@@ -61,6 +70,13 @@ def test_grid_properties():
     assert mono
     assert sym <= 2 * 2.0**-64
     assert selfsim <= 2 * 2.0**-64
+    # The same residuals in exact arithmetic, on the values before rounding
+    # to floats: each is within 2**-64.
+    vals = _grid(0, 1, 10**4, 10**4 + 1)
+    thirds = _grid(0, 1, 3 * 10**4, 10**4 + 1)
+    assert all(abs(v + w - _ONE) <= 1 for v, w in zip(vals, reversed(vals)))
+    # |C(x/3) - C(x)/2| = |2t - v| / 2**65
+    assert all(abs(2 * t - v) <= 2 for t, v in zip(thirds, vals))
 
 
 def _cantor_exact(x: Fraction) -> Fraction:
@@ -86,6 +102,16 @@ def _cantor_exact(x: Fraction) -> Fraction:
     return Fraction(head, 2**start) + Fraction(cycle, 2**start * (2**period - 1))
 
 
+def _truncated(x: Fraction) -> int:
+    """floor(C(x) * 2**64): C to 64 ternary digits, an integer over 2**64.
+
+    The binary digits after the 64th sum to less than 2**-64: an expansion
+    that ends in a digit 1 is finite, and one of digits 0 and 2 never ends
+    in repeating 2s, since num // den gives terminating expansions.
+    """
+    return floor(_cantor_exact(x) * _ONE)
+
+
 # Rationals in [0, 1]; a denominator 4k gives expansions such as 1/4 =
 # 0.0202...(3), which never reach a digit 1 and run to the full depth.
 _RATIONALS = st.one_of(
@@ -94,7 +120,6 @@ _RATIONALS = st.one_of(
         lambda k: st.integers(0, 4 * k).map(lambda j: Fraction(j, 4 * k))
     ),
 )
-_ULP = Fraction(1, 2**53)
 
 
 def test_cantor_exact_reference():
@@ -102,48 +127,63 @@ def test_cantor_exact_reference():
     assert _cantor_exact(Fraction(1, 3)) == Fraction(1, 2)
     assert _cantor_exact(Fraction(7, 9)) == Fraction(3, 4)
     assert _cantor_exact(Fraction(0)) == 0
+    assert _truncated(Fraction(1, 4)) == (_ONE - 1) // 3
+    assert _truncated(Fraction(1)) == _ONE
 
 
 def test_grid_matches_scalar_evaluation():
     # Every point of the grids the library evaluates, against the exact
     # oracle: i/10**4 (whose reversal serves as C(1 - x)), i/(3*10**4) up
     # to x = 1, and the 257-cell midpoints.
-    for start, stop, step, den in (
-        (0, 10**4 + 1, 1, 10**4),
-        (0, 3 * 10**4 + 1, 1, 3 * 10**4),
-        (1, 2 * 257, 2, 2 * 257),
+    for start, step, den, count in (
+        (0, 1, 10**4, 10**4 + 1),
+        (0, 1, 3 * 10**4, 3 * 10**4 + 1),
+        (1, 2, 2 * 257, 257),
     ):
-        nums = range(start, stop, step)
-        vals = _values(np.array(nums, dtype=np.int64), den)
-        for num, v in zip(nums, vals):
-            assert abs(Fraction(v) - _cantor_exact(Fraction(num, den))) <= _ULP
-    mirrored = _values(np.arange(10**4 + 1, dtype=np.int64), 10**4)[::-1]
-    for i, v in enumerate(mirrored):
-        assert abs(Fraction(v) - _cantor_exact(1 - Fraction(i, 10**4))) <= _ULP
+        values = _grid(start, step, den, count)
+        assert len(values) == count
+        for i, value in enumerate(values):
+            assert value == _truncated(Fraction(start + step * i, den))
 
 
 @settings(deadline=None)
 @given(_RATIONALS)
-def test_cantor_value_within_2_pow_53(x):
-    assert abs(Fraction(_c(x)) - _cantor_exact(x)) <= _ULP
+def test_cantor_value_within_2_pow_64(x):
+    assert _c(x) == Fraction(_truncated(x), _ONE)
+    assert 0 <= _cantor_exact(x) - _c(x) < Fraction(1, _ONE)
 
 
 @settings(deadline=None)
 @given(_RATIONALS)
 def test_cantor_identities_at_random_rationals(x):
-    # Each side is within 2**-53 of the exact value, so each residual,
-    # taken in exact arithmetic, is within 2 * 2**-53.
-    def c(y):
-        return Fraction(_c(y))
+    # Each side is within 2**-64 of the exact value, so each residual,
+    # taken in exact arithmetic, is within 2 * 2**-64.
+    bound = Fraction(2, _ONE)
+    assert abs(_c(x) + _c(1 - x) - 1) <= bound
+    assert abs(_c(x / 3) - _c(x) / 2) <= bound
+    assert abs(_c(Fraction(2, 3) + x / 3) - (Fraction(1, 2) + _c(x) / 2)) <= bound
 
-    assert abs(c(x) + c(1 - x) - 1) <= 2 * _ULP
-    assert abs(c(x / 3) - c(x) / 2) <= 2 * _ULP
-    assert abs(c(Fraction(2, 3) + x / 3) - (Fraction(1, 2) + c(x) / 2)) <= 2 * _ULP
+
+def _pointwise_power_sums(cells: int, top: int) -> list[int]:
+    values = [_truncated(Fraction(2 * i + 1, 2 * cells)) for i in range(cells)]
+    return [sum(v**n for v in values) for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 9, 257, 3**7, 10**4])
+def test_power_sums_match_pointwise(cells):
+    assert _power_sums(cells, 5) == _pointwise_power_sums(cells, 5)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 2000))
+def test_power_sums_match_pointwise_random(cells):
+    assert _power_sums(cells, 5) == _pointwise_power_sums(cells, 5)
 
 
 def test_grid_monotone_large():
-    grid = _values(np.arange(1, 2 * 10**5, 2, dtype=np.int64), 2 * 10**5)
-    assert np.all(np.diff(grid) >= 0)
+    grid = _grid(1, 2, 2 * 10**5, 10**5)
+    assert len(grid) == 10**5
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
 
 
 def test_integral_examples():
@@ -151,32 +191,15 @@ def test_integral_examples():
     estimates = integral_quadrature((1, 2, 5))
     for n, estimate in zip((1, 2, 5), estimates):
         assert abs(estimate - float(table[n])) <= 5e-3
+    # The correctly rounded means of the 10**6 grid's values.
+    assert estimates == (0.5, 0.2999999999267885, 0.1086956520832356)
 
 
 def test_integral_converges_with_points():
     exact = float(bernoulli_moments(2)[2])
-    coarse_grid = _values(np.arange(1, 2 * 10**4, 2, dtype=np.int64), 2 * 10**4)
-    coarse = abs(float(np.mean(coarse_grid**2)) - exact)
+    coarse = abs(_power_sums(10**4, 2)[2] / (10**4 * _ONE**2) - exact)
     fine = abs(integral_quadrature((2,))[0] - exact)
     assert fine <= coarse
-
-
-def test_integral_grid_is_evaluated_in_blocks(monkeypatch):
-    # The 10**6 midpoints reach the evaluator at most one block at a time,
-    # so its int64 work arrays stay small, and the means are those of the
-    # grid evaluated in one piece.
-    sizes = []
-
-    def recording(num, den):
-        sizes.append(len(num))
-        return _values(num, den)
-
-    monkeypatch.setattr(cantor, "_values", recording)
-    estimates = integral_quadrature((1, 2, 5))
-    assert max(sizes) <= cantor._BLOCK
-    assert sum(sizes) == 10**6
-    grid = _values(np.arange(1, 2 * 10**6, 2, dtype=np.int64), 2 * 10**6)
-    assert estimates == tuple(float(np.mean(grid**n)) for n in (1, 2, 5))
 
 
 def test_integral_preconditions():

@@ -211,10 +211,11 @@ def test_verify_identity_suite(capsys):
     assert len(payload["checks"]) == 12
 
 
-# SHA-256 of `verify --suite S --json` stdout for the exact suites.  Their
-# output is pure exact strings, so unlike the float suites' it does not
-# depend on the platform.
+# SHA-256 of `verify --suite S --json` stdout for the suites computed without
+# numpy.  Their output comes from exact arithmetic and correctly rounded
+# divisions, so unlike the numpy suites' it does not depend on the platform.
 EXACT_SUITE_SHA256 = {
+    "cantor": "aaa64a453c64c7e225c5021d28c9968ca8c76913104edba0c00a6fafb2b74521",
     "identity": "7de76765801acbe9c9759874a252c960aa93f0ab8270507ac3106f923f67ab9f",
     "oracle": "b170ee03cb0c7fcb3c438727439addf855df503dff1b837097015d6c73dbd205",
 }
@@ -237,7 +238,8 @@ def test_verify_decay_suite_human(capsys):
 def test_verify_all_report_contract(capsys):
     # The full report: every check's name and tolerance, in order, and the
     # measured values of the exact suites (oracle, identity, decay).  The
-    # float suites' measured values depend on numpy's SIMD and BLAS.
+    # mellin suite's measured values depend on numpy's SIMD and BLAS; the
+    # cantor suite's are pinned by EXACT_SUITE_SHA256.
     code, out, _ = run_cli(capsys, ["verify", "--suite", "all", "--json"])
     assert code == 0
     payload = json.loads(out)
@@ -487,6 +489,30 @@ def test_constant_and_moments_do_not_import_numpy():
     assert "3.36465" in run.stdout
 
 
+def test_numpy_free_commands_run_without_numpy():
+    # With numpy unimportable, every command that needs no numpy still
+    # succeeds: the exact suites, the cantor suite, the constant and the table.
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cantor_moments import cli\n"
+        "for argv in (\n"
+        "    ['verify', '--suite', 'cantor', '--json'],\n"
+        "    ['verify', '--suite', 'oracle', '--json'],\n"
+        "    ['verify', '--suite', 'identity', '--json'],\n"
+        "    ['constant', '--digits', '60', '--json'],\n"
+        "    ['moments', '--max-n', '64'],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def _blas_env(threads: str | None) -> dict[str, str]:
     # In-process main() calls by other tests leave OPENBLAS_NUM_THREADS
     # set here, so the child's value is set or dropped explicitly.
@@ -497,13 +523,14 @@ def _blas_env(threads: str | None) -> dict[str, str]:
     return env
 
 
-def _after_cantor_suite(threads: str | None, expression: str) -> str:
-    """What a child prints of ``expression`` after main() ran the cantor suite."""
+def _after_decay_suite(threads: str | None, expression: str) -> str:
+    """What a child prints of ``expression`` after main() ran the decay suite."""
     code = (
-        "import contextlib, io, os\n"
+        "import contextlib, io, os, sys\n"
         "from cantor_moments import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', '--suite', 'cantor', '--json']) == 0\n"
+        "    assert cli.main(['verify', '--suite', 'decay', '--json']) == 0\n"
+        "assert 'numpy' in sys.modules, 'the decay suite loaded no numpy'\n"
         f"print({expression})\n"
     )
     run = subprocess.run(
@@ -521,11 +548,11 @@ def _after_cantor_suite(threads: str | None, expression: str) -> str:
 def test_cli_runs_openblas_on_one_thread():
     # numpy loads inside the suite, after main() has asked OpenBLAS for
     # one thread, so no worker pool is started: one thread in the process.
-    assert _after_cantor_suite(None, "len(os.listdir('/proc/self/task'))") == "1\n"
+    assert _after_decay_suite(None, "len(os.listdir('/proc/self/task'))") == "1\n"
 
 
 def test_cli_keeps_a_set_blas_thread_count():
-    assert _after_cantor_suite("2", "os.environ['OPENBLAS_NUM_THREADS']") == "2\n"
+    assert _after_decay_suite("2", "os.environ['OPENBLAS_NUM_THREADS']") == "2\n"
 
 
 @pytest.mark.parametrize("suite", ["decay", "mellin"])
