@@ -12,14 +12,17 @@ in.  Two kinds of figures are written:
 * ``end_to_end``: each CLI command in a fresh interpreter, ``RUNS``
   times per tree in alternating order (parent first in even rounds,
   change first in odd ones), timed from spawn to exit.  Each command gets
-  the median, quartiles and raw samples per tree, each run's peak RSS
-  (the child's ``ru_maxrss``, which on Linux starts from this script's
-  own peak, so smaller children all read that floor), the number of
-  rounds in which the change was faster, and whether the two trees'
-  stdout agreed byte for byte.
-* ``in_process``: the best of 5 calls of the exact layers and the Cantor
-  grid, in one child interpreter per tree, and the best of 5 times to
-  import the ``cantor`` module, each in a fresh interpreter.
+  the median, quartiles and raw samples per tree, the number of rounds
+  in which the change was faster, and whether the two trees' stdout
+  agreed byte for byte.  Peak RSS comes from ``RSS_RUNS`` further,
+  untimed runs per tree, in which the child reads its own ``VmHWM``
+  from ``/proc/self/status`` after the command: exec resets it, whereas
+  a child's ``ru_maxrss`` starts from its parent's peak, so it would
+  read this script's floor for every command smaller than the script.
+* ``in_process``: the best of 5 calls of the exact layers, the decay fit
+  and the Cantor grid, in one child interpreter per tree (and the decay
+  fit's first call, which loads what it imports), and the best of 5
+  times to import the ``cantor`` module, each in a fresh interpreter.
 
 The record also holds the machine, the Python and numpy versions, and
 each tree's commit and source digest.  Only the standard library is used.
@@ -41,12 +44,14 @@ from time import perf_counter
 
 CHANGE = Path(__file__).resolve().parents[1]
 RUNS = 10
+RSS_RUNS = 3
 
 COMMANDS = (
     ("constant --digits 30 --json", ["constant", "--digits", "30", "--json"]),
     ("constant --digits 60 --json", ["constant", "--digits", "60", "--json"]),
     ("moments --max-n 512", ["moments", "--max-n", "512"]),
     ("verify --suite identity --json", ["verify", "--suite", "identity", "--json"]),
+    ("verify --suite decay --json", ["verify", "--suite", "decay", "--json"]),
     ("verify --suite mellin --json", ["verify", "--suite", "mellin", "--json"]),
     ("verify --suite cantor --json", ["verify", "--suite", "cantor", "--json"]),
     ("verify --suite all --json", ["verify", "--suite", "all", "--json"]),
@@ -56,7 +61,7 @@ COMMANDS = (
 # best-of-5 seconds per name.
 IN_PROCESS = r"""
 import json, time
-from cantor_moments import cantor, cli, constant, exact
+from cantor_moments import cantor, cli, constant, exact, moments
 
 def best(call, reps=5):
     times = []
@@ -67,6 +72,11 @@ def best(call, reps=5):
     return min(times)
 
 timings = {}
+C = constant.moment_series_constant()
+start = time.perf_counter()
+moments.decay_fit(C)
+timings["decay_fit(C), first call"] = time.perf_counter() - start
+timings["decay_fit(C)"] = best(lambda: moments.decay_fit(C))
 for k in (8, 12, 14):
     timings[f"harmonic_exact(2**{k})"] = best(lambda: exact.harmonic_exact(2**k))
 for K in (8, 12, 14):
@@ -86,6 +96,21 @@ timings["cantor.self_similarity_residuals()"] = best(cantor.self_similarity_resi
 print(json.dumps(timings))
 """
 
+# Run in a fresh interpreter per sample: the command given as arguments, as
+# ``python -m cantor_moments.cli`` runs it, then the process's own peak RSS
+# in kB, VmHWM, as stderr's last line.
+RSS_PROBE = r"""
+import runpy, sys
+try:
+    runpy.run_module("cantor_moments.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    if exit.code:
+        raise
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(peak, file=sys.stderr)
+"""
+
 # Run in a fresh interpreter per sample: the import loads whatever the
 # module needs (numpy, before the Cantor walk), which one process caches.
 IMPORT_CANTOR = r"""
@@ -103,30 +128,33 @@ def child_env(tree: Path) -> dict[str, str]:
     return env
 
 
-def timed_run(tree: Path, argv: list[str]) -> tuple[float, float, str]:
-    """Seconds from spawn to exit of one CLI run, its peak RSS in MB, and its
-    stdout's SHA-256."""
+def timed_run(tree: Path, argv: list[str]) -> tuple[float, str]:
+    """Seconds from spawn to exit of one CLI run, and its stdout's SHA-256."""
     start = perf_counter()
-    with subprocess.Popen(
+    run = subprocess.run(
         [sys.executable, "-m", "cantor_moments.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         env=child_env(tree),
         cwd=tree,
-    ) as proc:
-        # Hashed in chunks, never held whole: a child's ru_maxrss starts
-        # from this process's own high-water mark.
-        digest = hashlib.sha256()
-        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
-            digest.update(chunk)
-        # wait4, not wait: it also returns the child's resource usage.
-        _, status, usage = os.wait4(proc.pid, 0)
-        seconds = perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    # ru_maxrss is in KiB on Linux.
-    return seconds, usage.ru_maxrss / 1024, digest.hexdigest()
+        check=True,
+    )
+    return perf_counter() - start, hashlib.sha256(run.stdout).hexdigest()
+
+
+def rss_run(tree: Path, argv: list[str]) -> float:
+    """The peak RSS in MB of one CLI run, as the child reports it."""
+    run = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=child_env(tree),
+        cwd=tree,
+        check=True,
+        text=True,
+    )
+    # VmHWM is in kB.
+    return int(run.stderr.splitlines()[-1]) / 1024
 
 
 def summary(samples: list[float]) -> dict:
@@ -140,13 +168,15 @@ def end_to_end(parent: Path) -> dict:
         times: dict[str, list[float]] = {"parent": [], "change": []}
         rss: dict[str, list[float]] = {"parent": [], "change": []}
         digests: dict[str, set[str]] = {"parent": set(), "change": set()}
+        order = (("parent", parent), ("change", CHANGE))
         for i in range(RUNS):
-            order = (("parent", parent), ("change", CHANGE))
             for name, tree in order if i % 2 == 0 else order[::-1]:
-                seconds, peak_mb, digest = timed_run(tree, argv)
+                seconds, digest = timed_run(tree, argv)
                 times[name].append(seconds)
-                rss[name].append(peak_mb)
                 digests[name].add(digest)
+        for i in range(RSS_RUNS):
+            for name, tree in order if i % 2 == 0 else order[::-1]:
+                rss[name].append(rss_run(tree, argv))
         results[label] = {
             "parent": {**summary(times["parent"]), "peak_rss_mb": rss["parent"]},
             "change": {**summary(times["change"]), "peak_rss_mb": rss["change"]},
@@ -239,10 +269,10 @@ def main(argv: list[str] | None = None) -> int:
         "trees": {"parent": provenance(parent), "change": provenance(CHANGE)},
         "method": (
             f"{RUNS} rounds per command, parent and change alternating in "
-            "fresh interpreters, timed from spawn to exit, peak RSS from "
-            "os.wait4's ru_maxrss; quartiles by statistics.quantiles(n=4); "
-            "in-process figures are the best of 5 calls, the import's the best "
-            "of 5 fresh interpreters"
+            "fresh interpreters, timed from spawn to exit; peak RSS from "
+            f"{RSS_RUNS} further untimed rounds, each child's own VmHWM; "
+            "quartiles by statistics.quantiles(n=4); in-process figures are "
+            "the best of 5 calls, the import's the best of 5 fresh interpreters"
         ),
         "end_to_end": end_to_end(parent),
         "in_process": {"parent": in_process(parent), "change": in_process(CHANGE)},

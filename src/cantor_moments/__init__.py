@@ -6,7 +6,8 @@ Library layout:
   exact harmonic numbers, decimal fixed point (exact fractions on the
   10**-p grid, rounded half away from zero);
 * :mod:`cantor_moments.moments` — the moment tables by two independent
-  exact methods, remainder-decay fit;
+  exact methods, remainder-decay fit on partial sums taken from the
+  Cantor function's middle-third values;
 * :mod:`cantor_moments.constant` — certified evaluation of the series
   constant -1/3 + (2/3) sum (2/3)**k H(2**k);
 * :mod:`cantor_moments.cantor` — Cantor function values by an exact
@@ -18,10 +19,9 @@ Library layout:
 
 The package root exports the exact and certified API; ``contour`` and
 ``cantor`` are imported by their path
-(``from cantor_moments.contour import zeta_contours``).  The numpy-backed
-code, ``contour`` and the decay fit (``float_moments`` and ``decay_fit``
-import numpy inside their calls), loads numpy only when used, so
-importing the package never imports numpy.
+(``from cantor_moments.contour import zeta_contours``).  ``contour`` is
+the only numpy-backed module, so importing the package never imports
+numpy.
 """
 
 from .constant import (

@@ -16,13 +16,13 @@ Commands
     Run a named check suite (oracle, identity, decay, mellin, cantor,
     all); exit 1 if any check fails.
 
-The numpy-backed code, ``contour`` and the decay fit, is imported only by
-the suites that use it (``mellin`` and ``decay``), so ``constant``,
-``moments`` and the other suites never load numpy.  Unless
-``OPENBLAS_NUM_THREADS`` is set, :func:`main` sets it to 1 before numpy
-loads: no product in the program is large enough for BLAS threads, and
-starting OpenBLAS's worker pool cost about 70 ms of each numpy-backed
-run on 2 cores.  Library callers keep numpy's default.
+The numpy-backed code, ``contour``, is imported only by the suite that
+uses it (``mellin``), so ``constant``, ``moments`` and the other suites
+never load numpy.  Unless ``OPENBLAS_NUM_THREADS`` is set, :func:`main`
+sets it to 1 before numpy loads: no product in the program is large
+enough for BLAS threads, and starting OpenBLAS's worker pool cost about
+70 ms of each numpy-backed run on 2 cores.  Library callers keep
+numpy's default.
 
 Exit codes: 0 all-pass, 1 check failure or an output that cannot be
 written (one ``error: cannot write output`` line on stderr, as on a full

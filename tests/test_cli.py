@@ -213,9 +213,12 @@ def test_verify_identity_suite(capsys):
 
 # SHA-256 of `verify --suite S --json` stdout for the suites computed without
 # numpy.  Their output comes from exact arithmetic and correctly rounded
-# divisions, so unlike the numpy suites' it does not depend on the platform.
+# divisions, or for decay from float sums accurate to a few units in the
+# last place whose slope is printed to 4 decimals, so unlike the mellin
+# suite's it does not depend on the platform.
 EXACT_SUITE_SHA256 = {
     "cantor": "aaa64a453c64c7e225c5021d28c9968ca8c76913104edba0c00a6fafb2b74521",
+    "decay": "bc87955164740c6a5c47caec795bff4bc57db2f4563fc4b28e49991daee29b4e",
     "identity": "7de76765801acbe9c9759874a252c960aa93f0ab8270507ac3106f923f67ab9f",
     "oracle": "b170ee03cb0c7fcb3c438727439addf855df503dff1b837097015d6c73dbd205",
 }
@@ -352,10 +355,10 @@ def test_contour_guard_failure_fails_checks(capsys, monkeypatch):
 
 
 def test_decay_fit_failure_fails_checks(capsys, monkeypatch):
-    # A ValueError inside the decay fit, here from float moments 1 % too
+    # A ValueError inside the decay fit, here from partial sums 1 % too
     # large, fails the three decay checks; the other 92 checks still run.
-    real = moments.float_moments
-    monkeypatch.setattr(moments, "float_moments", lambda N: 1.01 * real(N))
+    real = moments.partial_sum
+    monkeypatch.setattr(moments, "partial_sum", lambda N: 1.01 * real(N))
     code, out, _ = run_cli(capsys, ["verify", "--suite", "all", "--json"])
     assert code == 1
     checks = json.loads(out)["checks"]
@@ -491,13 +494,14 @@ def test_constant_and_moments_do_not_import_numpy():
 
 def test_numpy_free_commands_run_without_numpy():
     # With numpy unimportable, every command that needs no numpy still
-    # succeeds: the exact suites, the cantor suite, the constant and the table.
+    # succeeds: every suite but mellin, the constant and the table.
     code = (
         "import contextlib, io, sys\n"
         "sys.modules['numpy'] = None\n"
         "from cantor_moments import cli\n"
         "for argv in (\n"
         "    ['verify', '--suite', 'cantor', '--json'],\n"
+        "    ['verify', '--suite', 'decay', '--json'],\n"
         "    ['verify', '--suite', 'oracle', '--json'],\n"
         "    ['verify', '--suite', 'identity', '--json'],\n"
         "    ['constant', '--digits', '60', '--json'],\n"
@@ -523,14 +527,15 @@ def _blas_env(threads: str | None) -> dict[str, str]:
     return env
 
 
-def _after_decay_suite(threads: str | None, expression: str) -> str:
-    """What a child prints of ``expression`` after main() ran the decay suite."""
+def _after_mellin_suite(threads: str | None, expression: str) -> str:
+    """What a child prints of ``expression`` after main() ran the mellin suite,
+    the only one that loads numpy."""
     code = (
         "import contextlib, io, os, sys\n"
         "from cantor_moments import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', '--suite', 'decay', '--json']) == 0\n"
-        "assert 'numpy' in sys.modules, 'the decay suite loaded no numpy'\n"
+        "    assert cli.main(['verify', '--suite', 'mellin', '--json']) == 0\n"
+        "assert 'numpy' in sys.modules, 'the mellin suite loaded no numpy'\n"
         f"print({expression})\n"
     )
     run = subprocess.run(
@@ -548,17 +553,17 @@ def _after_decay_suite(threads: str | None, expression: str) -> str:
 def test_cli_runs_openblas_on_one_thread():
     # numpy loads inside the suite, after main() has asked OpenBLAS for
     # one thread, so no worker pool is started: one thread in the process.
-    assert _after_decay_suite(None, "len(os.listdir('/proc/self/task'))") == "1\n"
+    assert _after_mellin_suite(None, "len(os.listdir('/proc/self/task'))") == "1\n"
 
 
 def test_cli_keeps_a_set_blas_thread_count():
-    assert _after_decay_suite("2", "os.environ['OPENBLAS_NUM_THREADS']") == "2\n"
+    assert _after_mellin_suite("2", "os.environ['OPENBLAS_NUM_THREADS']") == "2\n"
 
 
 @pytest.mark.parametrize("suite", ["decay", "mellin"])
 def test_verify_output_does_not_depend_on_blas_threads(suite):
-    # decay calls BLAS (a dot product and a least-squares fit); mellin's
-    # products are einsum.  One thread or two, the report is the same bytes.
+    # mellin's products are einsum, and decay runs without numpy; the
+    # check keeps both.  One thread or two, the report is the same bytes.
     outputs = [
         subprocess.run(
             [sys.executable, "-m", "cantor_moments.cli", "verify", "--suite", suite, "--json"],

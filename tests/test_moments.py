@@ -28,7 +28,7 @@ from cantor_moments import (
     recursive_moments,
 )
 from cantor_moments import cli, contour, exact, moments
-from cantor_moments.moments import DECAY_NS, float_moments
+from cantor_moments.moments import DECAY_NS
 
 
 @pytest.fixture(scope="module")
@@ -361,27 +361,35 @@ def test_partial_sums_below_constant(constant_d30, partial_sums_512):
         assert partial_sums_512[n] < limit
 
 
-def test_table_512_meets_the_residue_series(table_512, partial_sums_512, constant_d30):
-    # M_n is the sum of the residues at the poles s_k = 1 - log2(3) + ikP,
-    # P = 2pi/ln 2, of the Mellin integrand (Grabner & Prodinger, Statist.
-    # Probab. Lett. 26, 1996):
-    #     M_n = (2/3) sum_k w_n(s_k) zeta(1 - s_k) / ln 2,
-    #     w_n(s) = n! / prod_{j=1..n+1} (j - s),
-    # with w_n and R_n = (n + 1) w_n / -s from contour._weights.
-    # |zeta(1 - s_k)| <= zeta(log2(3)) < 2.4, and for n >= 16
-    # |w_n(s_k)| <= |w_16(s_k)| <= 16!/(|k|P)**17, as |R_n| falls with n on
-    # Re s < 0.  Bounding the sum over k > K by an integral, the poles with
-    # |k| > K add at most tail / K**16 to M_n, and for K >= 2 less than
-    # that to R_n.  K is the smallest cutoff that puts this 1e-3 below the
-    # smallest tolerance, 1e-12 M_512.
-    P = 2 * math.pi / math.log(2)
-    tail = 2 * (2 / 3) * 2.4 / math.log(2) * factorial(16) / P**17 / 16
-    K = math.ceil((tail / (1e-3 * 1e-12 * float(table_512[512]))) ** (1 / 16))
+# Residue-series constants.  The poles of the Mellin integrand are
+# s_k = 1 - log2(3) + ikP, P = 2pi/ln 2.  |zeta(1 - s_k)| <= zeta(log2(3))
+# < 2.4, and for n >= 16 |w_n(s_k)| <= |w_16(s_k)| <= 16!/(|k|P)**17, as
+# |R_n| falls with n on Re s < 0.  Bounding the sum over k > K by an
+# integral, the poles with |k| > K add at most RESIDUE_TAIL / K**16 to
+# M_n, and for K >= 2 less than that to R_n.
+P = 2 * math.pi / math.log(2)
+RESIDUE_TAIL = 2 * (2 / 3) * 2.4 / math.log(2) * factorial(16) / P**17 / 16
+
+
+def _residue_scales(tolerance):
+    """The poles s_k, |k| <= K, and the residue at s_k over w_n(s_k), for
+    the least K that keeps the poles |k| > K 1e-3 below tolerance."""
+    K = math.ceil((RESIDUE_TAIL / (1e-3 * tolerance)) ** (1 / 16))
     assert K >= 2
     k = np.arange(-K, K + 1)
     s = 1 - math.log2(3) + 1j * k * P
     zeta = np.conj(contour._zeta_line(math.log2(3) + 1j * k * P))
-    scale = 2 / 3 * zeta / math.log(2)  # residue at s_k over w_n(s_k)
+    return s, 2 / 3 * zeta / math.log(2)
+
+
+def test_table_512_meets_the_residue_series(table_512, partial_sums_512, constant_d30):
+    # M_n is the sum of the residues at the poles s_k of the Mellin
+    # integrand (Grabner & Prodinger, Statist. Probab. Lett. 26, 1996):
+    #     M_n = (2/3) sum_k w_n(s_k) zeta(1 - s_k) / ln 2,
+    #     w_n(s) = n! / prod_{j=1..n+1} (j - s),
+    # with w_n and R_n = (n + 1) w_n / -s from contour._weights.  The
+    # smallest tolerance is 1e-12 M_512.
+    s, scale = _residue_scales(1e-12 * float(table_512[512]))
     orders = tuple(range(16, 513))
     for n, w in zip(orders, contour._weights(orders, s)[:-1]):
         M_n = float(table_512[n])
@@ -393,11 +401,38 @@ def test_table_512_meets_the_residue_series(table_512, partial_sums_512, constan
             assert abs(remainder - exact) <= 1e-13, n
 
 
-def test_float_moments_match_exact_values(table_512):
-    floats = float_moments(256)
-    for n, value in enumerate(table_512[:257]):
-        expected = float(value)
-        assert abs(floats[n] - expected) <= 1e-12 * expected
+def test_partial_sums_match_exact_values(partial_sums_512):
+    # Within a few units in the last place (measured: one, 4.4e-16).
+    for N, exact in enumerate(partial_sums_512):
+        expected = float(exact)
+        assert abs(moments.partial_sum(N) - expected) <= 1e-15 * expected, N
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 8, 16, 21])
+def test_fine_levels_are_exact(partial_sums_512, N):
+    # With every j <= (N+1)/2 the closed form of the levels l >= L, added
+    # to the levels l < L summed term by term, is S_N exactly, for any L.
+    def level(l):
+        ys = [Fraction(2 * b + 1, 2 ** (l + 1)) for b in range(2**l)]
+        return Fraction(1, 3 ** (l + 1)) * sum(sum(y**n for n in range(N + 1)) for y in ys)
+
+    for L in sorted({0, 1, 2, 4, N.bit_length()}):
+        closed = moments._fine_levels(N, L, (N + 1) // 2, Fraction(1))
+        assert sum(map(level, range(L))) + sum(closed) == partial_sums_512[N], L
+
+
+def test_decay_remainders_meet_the_residue_series(constant_d30):
+    # decay_fit's float remainders C - S_N beyond the 512 table, against
+    # the residue series of R_N (as in the test above).  Measured: within
+    # 5.6e-14 relative.
+    fit = decay_fit(constant_d30)
+    tolerance = 1e-12
+    orders = (1024, 2048, 4096)
+    got = [fit.remainders[DECAY_NS.index(N)] for N in orders]
+    s, scale = _residue_scales(tolerance * min(got))
+    for N, w, r in zip(orders, contour._weights(orders, s), got):
+        remainder = np.sum((N + 1) * w / -s * scale)
+        assert abs(remainder - r) <= tolerance * r, N
 
 
 # ---------------------------------------------------------------------------
