@@ -19,10 +19,13 @@ in.  Two kinds of figures are written:
   from ``/proc/self/status`` after the command: exec resets it, whereas
   a child's ``ru_maxrss`` starts from its parent's peak, so it would
   read this script's floor for every command smaller than the script.
-* ``in_process``: the best of 5 calls of the exact layers, the decay fit
-  and the Cantor grid, in one child interpreter per tree (and the decay
-  fit's first call, which loads what it imports), and the best of 5
-  times to import the ``cantor`` module, each in a fresh interpreter.
+* ``in_process``: the best of 5 calls of the exact layers, the decay fit,
+  the moment table at N = 512 with its Bernoulli numbers, shared parts
+  and row 0, and the Cantor grid (and the decay fit's first call, which
+  loads what it imports), in each of ``IN_PROCESS_RUNS`` child
+  interpreters per tree, the trees alternating, and the best of all
+  children; and the best of 5 times to import the ``cantor`` module,
+  each in a fresh interpreter, the trees alternating.
 
 The record also holds the machine, the Python and numpy versions, and
 each tree's commit and source digest.  Only the standard library is used.
@@ -45,10 +48,12 @@ from time import perf_counter
 CHANGE = Path(__file__).resolve().parents[1]
 RUNS = 10
 RSS_RUNS = 3
+IN_PROCESS_RUNS = 3
 
 COMMANDS = (
     ("constant --digits 30 --json", ["constant", "--digits", "30", "--json"]),
     ("constant --digits 60 --json", ["constant", "--digits", "60", "--json"]),
+    ("moments --max-n 256", ["moments", "--max-n", "256"]),
     ("moments --max-n 512", ["moments", "--max-n", "512"]),
     ("verify --suite identity --json", ["verify", "--suite", "identity", "--json"]),
     ("verify --suite decay --json", ["verify", "--suite", "decay", "--json"]),
@@ -60,7 +65,7 @@ COMMANDS = (
 # Run in a child interpreter on one tree's src/; prints one JSON object of
 # best-of-5 seconds per name.
 IN_PROCESS = r"""
-import json, time
+import decimal, json, math, time
 from cantor_moments import cantor, cli, constant, exact, moments
 
 def best(call, reps=5):
@@ -77,6 +82,22 @@ start = time.perf_counter()
 moments.decay_fit(C)
 timings["decay_fit(C), first call"] = time.perf_counter() - start
 timings["decay_fit(C)"] = best(lambda: moments.decay_fit(C))
+# The moment table at N = 512 and the parts of its setup.
+timings["bernoulli_numbers(513)"] = best(lambda: exact.bernoulli_numbers(513))
+terms = [2 * b / (3 * 2**j - 2) for j, b in enumerate(exact.bernoulli_numbers(513))]
+denominators = [c.denominator for c in terms]
+timings["_shared_parts(d, 512)"] = best(lambda: moments._shared_parts(denominators, 512))
+for lift in (int, decimal.Decimal):
+    L = lift(math.lcm(*denominators))
+
+    def row_0():
+        with decimal.localcontext(moments.EXACT):
+            return [c.numerator * (L // c.denominator) for c in terms]
+
+    timings[f"row 0 at N = 512, {lift.__name__}"] = best(row_0)
+    timings[f"closed_form_rows(512, {lift.__name__})"] = best(
+        lambda: sum(1 for _ in moments.closed_form_rows(512, lift))
+    )
 for k in (8, 12, 14):
     timings[f"harmonic_exact(2**{k})"] = best(lambda: exact.harmonic_exact(2**k))
 for K in (8, 12, 14):
@@ -205,12 +226,24 @@ def child_stdout(tree: Path, code: str) -> str:
     ).stdout
 
 
-def in_process(tree: Path) -> dict:
-    timings = json.loads(child_stdout(tree, IN_PROCESS))
-    timings["import cantor_moments.cantor"] = min(
-        float(child_stdout(tree, IMPORT_CANTOR)) for _ in range(5)
-    )
-    return timings
+def in_process(parent: Path) -> dict:
+    """Each in-process figure's best over alternating children of both trees."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    imports: dict[str, list[float]] = {"parent": [], "change": []}
+    order = (("parent", parent), ("change", CHANGE))
+    for i in range(IN_PROCESS_RUNS):
+        for name, tree in order if i % 2 == 0 else order[::-1]:
+            runs[name].append(json.loads(child_stdout(tree, IN_PROCESS)))
+    for i in range(5):
+        for name, tree in order if i % 2 == 0 else order[::-1]:
+            imports[name].append(float(child_stdout(tree, IMPORT_CANTOR)))
+    return {
+        name: {
+            **{key: min(run[key] for run in runs[name]) for key in runs[name][0]},
+            "import cantor_moments.cantor": min(imports[name]),
+        }
+        for name in runs
+    }
 
 
 def provenance(tree: Path) -> dict:
@@ -272,10 +305,12 @@ def main(argv: list[str] | None = None) -> int:
             "fresh interpreters, timed from spawn to exit; peak RSS from "
             f"{RSS_RUNS} further untimed rounds, each child's own VmHWM; "
             "quartiles by statistics.quantiles(n=4); in-process figures are "
-            "the best of 5 calls, the import's the best of 5 fresh interpreters"
+            f"the best of 5 calls in each of {IN_PROCESS_RUNS} alternating child "
+            "interpreters per tree, the import's the best of 5 alternating "
+            "fresh interpreters"
         ),
         "end_to_end": end_to_end(parent),
-        "in_process": {"parent": in_process(parent), "change": in_process(CHANGE)},
+        "in_process": in_process(parent),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0

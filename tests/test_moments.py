@@ -127,6 +127,18 @@ def test_table_512_is_in_lowest_terms(table_512):
         assert gcd(value.numerator, value.denominator) == 1, n
 
 
+def test_every_small_table_matches_direct_sum():
+    # Every N from 0 to 40, both lifts: the sampled test below may miss
+    # N = 1 and 2, where the 5 of d_2 = 30 is lonely and lies in P.
+    B = bernoulli_numbers(41)
+    expected = [_direct_closed_form(n, B) for n in range(41)]
+    for N in range(41):
+        want = [(f.numerator, f.denominator) for f in expected[: N + 1]]
+        for lift in (int, Decimal):
+            got = [(int(num), int(den)) for num, den in moments.closed_form_rows(N, lift)]
+            assert got == want, (N, lift)
+
+
 @settings(deadline=None)
 @given(st.integers(1, 96).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N))))
 def test_closed_form_entry_is_reduced_for_every_table_size(N_and_n):
@@ -304,6 +316,40 @@ def test_shared_parts_meet_the_lonely_prime_lemma():
     for uj in u:
         assert gcd(uj, U // uj) == 1  # pairwise coprime
         assert gcd(uj, shared) == 1  # coprime to every v_k and to (N+2)!
+
+
+def _shared_parts_by_long_division(denominators, N):
+    """Test-only reference for moments._shared_parts: prod_{k != j} d_k mod d_j
+    as one long division of the whole product per d_j."""
+    total = prod(denominators)
+    small = factorial(N + 2)
+    shared = []
+    for d in denominators:
+        g = gcd(d, total // d % d * small)
+        v = 1
+        while g > 1:
+            d //= g
+            v *= g
+            g = gcd(d, g)
+        shared.append(v)
+    return shared
+
+
+def test_shared_parts_match_long_division():
+    for N in [*range(1, 97), 512]:
+        d = [
+            (2 * b / (3 * 2**j - 2)).denominator
+            for j, b in enumerate(bernoulli_numbers(N + 1))
+        ]
+        assert moments._shared_parts(d, N) == _shared_parts_by_long_division(d, N), N
+
+
+@pytest.mark.parametrize(
+    "moduli", [[], [1], [5], [1, 1], [4, 6, 9], [7, 1, 12, 35, 1, 2, 3], list(range(1, 40))]
+)
+def test_cofactors_are_products_of_the_others(moduli):
+    total = prod(moduli)
+    assert moments._cofactors(moduli) == [total // m % m for m in moduli]
 
 
 def test_tables_are_pure():
