@@ -19,13 +19,19 @@ in.  Two kinds of figures are written:
   from ``/proc/self/status`` after the command: exec resets it, whereas
   a child's ``ru_maxrss`` starts from its parent's peak, so it would
   read this script's floor for every command smaller than the script.
-* ``in_process``: the best of 5 calls of the exact layers, the decay fit,
-  the moment table at N = 512 with its Bernoulli numbers, shared parts
-  and row 0, and the Cantor grid (and the decay fit's first call, which
-  loads what it imports), in each of ``IN_PROCESS_RUNS`` child
-  interpreters per tree, the trees alternating, and the best of all
-  children; and the best of 5 times to import the ``cantor`` module,
-  each in a fresh interpreter, the trees alternating.
+* ``in_process``: the best of 5 calls of the exact layers, Euler's
+  gamma, the decay fit, the moment table at N = 512 with its Bernoulli
+  numbers, shared parts and row 0, and the Cantor grid (and the decay
+  fit's first call, which loads what it imports), and the time to
+  import the ``cantor`` module.  Each figure is timed on its own, in
+  ``IN_PROCESS_RUNS`` rounds of one fresh child interpreter per tree
+  run back to back, which tree goes first alternating from round to
+  round and from figure to figure.  A figure's value per tree is the
+  median of its children, and ``change_over_parent`` the median of the
+  rounds' ratios.  On a shared machine one child's time can differ from
+  the next one's by half, on identical code, so a best of all children
+  lets one lucky child set a tree's figure; the median of many rounds
+  does not.  The children's times are kept under ``samples``.
 
 The record also holds the machine, the Python and numpy versions, and
 each tree's commit and source digest.  Only the standard library is used.
@@ -48,7 +54,7 @@ from time import perf_counter
 CHANGE = Path(__file__).resolve().parents[1]
 RUNS = 10
 RSS_RUNS = 3
-IN_PROCESS_RUNS = 3
+IN_PROCESS_RUNS = 15
 
 COMMANDS = (
     ("constant --digits 30 --json", ["constant", "--digits", "30", "--json"]),
@@ -62,10 +68,11 @@ COMMANDS = (
     ("verify --suite all --json", ["verify", "--suite", "all", "--json"]),
 )
 
-# Run in a child interpreter on one tree's src/; prints one JSON object of
-# best-of-5 seconds per name.
+# Run in a child interpreter on one tree's src/: with a figure's name as
+# its argument, prints that figure's seconds (its setup untimed); with
+# none, prints the figures' names as a JSON list.
 IN_PROCESS = r"""
-import decimal, json, math, time
+import decimal, json, math, sys, time
 from cantor_moments import cantor, cli, constant, exact, moments
 
 def best(call, reps=5):
@@ -76,45 +83,59 @@ def best(call, reps=5):
         times.append(time.perf_counter() - start)
     return min(times)
 
-timings = {}
-C = constant.moment_series_constant()
-start = time.perf_counter()
-moments.decay_fit(C)
-timings["decay_fit(C), first call"] = time.perf_counter() - start
-timings["decay_fit(C)"] = best(lambda: moments.decay_fit(C))
-# The moment table at N = 512 and the parts of its setup.
-timings["bernoulli_numbers(513)"] = best(lambda: exact.bernoulli_numbers(513))
-terms = [2 * b / (3 * 2**j - 2) for j, b in enumerate(exact.bernoulli_numbers(513))]
-denominators = [c.denominator for c in terms]
-timings["_shared_parts(d, 512)"] = best(lambda: moments._shared_parts(denominators, 512))
-for lift in (int, decimal.Decimal):
+def decay_fit(reps):
+    C = constant.moment_series_constant()
+    return best(lambda: moments.decay_fit(C), reps)
+
+# The moment table's c_j at N = 512 and their denominators.
+def table_512():
+    terms = [2 * b / (3 * 2**j - 2) for j, b in enumerate(exact.bernoulli_numbers(513))]
+    return terms, [c.denominator for c in terms]
+
+def shared_parts():
+    _, denominators = table_512()
+    return best(lambda: moments._shared_parts(denominators, 512))
+
+def row_0(lift):
+    terms, denominators = table_512()
     L = lift(math.lcm(*denominators))
 
-    def row_0():
+    def call():
         with decimal.localcontext(moments.EXACT):
             return [c.numerator * (L // c.denominator) for c in terms]
 
-    timings[f"row 0 at N = 512, {lift.__name__}"] = best(row_0)
-    timings[f"closed_form_rows(512, {lift.__name__})"] = best(
+    return best(call)
+
+FIGURES = {
+    # The first call loads what the fit imports.
+    "decay_fit(C), first call": lambda: decay_fit(1),
+    "decay_fit(C)": lambda: decay_fit(5),
+    "bernoulli_numbers(513)": lambda: best(lambda: exact.bernoulli_numbers(513)),
+    "_shared_parts(d, 512)": shared_parts,
+}
+for lift in (int, decimal.Decimal):
+    FIGURES[f"row 0 at N = 512, {lift.__name__}"] = lambda lift=lift: row_0(lift)
+    FIGURES[f"closed_form_rows(512, {lift.__name__})"] = lambda lift=lift: best(
         lambda: sum(1 for _ in moments.closed_form_rows(512, lift))
     )
-for k in (8, 12, 14):
-    timings[f"harmonic_exact(2**{k})"] = best(lambda: exact.harmonic_exact(2**k))
 for K in (8, 12, 14):
-    timings[f"weighted_harmonic_sum_exact({K})"] = best(
+    FIGURES[f"weighted_harmonic_sum_exact({K})"] = lambda K=K: best(
         lambda: constant.weighted_harmonic_sum_exact(K)
     )
-timings["double_sum_check(12)"] = best(lambda: constant.double_sum_check(12))
-timings["identity suite"] = best(lambda: list(cli._suite_identity()))
+FIGURES["identity suite"] = lambda: best(lambda: list(cli._suite_identity()))
+FIGURES["euler_gamma(78)"] = lambda: best(lambda: constant.euler_gamma(78))
 for D in (30, 60):
-    timings[f"moment_series_constant({D})"] = best(
+    FIGURES[f"moment_series_constant({D})"] = lambda D=D: best(
         lambda: constant.moment_series_constant(D)
     )
-timings["cantor.integral_quadrature((1, 2, 5))"] = best(
+FIGURES["cantor.integral_quadrature((1, 2, 5))"] = lambda: best(
     lambda: cantor.integral_quadrature((1, 2, 5))
 )
-timings["cantor.self_similarity_residuals()"] = best(cantor.self_similarity_residuals)
-print(json.dumps(timings))
+FIGURES["cantor.self_similarity_residuals()"] = lambda: best(
+    cantor.self_similarity_residuals
+)
+
+print(json.dumps(FIGURES[sys.argv[1]]() if len(sys.argv) > 1 else list(FIGURES)))
 """
 
 # Run in a fresh interpreter per sample: the command given as arguments, as
@@ -215,9 +236,9 @@ def end_to_end(parent: Path) -> dict:
     return results
 
 
-def child_stdout(tree: Path, code: str) -> str:
+def child_stdout(tree: Path, code: str, *args: str) -> str:
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         stdout=subprocess.PIPE,
         env=child_env(tree),
         cwd=tree,
@@ -227,22 +248,33 @@ def child_stdout(tree: Path, code: str) -> str:
 
 
 def in_process(parent: Path) -> dict:
-    """Each in-process figure's best over alternating children of both trees."""
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    imports: dict[str, list[float]] = {"parent": [], "change": []}
+    """Each in-process figure over its own rounds of alternating children."""
     order = (("parent", parent), ("change", CHANGE))
-    for i in range(IN_PROCESS_RUNS):
-        for name, tree in order if i % 2 == 0 else order[::-1]:
-            runs[name].append(json.loads(child_stdout(tree, IN_PROCESS)))
-    for i in range(5):
-        for name, tree in order if i % 2 == 0 else order[::-1]:
-            imports[name].append(float(child_stdout(tree, IMPORT_CANTOR)))
+    figures = json.loads(child_stdout(CHANGE, IN_PROCESS))
+    jobs = [(figure, IN_PROCESS, figure) for figure in figures]
+    jobs.append(("import cantor_moments.cantor", IMPORT_CANTOR))
+    samples: dict[str, dict[str, list[float]]] = {}
+    for f, (figure, *child) in enumerate(jobs):
+        times: dict[str, list[float]] = {"parent": [], "change": []}
+        for i in range(IN_PROCESS_RUNS):
+            for name, tree in order if (f + i) % 2 == 0 else order[::-1]:
+                times[name].append(json.loads(child_stdout(tree, *child)))
+        samples[figure] = times
+        print(
+            f"{figure}: parent {statistics.median(times['parent']) * 1e3:.2f} ms, "
+            f"change {statistics.median(times['change']) * 1e3:.2f} ms",
+            file=sys.stderr,
+        )
     return {
-        name: {
-            **{key: min(run[key] for run in runs[name]) for key in runs[name][0]},
-            "import cantor_moments.cantor": min(imports[name]),
-        }
-        for name in runs
+        **{
+            name: {figure: statistics.median(t[name]) for figure, t in samples.items()}
+            for name in ("parent", "change")
+        },
+        "change_over_parent": {
+            figure: statistics.median(c / p for p, c in zip(t["parent"], t["change"]))
+            for figure, t in samples.items()
+        },
+        "samples": samples,
     }
 
 
@@ -304,10 +336,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{RUNS} rounds per command, parent and change alternating in "
             "fresh interpreters, timed from spawn to exit; peak RSS from "
             f"{RSS_RUNS} further untimed rounds, each child's own VmHWM; "
-            "quartiles by statistics.quantiles(n=4); in-process figures are "
-            f"the best of 5 calls in each of {IN_PROCESS_RUNS} alternating child "
-            "interpreters per tree, the import's the best of 5 alternating "
-            "fresh interpreters"
+            "quartiles by statistics.quantiles(n=4); each in-process figure is "
+            f"timed alone in {IN_PROCESS_RUNS} rounds of one fresh child per tree, "
+            "run back to back in alternating order, each child's time the best "
+            "of 5 calls (one for a first call or the import); per tree the "
+            "median of its children, and change_over_parent the median of the "
+            "rounds' ratios"
         ),
         "end_to_end": end_to_end(parent),
         "in_process": in_process(parent),

@@ -3,13 +3,14 @@
 Library layout:
 
 * :mod:`cantor_moments.exact` — Bernoulli numbers from tangent numbers,
-  exact harmonic numbers, decimal fixed point (exact fractions on the
-  10**-p grid, rounded half away from zero);
+  binary splitting of rational sums, decimal fixed point (exact fractions
+  on the 10**-p grid, rounded half away from zero);
 * :mod:`cantor_moments.moments` — the moment tables by two independent
   exact methods, remainder-decay fit on partial sums taken from the
   Cantor function's middle-third values;
 * :mod:`cantor_moments.constant` — certified evaluation of the series
-  constant -1/3 + (2/3) sum (2/3)**k H(2**k);
+  constant -1/3 + (2/3) sum (2/3)**k H(2**k), with every exact H(2**k)
+  from one prefix walk, and the double-sum identity's two forms;
 * :mod:`cantor_moments.cantor` — Cantor function values by an exact
   ternary-interval walk and the quadrature oracle for the defining
   integral;
@@ -26,13 +27,12 @@ numpy.
 
 from .constant import (
     ConstantResult,
-    double_sum_check,
     euler_gamma,
     ln2,
     moment_series_constant,
     weighted_harmonic_sum_exact,
 )
-from .exact import bernoulli_numbers, harmonic_exact
+from .exact import bernoulli_numbers
 from .moments import DecayFit, bernoulli_moments, decay_fit, recursive_moments
 
 __version__ = "0.1.0"
@@ -43,9 +43,7 @@ __all__ = [
     "bernoulli_moments",
     "bernoulli_numbers",
     "decay_fit",
-    "double_sum_check",
     "euler_gamma",
-    "harmonic_exact",
     "ln2",
     "moment_series_constant",
     "recursive_moments",

@@ -21,6 +21,8 @@ reproducible.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 # Ternary digits examined per point: the walk stops at intervals of
 # length 3**-64, and a point still in play there gets the value of its 64
 # digits, b/2**64, below C(x) by at most 2**-64.
@@ -117,8 +119,11 @@ def integral_quadrature(orders: tuple[int, ...]) -> tuple[float, ...]:
     within 10**-3 at N = 10**6.
 
     Raises:
-        ValueError: if an order is below 1.
+        ValueError: if an order is not an integer, or is below 1.
     """
+    if not all(isinstance(n, Integral) for n in orders):
+        raise ValueError("moment order must be an integer")
+    orders = tuple(map(int, orders))  # a numpy integer would shift as an int64
     if not all(n >= 1 for n in orders):
         raise ValueError("moment order must be positive")
     sums = _power_sums(_POINTS, max(orders, default=0))

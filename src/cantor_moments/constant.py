@@ -4,8 +4,10 @@ The moment series sums to
 
     L = -1/3 + (2/3) * S,    S = sum_{k>=1} w**k * H(2**k),    w = 2/3,
 
-where H(m) is the m-th harmonic number.  The head k <= K0 = 8 is summed
-in exact rationals.  Beyond it the Euler-Maclaurin expansion
+where H(m) is the m-th harmonic number.  Every exact harmonic number
+comes from one walk, :func:`_harmonic_prefixes`, which yields H(2**k)
+for k = 1..14, block by block.  The head k <= K0 = 8 is summed in exact
+rationals.  Beyond it the Euler-Maclaurin expansion
 
     H(2**k) = k ln 2 + gamma + 2**-(k+1)
               - sum_{j=1..J} B_{2j} / (2j * 4**(jk)) + R_J(k)
@@ -35,13 +37,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .exact import (
-    HARMONIC_CAP,
-    _balanced_sum,
-    bernoulli_numbers,
-    divround,
-    round_decimal,
-)
+from .exact import _balanced_sum, bernoulli_numbers, divround, round_decimal
 
 # Exponents k <= K0 are summed as exact rationals; the closed-form tail
 # covers k > K0.
@@ -63,19 +59,15 @@ _PAD = 6
 # Highest Euler-Maclaurin order either expansion may use.
 _MAX_ORDER = 60
 
-# gamma comes from Euler-Maclaurin at m = 2**8: a 256-term direct sum plus
-# the order that euler_gamma picks for the precision.
+# gamma comes from Euler-Maclaurin at m = 2**8: the exact H(256) plus the
+# order that euler_gamma picks for the precision.
 _GAMMA_Q = 8
 
-# Largest q for euler_gamma's direct sum H(2**q): the dual gamma oracle
-# uses q = 18 and 20.  The sum is fixed-point, so the exact harmonic cap
-# does not bind it; 2**20 terms take about 0.2 s.
-_Q_CAP = 20
-
-# Largest K for the exact weighted sum and the double-sum identity, the
-# exponent of exact.HARMONIC_CAP: the constant uses K0 and the identity
-# suite K <= 12.
-_K_CAP = HARMONIC_CAP.bit_length() - 1
+# Largest k of the exact H(2**k): it bounds the weighted sum's K, the
+# double-sum identity and euler_gamma's q.  The constant uses K0, the
+# identity suite K <= 12 and the dual gamma oracle q = 12 and 14; the
+# exact H(2**14) takes about 60 ms.
+_K_CAP = 14
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +167,6 @@ def ln2(precision: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _harmonic_direct_fixed(m: int, precision: int) -> Fraction:
-    """H_m by direct summation of fixed-point terms.
-
-    Each term is one exact floor division 10**P' // i (error < 1 ulp,
-    one-sided), so the result's total error is < m ulp at the padded
-    precision P' = precision + digits(m) + 2 — i.e. < 10**-(precision+2)
-    after narrowing.  :func:`euler_gamma` uses it for H(2**q).
-    """
-    pad = len(str(m)) + 2
-    scale = 10 ** (precision + pad)
-    total = sum(scale // i for i in range(1, m + 1))
-    return round_decimal(Fraction(total, scale), precision)
-
-
 def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
     """Euler's gamma with error <= 10**-precision, a multiple of 10**-precision.
 
@@ -198,24 +176,25 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
 
     with J the smallest order whose remainder bound
     |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below 10**-(precision+2), found
-    by the same search as the constant's tail order.  H_m comes from the
-    certified direct summation.  The default q = 8 serves every precision
-    the constant needs; a second q gives the dual-method oracle.
+    by the same search as the constant's tail order.  H_m is the exact
+    H(2**q) of :func:`_harmonic_prefixes`, rounded once.  The default
+    q = 8 serves every precision the constant needs; a second q gives
+    the dual-method oracle.
 
     Raises:
         ValueError: "precision beyond supported range" when q is outside
-            [1, 20] or no J <= 60 meets the remainder bound.
+            [1, 14] or no J <= 60 meets the remainder bound.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    if not (1 <= q <= _Q_CAP):
+    if not (1 <= q <= _K_CAP):
         raise ValueError("precision beyond supported range")
     m = 2**q
     order, _, bern = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
 
     # Every term is rounded once at `work` digits; sums on that grid are exact.
     work = precision + 6
-    acc = _harmonic_direct_fixed(m, work)
+    acc = round_decimal(next(islice(_harmonic_prefixes(), q - 1, None)), work)
     acc -= q * round_decimal(ln2(work + 2), work)
     acc -= round_decimal(Fraction(1, 2 * m), work)
     for j in range(1, order + 1):
@@ -231,8 +210,11 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
 def _harmonic_prefixes() -> Iterator[Fraction]:
     """H(2**k) for k = 1, 2, ..., _K_CAP, prefix by prefix.
 
+    The package's one exact harmonic-number routine:
     H(2**k) = H(2**(k-1)) + sum_{2**(k-1) < m <= 2**k} 1/m, the block
-    summed by binary splitting and reduced once.
+    summed by binary splitting and reduced once.  One reduction per block
+    keeps the pairs small: an unreduced pair over all of [1, 2**14]
+    reaches about 210k bits before its single gcd.
     """
     h = Fraction(1)
     for k in range(1, _K_CAP + 1):
@@ -251,10 +233,10 @@ def _weighted_sums() -> Iterator[Fraction]:
 def weighted_harmonic_sum_exact(K: int) -> Fraction:
     """Exact rational truncation sum_{k=1..K} (2/3)**k * H(2**k).
 
-    The K-th running sum of one cumulative pass over k: each H(2**k) is
-    the one before plus a block of 2**(k-1) terms, summed by binary
-    splitting.  The exact head of the constant (K = K0), the double-sum
-    identity and the tests use it; K is capped where exact harmonic
+    The K-th running sum of one cumulative pass over k, with each
+    H(2**k) from :func:`_harmonic_prefixes`.  The exact head of the
+    constant (K = K0) and the tests use it; the double-sum identity walks
+    the same running sums.  K is capped at 14, where exact harmonic
     numbers stay cheap.
     """
     if not (1 <= K <= _K_CAP):
@@ -347,7 +329,8 @@ def _identity_forms() -> Iterator[tuple[Fraction, Fraction]]:
     forms stay structurally independent.  The harmonic form is
     1 + (2/3) * sum_{k<=K} ((2/3)**k * H(2**k) - (2/3)**k), whose
     harmonic part is the running sum behind
-    :func:`weighted_harmonic_sum_exact`.  One pass yields every K.
+    :func:`weighted_harmonic_sum_exact`.  One pass yields every K; the
+    ``identity`` suite of :mod:`cantor_moments.cli` compares each pair.
     """
     outer = Fraction(0)
     geometric = Fraction(0)
@@ -357,35 +340,3 @@ def _identity_forms() -> Iterator[tuple[Fraction, Fraction]]:
         outer += Fraction(1, 3**k) * inner
         geometric += _W**k
         yield 1 + Fraction(2, 3) * outer, 1 + Fraction(2, 3) * (weighted - geometric)
-
-
-def double_sum_check(K: int) -> Fraction:
-    """Exact truncation of the double-sum form, checked against the
-    harmonic-number form.
-
-    Walks one cumulative pass of both forms up to K (see
-    :func:`_identity_forms`): the double sum
-
-        1 + (2/3) * sum_{k=1..K} 3**-k * sum_{m=1..2**k} (2**k/m - 1),
-
-    with each inner sum built term by term, and
-
-        1 + (2/3) * sum_{k=1..K} ((2/3)**k * H(2**k) - (2/3)**k),
-
-    whose harmonic part is :func:`weighted_harmonic_sum_exact`, the exact
-    head of the constant.  Every truncation up to K must agree exactly;
-    the common value at K is returned.
-
-    Raises:
-        ValueError: K out of [1, 14] ("inner sum too large for exact mode").
-        AssertionError: if the two forms disagree at some K' <= K.
-    """
-    if not (1 <= K <= _K_CAP):
-        raise ValueError("inner sum too large for exact mode")
-    for double_form, harmonic_form in islice(_identity_forms(), K):
-        if double_form != harmonic_form:
-            raise AssertionError(
-                "double-sum and harmonic-form truncations disagree — "
-                "exact identity violated"
-            )
-    return double_form

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 
@@ -700,12 +701,15 @@ def zeta_contours(
     can differ in its last digits between calls with different orders.
 
     Raises:
-        ValueError: an order below 1, or T not in [10, inf).
+        ValueError: an order that is not an integer or is below 1, or T
+            not in [10, inf).
         QuadratureError: the starting mesh alone exceeds the evaluation
             budget (refused by :func:`_edges` before it is built), or the
             budget is exhausted before tolerance (its estimate is then of
             the integral with the principal parts subtracted).
     """
+    if not all(isinstance(n, Integral) for n in orders):
+        raise ValueError("moment order not an integer")
     if not all(n >= 1 for n in orders):
         raise ValueError("moment order below 1")
     edges = _edges(T, _POLE_PERIOD)

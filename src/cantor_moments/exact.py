@@ -1,9 +1,11 @@
 """Exact integer/rational arithmetic primitives.
 
 This module supplies the exact building blocks used everywhere else:
-Bernoulli numbers (``B1 = -1/2`` convention), exact harmonic numbers,
-and decimal rounding: :func:`round_decimal` puts an exact rational on
-the grid of multiples of 10**-p, and :func:`decimal_string` prints it.
+Bernoulli numbers (``B1 = -1/2`` convention), the binary-splitting sum
+of rational terms behind every exact harmonic number (those are built
+in :mod:`cantor_moments.constant`), and decimal rounding:
+:func:`round_decimal` puts an exact rational on the grid of multiples
+of 10**-p, and :func:`decimal_string` prints it.
 
 All values are exact rationals (``fractions.Fraction``); a
 high-precision real is a ``Fraction`` whose denominator divides 10**p.
@@ -15,12 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-
-# Hard cap for exact harmonic numbers, and through its exponent the
-# largest K of the exact weighted sum (constant._K_CAP = 14).  Beyond it
-# the asymptotic path in cantor_moments.constant is used (the exact
-# denominator of H_{2^14} has about 7,100 digits).
-HARMONIC_CAP = 2**14
 
 # ---------------------------------------------------------------------------
 # Rounding
@@ -103,7 +99,7 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Harmonic numbers
+# Binary splitting
 # ---------------------------------------------------------------------------
 
 
@@ -126,28 +122,3 @@ def _balanced_sum(
     p1, q1 = _balanced_sum(term, lo, mid)
     p2, q2 = _balanced_sum(term, mid + 1, hi)
     return p1 * q2 + p2 * q1, q1 * q2
-
-
-def harmonic_exact(m: int) -> Fraction:
-    """Exact harmonic number H_m = sum_{k=1..m} 1/k.
-
-    Summed in dyadic blocks (2**(j-1), 2**j] cut at m: each block is one
-    binary-splitting pass of :func:`_balanced_sum` over the pairs (1, k),
-    reduced once, and the reduced blocks are added as fractions.  One
-    reduction per block keeps the pairs small: an unreduced pair over all
-    of [1, 2**14] reaches about 210k bits before its single gcd.  The cap
-    is the largest index the exact weighted sum uses; high-precision
-    consumers use the asymptotic path in :mod:`cantor_moments.constant`
-    instead.
-
-    Raises:
-        ValueError: if m < 1 or m exceeds the 2**14 cap.
-    """
-    if m < 1:
-        raise ValueError("harmonic index must be positive")
-    if m > HARMONIC_CAP:
-        raise ValueError("harmonic index above cap")
-    h = Fraction(1)
-    for j in range(1, (m - 1).bit_length() + 1):
-        h += Fraction(*_balanced_sum(lambda k: (1, k), 2 ** (j - 1) + 1, min(2**j, m)))
-    return h

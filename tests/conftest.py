@@ -10,6 +10,7 @@ measured value and the tolerance side by side.
 from __future__ import annotations
 
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,23 @@ def _record(name: str, ok: bool, detail: str) -> None:
 def constant_d30():
     """The 30-digit certified constant, shared across tests."""
     return moment_series_constant(30)
+
+
+@pytest.fixture(scope="session")
+def harmonic_powers():
+    """H(2**k) for k = 0..14, by one plain running sum of 1/m to 2**14.
+
+    The reference for the package's exact harmonic numbers: it shares no
+    code with the prefix walk (no binary splitting, no dyadic blocks), and
+    takes about 0.3 s once per session.
+    """
+    h = Fraction(0)
+    powers = []
+    for m in range(1, 2**14 + 1):
+        h += Fraction(1, m)
+        if m & (m - 1) == 0:
+            powers.append(h)
+    return powers
 
 
 @pytest.fixture(scope="session")

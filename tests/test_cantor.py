@@ -205,3 +205,11 @@ def test_integral_converges_with_points():
 def test_integral_preconditions():
     with pytest.raises(ValueError):
         integral_quadrature((1, 0))
+
+
+def test_integral_integer_orders():
+    # A fractional order is refused; a numpy integer is an order like any other.
+    with pytest.raises(ValueError, match="moment order must be an integer"):
+        integral_quadrature((2, 1.5))
+    np = pytest.importorskip("numpy")
+    assert integral_quadrature((np.int64(2),)) == integral_quadrature((2,))

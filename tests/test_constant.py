@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -11,9 +12,7 @@ from cantor_moments import (
     bernoulli_numbers,
     cli,
     constant,
-    double_sum_check,
     euler_gamma,
-    harmonic_exact,
     ln2,
     moment_series_constant,
     weighted_harmonic_sum_exact,
@@ -91,18 +90,32 @@ def test_euler_gamma_examples():
 
 
 def test_euler_gamma_dual_parameters():
-    a = euler_gamma(40, q=18)
-    b = euler_gamma(40, q=20)
+    a = euler_gamma(40, q=12)
+    b = euler_gamma(40, q=14)
     assert abs(a - b) <= Fraction(1, 10**30)
-    # the production q = 8 and q = 18 give an identical prefix at P = 30
+    # the production q = 8 and q = 12 give an identical prefix at P = 30
     c = euler_gamma(30, q=8)
-    d = euler_gamma(30, q=18)
+    d = euler_gamma(30, q=12)
     assert decimal_string(c, 30) == decimal_string(d, 30)
 
 
 def test_euler_gamma_precision_cap():
     with pytest.raises(ValueError, match="precision beyond supported range"):
         euler_gamma(2000)
+    # q runs over the exact H(2**q) of the prefix walk, 1..14.
+    for q in (0, 15):
+        with pytest.raises(ValueError, match="precision beyond supported range"):
+            euler_gamma(30, q=q)
+
+
+def test_euler_gamma_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        # 95 digits of gamma: its own error, below 10**-95, is far inside
+        # the smallest tolerance checked, 10**-80.
+        reference = Fraction(mpmath.nstr(mpmath.euler, 95))
+    for p in range(1, 81):
+        assert abs(euler_gamma(p) - reference) <= Fraction(1, 10**p), p
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +123,14 @@ def test_euler_gamma_precision_cap():
 # ---------------------------------------------------------------------------
 
 
-def test_harmonic_fixed_switch_point_agreement():
+def test_harmonic_fixed_switch_point_agreement(harmonic_powers):
     # The closed-form tail sums the expansion
     #   H(2**k) = k ln 2 + gamma + 2**-(k+1) - sum_j B_2j / (2j 4**(jk))
     # for k > K0 with the production order J, ln 2 and gamma.  Just past
     # the switch it must agree with the exact rational H(2**k) within the
     # first omitted term plus the ln 2 and gamma errors.
     assert K0 == 8
-    exact = {k: harmonic_exact(2**k) for k in range(K0 + 1, 15)}
+    exact = {k: harmonic_powers[k] for k in range(K0 + 1, 15)}
     for digits in (1, 30, 60):
         J = moment_series_constant(digits).em_order
         W = digits + GUARD_DIGITS + 6
@@ -149,15 +162,15 @@ def test_series_tail_bound_values():
         assert series_tail_bound(K + 1) < series_tail_bound(K)
 
 
-def test_series_tail_bound_dominates_true_tail():
+def test_series_tail_bound_dominates_true_tail(harmonic_powers):
     # The bound is sum_{k>K} (2/3)**k (k+1) in closed form, resting on
     # H(2**k) <= k+1; check the per-term inequality exactly for small k
     # and the partial-tail domination for two cutoffs.
     for k in range(1, 13):
-        assert harmonic_exact(2**k) <= k + 1
+        assert harmonic_powers[k] <= k + 1
     for K in (5, 8):
         partial_tail = sum(
-            Fraction(2, 3) ** k * harmonic_exact(2**k) for k in range(K + 1, 14)
+            Fraction(2, 3) ** k * harmonic_powers[k] for k in range(K + 1, 14)
         )
         assert series_tail_bound(K) > partial_tail
 
@@ -298,36 +311,35 @@ def test_constant_agrees_with_exact_truncation():
 
 
 # ---------------------------------------------------------------------------
-# double_sum_check
+# the double-sum identity
 # ---------------------------------------------------------------------------
 
 
+def identity_values(*Ks):
+    """The common value of the two forms at each K, after checking they agree."""
+    forms = list(islice(constant._identity_forms(), max(Ks)))
+    for double_form, harmonic_form in forms:
+        assert double_form == harmonic_form
+    return [forms[K - 1][0] for K in Ks]
+
+
 def test_double_sum_examples():
-    assert double_sum_check(1) == Fraction(11, 9)
     # K = 2: harmonic form with H2 = 3/2, H4 = 25/12
     expected = 1 + Fraction(2, 3) * (
         Fraction(2, 3) * (Fraction(3, 2) - 1) + Fraction(4, 9) * (Fraction(25, 12) - 1)
     )
-    assert double_sum_check(2) == expected
+    assert identity_values(1, 2) == [Fraction(11, 9), expected]
 
 
 def test_double_sum_full_range():
-    for K in range(1, 13):
-        value = double_sum_check(K)
+    for value in identity_values(*range(1, 13)):
         assert value.denominator > 0
         assert 1 < value < Fraction(PRINTED_CONSTANT)
 
 
-def test_double_sum_domain():
-    with pytest.raises(ValueError, match="inner sum too large for exact mode"):
-        double_sum_check(15)
-    with pytest.raises(ValueError, match="inner sum too large for exact mode"):
-        double_sum_check(0)
-
-
 def test_double_sum_approaches_constant(constant_d30):
     # the truncations increase toward the constant
-    values = [double_sum_check(K) for K in (4, 8, 12)]
+    values = identity_values(4, 8, 12)
     assert values[0] < values[1] < values[2]
     limit = constant_d30.value
     gaps = [limit - v for v in values]
@@ -335,24 +347,27 @@ def test_double_sum_approaches_constant(constant_d30):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_weighted_sum_matches_harmonic_numbers_from_scratch():
-    # The cumulative pass against each H(2**k) built on its own.
+def test_weighted_sum_matches_harmonic_numbers_from_scratch(harmonic_powers):
+    # The cumulative pass against each H(2**k) of the plain reference sum.
     scratch = Fraction(0)
     for K in range(1, 15):
-        scratch += Fraction(2, 3) ** K * harmonic_exact(2**K)
+        scratch += Fraction(2, 3) ** K * harmonic_powers[K]
         assert weighted_harmonic_sum_exact(K) == scratch
 
 
-def test_identity_prefixes_match_double_sum_check():
+def test_identity_prefixes_match_double_sum_check(harmonic_powers):
+    # Both forms of every truncation K = 1..14 against the harmonic form
+    # built from the plain reference sum.
+    reference = Fraction(1)
     for K, (double_form, harmonic_form) in enumerate(constant._identity_forms(), 1):
-        assert double_form == harmonic_form == double_sum_check(K)
+        reference += Fraction(2, 3) * Fraction(2, 3) ** K * (harmonic_powers[K] - 1)
+        assert double_form == harmonic_form == reference
     assert K == 14
 
 
 def test_identity_detects_a_planted_fault(monkeypatch):
     # The harmonic side off by 10**-40 from k = 7 on: the suite reports
-    # K >= 7 unequal and the rest equal, and double_sum_check raises
-    # from K = 7.
+    # K >= 7 unequal and the rest equal.
     prefixes = constant._harmonic_prefixes
 
     def off_from_k7():
@@ -365,6 +380,3 @@ def test_identity_detects_a_planted_fault(monkeypatch):
     assert [(passed, measured) for _, passed, measured, _ in checks] == (
         [(True, "equal")] * 6 + [(False, "unequal")] * 6
     )
-    double_sum_check(6)
-    with pytest.raises(AssertionError, match="exact identity violated"):
-        double_sum_check(7)

@@ -614,6 +614,15 @@ def test_moment_contour_domain():
             zeta_contours((n,), T=FAST_T)
 
 
+def test_moment_contour_integer_orders():
+    # A fractional order is refused before zeta is evaluated (its weight
+    # row would otherwise be left unfilled); a numpy integer is accepted.
+    with mock.patch.object(contour, "_zeta_line", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="moment order not an integer"):
+            zeta_contours((2, 1.5), T=100.0)
+    assert zeta_contours((np.int64(2),), T=FAST_T) == zeta_contours((2,), T=FAST_T)
+
+
 def test_constant_contour_truncation_scaling(constant_d30):
     # O(1/T): the T = 1e3 truncation error is ~10x the T = 1e4 error;
     # also covers the fast-path accuracy claim at moderate T.

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantor_moments import bernoulli_numbers, harmonic_exact
+from cantor_moments import bernoulli_numbers
+from cantor_moments.constant import _harmonic_prefixes
 from cantor_moments.exact import (
-    HARMONIC_CAP,
     _balanced_sum,
     decimal_string,
     divround,
@@ -80,17 +81,10 @@ def test_bernoulli_defining_recurrence():
 
 
 def test_harmonic_examples():
-    assert harmonic_exact(1) == 1
-    assert harmonic_exact(4) == Fraction(25, 12)
-    assert harmonic_exact(8) == Fraction(761, 280)
-
-
-def test_harmonic_difference_property():
-    prev = harmonic_exact(1)
-    for m in range(2, 1001):
-        cur = harmonic_exact(m)
-        assert cur - prev == Fraction(1, m)
-        prev = cur
+    h2, h4, h8 = islice(_harmonic_prefixes(), 3)
+    assert h2 == Fraction(3, 2)
+    assert h4 == Fraction(25, 12)
+    assert h8 == Fraction(761, 280)
 
 
 _RANGES = st.integers(1, 400).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 400)))
@@ -108,18 +102,9 @@ def test_balanced_sum_pairs_match_a_plain_sum(bounds, c):
     )
 
 
-def test_harmonic_matches_a_naive_sum():
-    naive = Fraction(0)
-    for m in range(1, 301):
-        naive += Fraction(1, m)
-        assert harmonic_exact(m) == naive
-
-
-def test_harmonic_domain_errors():
-    with pytest.raises(ValueError):
-        harmonic_exact(0)
-    with pytest.raises(ValueError):
-        harmonic_exact(HARMONIC_CAP + 1)
+def test_harmonic_matches_a_naive_sum(harmonic_powers):
+    # Every H(2**k) the walk yields, k = 1..14, against the plain sum.
+    assert list(_harmonic_prefixes()) == harmonic_powers[1:]
 
 
 # ---------------------------------------------------------------------------
