@@ -21,9 +21,13 @@ in.  Two kinds of figures are written:
   read this script's floor for every command smaller than the script.
 * ``in_process``: the best of 5 calls of the exact layers, Euler's
   gamma, the decay fit, the moment table at N = 512 with its Bernoulli
-  numbers, shared parts and row 0, and the Cantor grid (and the decay
-  fit's first call, which loads what it imports), and the time to
-  import the ``cantor`` module.  Each figure is timed on its own, in
+  numbers, shared parts and row 0, the Cantor grid, the ``mellin``
+  suite's five Perron kernels, and zeta per point at heights 10 to
+  1e4 on Re s = 3/2 (in seconds per point); the first call of the decay
+  fit, which loads what it imports, and of ``zeta_contours((1, 2, 5))``,
+  which builds its coefficient tables; and the time to import the
+  ``cantor`` module.  The contour figures import ``contour``, and so
+  numpy, untimed in their own children.  Each figure is timed on its own, in
   ``IN_PROCESS_RUNS`` rounds of one fresh child interpreter per tree
   run back to back, which tree goes first alternating from round to
   round and from figure to figure.  A figure's value per tree is the
@@ -134,6 +138,33 @@ FIGURES["cantor.integral_quadrature((1, 2, 5))"] = lambda: best(
 FIGURES["cantor.self_similarity_residuals()"] = lambda: best(
     cantor.self_similarity_residuals
 )
+
+# The contour layer, each figure importing it (and numpy) untimed.
+def zeta_contours_first_call():
+    from cantor_moments import contour
+
+    start = time.perf_counter()
+    contour.zeta_contours((1, 2, 5))
+    return time.perf_counter() - start
+
+def perron_kernels():
+    from cantor_moments import contour
+
+    return best(lambda: [contour.perron_kernel(t) for t in (0.5, 1.0, 1.5, 2.0, 4.0)])
+
+# Seconds per point of zeta on Re s = 3/2, 1,000 points spaced 0.001 from tau.
+def zeta_per_point(tau):
+    import numpy as np
+    from cantor_moments import contour
+
+    s = 1.5 + 1j * np.linspace(tau, tau + 1.0, 1000)
+    contour._zeta_line(s)
+    return best(lambda: contour._zeta_line(s)) / len(s)
+
+FIGURES["zeta_contours((1, 2, 5)), first call"] = zeta_contours_first_call
+FIGURES["perron_kernel(t), t = 0.5, 1, 1.5, 2, 4"] = perron_kernels
+for tau in (10, 100, 1000, 10000):
+    FIGURES[f"_zeta_line per point, tau = {tau}"] = lambda tau=tau: zeta_per_point(tau)
 
 print(json.dumps(FIGURES[sys.argv[1]]() if len(sys.argv) > 1 else list(FIGURES)))
 """
@@ -261,8 +292,8 @@ def in_process(parent: Path) -> dict:
                 times[name].append(json.loads(child_stdout(tree, *child)))
         samples[figure] = times
         print(
-            f"{figure}: parent {statistics.median(times['parent']) * 1e3:.2f} ms, "
-            f"change {statistics.median(times['change']) * 1e3:.2f} ms",
+            f"{figure}: parent {statistics.median(times['parent']) * 1e3:.3g} ms, "
+            f"change {statistics.median(times['change']) * 1e3:.3g} ms",
             file=sys.stderr,
         )
     return {

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .exact import _balanced_sum, bernoulli_numbers, divround, round_decimal
+from .exact import _as_int, _balanced_sum, bernoulli_numbers, divround, round_decimal
 
 # Exponents k <= K0 are summed as exact rationals; the closed-form tail
 # covers k > K0.
@@ -147,6 +147,7 @@ def ln2(precision: int) -> Fraction:
     padded precision: <= (terms * 1/2 + 2) ulp, well under the final ulp
     after narrowing.
     """
+    precision = _as_int(precision, "precision")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     work = precision + 6
@@ -185,6 +186,8 @@ def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
         ValueError: "precision beyond supported range" when q is outside
             [1, 14] or no J <= 60 meets the remainder bound.
     """
+    precision = _as_int(precision, "precision")
+    q = _as_int(q, "q")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     if not (1 <= q <= _K_CAP):
@@ -239,6 +242,7 @@ def weighted_harmonic_sum_exact(K: int) -> Fraction:
     the same running sums.  K is capped at 14, where exact harmonic
     numbers stay cheap.
     """
+    K = _as_int(K, "K")
     if not (1 <= K <= _K_CAP):
         raise ValueError(f"exact weighted sum supports 1 <= K <= {_K_CAP}")
     return next(islice(_weighted_sums(), K - 1, None))
@@ -264,6 +268,7 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     and 1/2 * 10**-P for the last; above 10**-D no result is built and
     ValueError "budget insufficient for target" is raised.
     """
+    digits = _as_int(digits, "target digits")
     if not (1 <= digits <= MAX_DIGITS):
         raise ValueError(f"target digits out of supported range [1, {MAX_DIGITS}]")
     P = digits + GUARD_DIGITS

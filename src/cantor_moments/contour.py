@@ -22,7 +22,11 @@ vectorized batch, for one integrand or several sharing one mesh.  Both
 line integrals start from equal panels built by one function,
 :func:`_edges`, which also checks T and the evaluation budget: P wide
 (below) for the zeta rows, and for the Perron kernel no wider than P nor
-than one period 2*pi/|ln t| of its t**(i*tau) oscillation.
+than one period 2*pi/|ln t| of its t**(i*tau) oscillation.  A panel is
+carried as its midpoint and half-width: the half-width starts at exactly
+half the starting width and is halved exactly at each bisection, so the
+panels of one refinement level share it to the last bit (a width taken
+from rounded edges would differ from panel to panel).
 
 Every row of :func:`zeta_contours`, each moment and the constant, is
 weight * zeta(1 - s) / (3*2**(s-1) - 1) on Re s = -1/2, so one zeta
@@ -36,30 +40,43 @@ before quadrature and integrated in closed form (a logarithm) instead,
 so the mesh only resolves what is smooth; the residues take one zeta
 call at the poles.  The weights are finite products.
 
-Zeta, on arrays of points, takes one of two paths at each point, chosen
-from their error bounds.  Riemann-Siegel, in Arias de Reyna's form for
-any real part, serves a point where its truncation bound with 7
+Zeta is evaluated on grids: zeta(s_p + i*d_j) for centres s_p and node
+offsets d_j (:func:`_zeta_grid`).  The quadrature's panels of one width
+are one grid, their midpoints with the offsets half*x_j of the 15
+Kronrod nodes; a list of points is a grid with the one offset 0
+(:func:`_zeta_line`).  Every Dirichlet term factors as
+n**(-s_p) * n**(-i*d_j), so a block of panels' Dirichlet sums is one
+product of a table per panel with a table per node offset, not a table
+per node: the grid factorization behind Odlyzko and Schoenhage's
+multi-evaluation of zeta (Trans. AMS 309, 1988).  Each table is built
+multiplicatively from a smallest-prime-factor sieve, with exp taken
+only at primes.
+
+Each centre takes one of two paths, chosen from the error bounds at all
+of its nodes.  Riemann-Siegel, in Arias de Reyna's form for any real
+part, serves a panel where at every node its truncation bound with 7
 correction terms is below target and its 2N = 2*floor(sqrt(tau/2pi))
 Dirichlet terms are fewer than Euler-Maclaurin's cutoff: on Re s = 3/2
-and log2(3), every height from about 1650 up, with N <= 39 at 1e4.
-chi(s) is built in logarithms, with Stirling's series for
-log Gamma(1 - s) and its remainder bound.
+and log2(3), every height from about 1650 up, with N <= 39 at 1e4.  Its
+main sums take the product up to the panel's smallest N, and each node
+whose N is larger (N changes at most once across a panel there) adds its
+last term alone; its correction series are polynomials in p**2, since
+C_k(p) has the parity of k.  chi(s) is built in logarithms, with
+Stirling's series for log Gamma(1 - s) and its remainder bound.
 Euler-Maclaurin serves the rest, with a cutoff solved from its
-remainder bound at every height and applied per block of 64 points.
-Each path checks its own bound and raises above 1e-10.  The Dirichlet
-powers n**(-s) of both paths are built multiplicatively from a
-smallest-prime-factor sieve, with exp taken only at primes.
+remainder bound at each panel's highest node and applied per block of
+64 panels.  Each path checks its own bound at every node and raises
+above 1e-10.
 """
 
 from __future__ import annotations
 
 import math
 from math import factorial
-from numbers import Integral
 
 import numpy as np
 
-from .exact import bernoulli_numbers
+from .exact import _as_int, bernoulli_numbers
 
 # Verification-line constant: min |3*2**(s-1) - 1| on Re s = -1/2.
 _DENOM_FLOOR = 3.0 * 2.0**-1.5 - 1.0  # ~0.06066
@@ -147,38 +164,71 @@ def _powers(x: np.ndarray, cutoffs, width: int):
         yield lo, w
 
 
-def _dirichlet_sum(s: np.ndarray, M) -> np.ndarray:
-    """sum_{n=1..M} n**(-s), M one cutoff or one per block of _DIRICHLET_BLOCK points."""
-    out = np.empty(s.shape, dtype=np.complex128)
+def _product(w: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_n w[n, p] * table[n, j] for complex w and table, indexed [j, p].
+
+    One real einsum on the (real, imaginary) views of both: its loop runs
+    along p, contiguous in w and in the product, several times faster
+    than a complex einsum or the other layouts.  einsum, not @: with
+    threaded BLAS on 2 cores, zeta_contours took 0.4 s instead of 0.1 s
+    in 5 of 14 runs (numpy 2.4, OpenBLAS).  The CLI starts BLAS on one
+    thread, but library callers, the tests and perfbench/tracer.py load
+    numpy first and keep the pool.
+    """
+    out = np.einsum("np,nj->jp", w.view(np.float64), table.view(np.float64))
+    product = np.empty((table.shape[1], w.shape[1]), dtype=np.complex128)
+    np.subtract(out[0::2, 0::2], out[1::2, 1::2], out=product.real)
+    np.add(out[1::2, 0::2], out[0::2, 1::2], out=product.imag)
+    return product
+
+
+def _dirichlet_sum(s: np.ndarray, M, offsets=0.0) -> np.ndarray:
+    """sum_{n=1..M} n**(-s_p - i*offsets_j), shape s.shape + offsets.shape.
+
+    M is one cutoff, or one per block of _DIRICHLET_BLOCK centres s_p.
+    Each block is one product of its table of n**(-s_p) with the one
+    table of n**(-i*offsets_j).
+    """
+    d = np.ravel(offsets)
+    _, phases = next(_powers(1j * d, int(np.max(M)), len(d)))
+    out = np.empty((len(s), len(d)), dtype=np.complex128)
     for lo, w in _powers(s, M, _DIRICHLET_BLOCK):
-        out[lo : lo + w.shape[1]] = w[1:].sum(axis=0)
-    return out
+        out[lo : lo + w.shape[1]] = _product(w[1:], phases[1 : len(w)]).T
+    return out.reshape(s.shape + np.shape(offsets))
 
 
-def _zeta_em(s: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta, each block of _DIRICHLET_BLOCK points at its cutoff in M."""
-    acc = _dirichlet_sum(s, M)
-    logM = np.log(np.repeat(M, _DIRICHLET_BLOCK)[: len(s)])
-    acc += np.exp(-(s - 1) * logM) / (s - 1)
-    acc -= np.exp(-s * logM) / 2.0
-    rising = s.copy()
+def _zeta_em(s: np.ndarray, M: np.ndarray, offsets=0.0) -> np.ndarray:
+    """Euler-Maclaurin zeta at s_p + i*offsets_j, shape s.shape + offsets.shape.
+
+    Each block of _DIRICHLET_BLOCK centres is summed at its cutoff in M,
+    and the remainder bound is checked at every node.
+    """
+    x = s[:, None] + 1j * np.ravel(offsets)
+    acc = _dirichlet_sum(s, M, offsets).reshape(x.shape)
+    cutoff = np.repeat(M, _DIRICHLET_BLOCK)[: len(s), None].astype(np.float64)
+    # M**-x once per node; each later term is M**-(x + 2j - 1), a real step.
+    power = np.exp(-x * np.log(cutoff))
+    acc += power * (cutoff / (x - 1) - 0.5)
+    power = power / cutoff
+    rising = x.copy()
     for j in range(1, _EM_ORDER + 1):
-        acc += _B_OVER_FACT[j] * rising * np.exp(-(s + (2 * j - 1)) * logM)
-        rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
+        acc += _B_OVER_FACT[j] * rising * power
+        rising = rising * (x + (2 * j - 1)) * (x + 2 * j)
+        power = power / (cutoff * cutoff)
     # Remainder bound: first omitted term times |s + 2J + 1| / (sigma + 2J + 1).
-    sigma = s.real
+    sigma = x.real
     rem = (
         abs(_B_OVER_FACT[_EM_ORDER + 1])
         * np.abs(rising)
-        * np.exp(-(sigma + 2 * _EM_ORDER + 1) * logM)
-        * np.abs(s + 2 * _EM_ORDER + 1)
+        * np.abs(power)
+        * np.abs(x + 2 * _EM_ORDER + 1)
         / (sigma + 2 * _EM_ORDER + 1)
     )
     if not np.all(rem < _EM_TOL):
         raise ValueError(
             "zeta Euler-Maclaurin remainder above tolerance — cutoff too small"
         )
-    return acc
+    return acc.reshape(s.shape + np.shape(offsets))
 
 
 def _em_cutoff(s: np.ndarray) -> np.ndarray:
@@ -209,7 +259,7 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
 # holds from tau = 2pi * 37.5K ~ 236K up (3K < 2a**2/25), and at K = 6
 # the bound first meets the target near tau = 3040, at K = 7 from 1650.
 _RS_TERMS = 7
-# Points per chunk of the Riemann-Siegel tables.
+# Nodes per chunk of the Riemann-Siegel tables.
 _RS_CHUNK = 1024
 
 
@@ -217,15 +267,19 @@ def _rs_derivatives() -> np.ndarray:
     """Row m: Taylor coefficients at 0 of F^(m), m <= 3(K - 1), degree < 48.
 
     F is entire and even.  Cauchy's formula on |z| = 2 by the trapezoid
-    rule on 128 points is one FFT, and gives coefficient n of F within
-    about 1e-15 * 2**-n (|F| <= 10 on the circle); the odd ones are zero.
+    rule on 128 points is one discrete Fourier transform (a product with
+    its 64 x 128 matrix, which costs less than importing numpy.fft), and
+    gives coefficient n of F within about 1e-15 * 2**-n (|F| <= 10 on the
+    circle); the odd ones are zero.
     Cut at degree 48, no C_k(p) moves by 1e-18 on |p| <= 1.
     """
     z = 2.0 * np.exp(2j * np.pi * np.arange(128) / 128)
     f = (
         np.exp(1j * np.pi * (z * z / 2 + 3 / 8)) - 1j * math.sqrt(2) * np.cos(np.pi * z / 2)
     ) / (2 * np.cos(np.pi * z))
-    c = np.fft.fft(f)[:64] / 128 / 2.0 ** np.arange(64)
+    n = np.arange(64)
+    dft = np.exp(-2j * np.pi * (np.outer(n, np.arange(128)) % 128) / 128)
+    c = np.einsum("nj,j->n", dft, f) / 128 / 2.0**n
     c[1::2] = 0
     rows = [c]
     for _ in range(3 * (_RS_TERMS - 1)):
@@ -237,7 +291,10 @@ _RS_DERIVATIVES = _rs_derivatives()
 
 
 def _rs_coefficients(sigma: float) -> np.ndarray:
-    """C_k(p), k < _RS_TERMS, as rows of polynomial coefficients in p.
+    """C_k(p), k < _RS_TERMS, as rows of polynomial coefficients in p**2.
+
+    F^(m) has the parity of m, so C_k(p) has the parity of k: row k holds
+    c_km with C_k(p) = p**(k mod 2) * sum_m c_km p**(2m).
 
     d_00 = 1 and, with m = 3k - 2l (Arias de Reyna's recursion),
     d_kl = d_{k-1,l}/(4m) + (1 - 2 sigma) d_{k-1,l-1}/(2m) - (m+1) d_{k-1,l-2}
@@ -258,10 +315,11 @@ def _rs_coefficients(sigma: float) -> np.ndarray:
                     (-1) ** (l - r) * factorial(2 * (l - r)) / factorial(l - r) * d[k, r]
                     for r in range(l)
                 )
-    out = np.zeros((_RS_TERMS, _RS_DERIVATIVES.shape[1]), dtype=np.complex128)
+    weights = np.zeros((_RS_TERMS, len(_RS_DERIVATIVES)), dtype=np.complex128)
     for (k, l), d_kl in d.items():
-        out[k] += d_kl / (math.pi ** (2 * k - l) * (2j) ** l) * _RS_DERIVATIVES[3 * k - 2 * l]
-    return out
+        weights[k, 3 * k - 2 * l] = d_kl / (math.pi ** (2 * k - l) * (2j) ** l)
+    out = np.einsum("km,mn->kn", weights, _RS_DERIVATIVES)
+    return np.array([row[k % 2 :: 2] for k, row in enumerate(out)])
 
 
 def _rs_side_bound(sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -339,22 +397,30 @@ def _rs_bound(s: np.ndarray):
 
 
 def _zeta_rs(
-    s: np.ndarray, bound: np.ndarray, log_chi: np.ndarray, stirling: np.ndarray
+    s: np.ndarray, bound: np.ndarray, log_chi: np.ndarray, stirling: np.ndarray, offsets=0.0
 ) -> np.ndarray:
-    """Riemann-Siegel zeta at points with Im s > 0, error under 1e-10.
+    """Riemann-Siegel zeta at s_p + i*offsets_j, all heights > 0, error under 1e-10.
 
-    bound, log_chi and stirling are :func:`_rs_bound` at s, which the
-    caller has already computed to choose the path.  R(s) and
-    R(1 - conj s) are built side by side, for each real part sigma among
-    the points, a chunk of points at a time: one table of n**(-i tau)
-    serves both main sums, with the weights n**-sigma and n**(sigma-1),
-    and one table of powers of p both series.  The bound is checked
-    before, and with the Stirling error of chi times
+    bound, log_chi and stirling are :func:`_rs_bound` at those nodes,
+    which the caller has already computed to choose the path; the result
+    has their shape, s.shape + offsets.shape.  R(s) and R(1 - conj s) are
+    built side by side, for each real part sigma among the centres, a
+    chunk of about _RS_CHUNK nodes at a time.  Both main sums of a chunk
+    are one product of its table of n**(-i Im s_p) with the table of
+    n**(-side - i*offsets_j), side = sigma and 1 - sigma, over the n up to
+    the smallest N of each centre's nodes; a node whose N is larger adds
+    its last terms one by one (above tau ~ 1650 N changes at most once
+    across a Kronrod panel).  The correction series, each C_k a
+    polynomial in p**2, are one product with the powers of p**2.  The
+    bound is checked before, and with the Stirling error of chi times
     |chi conj R(1 - conj s)| added, after.
     """
     if not np.all(bound < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
-    sigma, tau = s.real, s.imag
+    shape = s.shape + np.shape(offsets)
+    d = np.ravel(offsets)
+    log_chi, stirling = log_chi.reshape(len(s), len(d)), stirling.reshape(len(s), len(d))
+    tau = s.imag[:, None] + d
     a = np.sqrt(tau / (2.0 * math.pi))
     log_a = np.log(a)
     N = np.floor(a).astype(np.int64)
@@ -364,64 +430,97 @@ def _zeta_rs(
     rotation = np.where(N % 2 == 1, 1.0, -1.0) * np.exp(
         -1j * (tau * (log_a - 0.5) - math.pi / 8)
     )
-    R = np.empty((len(s), 2), dtype=np.complex128)
-    values, groups = np.unique(sigma, return_inverse=True)
+    low = N.min(axis=1)
+    top = int(N.max())
+    n = np.arange(1, top + 1)
+    _, phases = next(_powers(1j * d, top, len(d)))
+    chunk = max(1, _RS_CHUNK // len(d))
+    R = np.empty((2,) + tau.shape, dtype=np.complex128)
+    values, groups = np.unique(s.real, return_inverse=True)
     for g, value in enumerate(values):
         at = np.flatnonzero(groups == g)
-        top = int(N[at].max())
-        n = np.arange(1, top + 1)
         sides = np.array([value, 1.0 - value])
-        weights = np.exp(-np.outer(np.log(n), sides))
+        table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
         C = np.concatenate([_rs_coefficients(x) for x in sides])
         C = np.concatenate([C.real, C.imag]).T  # real columns, for one real product
-        # einsum, not @: with threaded BLAS on 2 cores, zeta_contours
-        # took 0.4 s instead of 0.1 s in 5 of 14 runs (numpy 2.4, OpenBLAS).
-        # The CLI starts BLAS on one thread, but library callers, the
-        # tests and perfbench/tracer.py load numpy first and keep the pool.
-        for lo, phase in _powers(1j * tau[at], top, _RS_CHUNK):
-            rows = at[lo : lo + phase.shape[1]]
-            sums = np.einsum("np,nj->pj", phase[1:] * (n[:, None] <= N[rows]), weights)
-            series = np.einsum("pd,dc->pc", np.vander(p[rows], C.shape[0], increasing=True), C)
-            series = (series[:, : 2 * K] + 1j * series[:, 2 * K :]).reshape(-1, 2, K)
-            series = (series * a[rows, None, None] ** -np.arange(K)).sum(axis=2)
-            scale = np.exp(-np.outer(log_a[rows], sides))  # a**-sigma, a**(sigma-1)
-            R[rows] = sums + rotation[rows, None] * scale * series
-    reflected = np.exp(log_chi) * R[:, 1].conj()
-    if not np.all(bound + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
+        for lo, w in _powers(1j * s.imag[at], top, chunk):
+            rows = at[lo : lo + w.shape[1]]
+            sums = _product(w[1:] * (n[:, None] <= low[rows]), table.reshape(top, -1))
+            sums = sums.reshape(2, len(d), -1).transpose(0, 2, 1)
+            past = N[rows] - low[rows, None]
+            for step in range(1, int(past.max()) + 1):
+                i, j = np.nonzero(past >= step)
+                m = low[rows][i] + step
+                sums[:, i, j] += np.exp(-np.log(m) * (sides[:, None] + 1j * tau[rows][i, j]))
+            # The series: C_k in p**2 for both sides, real and imaginary
+            # parts apart, then summed over k by Horner's rule in 1/a, odd k
+            # times p.
+            q = p[rows].ravel()
+            square = q * q
+            powers = np.empty((C.shape[0], q.size))
+            powers[0] = 1.0
+            for e in range(1, C.shape[0]):
+                np.multiply(powers[e - 1], square, out=powers[e])
+            series = np.einsum("dp,dc->cp", powers, C).reshape(2, 2, K, -1)
+            inverse = 1.0 / a[rows].ravel()
+            total = 0.0
+            for k in range(K - 1, -1, -1):
+                total = series[:, :, k] * (q if k % 2 else 1.0) + inverse * total
+            total *= np.exp(-sides[:, None] * log_a[rows].ravel())  # a**-sigma, a**(sigma-1)
+            series = (total[0] + 1j * total[1]).reshape(2, *past.shape)
+            R[:, rows] = sums + rotation[rows] * series
+    reflected = np.exp(log_chi) * R[1].conj()
+    if not np.all(bound.reshape(tau.shape) + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
-    return R[:, 0] + reflected
+    return (R[0] + reflected).reshape(shape)
+
+
+def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
+    """zeta(s_p + i*offsets_j), shape s.shape + offsets.shape; error under 1e-10.
+
+    For centres s_p with Re s > 0 and nodes of height >= 0.  A grid of
+    Kronrod panels is its centres mid_p with the nodes' offsets half*x_j,
+    and a list of points is its centres with offsets 0.  Each centre
+    takes the path its nodes' bounds choose.  Riemann-Siegel (:func:`_zeta_rs`) serves it
+    where, at every node, its truncation bound with K = _RS_TERMS terms
+    is below _EM_TARGET, and where the 2N Dirichlet terms of its highest
+    node are fewer than the Euler-Maclaurin cutoff M there; on
+    Re s = 3/2 that is from Im s ~ 1650 up.  The bound, with the log chi
+    it needs, is computed once here and handed to that path.
+    Euler-Maclaurin (:func:`_zeta_em`) serves the rest: centres sorted by
+    the cutoff of their highest node (it grows with the height), every
+    block of _DIRICHLET_BLOCK sorted centres evaluated at its largest M
+    and its remainder bound checked at every node.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    d = np.ravel(offsets).astype(np.float64)
+    nodes = s[:, None] + 1j * d
+    highest = nodes[np.arange(len(s)), np.abs(nodes.imag).argmax(axis=1)]
+    M = _em_cutoff(highest)
+    terms = 2 * np.floor(np.sqrt(highest.imag / (2.0 * math.pi)))
+    bound, log_chi, stirling = _rs_bound(nodes)
+    rs = (bound < _EM_TARGET).all(axis=1) & (terms < M)
+    out = np.empty(nodes.shape, dtype=np.complex128)
+    em = np.flatnonzero(~rs)
+    if len(em):
+        order = em[np.argsort(M[em], kind="stable")]
+        starts = np.arange(0, len(order), _DIRICHLET_BLOCK)
+        out[order] = _zeta_em(s[order], np.maximum.reduceat(M[order], starts), d)
+    if rs.any():
+        out[rs] = _zeta_rs(s[rs], bound[rs], log_chi[rs], stirling[rs], d)
+    return out.reshape(s.shape + np.shape(offsets))
 
 
 def _zeta_line(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for arrays with Re s > 0, s != 1; error under 1e-10.
 
-    Each point takes the path its bounds choose.  Riemann-Siegel
-    (:func:`_zeta_rs`) serves it where its truncation bound with K =
-    _RS_TERMS terms is below _EM_TARGET and its 2N Dirichlet terms are
-    fewer than the Euler-Maclaurin cutoff M; on Re s = 3/2 that is from
-    Im s ~ 1650 up.  The bound, with the log chi it needs, is computed
-    once here and handed to that path.  Euler-Maclaurin (:func:`_zeta_em`)
-    serves the rest: points sorted by M, every block of _DIRICHLET_BLOCK
-    sorted points evaluated at its largest M and its remainder bound
-    checked there.
-    Every point is evaluated at |Im s| and conjugated back where
-    Im s < 0, so zeta(conj s) is conj zeta(s) bit for bit.
+    :func:`_zeta_grid` with one node, offset 0, per point.  Every point
+    is evaluated at |Im s| and conjugated back where Im s < 0, so
+    zeta(conj s) is conj zeta(s) bit for bit.
     """
     s = np.asarray(s, dtype=np.complex128)
     below = s.imag < 0
-    s = np.where(below, s.conj(), s)
-    out = np.empty(s.shape, dtype=np.complex128)
-    M = _em_cutoff(s)
-    terms = 2 * np.floor(np.sqrt(s.imag / (2.0 * math.pi)))
-    bound, log_chi, stirling = _rs_bound(s)
-    rs = (bound < _EM_TARGET) & (terms < M)
-    em = np.flatnonzero(~rs)
-    if len(em):
-        order = em[np.argsort(M[em], kind="stable")]
-        starts = np.arange(0, len(order), _DIRICHLET_BLOCK)
-        out[order] = _zeta_em(s[order], np.maximum.reduceat(M[order], starts))
-    if rs.any():
-        out[rs] = _zeta_rs(s[rs], bound[rs], log_chi[rs], stirling[rs])
+    out = _zeta_grid(np.where(below, s.conj(), s), 0.0)
     return np.where(below, out.conj(), out)
 
 
@@ -462,20 +561,23 @@ _K15_WEIGHTS = np.concatenate([_WK, [0.209482141084727828012999174891714], _WK[:
 _G7_WEIGHTS = np.concatenate([_WG, [0.417959183673469387755102040816327], _WG[::-1]])
 
 
-def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
-    """Gauss-Kronrod 7-15 on each panel [a_i, b_i], one batch eval.
+def _nodes(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes mid + half*x of each panel, one row per panel."""
+    return mid[:, None] + half[:, None] * _K15_NODES
 
-    f maps an array of nodes to one row of values per integrand (a 1-D
-    result is one row).  Returns the K15 values and the error estimates
-    |K15 - G7|, each of shape (rows, panels).
+
+def _panel_integrals(f, mid: np.ndarray, half: np.ndarray):
+    """Gauss-Kronrod 7-15 on each panel [mid_i - half_i, mid_i + half_i], one batch eval.
+
+    f maps the panels (mid, half) to one row of values per integrand at
+    their :func:`_nodes`, of shape (rows, panels, 15) (one row may drop
+    the first axis, or come flattened).  Returns the K15 values and the
+    error estimates |K15 - G7|, each of shape (rows, panels).
     """
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    x = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
-    y = f(x)
-    if not np.all(np.isfinite(y.real) & np.isfinite(y.imag)):
+    y = f(mid, half)
+    if not np.isfinite(y).all():
         raise ValueError("integrand produced a non-finite value")
-    y = y.reshape(-1, len(a), 15)
+    y = y.reshape(-1, len(mid), 15)
     # einsum, not @, as in _zeta_rs: no BLAS threads for these products,
     # also where numpy was loaded before the CLI could set one thread.
     k15 = half * np.einsum("rpn,n->rp", y, _K15_WEIGHTS)
@@ -486,26 +588,32 @@ def _panel_integrals(f, a: np.ndarray, b: np.ndarray):
 def _adaptive_line(f, edges: np.ndarray):
     """Adaptive quadrature of every row of f over [0, T], T = edges[-1].
 
-    Starts from the caller's panels [edges[i], edges[i+1]] (in the
-    program always a mesh from :func:`_edges`, which has checked T and
-    the budget), then bisects every panel where any row's Gauss-Kronrod
-    error estimate |K15 - G7| exceeds its share _ABS_TOL * width / (2T)
-    of the budget, re-evaluating only split panels, until all pass or the
-    _MAX_EVALS budget runs out.  All rows share one mesh, so each node is
-    evaluated once for all of them.
+    Starts from the caller's panels [edges[i], edges[i+1]], all as wide
+    as the first but the last (in the program always a mesh from
+    :func:`_edges`, which has checked T and the budget), then bisects
+    every panel where any row's Gauss-Kronrod error estimate |K15 - G7|
+    exceeds its share _ABS_TOL * half / T of the budget, re-evaluating
+    only split panels, until all pass or the _MAX_EVALS budget runs out.
+    A panel is carried as its midpoint and half-width; the half-width
+    starts at exactly half the starting width (half its own on the last
+    panel) and is halved exactly at each bisection, so the panels of one
+    width share it to the last bit and f can share work between them.
+    All rows share one mesh, so each node is evaluated once for all of
+    them.
 
     Returns (integrals, error_estimates, evaluations), one integral and
     one estimate per row.  A QuadratureError carries the estimate and
     error of the row with the largest error.
     """
     T = float(edges[-1])
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    vals, errs = _panel_integrals(f, a, b)
-    evals = 15 * len(a)
+    half = np.full(len(edges) - 1, (edges[1] - edges[0]) / 2.0)
+    half[-1] = (edges[-1] - edges[-2]) / 2.0
+    mid = edges[:-1] + half
+    vals, errs = _panel_integrals(f, mid, half)
+    evals = 15 * len(mid)
 
     while True:
-        allowance = _ABS_TOL * (b - a) / (2.0 * T)
+        allowance = _ABS_TOL * half / T
         bad = (errs > allowance).any(axis=0)
         if not bad.any():
             break
@@ -517,15 +625,13 @@ def _adaptive_line(f, edges: np.ndarray):
                 float(errs[worst].sum()),
             )
         keep = ~bad
-        ba, bb = a[bad], b[bad]
-        mids = (ba + bb) / 2.0
-        new_a = np.concatenate([a[keep], ba, mids])
-        new_b = np.concatenate([b[keep], mids, bb])
-        split_vals, split_errs = _panel_integrals(
-            f, np.concatenate([ba, mids]), np.concatenate([mids, bb])
-        )
-        evals += 30 * len(ba)
-        a, b = new_a, new_b
+        quarter = half[bad] / 2.0
+        split_mid = np.concatenate([mid[bad] - quarter, mid[bad] + quarter])
+        split_half = np.concatenate([quarter, quarter])
+        split_vals, split_errs = _panel_integrals(f, split_mid, split_half)
+        evals += 15 * len(split_mid)
+        mid = np.concatenate([mid[keep], split_mid])
+        half = np.concatenate([half[keep], split_half])
         # compress keeps the rows C-contiguous, so each row's final sum is
         # numpy's pairwise sum, as for a single integrand.
         vals = np.concatenate([vals.compress(keep, axis=1), split_vals], axis=1)
@@ -571,9 +677,10 @@ _POLE_OFFSET = _LOG2_3 - 1.5
 
 
 def perron_integrand(t: float, tau: np.ndarray) -> np.ndarray:
-    """t**s / (s(s-1)) on s = 3/2 + i*tau."""
-    s = 1.5 + 1j * np.asarray(tau, dtype=np.float64)
-    return t**s / (s * (s - 1))
+    """t**s / (s(s-1)) on s = 3/2 + i*tau, with t**s as t**1.5 * exp(i*tau*ln t)."""
+    tau = np.asarray(tau, dtype=np.float64)
+    s = 1.5 + 1j * tau
+    return t**1.5 * np.exp(1j * math.log(t) * tau) / (s * (s - 1))
 
 
 def perron_kernel(t: float, *, T: float = _T) -> float:
@@ -593,7 +700,9 @@ def perron_kernel(t: float, *, T: float = _T) -> float:
     # Panels as wide as the zeta rows', P = 2*pi/ln 2, or as one period
     # 2*pi/|ln t| of the t**(i*tau) oscillation if that is shorter.
     edges = _edges(T, 2.0 * math.pi / max(abs(math.log(t)), math.log(2.0)))
-    integrals, _, _ = _adaptive_line(lambda tau: perron_integrand(t, tau), edges)
+    integrals, _, _ = _adaptive_line(
+        lambda mid, half: perron_integrand(t, _nodes(mid, half).ravel()), edges
+    )
     integral = complex(integrals[0])
     return 2.0 * integral.real / (2.0 * math.pi)
 
@@ -617,25 +726,39 @@ def _weights(orders: tuple[int, ...], s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray) -> np.ndarray:
+def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Each weight times zeta(1 - s) / (3*2**(s-1) - 1) on s = -1/2 + i*tau.
 
     Rows as in :func:`_weights`: the moment integrand for each n in
-    orders, then the constant's.  zeta(1 - s) = zeta(3/2 - i*tau) is
-    taken as conj zeta(3/2 + i*tau) (bit for bit in :func:`_zeta_line`).
+    orders, then the constant's.  zeta is zeta(3/2 + i*tau) at the same
+    tau, and zeta(1 - s) = zeta(3/2 - i*tau) is taken as its conjugate
+    (bit for bit in :func:`_zeta_line`).
     """
-    tau = np.asarray(tau, dtype=np.float64)
     s = -0.5 + 1j * tau
-    zeta = np.conj(_zeta_line(1.5 + 1j * tau))
     den = 3.0 * 2.0 ** (s - 1) - 1.0
     if np.abs(den).min() < 0.9 * _DENOM_FLOOR:
         raise ValueError("verification line drifted: denominator below floor")
-    return _weights(orders, s) * zeta / den
+    return _weights(orders, s) * np.conj(zeta) / den
+
+
+def _zeta_panels(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """zeta(3/2 + i*tau) at the :func:`_nodes` of each panel.
+
+    The panels of one half-width are one :func:`_zeta_grid`, so they
+    share one table of Dirichlet terms at the node offsets half*x.
+    """
+    out = np.empty((len(mid), 15), dtype=np.complex128)
+    widths, group = np.unique(half, return_inverse=True)
+    for g, width in enumerate(widths):
+        at = np.flatnonzero(group == g)
+        out[at] = _zeta_grid(1.5 + 1j * mid[at], width * _K15_NODES)
+    return out
 
 
 def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
     """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau: the constant row, conjugated."""
-    return np.conj(_zeta_integrands((), tau)[0])
+    tau = np.asarray(tau, dtype=np.float64)
+    return np.conj(_zeta_integrands((), tau, _zeta_line(1.5 + 1j * tau))[0])
 
 
 def _near_poles(orders: tuple[int, ...], edges: np.ndarray):
@@ -664,16 +787,18 @@ def _near_poles(orders: tuple[int, ...], edges: np.ndarray):
     return residues, integrals
 
 
-def _principal_parts(residues: np.ndarray, tau: np.ndarray):
-    """Every row's principal parts at the two near-poles bounding tau's starting panel.
+def _principal_parts(residues: np.ndarray, mid: np.ndarray, half: np.ndarray):
+    """Every row's principal parts at the two near-poles bounding each panel's starting panel.
 
-    Nodes are interior to their panels, so the panel index floor(tau/P)
-    is constant on each, and what is left after subtraction is smooth.
+    At the panels' :func:`_nodes`.  Every panel lies in one starting
+    panel, [kP, (k+1)P] with k = floor(mid/P), so what is left after
+    subtraction is smooth.
     """
-    k = np.floor(tau / _POLE_PERIOD).astype(np.intp)
+    tau = _nodes(mid, half)
+    k = np.floor(mid / _POLE_PERIOD).astype(np.intp)
     parts = np.zeros(residues.shape[:1] + tau.shape, dtype=np.complex128)
     for j in (k, k + 1):
-        parts += residues[:, j] / (_POLE_OFFSET + 1j * (tau - j * _POLE_PERIOD))
+        parts += residues[:, j, None] / (_POLE_OFFSET + 1j * (tau - (j * _POLE_PERIOD)[:, None]))
     return parts
 
 
@@ -708,16 +833,17 @@ def zeta_contours(
             budget is exhausted before tolerance (its estimate is then of
             the integral with the principal parts subtracted).
     """
-    if not all(isinstance(n, Integral) for n in orders):
-        raise ValueError("moment order not an integer")
+    orders = tuple(_as_int(n, "moment order") for n in orders)
     if not all(n >= 1 for n in orders):
         raise ValueError("moment order below 1")
     edges = _edges(T, _POLE_PERIOD)
     residues, pole_integrals = _near_poles(orders, edges)
-    integrals, _, _ = _adaptive_line(
-        lambda tau: _zeta_integrands(orders, tau) - _principal_parts(residues, tau),
-        edges,
-    )
+
+    def integrands(mid, half):
+        rows = _zeta_integrands(orders, _nodes(mid, half), _zeta_panels(mid, half))
+        return rows - _principal_parts(residues, mid, half)
+
+    integrals, _, _ = _adaptive_line(integrands, edges)
     integrals = integrals + (residues * pole_integrals).sum(axis=1)
     moments = (2.0 / 3.0) * 2.0 * integrals[:-1].real / (2.0 * math.pi)
     constant = 1.0 + (2.0 / 3.0) * 2.0 * integrals[-1].real / (2.0 * math.pi)

@@ -17,6 +17,20 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from numbers import Integral
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int, if it is an integer of any type; else ValueError "<what> not an integer".
+
+    The one rule for every integer count of the exact API: numpy's
+    integers are taken like Python's, and a float is refused even when
+    it is whole.
+    """
+    if not isinstance(value, Integral):
+        raise ValueError(f"{what} not an integer")
+    return int(value)
+
 
 # ---------------------------------------------------------------------------
 # Rounding
@@ -77,6 +91,7 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
     The convention is validated downstream: only B1 = -1/2 makes the
     moment formula agree with the independent self-similarity recursion.
     """
+    N = _as_int(N, "bernoulli index")
     if N < 0:
         raise ValueError("invalid bernoulli index")
     K = N // 2

@@ -60,7 +60,7 @@ from fractions import Fraction
 from math import comb, factorial, fsum, gcd, lcm, log, pi, prod
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from .exact import bernoulli_numbers
+from .exact import _as_int, bernoulli_numbers
 
 if TYPE_CHECKING:
     from .constant import ConstantResult
@@ -157,6 +157,7 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     so the caller's context never reaches the arithmetic and EXACT never
     reaches the caller.
     """
+    N = _as_int(N, "moment index")
     if N < 0:
         raise ValueError("moment index must be >= 0")
     one = lift(1)
@@ -376,6 +377,7 @@ def recursive_moments(N: int) -> list[Fraction]:
     Each moment is built from the lower entries of the same table; no
     Bernoulli number is involved.
     """
+    N = _as_int(N, "moment index")
     if N < 0:
         raise ValueError("moment index must be >= 0")
     table = [Fraction(1)]
@@ -417,6 +419,7 @@ def partial_sum(N: int) -> float:
     terms with one rounding: against the exact partial sums the result
     is within 4.4e-16, a unit in its last place, for every N <= 512.
     """
+    N = _as_int(N, "moment index")
     if N < 0:
         raise ValueError("moment index must be >= 0")
     L = N.bit_length()

@@ -589,3 +589,9 @@ def test_moments_prints_past_a_low_int_str_limit(capsys):
     assert code == 0
     n, num, den, _ = out.strip().splitlines()[-1].split(",")
     assert Fraction(int(num), int(den)) == moments.bernoulli_moments(120)[int(n)]
+
+
+def test_mellin_suite_does_not_import_numpy_ma():
+    # numpy.ma costs about 30 ms of a cold run; numpy imports it lazily,
+    # from np.unique on an integer array, for one.
+    assert _after_mellin_suite(None, "'numpy.ma' in sys.modules") == "False\n"

@@ -246,6 +246,51 @@ def test_riemann_siegel_taylor_coefficients():
     assert np.all(np.abs(got - want) <= 1e-14 * 2.0 ** -np.arange(48))
 
 
+def test_zeta_grid_matches_points():
+    # A grid of Kronrod panels against zeta at each node alone, for three
+    # widths and three real parts: panels across the heights 2*pi*n**2
+    # where N steps (Riemann-Siegel adds a node's last term on its own),
+    # across the Riemann-Siegel crossover, and low (Euler-Maclaurin).
+    n = np.arange(16, 40)
+    for sigma in (1.5, LOG2_3, 0.5):
+        mids = np.concatenate([
+            2 * math.pi * n**2 + 0.25,
+            2 * math.pi * n**2 - 0.25,
+            _crossover(sigma) + np.linspace(-5.0, 5.0, 21),
+            np.linspace(5.0, 200.0, 7),
+        ])
+        s = sigma + 1j * mids
+        for half in (PERIOD / 2, PERIOD / 8, (1.0e4 - 1103 * PERIOD) / 2):
+            offsets = half * _K15_NODES
+            nodes = s[:, None] + 1j * offsets
+            served = _rs_heights_of_grid(s, offsets)
+            grid = contour._zeta_grid(s, offsets)
+            alone = _zeta_line(nodes.ravel()).reshape(grid.shape)
+            assert np.all(np.abs(grid - alone) <= 2e-10)
+            # Riemann-Siegel serves a panel only where every node qualifies,
+            # and among them are panels whose N steps.
+            bound = contour._rs_bound(nodes)[0]
+            rs = np.isin(mids, served)
+            assert np.all(bound[rs] < contour._EM_TARGET)
+            assert np.any((bound < contour._EM_TARGET).any(axis=1) & ~rs)
+            N = np.floor(np.sqrt(nodes.imag / (2 * math.pi)))
+            assert np.any(N[rs, 0] < N[rs, -1])
+
+
+def _rs_heights_of_grid(s: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The centres' heights of the panels that _zeta_grid hands to Riemann-Siegel."""
+    seen = [np.empty(0)]
+    real = contour._zeta_rs
+
+    def spy(x, *rest):
+        seen.append(x.imag.copy())
+        return real(x, *rest)
+
+    with mock.patch.object(contour, "_zeta_rs", spy):
+        contour._zeta_grid(s, offsets)
+    return np.concatenate(seen)
+
+
 def test_zeta_critical_strip_accuracy():
     s = 0.5 + 14.134725j  # near the first nontrivial zero
     value = zeta(s)
@@ -307,6 +352,20 @@ def test_dirichlet_sum_against_direct_powers(M):
     scale = np.where(terms, n[None, :] ** -s.real[:, None], 0).sum(axis=1)
     got = _dirichlet_sum(s, np.array([M, short, M]))
     assert np.all(np.abs(got - direct) <= 1e-12 * scale)
+
+
+def test_non_finite_integrand_is_refused():
+    # A nan or an infinite part at any node stops the quadrature.
+    edges = contour._edges(100.0, PERIOD)
+    for bad in (math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)):
+
+        def f(mid, half, bad=bad):
+            y = np.ones((len(mid), 15), dtype=np.complex128)
+            y[-1, 7] = bad
+            return y
+
+        with pytest.raises(ValueError, match="integrand produced a non-finite value"):
+            contour._adaptive_line(f, edges)
 
 
 def test_truncation_height_validation():
@@ -386,7 +445,7 @@ def test_integrand_conjugate_symmetry():
     for f in (
         lambda tau: perron_integrand(2.0, tau),
         constant_contour_integrand,
-        lambda tau: _zeta_integrands((3,), tau)[0],
+        lambda tau: _zeta_integrands((3,), tau, _zeta_line(1.5 + 1j * tau))[0],
     ):
         lo = f(-taus)
         hi = f(taus)
@@ -436,7 +495,8 @@ def test_moment_integrand_gamma_ratio_at_origin():
     # n = 169, the largest order whose Gamma(n + 5/2) is a finite float.
     orders = tuple(range(1, 170))
     assert math.isfinite(math.gamma(orders[-1] + 2.5))
-    rows = _zeta_integrands(orders, np.array([0.0]))[:-1]
+    tau = np.array([0.0])
+    rows = _zeta_integrands(orders, tau, _zeta_line(1.5 + 1j * tau))[:-1]
     for n, (got,) in zip(orders, rows):
         expected = (
             math.factorial(n)
@@ -509,6 +569,10 @@ def test_near_pole_integrals_closed_form(k, monkeypatch):
     # closed-form integral there must match quadrature of the principal
     # part 1/(s - s_k) = 1/(DELTA + i*u), one for every row.  k = 0 is
     # the tau = 0 panel alone, and k = 1104 the partial last panel [kP, T].
+    # The quadrature runs on the window moved to start at 0 (the move and
+    # the moved edges are exact differences): at tau ~ 1e4 a panel's
+    # midpoint is rounded to 1e-12, which against 1/DELTA ~ 12 would
+    # limit the reference to about 1e-11.
     T = 1.0e4
     edges = contour._edges(T, PERIOD)
     assert len(edges) == 1105 and edges[-2] < T < 1104 * PERIOD
@@ -516,8 +580,10 @@ def test_near_pole_integrals_closed_form(k, monkeypatch):
     _, integrals = contour._near_poles((1,), edges)
     assert integrals.shape == (1105,)
     monkeypatch.setattr(contour, "_ABS_TOL", 1e-10)
+    start = window[0] - k * PERIOD
     (want,), _, _ = contour._adaptive_line(
-        lambda tau: 1.0 / (DELTA + 1j * (tau - k * PERIOD)), window
+        lambda mid, half: 1.0 / (DELTA + 1j * (contour._nodes(mid, half) + start)),
+        window - window[0],
     )
     assert abs(integrals[k] - want) <= 1e-12
 
@@ -574,20 +640,23 @@ def test_zeta_contours_match_the_views():
 
 
 def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
+    # Every zeta value, at the quadrature's panels and at the near-poles
+    # (through _zeta_line), comes from _zeta_grid.
     heights = []
     nodes = []
-    real_zeta = contour._zeta_line
+    real_zeta = contour._zeta_grid
     real_integrands = contour._zeta_integrands
 
-    def counted_zeta(s):
-        heights.append(np.asarray(s).imag.copy())
-        return real_zeta(s)
+    def counted_zeta(s, offsets):
+        heights.append((s[:, None] + 1j * np.ravel(offsets)).imag.ravel())
+        return real_zeta(s, offsets)
 
-    def counted_integrands(orders, tau):
-        nodes.append(len(tau))
-        return real_integrands(orders, tau)
+    def counted_integrands(orders, tau, zeta):
+        nodes.append(np.size(tau))
+        assert zeta.shape == tau.shape
+        return real_integrands(orders, tau, zeta)
 
-    monkeypatch.setattr(contour, "_zeta_line", counted_zeta)
+    monkeypatch.setattr(contour, "_zeta_grid", counted_zeta)
     monkeypatch.setattr(contour, "_zeta_integrands", counted_integrands)
     zeta_contours((1, 2, 5), T=SHARED_T)
     # One height per integrand node, plus one per near-pole tau_k = k*P,
@@ -617,7 +686,7 @@ def test_moment_contour_domain():
 def test_moment_contour_integer_orders():
     # A fractional order is refused before zeta is evaluated (its weight
     # row would otherwise be left unfilled); a numpy integer is accepted.
-    with mock.patch.object(contour, "_zeta_line", side_effect=AssertionError):
+    with mock.patch.object(contour, "_zeta_grid", side_effect=AssertionError):
         with pytest.raises(ValueError, match="moment order not an integer"):
             zeta_contours((2, 1.5), T=100.0)
     assert zeta_contours((np.int64(2),), T=FAST_T) == zeta_contours((2,), T=FAST_T)
@@ -633,3 +702,38 @@ def test_constant_contour_truncation_scaling(constant_d30):
     assert err_fine < err_coarse
     ratio = err_coarse / err_fine
     assert 2.0 <= ratio <= 20.0
+
+
+def test_mellin_suite_mesh_is_pinned(monkeypatch):
+    # The node counts of the suite's contours at T = 1e4, counted through
+    # the integrands: zeta_contours((1, 2, 5)) evaluates 1,104 starting
+    # panels (16,560 nodes) and 2,940 refinement nodes, with 1,105
+    # near-poles; the five Perron kernels 100,005 nodes.
+    zeta_nodes, poles, perron_nodes = [], [], []
+    real_integrands = contour._zeta_integrands
+    real_near_poles = contour._near_poles
+    real_perron = contour.perron_integrand
+
+    def counted_integrands(orders, tau, *rest):
+        zeta_nodes.append(np.size(tau))
+        return real_integrands(orders, tau, *rest)
+
+    def counted_near_poles(orders, edges):
+        residues, integrals = real_near_poles(orders, edges)
+        poles.append(residues.shape[1])
+        return residues, integrals
+
+    def counted_perron(t, tau):
+        perron_nodes.append(np.size(tau))
+        return real_perron(t, tau)
+
+    monkeypatch.setattr(contour, "_zeta_integrands", counted_integrands)
+    monkeypatch.setattr(contour, "_near_poles", counted_near_poles)
+    monkeypatch.setattr(contour, "perron_integrand", counted_perron)
+    zeta_contours((1, 2, 5))
+    assert zeta_nodes[0] == 16_560
+    assert sum(zeta_nodes[1:]) == 2_940
+    assert poles == [1_105]
+    for t in (0.5, 1.0, 1.5, 2.0, 4.0):
+        perron_kernel(t)
+    assert sum(perron_nodes) == 100_005

@@ -201,3 +201,35 @@ def test_decimal_string_ties_round_away_from_zero(k, digits):
     tie = Fraction(2 * k + 1, 2 * 10**digits)
     assert decimal_string(tie, digits) == _quantized(tie, digits)
     assert abs(round_decimal(tie, digits)) == abs(tie) + Fraction(1, 2 * 10**digits)
+
+
+# ---------------------------------------------------------------------------
+# Integer counts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("moment_series_constant", 30),
+        ("ln2", 2),
+        ("euler_gamma", 10),
+        ("partial_sum", 16),
+        ("weighted_harmonic_sum_exact", 2),
+        ("bernoulli_numbers", 2),
+        ("recursive_moments", 2),
+        ("bernoulli_moments", 2),
+    ],
+)
+def test_integer_counts_follow_one_rule(name, value):
+    # Every count of the exact API takes any integer type as int(n) and
+    # refuses anything else, a whole float included, with one ValueError.
+    import cantor_moments
+    from cantor_moments import moments
+
+    np = pytest.importorskip("numpy")
+    call = getattr(cantor_moments, name, None) or getattr(moments, name)
+    assert call(np.int64(value)) == call(value)
+    for bad in (value + 0.5, float(value), Fraction(value)):
+        with pytest.raises(ValueError, match="not an integer"):
+            call(bad)
