@@ -26,13 +26,14 @@ gamma errors scaled by their coefficients, and the roundings.
 
 The requested digit count D is the only input.  The working precision
 is P = D + GUARD_DIGITS, and the order J is the smallest whose remainder
-is below 10**-(P+2); euler_gamma picks its own order by the same search.
+is below 10**-(P+2).  One call walks the harmonic prefixes once, takes
+ln 2 once and builds one Bernoulli table: gamma shares all three.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from typing import NamedTuple
 from .exact import _as_int, _balanced_sum, bernoulli_numbers, divround, round_decimal
 
 # Exponents k <= K0 are summed as exact rationals; the closed-form tail
-# covers k > K0.
+# covers k > K0, and gamma is Euler-Maclaurin at m = 2**K0.
 K0 = 8
 
 # Weight of the k-th term of S.
@@ -59,14 +60,8 @@ _PAD = 6
 # Highest Euler-Maclaurin order either expansion may use.
 _MAX_ORDER = 60
 
-# gamma comes from Euler-Maclaurin at m = 2**8: the exact H(256) plus the
-# order that euler_gamma picks for the precision.
-_GAMMA_Q = 8
-
-# Largest k of the exact H(2**k): it bounds the weighted sum's K, the
-# double-sum identity and euler_gamma's q.  The constant uses K0, the
-# identity suite K <= 12 and the dual gamma oracle q = 12 and 14; the
-# exact H(2**14) takes about 60 ms.
+# Largest k of the exact H(2**k), and so of the weighted sum's K and the
+# double-sum identity's; the exact H(2**14) takes about 60 ms.
 _K_CAP = 14
 
 
@@ -81,23 +76,23 @@ def _geometric_tail(x: Fraction) -> Fraction:
 
 
 def _em_order(
-    precision: int, scale: Callable[[int], Fraction]
-) -> tuple[int, Fraction, list[Fraction]]:
+    precision: int, scale: Callable[[int], Fraction], bern: Sequence[Fraction] = ()
+) -> tuple[int, Fraction, Sequence[Fraction]]:
     """The smallest Euler-Maclaurin order J, its remainder bound, B_0..B_{2J+2}.
 
     The bound is |B_{2J+2}| / (2J+2) * scale(J): the first omitted
     Bernoulli term times the factor the expansion applies to it, which is
     1 / m**(2J+2) for H_m itself and a geometric sum over k > K0 for the
     constant's tail.  J is the smallest order that brings the bound
-    below 10**-(precision+2); the constant's tail and :func:`euler_gamma`
-    both pick their order here and sum with the table it returns.
+    below 10**-(precision+2).  gamma and the constant's tail both pick
+    their order here; the tail starts from gamma's table ``bern``, which
+    grows only if the search outruns it.
 
     Raises:
         ValueError: "precision beyond supported range" when no J <= 60
             meets the bound.
     """
     target = Fraction(1, 10 ** (precision + 2))
-    bern: list[Fraction] = []
     for order in range(1, _MAX_ORDER + 1):
         j2 = 2 * order + 2
         if j2 >= len(bern):
@@ -168,41 +163,43 @@ def ln2(precision: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def euler_gamma(precision: int, q: int = _GAMMA_Q) -> Fraction:
+def _gamma(precision: int, h_m: Fraction) -> tuple[Fraction, Fraction, Sequence[Fraction]]:
+    """gamma from h_m = H(2**K0), and the ln 2 and Bernoulli table it used.
+
+    See :func:`euler_gamma`; each term is rounded once at precision + 6 digits.
+    """
+    m = 2**K0
+    order, _, bern = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
+    work = precision + 6
+    log2 = ln2(work + 2)
+    acc = round_decimal(h_m, work) - K0 * round_decimal(log2, work)
+    acc -= round_decimal(Fraction(1, 2 * m), work)
+    for j in range(1, order + 1):
+        acc += round_decimal(bern[2 * j] / (2 * j * Fraction(m) ** (2 * j)), work)
+    return round_decimal(acc, precision), log2, bern
+
+
+def euler_gamma(precision: int) -> Fraction:
     """Euler's gamma with error <= 10**-precision, a multiple of 10**-precision.
 
-    Euler-Maclaurin at m = 2**q:
+    Euler-Maclaurin at m = 2**K0 = 256:
 
         gamma = H_m - ln m - 1/(2m) + sum_{j=1..J} B_{2j} / (2j * m**(2j))
 
     with J the smallest order whose remainder bound
     |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below 10**-(precision+2), found
     by the same search as the constant's tail order.  H_m is the exact
-    H(2**q) of :func:`_harmonic_prefixes`, rounded once.  The default
-    q = 8 serves every precision the constant needs; a second q gives
-    the dual-method oracle.
+    H(2**K0) of :func:`_harmonic_prefixes`, rounded once; the tests hold
+    the dual-method oracle, the same expansion at m = 2**14.
 
     Raises:
-        ValueError: "precision beyond supported range" when q is outside
-            [1, 14] or no J <= 60 meets the remainder bound.
+        ValueError: "precision beyond supported range" when no J <= 60
+            meets the remainder bound.
     """
     precision = _as_int(precision, "precision")
-    q = _as_int(q, "q")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    if not (1 <= q <= _K_CAP):
-        raise ValueError("precision beyond supported range")
-    m = 2**q
-    order, _, bern = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
-
-    # Every term is rounded once at `work` digits; sums on that grid are exact.
-    work = precision + 6
-    acc = round_decimal(next(islice(_harmonic_prefixes(), q - 1, None)), work)
-    acc -= q * round_decimal(ln2(work + 2), work)
-    acc -= round_decimal(Fraction(1, 2 * m), work)
-    for j in range(1, order + 1):
-        acc += round_decimal(bern[2 * j] / (2 * j * Fraction(m) ** (2 * j)), work)
-    return round_decimal(acc, precision)
+    return _gamma(precision, next(islice(_harmonic_prefixes(), K0 - 1, None)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +222,26 @@ def _harmonic_prefixes() -> Iterator[Fraction]:
         yield h
 
 
-def _weighted_sums() -> Iterator[Fraction]:
-    """The running sums sum_{k<=K} (2/3)**k * H(2**k) for K = 1, ..., _K_CAP."""
+def _weighted_sums() -> Iterator[tuple[Fraction, Fraction]]:
+    """sum_{k<=K} (2/3)**k * H(2**k) and H(2**K), for K = 1, ..., _K_CAP."""
     total = Fraction(0)
     for k, h in enumerate(_harmonic_prefixes(), 1):
         total += _W**k * h
-        yield total
+        yield total, h
 
 
 def weighted_harmonic_sum_exact(K: int) -> Fraction:
     """Exact rational truncation sum_{k=1..K} (2/3)**k * H(2**k).
 
     The K-th running sum of one cumulative pass over k, with each
-    H(2**k) from :func:`_harmonic_prefixes`.  The exact head of the
-    constant (K = K0) and the tests use it; the double-sum identity walks
-    the same running sums.  K is capped at 14, where exact harmonic
-    numbers stay cheap.
+    H(2**k) from :func:`_harmonic_prefixes`; the constant's exact head
+    (K = K0) and the double-sum identity read the same running sums.  K
+    is capped at 14, where exact harmonic numbers stay cheap.
     """
     K = _as_int(K, "K")
     if not (1 <= K <= _K_CAP):
         raise ValueError(f"exact weighted sum supports 1 <= K <= {_K_CAP}")
-    return next(islice(_weighted_sums(), K - 1, None))
+    return next(islice(_weighted_sums(), K - 1, None))[0]
 
 
 def _float_up(x: Fraction) -> float:
@@ -273,8 +269,10 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
         raise ValueError(f"target digits out of supported range [1, {MAX_DIGITS}]")
     P = digits + GUARD_DIGITS
     W = P + _PAD
+    head, h_m = next(islice(_weighted_sums(), K0 - 1, None))
+    gamma, log2, bern = _gamma(W, h_m)
     J, tail_remainder, bern = _em_order(
-        P, lambda j: _geometric_tail(_W / 4 ** (j + 1))
+        P, lambda j: _geometric_tail(_W / 4 ** (j + 1)), bern
     )
     two_thirds = Fraction(2, 3)
 
@@ -286,14 +284,14 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
         bern[2 * j] / (2 * j) * _geometric_tail(_W / 4**j)
         for j in range(1, J + 1)
     )
-    Q = -Fraction(1, 3) + two_thirds * (weighted_harmonic_sum_exact(K0) + tail_rational)
+    Q = -Fraction(1, 3) + two_thirds * (head + tail_rational)
     ln2_coeff = two_thirds * A
     gamma_coeff = two_thirds * B
 
     value = round_decimal(
         round_decimal(Q, W)
-        + round_decimal(ln2_coeff * ln2(W), W)
-        + round_decimal(gamma_coeff * euler_gamma(W), W),
+        + round_decimal(ln2_coeff * round_decimal(log2, W), W)
+        + round_decimal(gamma_coeff * gamma, W),
         P,
     )
 
@@ -339,7 +337,7 @@ def _identity_forms() -> Iterator[tuple[Fraction, Fraction]]:
     """
     outer = Fraction(0)
     geometric = Fraction(0)
-    for k, weighted in enumerate(_weighted_sums(), 1):
+    for k, (weighted, _) in enumerate(_weighted_sums(), 1):
         two_k = 2**k
         inner = Fraction(*_balanced_sum(lambda m: (two_k - m, m), 1, two_k))
         outer += Fraction(1, 3**k) * inner

@@ -341,7 +341,9 @@ def _log_chi(s: np.ndarray):
     log chi(s) = s ln 2 + (s - 1) ln pi + log sin(pi s/2) + log Gamma(1 - s),
     in logarithms, since sin(pi s/2) alone overflows and Gamma(1 - s)
     underflows by tau ~ 450.  Here log sin(pi s/2) =
-    log((i/2) exp(-i pi s/2)) + log(1 - exp(i pi s)), and log Gamma(w),
+    log((i/2) exp(-i pi s/2)) + log(1 - exp(i pi s)), less its last term:
+    that is log1p(0) = 0 wherever chi is taken (tau > 1649, see
+    :func:`_rs_bound`), as exp(-pi tau) underflows from tau ~ 238.  log Gamma(w),
     w = 1 - s = -i tau (1 + i e), e = (1 - sigma)/tau, is Stirling's
     series to the 1/(360 w**3) term, whose remainder is at most
     sec(arg(w)/2)**6 / (1260 |w|**5).  Their terms of size tau cancel in
@@ -356,7 +358,6 @@ def _log_chi(s: np.ndarray):
     log_chi = (
         (0.5 - sigma) * (log_t + log_w) - 1j * tau * log_w - (1.0 - sigma) + 0.25j * math.pi
         + 1.0 / (12.0 * w) - 1.0 / (360.0 * w**3)
-        + np.log1p(-np.exp(1j * math.pi * s))
         - 1j * tau * (log_t - 1.0)
     )
     stirling = 1.0 / (1260.0 * np.abs(w) ** 5 * np.cos(np.angle(w) / 2) ** 6)

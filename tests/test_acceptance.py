@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from test_constant import ln2_alt
+from test_constant import gamma_alt, ln2_alt
 
 from cantor_moments import (
     bernoulli_moments,
@@ -159,10 +159,10 @@ def test_cantor_integral_consistency(acceptance):
 
 
 @pytest.mark.criterion("high-precision self-consistency (dual oracles)")
-def test_high_precision_self_consistency(acceptance):
+def test_high_precision_self_consistency(acceptance, harmonic_powers):
     bound = Fraction(1, 10**30)
     ln2_gap = abs(ln2(40) - ln2_alt(40))
-    gamma_gap = abs(euler_gamma(40, q=12) - euler_gamma(40, q=14))
+    gamma_gap = abs(euler_gamma(40) - gamma_alt(40, 14, harmonic_powers[14]))
     r20 = moment_series_constant(20)
     r40 = moment_series_constant(40)
     const_gap = abs(r40.value - r20.value)

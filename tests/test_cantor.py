@@ -203,13 +203,24 @@ def test_integral_converges_with_points():
 
 
 def test_integral_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="moment order below 1"):
         integral_quadrature((1, 0))
+
+
+def test_integral_within_monotone_bound():
+    # C**n is nondecreasing, so the midpoint rule on N cells errs by at most
+    # 1/N, and the 64-digit values by n * 2**-64 more; the float estimate
+    # is the mean rounded once, half an ulp below 1.
+    orders = (1, 2, 3, 5, 8)
+    table = bernoulli_moments(8)
+    for n, estimate in zip(orders, integral_quadrature(orders)):
+        bound = Fraction(1, 10**6) + Fraction(n, 2**64) + Fraction(1, 2**54)
+        assert abs(Fraction(estimate) - table[n]) <= bound, n
 
 
 def test_integral_integer_orders():
     # A fractional order is refused; a numpy integer is an order like any other.
-    with pytest.raises(ValueError, match="moment order must be an integer"):
+    with pytest.raises(ValueError, match="moment order not an integer"):
         integral_quadrature((2, 1.5))
     np = pytest.importorskip("numpy")
     assert integral_quadrature((np.int64(2),)) == integral_quadrature((2,))

@@ -65,6 +65,28 @@ def ln2_alt(precision: int) -> Fraction:
     return round_decimal(Fraction(acc, 10**work), precision)
 
 
+def gamma_alt(precision: int, q: int, h_m: Fraction) -> Fraction:
+    """Second gamma oracle: Euler-Maclaurin at m = 2**q, from h_m = H(m).
+
+    gamma = H_m - q ln 2 - 1/(2m) + sum_{j>=1} B_{2j} / (2j * m**(2j)),
+    summed exactly and rounded once, with ln 2 from :func:`ln2_alt` and
+    H_m from the ``harmonic_powers`` fixture's plain running sum.  The
+    series stops at its first term below 10**-(precision+6), which bounds
+    the omitted remainder; with ln2_alt's q * 10**-(precision+6) and the
+    final rounding the error stays below 10**-precision for q <= 14.
+    """
+    m = 2**q
+    work = precision + 6
+    bern = bernoulli_numbers(40)
+    acc = h_m - q * ln2_alt(work) - Fraction(1, 2 * m)
+    for j in range(1, 20):
+        term = bern[2 * j] / (2 * j * Fraction(m) ** (2 * j))
+        if abs(term) < Fraction(1, 10**work):
+            break
+        acc += term
+    return round_decimal(acc, precision)
+
+
 # ---------------------------------------------------------------------------
 # ln 2 and Euler gamma
 # ---------------------------------------------------------------------------
@@ -89,23 +111,22 @@ def test_euler_gamma_examples():
     assert decimal_string(euler_gamma(5), 5) == "0.57722"
 
 
-def test_euler_gamma_dual_parameters():
-    a = euler_gamma(40, q=12)
-    b = euler_gamma(40, q=14)
+def test_euler_gamma_dual_parameters(harmonic_powers):
+    # The library's expansion at m = 2**8 against the tests' own at
+    # m = 2**12 and 2**14, and those two against each other.
+    a = gamma_alt(40, 12, harmonic_powers[12])
+    b = gamma_alt(40, 14, harmonic_powers[14])
     assert abs(a - b) <= Fraction(1, 10**30)
-    # the production q = 8 and q = 12 give an identical prefix at P = 30
-    c = euler_gamma(30, q=8)
-    d = euler_gamma(30, q=12)
+    assert abs(euler_gamma(40) - b) <= Fraction(1, 10**30)
+    # m = 2**8 and m = 2**12 give an identical prefix at P = 30
+    c = euler_gamma(30)
+    d = gamma_alt(30, 12, harmonic_powers[12])
     assert decimal_string(c, 30) == decimal_string(d, 30)
 
 
 def test_euler_gamma_precision_cap():
     with pytest.raises(ValueError, match="precision beyond supported range"):
         euler_gamma(2000)
-    # q runs over the exact H(2**q) of the prefix walk, 1..14.
-    for q in (0, 15):
-        with pytest.raises(ValueError, match="precision beyond supported range"):
-            euler_gamma(30, q=q)
 
 
 def test_euler_gamma_against_mpmath():
@@ -135,7 +156,7 @@ def test_harmonic_fixed_switch_point_agreement(harmonic_powers):
         J = moment_series_constant(digits).em_order
         W = digits + GUARD_DIGITS + 6
         log2 = ln2(W)
-        gamma = euler_gamma(W, q=8)
+        gamma = euler_gamma(W)
         j2 = 2 * J + 2
         B = bernoulli_numbers(j2)
         for k, h in exact.items():
@@ -173,6 +194,31 @@ def test_series_tail_bound_dominates_true_tail(harmonic_powers):
             Fraction(2, 3) ** k * harmonic_powers[k] for k in range(K + 1, 14)
         )
         assert series_tail_bound(K) > partial_tail
+
+
+def test_constant_computes_each_input_once(monkeypatch):
+    # One D = 60 call walks the harmonic prefixes once, to H(2**K0), takes
+    # ln 2 once, and builds Bernoulli tables only in gamma's order search,
+    # growing to J = 19: the tail's search (J = 14) reads gamma's table.
+    calls = []
+    for name in ("_harmonic_prefixes", "ln2", "bernoulli_numbers"):
+        real = getattr(constant, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append((name, *args))
+            return real(*args)
+
+        monkeypatch.setattr(constant, name, counted)
+    result = moment_series_constant(60)
+    W = 60 + GUARD_DIGITS + 6
+    assert sorted(calls) == [
+        ("_harmonic_prefixes",),
+        ("bernoulli_numbers", 8),
+        ("bernoulli_numbers", 20),
+        ("bernoulli_numbers", 44),
+        ("ln2", W + 8),
+    ]
+    assert result.em_order == 14
 
 
 def test_default_budget_30(constant_d30):
