@@ -25,17 +25,21 @@ in.  Two kinds of figures are written:
   suite's five Perron kernels, and zeta per point at heights 10 to
   1e4 on Re s = 3/2 (in seconds per point); the first call of the decay
   fit, which loads what it imports, and of ``zeta_contours((1, 2, 5))``,
-  which builds its coefficient tables; and the time to import the
-  ``cantor`` module.  The contour figures import ``contour``, and so
-  numpy, untimed in their own children.  Each figure is timed on its own, in
-  ``IN_PROCESS_RUNS`` rounds of one fresh child interpreter per tree
-  run back to back, which tree goes first alternating from round to
-  round and from figure to figure.  A figure's value per tree is the
+  which builds its coefficient tables, at T = 1e4 and at T = 1e5; and
+  the time to import the ``cantor`` module.  The contour figures import
+  ``contour``, and so numpy, untimed in their own children.  Each figure
+  is timed on its own, in ``IN_PROCESS_RUNS`` rounds of one fresh child
+  interpreter per tree run back to back, which tree goes first
+  alternating from round to round and from figure to figure.  A figure's value per tree is the
   median of its children, and ``change_over_parent`` the median of the
   rounds' ratios.  On a shared machine one child's time can differ from
   the next one's by half, on identical code, so a best of all children
   lets one lucky child set a tree's figure; the median of many rounds
   does not.  The children's times are kept under ``samples``.
+* ``traced_peak_mb``: the peak of the memory that ``tracemalloc``
+  traces, numpy's buffers included, for ``zeta_contours((1, 2, 5))`` at
+  T = 1e4 and 1e5 and for the five Perron kernels in a row, each in a
+  fresh child per tree, ``TRACE_RUNS`` rounds in alternating order.
 
 The record also holds the machine, the Python and numpy versions, and
 each tree's commit and source digest.  Only the standard library is used.
@@ -59,6 +63,7 @@ CHANGE = Path(__file__).resolve().parents[1]
 RUNS = 10
 RSS_RUNS = 3
 IN_PROCESS_RUNS = 15
+TRACE_RUNS = 2
 
 COMMANDS = (
     ("constant --digits 30 --json", ["constant", "--digits", "30", "--json"]),
@@ -161,7 +166,15 @@ def zeta_per_point(tau):
     contour._zeta_line(s)
     return best(lambda: contour._zeta_line(s)) / len(s)
 
+def zeta_contours_1e5():
+    from cantor_moments import contour
+
+    start = time.perf_counter()
+    contour.zeta_contours((1, 2, 5), T=1.0e5)
+    return time.perf_counter() - start
+
 FIGURES["zeta_contours((1, 2, 5)), first call"] = zeta_contours_first_call
+FIGURES["zeta_contours((1, 2, 5), T = 1e5), first call"] = zeta_contours_1e5
 FIGURES["perron_kernel(t), t = 0.5, 1, 1.5, 2, 4"] = perron_kernels
 for tau in (10, 100, 1000, 10000):
     FIGURES[f"_zeta_line per point, tau = {tau}"] = lambda tau=tau: zeta_per_point(tau)
@@ -182,6 +195,28 @@ except SystemExit as exit:
 with open("/proc/self/status") as status:
     peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
 print(peak, file=sys.stderr)
+"""
+
+# Run in a fresh interpreter per sample: with a figure's name as its
+# argument, prints that contour call's traced peak in MB (numpy imported
+# untraced); with none, prints the figures' names as a JSON list.
+TRACED_PEAK = r"""
+import json, sys, tracemalloc
+from cantor_moments import contour
+
+FIGURES = {
+    "zeta_contours((1, 2, 5)), T = 1e4": lambda: contour.zeta_contours((1, 2, 5)),
+    "zeta_contours((1, 2, 5)), T = 1e5": lambda: contour.zeta_contours((1, 2, 5), T=1.0e5),
+    "perron_kernel(t), t = 0.5, 1, 1.5, 2, 4": lambda: [
+        contour.perron_kernel(t) for t in (0.5, 1.0, 1.5, 2.0, 4.0)
+    ],
+}
+if len(sys.argv) > 1:
+    tracemalloc.start()
+    FIGURES[sys.argv[1]]()
+    print(json.dumps(tracemalloc.get_traced_memory()[1] / 2**20))
+else:
+    print(json.dumps(list(FIGURES)))
 """
 
 # Run in a fresh interpreter per sample: the import loads whatever the
@@ -309,6 +344,23 @@ def in_process(parent: Path) -> dict:
     }
 
 
+def traced_peaks(parent: Path) -> dict:
+    """Each contour figure's traced peak in MB, per tree, over alternating rounds."""
+    order = (("parent", parent), ("change", CHANGE))
+    peaks: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    for figure in json.loads(child_stdout(CHANGE, TRACED_PEAK)):
+        for i in range(TRACE_RUNS):
+            for name, tree in order if i % 2 == 0 else order[::-1]:
+                peak = json.loads(child_stdout(tree, TRACED_PEAK, figure))
+                peaks[name].setdefault(figure, []).append(peak)
+        print(
+            f"{figure}: parent {max(peaks['parent'][figure]):.2f} MB traced, "
+            f"change {max(peaks['change'][figure]):.2f} MB",
+            file=sys.stderr,
+        )
+    return peaks
+
+
 def provenance(tree: Path) -> dict:
     """The tree's git commit (None outside a repository) and a digest of its src/."""
     try:
@@ -372,10 +424,12 @@ def main(argv: list[str] | None = None) -> int:
             "run back to back in alternating order, each child's time the best "
             "of 5 calls (one for a first call or the import); per tree the "
             "median of its children, and change_over_parent the median of the "
-            "rounds' ratios"
+            "rounds' ratios; traced peaks from tracemalloc in "
+            f"{TRACE_RUNS} rounds of one fresh child per tree and figure"
         ),
         "end_to_end": end_to_end(parent),
         "in_process": in_process(parent),
+        "traced_peak_mb": traced_peaks(parent),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0

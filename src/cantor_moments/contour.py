@@ -17,8 +17,11 @@ double precision — the high-precision decimal arithmetic stays in
 All integrands satisfy f(conj s) = conj f(s), so integrals over
 [-T, T] are evaluated as twice the real part over [0, T]; the symmetry
 itself is asserted in the test suite.  The quadrature is adaptive
-Gauss-Kronrod 7-15 with all panels of a refinement wave evaluated in one
-vectorized batch, for one integrand or several sharing one mesh.  Both
+Gauss-Kronrod 7-15, for one integrand or several sharing one mesh.  A
+refinement wave streams its panels through the integrand in vectorized
+blocks of at most _BLOCK panels, each reduced to its per-panel K15 and G7
+sums before the next is built, so the working set is one block plus the
+wave's per-panel bookkeeping, and does not grow with T.  Both
 line integrals start from equal panels built by one function,
 :func:`_edges`, which also checks T and the evaluation budget: P wide
 (below) for the zeta rows, and for the Perron kernel no wider than P nor
@@ -50,7 +53,10 @@ product of a table per panel with a table per node offset, not a table
 per node: the grid factorization behind Odlyzko and Schoenhage's
 multi-evaluation of zeta (Trans. AMS 309, 1988).  Each table is built
 multiplicatively from a smallest-prime-factor sieve, with exp taken
-only at primes.
+only at primes.  What a block's tables share with the rest of its wave
+or line (the sieve, and per real part and node offsets the tables of
+n**(-sigma - i*d_j) and the correction coefficients) is cached, so it is
+built once, not once per block.
 
 Each centre takes one of two paths, chosen from the error bounds at all
 of its nodes.  Riemann-Siegel, in Arias de Reyna's form for any real
@@ -71,6 +77,7 @@ above 1e-10.
 
 from __future__ import annotations
 
+import functools
 import math
 from math import factorial
 
@@ -128,11 +135,35 @@ def _spf_sieve(M: int) -> np.ndarray:
     return spf
 
 
+@functools.lru_cache(maxsize=None)
+def _factorization(bits: int):
+    """The primes below 2**bits with their logarithms, and the composites by level.
+
+    Level j holds the composites c in [2**j, 2**(j+1)) with p = spf(c)
+    and c/p, both below 2**j.  Cached by bit length (a few dozen at
+    most), so the blocks of a quadrature wave or of a line share one
+    sieve instead of building one each; the arrays are read-only.
+    """
+    top = 2**bits - 1
+    spf = _spf_sieve(top)
+    n = np.arange(top + 1)
+    primes = np.flatnonzero(spf[2:] == n[2:]) + 2
+    levels = []
+    for j in range(2, bits):
+        lo, hi = 2**j, 2 ** (j + 1)
+        c = n[lo:hi][spf[lo:hi] != n[lo:hi]]
+        levels.append((c, spf[c], c // spf[c]))
+    arrays = (primes, np.log(primes)[:, None])
+    for a in arrays + sum(levels, ()):
+        a.flags.writeable = False
+    return *arrays, levels
+
+
 def _powers(x: np.ndarray, cutoffs, width: int):
     """Tables of n**(-x), each for a run of width consecutive points of x.
 
-    cutoffs is one cutoff for all runs, or one per run; the sieve is
-    built once, for the largest.  Yields (start, w) with
+    cutoffs is one cutoff for all runs, or one per run; the factorization
+    of :func:`_factorization` covers the largest.  Yields (start, w) with
     w[n, j] = n**(-x[start + j]) for 1 <= n <= the run's cutoff; w is one
     buffer, overwritten by the next run.  exp is taken only at the
     primes.  Every composite n = p * (n/p), p = spf(n), gets n**(-x) as
@@ -142,16 +173,8 @@ def _powers(x: np.ndarray, cutoffs, width: int):
     """
     cutoffs = np.broadcast_to(cutoffs, (-(-len(x) // width),))
     top = int(cutoffs.max())
-    spf = _spf_sieve(top)
-    n = np.arange(top + 1)
-    primes = np.flatnonzero(spf[2:] == n[2:]) + 2
-    log_p = np.log(primes)[:, None]
-    levels = []
-    for j in range(2, top.bit_length()):
-        lo, hi = 2**j, min(2 ** (j + 1), top + 1)
-        c = n[lo:hi][spf[lo:hi] != n[lo:hi]]
-        levels.append((c, spf[c], c // spf[c]))
-    table = np.empty((top + 1, width), dtype=np.complex128)
+    primes, log_p, levels = _factorization(top.bit_length())
+    table = np.empty((top + 1, min(width, len(x))), dtype=np.complex128)
     for lo, cutoff in zip(range(0, len(x), width), cutoffs):
         run = x[lo : lo + width]
         w = table[: cutoff + 1, : len(run)]
@@ -261,6 +284,12 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
 _RS_TERMS = 7
 # Nodes per chunk of the Riemann-Siegel tables.
 _RS_CHUNK = 1024
+# Panels per block of a quadrature wave: the integrand, and so zeta, sees
+# at most _BLOCK panels (15 * _BLOCK nodes) at a time, and _zeta_line as
+# many points, so the working set does not grow with T.  Chosen by
+# measurement: 68 panels (_RS_CHUNK nodes) pay their fixed per-block
+# work about 17 times a wave at T = 1e4, and 256 panels raise the peak.
+_BLOCK = 128
 
 
 def _rs_derivatives() -> np.ndarray:
@@ -290,8 +319,8 @@ def _rs_derivatives() -> np.ndarray:
 _RS_DERIVATIVES = _rs_derivatives()
 
 
-def _rs_coefficients(sigma: float) -> np.ndarray:
-    """C_k(p), k < _RS_TERMS, as rows of polynomial coefficients in p**2.
+def _rs_coefficients(sigma: float, terms: int) -> np.ndarray:
+    """C_k(p), k < terms, as rows of polynomial coefficients in p**2.
 
     F^(m) has the parity of m, so C_k(p) has the parity of k: row k holds
     c_km with C_k(p) = p**(k mod 2) * sum_m c_km p**(2m).
@@ -301,7 +330,7 @@ def _rs_coefficients(sigma: float) -> np.ndarray:
     for m != 0, and d_kl = -sum_{r<l} (-1)**(l-r) (2l-2r)!/(l-r)! d_kr.
     """
     d = {(0, 0): 1.0}
-    for k in range(1, _RS_TERMS):
+    for k in range(1, terms):
         for l in range(3 * k // 2 + 1):
             m = 3 * k - 2 * l
             if m:
@@ -315,11 +344,44 @@ def _rs_coefficients(sigma: float) -> np.ndarray:
                     (-1) ** (l - r) * factorial(2 * (l - r)) / factorial(l - r) * d[k, r]
                     for r in range(l)
                 )
-    weights = np.zeros((_RS_TERMS, len(_RS_DERIVATIVES)), dtype=np.complex128)
+    weights = np.zeros((terms, len(_RS_DERIVATIVES)), dtype=np.complex128)
     for (k, l), d_kl in d.items():
         weights[k, 3 * k - 2 * l] = d_kl / (math.pi ** (2 * k - l) * (2j) ** l)
     out = np.einsum("km,mn->kn", weights, _RS_DERIVATIVES)
     return np.array([row[k % 2 :: 2] for k, row in enumerate(out)])
+
+
+@functools.lru_cache(maxsize=8)
+def _rs_series(sigma: float, terms: int) -> np.ndarray:
+    """C_k(p), k < terms, of the sides sigma and 1 - sigma as real columns.
+
+    Cached per real part, so a wave or a line builds them once, not once
+    per block; read-only.
+    """
+    C = np.concatenate([_rs_coefficients(x, terms) for x in (sigma, 1.0 - sigma)])
+    C = np.concatenate([C.real, C.imag]).T  # real columns, for one real product
+    C.flags.writeable = False
+    return C
+
+
+@functools.lru_cache(maxsize=2)
+def _rs_table(sigma: float, offsets: tuple[float, ...], bits: int) -> np.ndarray:
+    """n**(-side - i*d_j) for n < 2**bits, side = sigma and 1 - sigma: shape (n, 2, j).
+
+    The main sums' table at node offsets d_j.  Its rows do not depend on
+    how far it runs, so one per real part, offsets and bit length of N
+    serves every block of a wave (whose panels share their offsets) or
+    of a line.  Two are kept: a wave's blocks rise in height, and its last
+    block may hold a second width; read-only.
+    """
+    d = np.array(offsets)
+    top = 2**bits - 1
+    _, phases = next(_powers(1j * d, top, len(d)))
+    sides = np.array([sigma, 1.0 - sigma])
+    n = np.arange(1, top + 1)
+    table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
+    table.flags.writeable = False
+    return table
 
 
 def _rs_side_bound(sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -406,8 +468,10 @@ def _zeta_rs(
     which the caller has already computed to choose the path; the result
     has their shape, s.shape + offsets.shape.  R(s) and R(1 - conj s) are
     built side by side, for each real part sigma among the centres, a
-    chunk of about _RS_CHUNK nodes at a time.  Both main sums of a chunk
-    are one product of its table of n**(-i Im s_p) with the table of
+    chunk of about _RS_CHUNK nodes at a time (fewer where N is so large
+    that the chunk's table of n**(-i Im s_p) would pass 16 * _RS_CHUNK
+    entries).  Both main sums of a chunk are one product of that table
+    with the cached table of :func:`_rs_table`,
     n**(-side - i*offsets_j), side = sigma and 1 - sigma, over the n up to
     the smallest N of each centre's nodes; a node whose N is larger adds
     its last terms one by one (above tau ~ 1650 N changes at most once
@@ -434,19 +498,22 @@ def _zeta_rs(
     low = N.min(axis=1)
     top = int(N.max())
     n = np.arange(1, top + 1)
-    _, phases = next(_powers(1j * d, top, len(d)))
-    chunk = max(1, _RS_CHUNK // len(d))
+    # About _RS_CHUNK nodes per chunk, and at most 16 * _RS_CHUNK entries
+    # in its table of n**(-i Im s_p), which has one column per centre: a
+    # line of points has one centre per node.
+    chunk = max(1, min(_RS_CHUNK // len(d), 16 * _RS_CHUNK // top))
     R = np.empty((2,) + tau.shape, dtype=np.complex128)
     values, groups = np.unique(s.real, return_inverse=True)
     for g, value in enumerate(values):
         at = np.flatnonzero(groups == g)
         sides = np.array([value, 1.0 - value])
-        table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
-        C = np.concatenate([_rs_coefficients(x) for x in sides])
-        C = np.concatenate([C.real, C.imag]).T  # real columns, for one real product
+        table = _rs_table(float(value), tuple(d.tolist()), top.bit_length())
+        table = table[:top].reshape(top, -1)
+        C = _rs_series(float(value), K)
         for lo, w in _powers(1j * s.imag[at], top, chunk):
             rows = at[lo : lo + w.shape[1]]
-            sums = _product(w[1:] * (n[:, None] <= low[rows]), table.reshape(top, -1))
+            np.multiply(w[1:], n[:, None] <= low[rows], out=w[1:])
+            sums = _product(w[1:], table)
             sums = sums.reshape(2, len(d), -1).transpose(0, 2, 1)
             past = N[rows] - low[rows, None]
             for step in range(1, int(past.max()) + 1):
@@ -515,13 +582,19 @@ def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
 def _zeta_line(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for arrays with Re s > 0, s != 1; error under 1e-10.
 
-    :func:`_zeta_grid` with one node, offset 0, per point.  Every point
-    is evaluated at |Im s| and conjugated back where Im s < 0, so
-    zeta(conj s) is conj zeta(s) bit for bit.
+    :func:`_zeta_grid` with one node, offset 0, per point, called on
+    consecutive blocks of at most 15 * _BLOCK points, the node budget of
+    one quadrature block, so the working set does not grow with the
+    number of points.  Every point is evaluated at |Im s| and conjugated
+    back where Im s < 0, so zeta(conj s) is conj zeta(s) bit for bit.
     """
     s = np.asarray(s, dtype=np.complex128)
     below = s.imag < 0
-    out = _zeta_grid(np.where(below, s.conj(), s), 0.0)
+    s = np.where(below, s.conj(), s)
+    out = np.empty(s.shape, dtype=np.complex128)
+    step = 15 * _BLOCK
+    for lo in range(0, len(s), step):
+        out[lo : lo + step] = _zeta_grid(s[lo : lo + step], 0.0)
     return np.where(below, out.conj(), out)
 
 
@@ -568,22 +641,41 @@ def _nodes(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 
 def _panel_integrals(f, mid: np.ndarray, half: np.ndarray):
-    """Gauss-Kronrod 7-15 on each panel [mid_i - half_i, mid_i + half_i], one batch eval.
+    """Gauss-Kronrod 7-15 on each panel [mid_i - half_i, mid_i + half_i], block by block.
 
-    f maps the panels (mid, half) to one row of values per integrand at
+    f maps panels (mid, half) to one row of values per integrand at
     their :func:`_nodes`, of shape (rows, panels, 15) (one row may drop
-    the first axis, or come flattened).  Returns the K15 values and the
-    error estimates |K15 - G7|, each of shape (rows, panels).
+    the first axis, or come flattened).  It is called on consecutive
+    blocks of at most _BLOCK panels, and each block is reduced to its
+    K15 sums and |K15 - G7| before the next is evaluated, so the values
+    of one block are all that is held at a time.  Returns the K15 values
+    and the error estimates |K15 - G7|, each of shape (rows, panels).
     """
-    y = f(mid, half)
+    k15 = err = None
+    for lo in range(0, len(mid), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        sums, g7 = _kronrod(f(mid[block], half[block]), half[block])
+        if k15 is None:
+            k15 = np.empty((len(sums), len(mid)), dtype=sums.dtype)
+            err = np.empty((len(sums), len(mid)))
+        k15[:, block] = sums
+        np.abs(sums - g7, out=err[:, block])
+    return k15, err
+
+
+def _kronrod(y: np.ndarray, half: np.ndarray):
+    """The K15 and G7 sums of one block's values y at its panels' nodes.
+
+    Refuses a non-finite value.  y is dropped on return, before the next
+    block is evaluated.
+    """
     if not np.isfinite(y).all():
         raise ValueError("integrand produced a non-finite value")
-    y = y.reshape(-1, len(mid), 15)
+    y = y.reshape(-1, len(half), 15)
     # einsum, not @, as in _zeta_rs: no BLAS threads for these products,
     # also where numpy was loaded before the CLI could set one thread.
     k15 = half * np.einsum("rpn,n->rp", y, _K15_WEIGHTS)
-    g7 = half * np.einsum("rpn,n->rp", y[..., 1::2], _G7_WEIGHTS)
-    return k15, np.abs(k15 - g7)
+    return k15, half * np.einsum("rpn,n->rp", y[..., 1::2], _G7_WEIGHTS)
 
 
 def _adaptive_line(f, edges: np.ndarray):
@@ -595,6 +687,9 @@ def _adaptive_line(f, edges: np.ndarray):
     every panel where any row's Gauss-Kronrod error estimate |K15 - G7|
     exceeds its share _ABS_TOL * half / T of the budget, re-evaluating
     only split panels, until all pass or the _MAX_EVALS budget runs out.
+    Each wave calls f on blocks of at most _BLOCK panels
+    (:func:`_panel_integrals`), so what is held is one block's values
+    and, per panel, its midpoint, half-width, K15 sums and estimates.
     A panel is carried as its midpoint and half-width; the half-width
     starts at exactly half the starting width (half its own on the last
     panel) and is halved exactly at each bisection, so the panels of one
@@ -614,8 +709,7 @@ def _adaptive_line(f, edges: np.ndarray):
     evals = 15 * len(mid)
 
     while True:
-        allowance = _ABS_TOL * half / T
-        bad = (errs > allowance).any(axis=0)
+        bad = (errs > _ABS_TOL * half / T).any(axis=0)
         if not bad.any():
             break
         if evals + 30 * int(bad.sum()) > _MAX_EVALS:
@@ -739,7 +833,10 @@ def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray, zeta: np.ndarray)
     den = 3.0 * 2.0 ** (s - 1) - 1.0
     if np.abs(den).min() < 0.9 * _DENOM_FLOOR:
         raise ValueError("verification line drifted: denominator below floor")
-    return _weights(orders, s) * np.conj(zeta) / den
+    rows = _weights(orders, s)
+    rows *= np.conj(zeta)
+    rows /= den
+    return rows
 
 
 def _zeta_panels(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -839,13 +936,17 @@ def zeta_contours(
         raise ValueError("moment order below 1")
     edges = _edges(T, _POLE_PERIOD)
     residues, pole_integrals = _near_poles(orders, edges)
+    # Only their sum is needed, so the per-pole integrals go before the mesh.
+    principal = (residues * pole_integrals).sum(axis=1)
+    del pole_integrals
 
     def integrands(mid, half):
         rows = _zeta_integrands(orders, _nodes(mid, half), _zeta_panels(mid, half))
-        return rows - _principal_parts(residues, mid, half)
+        rows -= _principal_parts(residues, mid, half)
+        return rows
 
     integrals, _, _ = _adaptive_line(integrands, edges)
-    integrals = integrals + (residues * pole_integrals).sum(axis=1)
+    integrals = integrals + principal
     moments = (2.0 / 3.0) * 2.0 * integrals[:-1].real / (2.0 * math.pi)
     constant = 1.0 + (2.0 / 3.0) * 2.0 * integrals[-1].real / (2.0 * math.pi)
     return tuple(float(m) for m in moments), float(constant)

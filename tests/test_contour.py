@@ -355,17 +355,49 @@ def test_dirichlet_sum_against_direct_powers(M):
 
 
 def test_non_finite_integrand_is_refused():
-    # A nan or an infinite part at any node stops the quadrature.
-    edges = contour._edges(100.0, PERIOD)
-    for bad in (math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)):
+    # A nan or an infinite part at any node stops the quadrature: on a
+    # one-block mesh at T = 100, and on the 1,104 panels at T = 1e4, which
+    # the integrand sees in several blocks, at the last panel only, in
+    # the last block.
+    for T in (100.0, 1.0e4):
+        edges = contour._edges(T, PERIOD)
+        for bad in (math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)):
+            blocks = []
 
-        def f(mid, half, bad=bad):
-            y = np.ones((len(mid), 15), dtype=np.complex128)
-            y[-1, 7] = bad
-            return y
+            def f(mid, half, bad=bad, edges=edges):
+                blocks.append(len(mid))
+                y = np.ones((len(mid), 15), dtype=np.complex128)
+                y[mid > edges[-2], 7] = bad
+                return y
 
-        with pytest.raises(ValueError, match="integrand produced a non-finite value"):
-            contour._adaptive_line(f, edges)
+            with pytest.raises(ValueError, match="integrand produced a non-finite value"):
+                contour._adaptive_line(f, edges)
+            assert sum(blocks) == len(edges) - 1
+            assert len(blocks) == math.ceil((len(edges) - 1) / contour._BLOCK)
+        assert (len(blocks) > 1) == (T == 1.0e4)
+
+
+def test_contour_working_set_does_not_grow_with_T():
+    # tracemalloc counts numpy's buffers.  The quadrature holds one block
+    # of panels' values at a time and otherwise O(panels) bookkeeping, so
+    # at T = 1e4 the peaks stay small, and quadrupling T does not
+    # quadruple the zeta rows' peak, as a wave evaluated in one piece would.
+    # The tables cached across blocks are cleared first, so each call
+    # counts its own whatever ran before.
+    def peak(run):
+        contour._factorization.cache_clear()
+        contour._rs_table.cache_clear()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    zeta = peak(lambda: zeta_contours((1, 2, 5)))
+    assert zeta <= 2_000_000
+    assert peak(lambda: perron_kernel(4.0)) <= 500_000
+    assert peak(lambda: zeta_contours((1, 2, 5), T=4.0e4)) <= 1.5 * zeta
 
 
 def test_truncation_height_validation():
@@ -641,14 +673,17 @@ def test_zeta_contours_match_the_views():
 
 def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
     # Every zeta value, at the quadrature's panels and at the near-poles
-    # (through _zeta_line), comes from _zeta_grid.
+    # (through _zeta_line, block by block), comes from _zeta_grid.
     heights = []
+    line = []
     nodes = []
     real_zeta = contour._zeta_grid
     real_integrands = contour._zeta_integrands
 
     def counted_zeta(s, offsets):
         heights.append((s[:, None] + 1j * np.ravel(offsets)).imag.ravel())
+        if np.ndim(offsets) == 0:  # a block of _zeta_line's points
+            line.append(heights[-1])
         return real_zeta(s, offsets)
 
     def counted_integrands(orders, tau, zeta):
@@ -666,7 +701,7 @@ def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
     assert sum(nodes) > 0
     assert len(tau) == sum(nodes) + poles
     assert len(np.unique(tau)) == len(tau)
-    assert any(np.array_equal(h, np.arange(poles) * PERIOD) for h in heights)
+    assert np.array_equal(np.concatenate(line), np.arange(poles) * PERIOD)
 
 
 def test_moment_contour_fast(table_512):
@@ -706,16 +741,25 @@ def test_constant_contour_truncation_scaling(constant_d30):
 
 def test_mellin_suite_mesh_is_pinned(monkeypatch):
     # The node counts of the suite's contours at T = 1e4, counted through
-    # the integrands: zeta_contours((1, 2, 5)) evaluates 1,104 starting
-    # panels (16,560 nodes) and 2,940 refinement nodes, with 1,105
-    # near-poles; the five Perron kernels 100,005 nodes.
-    zeta_nodes, poles, perron_nodes = [], [], []
+    # the integrands and summed per refinement wave (one _panel_integrals
+    # call, which hands the integrand its panels block by block):
+    # zeta_contours((1, 2, 5)) evaluates 1,104 starting panels (16,560
+    # nodes) in ceil(1104 / _BLOCK) blocks and 2,940 refinement nodes,
+    # with 1,105 near-poles; the five Perron kernels 100,005 nodes.
+    waves, blocks, poles, perron_nodes = [], [], [], []
+    real_panel_integrals = contour._panel_integrals
     real_integrands = contour._zeta_integrands
     real_near_poles = contour._near_poles
     real_perron = contour.perron_integrand
 
+    def counted_panel_integrals(f, mid, half):
+        waves.append(0)
+        blocks.append(0)
+        return real_panel_integrals(f, mid, half)
+
     def counted_integrands(orders, tau, *rest):
-        zeta_nodes.append(np.size(tau))
+        waves[-1] += np.size(tau)
+        blocks[-1] += 1
         return real_integrands(orders, tau, *rest)
 
     def counted_near_poles(orders, edges):
@@ -727,12 +771,14 @@ def test_mellin_suite_mesh_is_pinned(monkeypatch):
         perron_nodes.append(np.size(tau))
         return real_perron(t, tau)
 
+    monkeypatch.setattr(contour, "_panel_integrals", counted_panel_integrals)
     monkeypatch.setattr(contour, "_zeta_integrands", counted_integrands)
     monkeypatch.setattr(contour, "_near_poles", counted_near_poles)
     monkeypatch.setattr(contour, "perron_integrand", counted_perron)
     zeta_contours((1, 2, 5))
-    assert zeta_nodes[0] == 16_560
-    assert sum(zeta_nodes[1:]) == 2_940
+    assert waves[0] == 16_560
+    assert blocks[0] == math.ceil(1104 / contour._BLOCK) > 1
+    assert sum(waves[1:]) == 2_940
     assert poles == [1_105]
     for t in (0.5, 1.0, 1.5, 2.0, 4.0):
         perron_kernel(t)
