@@ -25,10 +25,12 @@ in.  Two kinds of figures are written:
   suite's five Perron kernels, and zeta per point at heights 10 to
   1e4 on Re s = 3/2 (in seconds per point); the first call of the decay
   fit, which loads what it imports, and of ``zeta_contours((1, 2, 5))``,
-  which builds its coefficient tables, at T = 1e4 and at T = 1e5; and
-  the time to import the ``cantor`` module.  The contour figures import
-  ``contour``, and so numpy, untimed in their own children.  Each figure
-  is timed on its own, in ``IN_PROCESS_RUNS`` rounds of one fresh child
+  which builds its coefficient tables, at T = 1e4 and at T = 1e5; the
+  warm ``zeta_contours((1, 2, 5))``, the median of calls 2 to 11 in one
+  child; and the time to import the ``cantor`` module.  The contour
+  figures import ``contour``, and so numpy, untimed in their own
+  children.  Each figure is timed on its own, in ``IN_PROCESS_RUNS``
+  rounds of one fresh child
   interpreter per tree run back to back, which tree goes first
   alternating from round to round and from figure to figure.  A figure's value per tree is the
   median of its children, and ``change_over_parent`` the median of the
@@ -81,7 +83,7 @@ COMMANDS = (
 # its argument, prints that figure's seconds (its setup untimed); with
 # none, prints the figures' names as a JSON list.
 IN_PROCESS = r"""
-import decimal, json, math, sys, time
+import decimal, json, math, statistics, sys, time
 from cantor_moments import cantor, cli, constant, exact, moments
 
 def best(call, reps=5):
@@ -152,6 +154,17 @@ def zeta_contours_first_call():
     contour.zeta_contours((1, 2, 5))
     return time.perf_counter() - start
 
+# The median of calls 2 to 11, once the first has built the cached tables.
+def zeta_contours_warm():
+    from cantor_moments import contour
+
+    times = []
+    for _ in range(11):
+        start = time.perf_counter()
+        contour.zeta_contours((1, 2, 5))
+        times.append(time.perf_counter() - start)
+    return statistics.median(times[1:])
+
 def perron_kernels():
     from cantor_moments import contour
 
@@ -174,6 +187,7 @@ def zeta_contours_1e5():
     return time.perf_counter() - start
 
 FIGURES["zeta_contours((1, 2, 5)), first call"] = zeta_contours_first_call
+FIGURES["zeta_contours((1, 2, 5)), warm"] = zeta_contours_warm
 FIGURES["zeta_contours((1, 2, 5), T = 1e5), first call"] = zeta_contours_1e5
 FIGURES["perron_kernel(t), t = 0.5, 1, 1.5, 2, 4"] = perron_kernels
 for tau in (10, 100, 1000, 10000):
@@ -422,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
             "quartiles by statistics.quantiles(n=4); each in-process figure is "
             f"timed alone in {IN_PROCESS_RUNS} rounds of one fresh child per tree, "
             "run back to back in alternating order, each child's time the best "
-            "of 5 calls (one for a first call or the import); per tree the "
+            "of 5 calls (one for a first call or the import, the median of "
+            "calls 2-11 for the warm zeta_contours); per tree the "
             "median of its children, and change_over_parent the median of the "
             "rounds' ratios; traced peaks from tracemalloc in "
             f"{TRACE_RUNS} rounds of one fresh child per tree and figure"

@@ -54,24 +54,26 @@ per node: the grid factorization behind Odlyzko and Schoenhage's
 multi-evaluation of zeta (Trans. AMS 309, 1988).  Each table is built
 multiplicatively from a smallest-prime-factor sieve, with exp taken
 only at primes.  What a block's tables share with the rest of its wave
-or line (the sieve, and per real part and node offsets the tables of
-n**(-sigma - i*d_j) and the correction coefficients) is cached, so it is
-built once, not once per block.
+or line (the sieve, and per real part the correction coefficients) is
+cached, so it is built once, not once per block.
 
-Each centre takes one of two paths, chosen from the error bounds at all
-of its nodes.  Riemann-Siegel, in Arias de Reyna's form for any real
-part, serves a panel where at every node its truncation bound with 7
-correction terms is below target and its 2N = 2*floor(sqrt(tau/2pi))
-Dirichlet terms are fewer than Euler-Maclaurin's cutoff: on Re s = 3/2
-and log2(3), every height from about 1650 up, with N <= 39 at 1e4.  Its
-main sums take the product up to the panel's smallest N, and each node
-whose N is larger (N changes at most once across a panel there) adds its
-last term alone; its correction series are polynomials in p**2, since
-C_k(p) has the parity of k.  chi(s) is built in logarithms, with
-Stirling's series for log Gamma(1 - s) and its remainder bound.
-Euler-Maclaurin serves the rest, with a cutoff solved from its
-remainder bound at each panel's highest node and applied per block of
-64 panels.  Each path checks its own bound at every node and raises
+Each centre takes one of two paths, chosen from one error bound, at its
+lowest node.  Riemann-Siegel, in Arias de Reyna's form for any real
+part, serves a panel where its truncation bound with 7 correction terms
+is below target there.  Every term of that bound is proportional to
+a**(-sigma - K), a = sqrt(tau/2pi), so it falls with the height, and
+the theorem's conditions only get easier as a grows: below target at
+the lowest node, it is below target at every node.  On Re s = 3/2 and
+log2(3) that is every height from about 1650 up, with N = floor(a) <= 39
+at 1e4.  Its main sums take the product up to the panel's smallest N,
+and each node whose N is larger (N changes at most once across a panel
+there) adds its last term alone; its correction series are polynomials
+in p**2, since C_k(p) has the parity of k.  chi(s) is built in
+logarithms, with Stirling's series for log Gamma(1 - s) and its
+remainder bound.  Euler-Maclaurin serves the rest, with a cutoff solved
+from its remainder bound at each panel's highest node and applied per
+block of 64 panels.  Each path solves its own cutoffs or bounds from the
+centres and offsets alone, checks its bound at every node and raises
 above 1e-10.
 """
 
@@ -220,14 +222,20 @@ def _dirichlet_sum(s: np.ndarray, M, offsets=0.0) -> np.ndarray:
     return out.reshape(s.shape + np.shape(offsets))
 
 
-def _zeta_em(s: np.ndarray, M: np.ndarray, offsets=0.0) -> np.ndarray:
+def _zeta_em(s: np.ndarray, offsets=0.0) -> np.ndarray:
     """Euler-Maclaurin zeta at s_p + i*offsets_j, shape s.shape + offsets.shape.
 
-    Each block of _DIRICHLET_BLOCK centres is summed at its cutoff in M,
-    and the remainder bound is checked at every node.
+    Each centre's cutoff is solved at its highest node (:func:`_em_cutoff`;
+    it grows with the height).  The centres are summed in order of
+    cutoff, every block of _DIRICHLET_BLOCK of them at its largest, and
+    come back in input order; the remainder bound is checked at every node.
     """
     x = s[:, None] + 1j * np.ravel(offsets)
-    acc = _dirichlet_sum(s, M, offsets).reshape(x.shape)
+    M = _em_cutoff(x[np.arange(len(s)), np.abs(x.imag).argmax(axis=1)])
+    order = np.argsort(M, kind="stable")
+    x = x[order]
+    M = np.maximum.reduceat(M[order], np.arange(0, len(s), _DIRICHLET_BLOCK))
+    acc = _dirichlet_sum(s[order], M, offsets).reshape(x.shape)
     cutoff = np.repeat(M, _DIRICHLET_BLOCK)[: len(s), None].astype(np.float64)
     # M**-x once per node; each later term is M**-(x + 2j - 1), a real step.
     power = np.exp(-x * np.log(cutoff))
@@ -251,7 +259,9 @@ def _zeta_em(s: np.ndarray, M: np.ndarray, offsets=0.0) -> np.ndarray:
         raise ValueError(
             "zeta Euler-Maclaurin remainder above tolerance — cutoff too small"
         )
-    return acc.reshape(s.shape + np.shape(offsets))
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(s.shape + np.shape(offsets))
 
 
 def _em_cutoff(s: np.ndarray) -> np.ndarray:
@@ -364,26 +374,6 @@ def _rs_series(sigma: float, terms: int) -> np.ndarray:
     return C
 
 
-@functools.lru_cache(maxsize=2)
-def _rs_table(sigma: float, offsets: tuple[float, ...], bits: int) -> np.ndarray:
-    """n**(-side - i*d_j) for n < 2**bits, side = sigma and 1 - sigma: shape (n, 2, j).
-
-    The main sums' table at node offsets d_j.  Its rows do not depend on
-    how far it runs, so one per real part, offsets and bit length of N
-    serves every block of a wave (whose panels share their offsets) or
-    of a line.  Two are kept: a wave's blocks rise in height, and its last
-    block may hold a second width; read-only.
-    """
-    d = np.array(offsets)
-    top = 2**bits - 1
-    _, phases = next(_powers(1j * d, top, len(d)))
-    sides = np.array([sigma, 1.0 - sigma])
-    n = np.arange(1, top + 1)
-    table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
-    table.flags.writeable = False
-    return table
-
-
 def _rs_side_bound(sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Bound on |RS_K| for one side of the formula, real part sigma.
 
@@ -435,6 +425,12 @@ def _rs_bound(s: np.ndarray):
     most a/2, 3K + 2 + sigma and 3K + 3 - sigma at least 0.  chi is only
     taken where they hold, so |1 - s| > 2pi * 37.5K there.
 
+    On a line of fixed sigma every term is proportional to a**(-sigma-K),
+    |chi| being a**(1 - 2 sigma) up to a factor 1 + O(1/tau), so the
+    bound falls as the height grows, and each condition, once met, holds
+    higher up: the bound at a panel's lowest node bounds all of its
+    nodes, which is the one value :func:`_zeta_grid` takes per panel.
+
     Returns (bound, log chi, Stirling bound), the last two nan off the
     served points.
     """
@@ -459,32 +455,29 @@ def _rs_bound(s: np.ndarray):
     return bound, log_chi, stirling
 
 
-def _zeta_rs(
-    s: np.ndarray, bound: np.ndarray, log_chi: np.ndarray, stirling: np.ndarray, offsets=0.0
-) -> np.ndarray:
+def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
     """Riemann-Siegel zeta at s_p + i*offsets_j, all heights > 0, error under 1e-10.
 
-    bound, log_chi and stirling are :func:`_rs_bound` at those nodes,
-    which the caller has already computed to choose the path; the result
-    has their shape, s.shape + offsets.shape.  R(s) and R(1 - conj s) are
-    built side by side, for each real part sigma among the centres, a
-    chunk of about _RS_CHUNK nodes at a time (fewer where N is so large
-    that the chunk's table of n**(-i Im s_p) would pass 16 * _RS_CHUNK
-    entries).  Both main sums of a chunk are one product of that table
-    with the cached table of :func:`_rs_table`,
-    n**(-side - i*offsets_j), side = sigma and 1 - sigma, over the n up to
-    the smallest N of each centre's nodes; a node whose N is larger adds
-    its last terms one by one (above tau ~ 1650 N changes at most once
-    across a Kronrod panel).  The correction series, each C_k a
-    polynomial in p**2, are one product with the powers of p**2.  The
-    bound is checked before, and with the Stirling error of chi times
-    |chi conj R(1 - conj s)| added, after.
+    Shape s.shape + offsets.shape.  The bound and log chi are
+    :func:`_rs_bound` at every node.  R(s) and R(1 - conj s) are built
+    side by side, for each real part sigma among the centres, a chunk of
+    about _RS_CHUNK nodes at a time (fewer where N is so large that the
+    chunk's table of n**(-i Im s_p) would pass 16 * _RS_CHUNK entries).
+    Both main sums of a chunk are one product of that table with the
+    call's table of n**(-side - i*offsets_j), side = sigma and
+    1 - sigma, n up to the largest N, over the n up to the smallest N of
+    each centre's nodes; a node whose N is larger adds its last terms one
+    by one (above tau ~ 1650 N changes at most once across a Kronrod
+    panel).  The correction series, each C_k a polynomial in p**2, are
+    one product with the powers of p**2.  The bound is checked before,
+    and with the Stirling error of chi times |chi conj R(1 - conj s)|
+    added, after.
     """
-    if not np.all(bound < _EM_TOL):
-        raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     shape = s.shape + np.shape(offsets)
     d = np.ravel(offsets)
-    log_chi, stirling = log_chi.reshape(len(s), len(d)), stirling.reshape(len(s), len(d))
+    bound, log_chi, stirling = _rs_bound(s[:, None] + 1j * d)
+    if not np.all(bound < _EM_TOL):
+        raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     tau = s.imag[:, None] + d
     a = np.sqrt(tau / (2.0 * math.pi))
     log_a = np.log(a)
@@ -498,6 +491,7 @@ def _zeta_rs(
     low = N.min(axis=1)
     top = int(N.max())
     n = np.arange(1, top + 1)
+    _, phases = next(_powers(1j * d, top, len(d)))
     # About _RS_CHUNK nodes per chunk, and at most 16 * _RS_CHUNK entries
     # in its table of n**(-i Im s_p), which has one column per centre: a
     # line of points has one centre per node.
@@ -507,8 +501,8 @@ def _zeta_rs(
     for g, value in enumerate(values):
         at = np.flatnonzero(groups == g)
         sides = np.array([value, 1.0 - value])
-        table = _rs_table(float(value), tuple(d.tolist()), top.bit_length())
-        table = table[:top].reshape(top, -1)
+        table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
+        table = table.reshape(top, -1)
         C = _rs_series(float(value), K)
         for lo, w in _powers(1j * s.imag[at], top, chunk):
             rows = at[lo : lo + w.shape[1]]
@@ -538,7 +532,7 @@ def _zeta_rs(
             series = (total[0] + 1j * total[1]).reshape(2, *past.shape)
             R[:, rows] = sums + rotation[rows] * series
     reflected = np.exp(log_chi) * R[1].conj()
-    if not np.all(bound.reshape(tau.shape) + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
+    if not np.all(bound + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     return (R[0] + reflected).reshape(shape)
 
@@ -548,34 +542,23 @@ def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
 
     For centres s_p with Re s > 0 and nodes of height >= 0.  A grid of
     Kronrod panels is its centres mid_p with the nodes' offsets half*x_j,
-    and a list of points is its centres with offsets 0.  Each centre
-    takes the path its nodes' bounds choose.  Riemann-Siegel (:func:`_zeta_rs`) serves it
-    where, at every node, its truncation bound with K = _RS_TERMS terms
-    is below _EM_TARGET, and where the 2N Dirichlet terms of its highest
-    node are fewer than the Euler-Maclaurin cutoff M there; on
-    Re s = 3/2 that is from Im s ~ 1650 up.  The bound, with the log chi
-    it needs, is computed once here and handed to that path.
-    Euler-Maclaurin (:func:`_zeta_em`) serves the rest: centres sorted by
-    the cutoff of their highest node (it grows with the height), every
-    block of _DIRICHLET_BLOCK sorted centres evaluated at its largest M
-    and its remainder bound checked at every node.
+    and a list of points is its centres with offsets 0.  Riemann-Siegel
+    (:func:`_zeta_rs`) serves a centre where its truncation bound with
+    K = _RS_TERMS terms is below _EM_TARGET at the lowest node: the bound
+    falls with the height (:func:`_rs_bound`), so it then holds at every
+    node.  On Re s = 3/2 that is from Im s ~ 1650 up.  Euler-Maclaurin
+    (:func:`_zeta_em`) serves the rest, and runs first.  Each path takes
+    its centres and the offsets alone, and solves and checks its own
+    cutoffs or bounds.
     """
     s = np.asarray(s, dtype=np.complex128)
     d = np.ravel(offsets).astype(np.float64)
-    nodes = s[:, None] + 1j * d
-    highest = nodes[np.arange(len(s)), np.abs(nodes.imag).argmax(axis=1)]
-    M = _em_cutoff(highest)
-    terms = 2 * np.floor(np.sqrt(highest.imag / (2.0 * math.pi)))
-    bound, log_chi, stirling = _rs_bound(nodes)
-    rs = (bound < _EM_TARGET).all(axis=1) & (terms < M)
-    out = np.empty(nodes.shape, dtype=np.complex128)
-    em = np.flatnonzero(~rs)
-    if len(em):
-        order = em[np.argsort(M[em], kind="stable")]
-        starts = np.arange(0, len(order), _DIRICHLET_BLOCK)
-        out[order] = _zeta_em(s[order], np.maximum.reduceat(M[order], starts), d)
+    rs = _rs_bound(s + 1j * d.min())[0] < _EM_TARGET
+    out = np.empty((len(s), len(d)), dtype=np.complex128)
+    if not rs.all():
+        out[~rs] = _zeta_em(s[~rs], d)
     if rs.any():
-        out[rs] = _zeta_rs(s[rs], bound[rs], log_chi[rs], stirling[rs], d)
+        out[rs] = _zeta_rs(s[rs], d)
     return out.reshape(s.shape + np.shape(offsets))
 
 
@@ -885,14 +868,13 @@ def _near_poles(orders: tuple[int, ...], edges: np.ndarray):
     return residues, integrals
 
 
-def _principal_parts(residues: np.ndarray, mid: np.ndarray, half: np.ndarray):
+def _principal_parts(residues: np.ndarray, mid: np.ndarray, tau: np.ndarray):
     """Every row's principal parts at the two near-poles bounding each panel's starting panel.
 
-    At the panels' :func:`_nodes`.  Every panel lies in one starting
-    panel, [kP, (k+1)P] with k = floor(mid/P), so what is left after
-    subtraction is smooth.
+    At the panels' :func:`_nodes` tau, one row per midpoint in mid.
+    Every panel lies in one starting panel, [kP, (k+1)P] with
+    k = floor(mid/P), so what is left after subtraction is smooth.
     """
-    tau = _nodes(mid, half)
     k = np.floor(mid / _POLE_PERIOD).astype(np.intp)
     parts = np.zeros(residues.shape[:1] + tau.shape, dtype=np.complex128)
     for j in (k, k + 1):
@@ -941,8 +923,9 @@ def zeta_contours(
     del pole_integrals
 
     def integrands(mid, half):
-        rows = _zeta_integrands(orders, _nodes(mid, half), _zeta_panels(mid, half))
-        rows -= _principal_parts(residues, mid, half)
+        tau = _nodes(mid, half)
+        rows = _zeta_integrands(orders, tau, _zeta_panels(mid, half))
+        rows -= _principal_parts(residues, mid, tau)
         return rows
 
     integrals, _, _ = _adaptive_line(integrands, edges)

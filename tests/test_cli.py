@@ -215,7 +215,9 @@ def test_verify_identity_suite(capsys):
 # numpy.  Their output comes from exact arithmetic and correctly rounded
 # divisions, or for decay from float sums accurate to a few units in the
 # last place whose slope is printed to 4 decimals, so unlike the mellin
-# suite's it does not depend on the platform.
+# suite's it does not depend on the platform.  The CI workflow checks the
+# installed command against this table, read from this file's source with
+# ast.literal_eval, so it stays one literal assignment.
 EXACT_SUITE_SHA256 = {
     "cantor": "aaa64a453c64c7e225c5021d28c9968ca8c76913104edba0c00a6fafb2b74521",
     "decay": "bc87955164740c6a5c47caec795bff4bc57db2f4563fc4b28e49991daee29b4e",

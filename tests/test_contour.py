@@ -75,17 +75,21 @@ def _height_with_cutoff(sigma: float, M: int) -> float:
     return hi
 
 
-def _rs_heights(s: np.ndarray) -> np.ndarray:
-    """The heights of s that _zeta_line hands to Riemann-Siegel."""
+def _rs_heights(s: np.ndarray, offsets=None) -> np.ndarray:
+    """The heights of the points s that _zeta_line hands to Riemann-Siegel,
+    or, given node offsets, of the centres s of the panels that _zeta_grid does."""
     seen = [np.empty(0)]
     real = contour._zeta_rs
 
-    def spy(x, *bounds):
+    def spy(x, *rest):
         seen.append(x.imag.copy())
-        return real(x, *bounds)
+        return real(x, *rest)
 
     with mock.patch.object(contour, "_zeta_rs", spy):
-        _zeta_line(s)
+        if offsets is None:
+            _zeta_line(s)
+        else:
+            contour._zeta_grid(s, offsets)
     return np.concatenate(seen)
 
 
@@ -116,12 +120,13 @@ def test_zeta_against_dirichlet_oracle():
     # Cutoffs just at and past a power of two, and prime cutoffs, where
     # the Dirichlet table's last level is nearly empty or ends in a prime.
     # These heights lie above the crossover, where zeta is Riemann-Siegel,
-    # so Euler-Maclaurin is also called at each cutoff directly.
+    # so Euler-Maclaurin is also called there directly, and solves the
+    # cutoff that _height_with_cutoff pins.
     for M in (1024, 1025, 2048, 2049, 2053, 3067):
         s = complex(1.5, _height_with_cutoff(1.5, M))
         want = _zeta_dirichlet_oracle(s)
         assert abs(zeta(s) - want) <= 1e-9
-        assert abs(complex(_zeta_em(np.array([s]), np.array([M]))[0]) - want) <= 1e-9
+        assert abs(complex(_zeta_em(np.array([s]))[0]) - want) <= 1e-9
 
 
 def test_zeta_cutoff_follows_sigma():
@@ -179,36 +184,32 @@ def test_zeta_riemann_siegel_against_euler_maclaurin():
     for sigma in (1.5, LOG2_3):
         tau = np.sort(rng.uniform(_crossover(sigma), 1.0e4, 1200))
         s = sigma + 1j * tau
-        M = np.maximum.reduceat(_em_cutoff(s), np.arange(0, len(s), 64))
-        assert np.all(np.abs(_zeta_rs(s, *contour._rs_bound(s)) - _zeta_em(s, M)) <= 2e-10)
+        assert np.all(np.abs(_zeta_rs(s) - _zeta_em(s)) <= 2e-10)
 
 
 def test_zeta_paths_follow_the_bounds():
     # Riemann-Siegel takes exactly the points whose truncation bound is
-    # below target and whose 2N terms undercut the Euler-Maclaurin cutoff;
-    # on Re s = 3/2 that is everything from the theorem's lowest height
-    # tau = 2*pi * 37.5 * K up.
+    # below target; on Re s = 3/2 and log2(3) that is everything from the
+    # theorem's lowest height tau = 2*pi * 37.5 * K up.
     tau = np.linspace(0.0, 1.0e4, 20_001)
-    s = 1.5 + 1j * tau
-    served = np.isin(tau, _rs_heights(s))
-    bound = contour._rs_bound(s)[0]
-    terms = 2 * np.floor(np.sqrt(tau / (2 * math.pi)))
-    assert np.array_equal(served, (bound < contour._EM_TARGET) & (terms < _em_cutoff(s)))
     lowest = 2 * math.pi * 37.5 * contour._RS_TERMS
-    assert np.array_equal(served, tau > lowest)
+    for sigma in (1.5, LOG2_3):
+        s = sigma + 1j * tau
+        served = np.isin(tau, _rs_heights(s))
+        assert np.array_equal(served, contour._rs_bound(s)[0] < contour._EM_TARGET)
+        assert np.array_equal(served, tau > lowest)
 
 
 def test_riemann_siegel_guard(monkeypatch):
     # Forced above tolerance, the Riemann-Siegel path raises rather than
     # return a value: with K = 2 terms, and below the theorem's range.
     s = 1.5 + 1j * np.array([2000.0, 5000.0, 1.0e4])
-    want = _zeta_rs(s, *contour._rs_bound(s))
-    low = np.array([1.5 + 1000j])
+    want = _zeta_rs(s)
     with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
-        _zeta_rs(low, *contour._rs_bound(low))
+        _zeta_rs(np.array([1.5 + 1000j]))
     monkeypatch.setattr(contour, "_RS_TERMS", 2)
     with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
-        _zeta_rs(s, *contour._rs_bound(s))
+        _zeta_rs(s)
     # _zeta_line then leaves every point to Euler-Maclaurin.
     assert len(_rs_heights(s)) == 0
     assert np.all(np.abs(_zeta_line(s) - want) <= 2e-10)
@@ -228,7 +229,7 @@ def test_riemann_siegel_bound_holds(monkeypatch):
             monkeypatch.setattr(contour, "_RS_TERMS", K)
             bound = contour._rs_bound(s)[0]
             assert np.all(bound < 1e-4)
-            assert np.all(np.abs(_zeta_rs(s, *contour._rs_bound(s)) - want) <= bound)
+            assert np.all(np.abs(_zeta_rs(s) - want) <= bound)
 
 
 def test_riemann_siegel_taylor_coefficients():
@@ -251,6 +252,7 @@ def test_zeta_grid_matches_points():
     # widths and three real parts: panels across the heights 2*pi*n**2
     # where N steps (Riemann-Siegel adds a node's last term on its own),
     # across the Riemann-Siegel crossover, and low (Euler-Maclaurin).
+    rng = np.random.default_rng(1988)
     n = np.arange(16, 40)
     for sigma in (1.5, LOG2_3, 0.5):
         mids = np.concatenate([
@@ -263,32 +265,29 @@ def test_zeta_grid_matches_points():
         for half in (PERIOD / 2, PERIOD / 8, (1.0e4 - 1103 * PERIOD) / 2):
             offsets = half * _K15_NODES
             nodes = s[:, None] + 1j * offsets
-            served = _rs_heights_of_grid(s, offsets)
+            served = _rs_heights(s, offsets)
             grid = contour._zeta_grid(s, offsets)
             alone = _zeta_line(nodes.ravel()).reshape(grid.shape)
             assert np.all(np.abs(grid - alone) <= 2e-10)
-            # Riemann-Siegel serves a panel only where every node qualifies,
-            # and among them are panels whose N steps.
-            bound = contour._rs_bound(nodes)[0]
+            # Riemann-Siegel serves exactly the panels where every node's
+            # bound is below target, though it is taken at the lowest node
+            # alone; some panels have only some nodes below, and among the
+            # served are panels whose N steps.
+            below = contour._rs_bound(nodes)[0] < contour._EM_TARGET
             rs = np.isin(mids, served)
-            assert np.all(bound[rs] < contour._EM_TARGET)
-            assert np.any((bound < contour._EM_TARGET).any(axis=1) & ~rs)
+            assert np.array_equal(rs, below.all(axis=1))
+            assert np.any(below.any(axis=1) & ~rs)
             N = np.floor(np.sqrt(nodes.imag / (2 * math.pi)))
             assert np.any(N[rs, 0] < N[rs, -1])
-
-
-def _rs_heights_of_grid(s: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The centres' heights of the panels that _zeta_grid hands to Riemann-Siegel."""
-    seen = [np.empty(0)]
-    real = contour._zeta_rs
-
-    def spy(x, *rest):
-        seen.append(x.imag.copy())
-        return real(x, *rest)
-
-    with mock.patch.object(contour, "_zeta_rs", spy):
-        contour._zeta_grid(s, offsets)
-    return np.concatenate(seen)
+            # Euler-Maclaurin, here on every centre (two blocks), returns
+            # them in input order, bit for bit whatever that order: no two
+            # cutoffs tie across the blocks' seam, so every order sums the
+            # same blocks.
+            cutoffs = np.sort(_em_cutoff(nodes[:, -1]))
+            seam = contour._DIRICHLET_BLOCK
+            assert len(s) > seam and cutoffs[seam - 1] < cutoffs[seam]
+            perm = rng.permutation(len(s))
+            assert np.array_equal(_zeta_em(s[perm], offsets), _zeta_em(s, offsets)[perm])
 
 
 def test_zeta_critical_strip_accuracy():
@@ -382,11 +381,10 @@ def test_contour_working_set_does_not_grow_with_T():
     # of panels' values at a time and otherwise O(panels) bookkeeping, so
     # at T = 1e4 the peaks stay small, and quadrupling T does not
     # quadruple the zeta rows' peak, as a wave evaluated in one piece would.
-    # The tables cached across blocks are cleared first, so each call
+    # The sieves cached across blocks are cleared first, so each call
     # counts its own whatever ran before.
     def peak(run):
         contour._factorization.cache_clear()
-        contour._rs_table.cache_clear()
         tracemalloc.start()
         try:
             run()
