@@ -21,10 +21,11 @@ in.  Two kinds of figures are written:
   read this script's floor for every command smaller than the script.
 * ``in_process``: the best of 5 calls of the exact layers, Euler's
   gamma, the decay fit, the moment table at N = 512 with its Bernoulli
-  numbers, shared parts and row 0, the Cantor grid, the ``mellin``
-  suite's five Perron kernels, and zeta per point at heights 10 to
-  1e4 on Re s = 3/2 (in seconds per point); the first call of the decay
-  fit, which loads what it imports, and of ``zeta_contours((1, 2, 5))``,
+  numbers, shared parts and row 0, the recursion at N = 64, the Cantor
+  grid, the ``mellin`` suite's five Perron kernels, and zeta per point
+  at heights 10 to 1e4 on Re s = 3/2 (in seconds per point); the first
+  call of the decay fit, which loads what it imports, and of
+  ``zeta_contours((1, 2, 5))``,
   which builds its coefficient tables, at T = 1e4 and at T = 1e5; the
   warm ``zeta_contours((1, 2, 5))``, the median of calls 2 to 11 in one
   child; and the time to import the ``cantor`` module.  The contour
@@ -72,6 +73,7 @@ COMMANDS = (
     ("constant --digits 60 --json", ["constant", "--digits", "60", "--json"]),
     ("moments --max-n 256", ["moments", "--max-n", "256"]),
     ("moments --max-n 512", ["moments", "--max-n", "512"]),
+    ("verify --suite oracle --json", ["verify", "--suite", "oracle", "--json"]),
     ("verify --suite identity --json", ["verify", "--suite", "identity", "--json"]),
     ("verify --suite decay --json", ["verify", "--suite", "decay", "--json"]),
     ("verify --suite mellin --json", ["verify", "--suite", "mellin", "--json"]),
@@ -122,6 +124,7 @@ FIGURES = {
     "decay_fit(C), first call": lambda: decay_fit(1),
     "decay_fit(C)": lambda: decay_fit(5),
     "bernoulli_numbers(513)": lambda: best(lambda: exact.bernoulli_numbers(513)),
+    "recursive_moments(64)": lambda: best(lambda: moments.recursive_moments(64)),
     "_shared_parts(d, 512)": shared_parts,
 }
 for lift in (int, decimal.Decimal):

@@ -16,13 +16,13 @@ is geometric in k once weighted by w**k, so the whole infinite tail
 sums in closed form to A ln 2 + B gamma + (exact rational), with
 A = sum_{k>K0} k w**k and B = sum_{k>K0} w**k.  Its remainder
 sum_{k>K0} w**k |R_J(k)| is one more geometric sum.  There is no series
-cutoff: the rational parts fold into one exact Q that is rounded once,
-and only ln 2 and Euler's gamma are computed to working precision, each
-with a dual-method oracle.  Every high-precision value is an exact
-``Fraction`` on the grid of multiples of 10**-p, put there by
-:func:`~cantor_moments.exact.round_decimal`, and the certified error
-is the sum of named parts: the Euler-Maclaurin remainder, the ln 2 and
-gamma errors scaled by their coefficients, and the roundings.
+cutoff: the rational parts fold into one exact Q, and only ln 2 and
+Euler's gamma are computed to working precision, each with a dual-method
+oracle.  Each certified value is summed exactly from its inputs and
+rounded once, by :func:`~cantor_moments.exact.round_decimal`, to an
+exact ``Fraction`` on the grid of multiples of 10**-p, and the certified
+error is the sum of named parts: the Euler-Maclaurin remainder, the ln 2
+and gamma errors scaled by their coefficients, and that one rounding.
 
 The requested digit count D is the only input.  The working precision
 is P = D + GUARD_DIGITS, and the order J is the smallest whose remainder
@@ -54,7 +54,7 @@ MAX_DIGITS = 60
 # P = D + GUARD_DIGITS.
 GUARD_DIGITS = 12
 
-# Digits carried beyond the working precision P until the final rounding.
+# Digits carried beyond P: the constant is summed and rounded at W = P + _PAD.
 _PAD = 6
 
 # Highest Euler-Maclaurin order either expansion may use.
@@ -107,9 +107,9 @@ def _em_order(
 class ConstantResult(NamedTuple):
     """A certified value: exact decimal, total error bound, its parts.
 
-    ``value`` is the exact ``Fraction`` m / 10**P, P = ``digits`` +
-    :data:`GUARD_DIGITS`, and ``em_order`` is the Euler-Maclaurin order J
-    of the closed-form tail.
+    ``value`` is the exact ``Fraction`` m / 10**W, on the grid of the
+    working precision W = ``digits`` + :data:`GUARD_DIGITS` + 6, and
+    ``em_order`` is the Euler-Maclaurin order J of the closed-form tail.
     ``certified_error`` is the sum of ``em_remainder`` (the tail's
     Euler-Maclaurin remainder), ``ln2_error`` and ``gamma_error`` (each
     constant's error times its coefficient) and ``rounding_error``; every
@@ -166,16 +166,14 @@ def ln2(precision: int) -> Fraction:
 def _gamma(precision: int, h_m: Fraction) -> tuple[Fraction, Fraction, Sequence[Fraction]]:
     """gamma from h_m = H(2**K0), and the ln 2 and Bernoulli table it used.
 
-    See :func:`euler_gamma`; each term is rounded once at precision + 6 digits.
+    See :func:`euler_gamma`; the expansion is summed exactly and rounded once.
     """
     m = 2**K0
     order, _, bern = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
-    work = precision + 6
-    log2 = ln2(work + 2)
-    acc = round_decimal(h_m, work) - K0 * round_decimal(log2, work)
-    acc -= round_decimal(Fraction(1, 2 * m), work)
-    for j in range(1, order + 1):
-        acc += round_decimal(bern[2 * j] / (2 * j * Fraction(m) ** (2 * j)), work)
+    log2 = ln2(precision + 8)
+    acc = h_m - K0 * log2 - Fraction(1, 2 * m) + sum(
+        bern[2 * j] / (2 * j * m ** (2 * j)) for j in range(1, order + 1)
+    )
     return round_decimal(acc, precision), log2, bern
 
 
@@ -189,8 +187,11 @@ def euler_gamma(precision: int) -> Fraction:
     with J the smallest order whose remainder bound
     |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below 10**-(precision+2), found
     by the same search as the constant's tail order.  H_m is the exact
-    H(2**K0) of :func:`_harmonic_prefixes`, rounded once; the tests hold
-    the dual-method oracle, the same expansion at m = 2**14.
+    H(2**K0) of :func:`_harmonic_prefixes` and ln 2 is :func:`ln2` at
+    precision + 8 digits; the sum is exact but for that ln 2 and is
+    rounded once, so the error is at most 10**-(precision+2) +
+    8 * 10**-(precision+8) + 1/2 * 10**-precision.  The tests hold the
+    dual-method oracle, the same expansion at m = 2**14.
 
     Raises:
         ValueError: "precision beyond supported range" when no J <= 60
@@ -257,12 +258,12 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     working precision is P = D + :data:`GUARD_DIGITS`, and the tail's
     order J is the smallest whose remainder is below 10**-(P+2): J = 2 at
     D = 1, 7 at D = 30, 14 at D = 60.  The value is Q + (2/3)A ln 2 +
-    (2/3)B gamma (see the module docstring), each part rounded once at
-    W = P + 6 digits and the sum rounded to P.  The certified error is
-    (2/3) times the tail remainder, plus the ln 2 and gamma errors times
-    (2/3)A and (2/3)B, plus 1/2 ulp at W for each of the three roundings
-    and 1/2 * 10**-P for the last; above 10**-D no result is built and
-    ValueError "budget insufficient for target" is raised.
+    (2/3)B gamma (see the module docstring), summed exactly with ln 2 at
+    W + 8 and gamma at W = P + 6 digits, and rounded once to W.  The
+    certified error is (2/3) times the tail remainder, plus the ln 2 and
+    gamma errors times (2/3)A and (2/3)B, plus 1/2 * 10**-W for the
+    rounding; above 10**-D no result is built and ValueError "budget
+    insufficient for target" is raised.
     """
     digits = _as_int(digits, "target digits")
     if not (1 <= digits <= MAX_DIGITS):
@@ -288,18 +289,13 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     ln2_coeff = two_thirds * A
     gamma_coeff = two_thirds * B
 
-    value = round_decimal(
-        round_decimal(Q, W)
-        + round_decimal(ln2_coeff * round_decimal(log2, W), W)
-        + round_decimal(gamma_coeff * gamma, W),
-        P,
-    )
+    value = round_decimal(Q + ln2_coeff * log2 + gamma_coeff * gamma, W)
 
     ulp = Fraction(1, 10**W)
     em = two_thirds * tail_remainder
-    ln2_err = ln2_coeff * ulp
+    ln2_err = ln2_coeff * ulp / 10**8
     gamma_err = gamma_coeff * ulp
-    rounding = 3 * ulp / 2 + Fraction(1, 2 * 10**P)
+    rounding = ulp / 2
     certified = _float_up(em + ln2_err + gamma_err + rounding)
     if certified > 10.0**-digits:
         raise ValueError(

@@ -508,7 +508,7 @@ def decay_fit(constant: ConstantResult) -> DecayFit:
 
     Precondition: ``constant`` must carry a certified error <= 1e-20,
     which :func:`~cantor_moments.constant.moment_series_constant` meets
-    for D >= 8 digits.
+    for D >= 2 digits.
 
     Raises:
         ValueError: "insufficient constant precision" if the certified

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cantor_moments
-from cantor_moments import moment_series_constant, moments
+from cantor_moments import contour, moment_series_constant, moments
+from cantor_moments.cantor import integral_quadrature
 from cantor_moments.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -90,8 +97,8 @@ def test_certified_error_printed_rounded_up(capsys):
 # in order, in JSON and in human mode (human mode prints its wall time on
 # stderr only).
 CONSTANT_STDOUT_SHA256 = {
-    "json": "9d4aa04fab98a6d49b71ae3516e4c99ed4fa9d01f82fd41b959e568e7f5ddd7f",
-    "human": "708c9af3ea88ebed5f8e0834519e0f5348ccf355831299c811f451fc6bf97684",
+    "json": "a4a68c83dac0e3b2f9c4e4db05b399246dff46a7efce794fec32bd3f7bbce382",
+    "human": "d9899030b1175d390d8bf7e76c66c1fe3f2550ccc92f17ba6d8882158e1dc190",
 }
 
 
@@ -446,6 +453,62 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# Option values at the edges of what argparse's int() and the range checks
+# take.  Valid counts stay at or below 64, and the suites leave out mellin
+# and all, so each drawn run is fast.
+_ARGV_VALUES = (
+    "0", "-1", "1", "5", "61", "64", "1e3", "3.5", "0x10", "1_0", "07", "+5",
+    "\u0663", "12345678901234567890", "", "json", "csv", "xml",
+    "oracle", "identity", "decay", "cantor", "bogus",
+)
+_ARGV_OPTIONS = ("--digits", "--max-n", "--format", "--suite", "--json", "--bogus")
+_REQUIRED = {"constant": "--digits", "moments": "--max-n", "verify": "--suite"}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(("constant", "moments", "verify", "bogus")),
+    st.sampled_from(_ARGV_VALUES),
+    st.lists(st.sampled_from(_ARGV_OPTIONS + _ARGV_VALUES), max_size=3),
+)
+def test_any_argv_exits_0_or_2_with_one_error_line(command, value, extra):
+    # The command's required option with a drawn value, then up to three
+    # more options or values in any order.
+    argv = [command, _REQUIRED.get(command, "--json"), value, *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), argv
+    assert not any("Traceback" in line for line in lines), argv
+    if code == 2:
+        assert sum("error:" in line for line in lines) == 1, argv
+
+
+def test_library_results_do_not_depend_on_threads():
+    # Exact and float results alike do not depend on thread interleaving:
+    # the jobs run twice each in a pool of 4 threads, the zeta caches
+    # cleared first, and every result's repr is the serial one.
+    jobs = [
+        functools.partial(contour.zeta_contours, (1, 2, 5)),
+        *(functools.partial(contour.perron_kernel, t) for t in (0.5, 1.0, 2.0)),
+        functools.partial(moments.bernoulli_moments, 128),
+        functools.partial(moments.recursive_moments, 64),
+        functools.partial(moment_series_constant, 60),
+        functools.partial(integral_quadrature, (1, 2, 5)),
+        lambda: moments.decay_fit(moment_series_constant(30)),
+    ]
+    serial = [repr(job()) for job in jobs]
+    contour._factorization.cache_clear()
+    contour._rs_series.cache_clear()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda job: repr(job()), jobs * 2))
+    assert threaded == serial * 2
 
 
 # ---------------------------------------------------------------------------

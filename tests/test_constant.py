@@ -23,13 +23,14 @@ from cantor_moments.exact import decimal_string, divround, round_decimal
 
 PRINTED_CONSTANT = Fraction("3.36465072810092516083893496289")
 
-# The constant to 75 fractional digits (last digit rounded), computed
+# The constant to 90 fractional digits (last digit rounded), computed
 # outside constant.py with mpmath at 100 dps as
 #   -1/3 + (2/3) * sum_{1 <= k < 600} (2/3)**k * (psi(2**k + 1) + gamma),
 # using H(m) = psi(m + 1) + gamma; the omitted terms are below 1e-100.
 # test_reference_constant_from_mpmath regenerates it.
 REFERENCE_CONSTANT = (
     "3.364650728100925160838934962887373253727134954323464040527649623407567027066"
+    "119975744847891"
 )
 
 
@@ -131,11 +132,11 @@ def test_euler_gamma_precision_cap():
 
 def test_euler_gamma_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(100):
-        # 95 digits of gamma: its own error, below 10**-95, is far inside
-        # the smallest tolerance checked, 10**-80.
-        reference = Fraction(mpmath.nstr(mpmath.euler, 95))
-    for p in range(1, 81):
+    with mpmath.workdps(140):
+        # 135 digits of gamma: its own error, below 10**-134, is far inside
+        # the smallest tolerance checked, 10**-120.
+        reference = Fraction(mpmath.nstr(mpmath.euler, 135))
+    for p in range(1, 121):
         assert abs(euler_gamma(p) - reference) <= Fraction(1, 10**p), p
 
 
@@ -226,14 +227,14 @@ def test_default_budget_30(constant_d30):
     assert GUARD_DIGITS == 12
     assert constant_d30.em_order == 7
     assert K0 == 8
-    assert (constant_d30.value * 10**42).denominator == 1
+    assert (constant_d30.value * 10**48).denominator == 1
 
 
 def test_default_budget_range():
     for d, J in ((1, 2), (20, 5), (60, 14)):
         res = moment_series_constant(d)
         assert res.em_order == J
-        assert (res.value * 10 ** (d + GUARD_DIGITS)).denominator == 1
+        assert (res.value * 10 ** (d + GUARD_DIGITS + 6)).denominator == 1
     for d in (0, 61):
         with pytest.raises(ValueError, match="out of supported range"):
             moment_series_constant(d)
@@ -286,7 +287,7 @@ def test_certified_bound_holds_for_every_digit_count():
     # two certified errors, and the D-digit rendering is the 60-digit
     # value rounded to D digits.  Against the outside reference, the
     # working value lies within its certified error of the truth, counting
-    # the reference's own rounding (at most 1/2 * 10**-75) against it.
+    # the reference's own rounding (at most 1/2 * 10**-90) against it.
     ref = moment_series_constant(60)
     ref_value = ref.value
     truth = Fraction(REFERENCE_CONSTANT)
@@ -295,19 +296,19 @@ def test_certified_bound_holds_for_every_digit_count():
         gap = abs(res.value - ref_value)
         assert gap <= Fraction(res.certified_error) + Fraction(ref.certified_error)
         assert decimal_string(res.value, digits) == decimal_string(ref_value, digits)
-        truth_gap = abs(res.value - truth) + Fraction(1, 2 * 10**75)
+        truth_gap = abs(res.value - truth) + Fraction(1, 2 * 10**90)
         assert truth_gap <= Fraction(res.certified_error)
 
 
 def test_printed_constant_within_certified_error_plus_rounding(capsys):
     # The printed certified_error bounds the unrounded working value; the
     # printed D-digit string adds up to 1/2 * 10**-D on top.  The
-    # reference's own rounding (1/2 * 10**-75) is counted against it.
+    # reference's own rounding (1/2 * 10**-90) is counted against it.
     truth = Fraction(REFERENCE_CONSTANT)
     for digits in range(1, 61):
         assert main(["constant", "--digits", str(digits), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        gap = abs(Fraction(payload["constant"]) - truth) + Fraction(1, 2 * 10**75)
+        gap = abs(Fraction(payload["constant"]) - truth) + Fraction(1, 2 * 10**90)
         bound = Fraction(payload["certified_error"]) + Fraction(1, 2 * 10**digits)
         assert gap <= bound, digits
 
@@ -320,7 +321,7 @@ def test_reference_constant_from_mpmath():
             for k in range(1, 600)
         )
         value = -mpmath.mpf(1) / 3 + 2 * series / 3
-        assert mpmath.nstr(value, 76) == REFERENCE_CONSTANT
+        assert mpmath.nstr(value, 91) == REFERENCE_CONSTANT
 
 
 def test_certified_error_is_the_sum_of_its_parts():
@@ -329,15 +330,15 @@ def test_certified_error_is_the_sum_of_its_parts():
         parts = (res.em_remainder, res.ln2_error, res.gamma_error, res.rounding_error)
         assert all(p > 0 for p in parts)
         assert sum(parts) == pytest.approx(res.certified_error, rel=1e-12)
-        # the final rounding to P digits dominates
-        assert res.rounding_error >= 0.5 * 10.0 ** -(digits + GUARD_DIGITS)
+        # the one rounding, to W = P + 6 digits
+        assert res.rounding_error >= 0.5 * 10.0 ** -(digits + GUARD_DIGITS + 6)
 
 
 def test_constant_result_refuses_a_bad_error(monkeypatch):
     # The refusal lives in moment_series_constant, before any result is
-    # built: with P = D - 1 the rounding alone is 5e-5 at D = 5.
-    monkeypatch.setattr(constant, "GUARD_DIGITS", -1)
-    too_large = r"budget insufficient for target: certified error 5\.000e-05 exceeds 10\^-5"
+    # built: with W = D - 1 the rounding alone is 5e-5 at D = 5.
+    monkeypatch.setattr(constant, "GUARD_DIGITS", -7)
+    too_large = r"budget insufficient for target: certified error 5\.520e-05 exceeds 10\^-5"
     with pytest.raises(ValueError, match=too_large):
         moment_series_constant(5)
 

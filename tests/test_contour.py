@@ -187,6 +187,37 @@ def test_zeta_riemann_siegel_against_euler_maclaurin():
         assert np.all(np.abs(_zeta_rs(s) - _zeta_em(s)) <= 2e-10)
 
 
+def test_both_zeta_paths_at_every_node_of_the_contract_mesh(monkeypatch):
+    # Every node zeta_contours((1, 2, 5)) evaluates at T = 1e4: 19,500 on
+    # the panels and 1,105 near-poles, each call on one real part.  Every
+    # centre Riemann-Siegel serves is taken again by Euler-Maclaurin on
+    # the same offsets, within the two guards' sum (measured: 1.0e-12).
+    grids, served = [], []
+    real_grid = contour._zeta_grid
+    real_rs = contour._zeta_rs
+
+    def spied_grid(s, offsets):
+        grids.append((np.asarray(s), np.size(offsets)))
+        return real_grid(s, offsets)
+
+    def spied_rs(s, offsets=0.0):
+        out = real_rs(s, offsets)
+        served.append((s, np.ravel(offsets), out))
+        return out
+
+    monkeypatch.setattr(contour, "_zeta_grid", spied_grid)
+    monkeypatch.setattr(contour, "_zeta_rs", spied_rs)
+    zeta_contours((1, 2, 5))
+    nodes = [s.size * width for s, width in grids]
+    assert sum(n for n, (_, width) in zip(nodes, grids) if width == 1) == 1_105
+    assert sum(nodes) == 20_605
+    assert sum(s.size * d.size for s, d, _ in served) == 14_753
+    for s, _ in grids:
+        assert len(set(s.real)) == 1 and s.real[0] in (1.5, LOG2_3)
+    for s, d, out in served:
+        assert np.all(np.abs(_zeta_em(s, d) - out) <= 2e-10)
+
+
 def test_zeta_paths_follow_the_bounds():
     # Riemann-Siegel takes exactly the points whose truncation bound is
     # below target; on Re s = 3/2 and log2(3) that is everything from the

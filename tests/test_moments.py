@@ -481,6 +481,68 @@ def test_decay_remainders_meet_the_residue_series(constant_d30):
         assert abs(remainder - r) <= tolerance * r, N
 
 
+def _far_poles(N, target, weight):
+    """The least K whose poles |k| > K add at most ``target``, and their bound.
+
+    With f_N(k) = prod_{j<=N+1} j / sqrt(j**2 + (kP)**2), Re(j - s_k) > j
+    gives |w_N(s_k)| <= f_N(k) / (N+1) and |R_N(s_k)| <= f_N(k) / (|k|P),
+    and |zeta(1 - s_k)| <= zeta(log2(3)) < 2.4, so the residue at s_k is
+    at most (2/3) 2.4 / ln 2 * f_N(k) * weight(k), weight(k) <= 1 being
+    1/(N+1) for M_N and 1/(kP) for R_N.  f_N falls with k; it is summed
+    in floats to k = 1024, and past it f_N(k) <= (N+1)! / (kP)**(N+1)
+    bounds the rest by an integral.
+    """
+    k = np.arange(1, 1025)
+    j = np.arange(1, N + 2)
+    log_f = np.sum(np.log(j) - 0.5 * np.log(j**2 + (k[:, None] * P) ** 2), axis=1)
+    rest = math.exp(math.lgamma(N + 2) - (N + 1) * math.log(P) - N * math.log(1024)) / N
+    scale = 2 * (2 / 3) * 2.4 / math.log(2)  # both signs of k
+    tails = scale * (np.cumsum((np.exp(log_f) * weight(k))[::-1])[::-1] + rest)
+    K = int(np.argmax(tails <= target))
+    assert tails[K] <= target
+    return K, float(tails[K])
+
+
+def test_series_identity_and_rows_to_90_digits(table_512, partial_sums_512):
+    # The paper's identity sum_n M_n = C through the residue series at 90
+    # digits: C = S_128 + (2/3) sum_k R_128(s_k) zeta(1 - s_k) / ln 2
+    # against the D = 60 constant within its certified error, the far
+    # poles' bound and 1e-85 for the 90-digit arithmetic (measured near
+    # 1e-89); and rows n = 128, 256, 512 of the table within 1e-70
+    # relative.  The poles -k are the conjugates of the poles k.
+    mpmath = pytest.importorskip("mpmath")
+    reference = moment_series_constant(60)
+    K_C, tail_C = _far_poles(128, 1e-3 * reference.certified_error, lambda k: 1 / (k * P))
+    K_rows = {
+        n: _far_poles(n, 1e-73 * float(table_512[n]), lambda k, n=n: 1 / (n + 1))[0]
+        for n in (128, 256, 512)
+    }
+    with mpmath.workdps(90):
+        log2_3 = mpmath.log(3, 2)
+        period = 2 * mpmath.pi / mpmath.ln2
+        factor = mpmath.mpf(2) / 3 / mpmath.ln2
+        remainder = 0
+        series = dict.fromkeys(K_rows, 0)
+        for k in range(max(K_C, *K_rows.values()) + 1):
+            s = 1 - log2_3 + 1j * k * period
+            residue = (1 if k == 0 else 2) * factor * mpmath.zeta(log2_3 - 1j * k * period)
+            # After factor j: prod_{i<=j} i / (i - s) = j w_{j-1}(s) = -s R_{j-1}(s).
+            product = mpmath.mpf(1)
+            for j in range(1, 514):
+                product *= j / (j - s)
+                if j == 129 and k <= K_C:
+                    remainder += (residue * product / -s).real
+                if k <= K_rows.get(j - 1, -1):
+                    series[j - 1] += (residue * product / j).real
+        S_128 = partial_sums_512[128]
+        gap = mpmath.mpf(S_128.numerator) / S_128.denominator + remainder
+        gap -= mpmath.mpf(reference.value.numerator) / reference.value.denominator
+        assert abs(gap) <= reference.certified_error + tail_C + 1e-85
+        for n in K_rows:
+            M_n = mpmath.mpf(table_512[n].numerator) / table_512[n].denominator
+            assert abs(series[n] - M_n) <= 1e-70 * M_n, n
+
+
 # ---------------------------------------------------------------------------
 # decay_fit
 # ---------------------------------------------------------------------------
@@ -495,7 +557,7 @@ def test_decay_fit_slope_band(constant_d30):
 
 
 def test_decay_fit_preconditions():
-    # The certified error must be <= 1e-20: 5.0e-20 at D = 7, 5.0e-21 at D = 8.
+    # The certified error must be <= 1e-20: 5.9e-20 at D = 1, 9.4e-21 at D = 2.
     with pytest.raises(ValueError, match="insufficient constant precision"):
-        decay_fit(moment_series_constant(7))
-    decay_fit(moment_series_constant(8))
+        decay_fit(moment_series_constant(1))
+    decay_fit(moment_series_constant(2))
