@@ -7,15 +7,20 @@ to compare against:
     python3 scripts/bench.py PARENT_CHECKOUT --out BENCH_<n>.json
 
 Both trees run their own ``src/``; "change" is the tree this script lives
-in.  Two kinds of figures are written:
+in.  Every comparison is made round by round: a round runs each tree
+once, back to back, and gives one change/parent ratio.  A comparison
+reports the median of its rounds' ratios with their quartiles, the
+number of rounds and the number the change won (a smaller value);
+per-tree figures are kept only under ``samples``.  On a shared machine
+one child's time can differ from the next one's by half on identical
+code, and two trees' medians taken apart can then show a change of a
+quarter that the paired ratios do not.  The figures are:
 
 * ``end_to_end``: each CLI command in a fresh interpreter, ``RUNS``
-  times per tree in alternating order (parent first in even rounds,
-  change first in odd ones), timed from spawn to exit.  Each command gets
-  the median, quartiles and raw samples per tree, the number of rounds
-  in which the change was faster, and whether the two trees' stdout
-  agreed byte for byte.  Peak RSS comes from ``RSS_RUNS`` further,
-  untimed runs per tree, in which the child reads its own ``VmHWM``
+  rounds in alternating order (parent first in even rounds, change
+  first in odd ones), timed from spawn to exit, and whether the two
+  trees' stdout agreed byte for byte.  Peak RSS comes from ``RSS_RUNS``
+  further, untimed rounds, in which the child reads its own ``VmHWM``
   from ``/proc/self/status`` after the command: exec resets it, whereas
   a child's ``ru_maxrss`` starts from its parent's peak, so it would
   read this script's floor for every command smaller than the script.
@@ -33,12 +38,7 @@ in.  Two kinds of figures are written:
   children.  Each figure is timed on its own, in ``IN_PROCESS_RUNS``
   rounds of one fresh child
   interpreter per tree run back to back, which tree goes first
-  alternating from round to round and from figure to figure.  A figure's value per tree is the
-  median of its children, and ``change_over_parent`` the median of the
-  rounds' ratios.  On a shared machine one child's time can differ from
-  the next one's by half, on identical code, so a best of all children
-  lets one lucky child set a tree's figure; the median of many rounds
-  does not.  The children's times are kept under ``samples``.
+  alternating from round to round and from figure to figure.
 * ``traced_peak_mb``: the peak of the memory that ``tracemalloc``
   traces, numpy's buffers included, for ``zeta_contours((1, 2, 5))`` at
   T = 1e4 and 1e5 and for the five Perron kernels in a row, each in a
@@ -236,8 +236,9 @@ else:
     print(json.dumps(list(FIGURES)))
 """
 
-# Run in a fresh interpreter per sample: the import loads whatever the
-# module needs (numpy, before the Cantor walk), which one process caches.
+# Run in a fresh interpreter per sample: the import loads the package and
+# the Cantor walk, all standard library (neither imports numpy), which one
+# process caches.
 IMPORT_CANTOR = r"""
 import time
 start = time.perf_counter()
@@ -284,7 +285,29 @@ def rss_run(tree: Path, argv: list[str]) -> float:
 
 def summary(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples_s": samples}
+    return {"median": median, "q1": q1, "q3": q3, "samples": samples}
+
+
+def compare(parent: list[float], change: list[float]) -> dict:
+    """One comparison: the rounds' change/parent ratios, and each tree's samples."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {
+        "change_over_parent": {"median": median, "q1": q1, "q3": q3},
+        "rounds": len(ratios),
+        "change_won": sum(c < p for p, c in zip(parent, change)),
+        "samples": {"parent": summary(parent), "change": summary(change)},
+    }
+
+
+def report(label: str, comparison: dict) -> None:
+    ratio = comparison["change_over_parent"]
+    print(
+        f"{label}: change/parent {ratio['median']:.3f} "
+        f"({ratio['q1']:.3f}-{ratio['q3']:.3f}), change won "
+        f"{comparison['change_won']} of {comparison['rounds']}",
+        file=sys.stderr,
+    )
 
 
 def end_to_end(parent: Path) -> dict:
@@ -303,19 +326,12 @@ def end_to_end(parent: Path) -> dict:
             for name, tree in order if i % 2 == 0 else order[::-1]:
                 rss[name].append(rss_run(tree, argv))
         results[label] = {
-            "parent": {**summary(times["parent"]), "peak_rss_mb": rss["parent"]},
-            "change": {**summary(times["change"]), "peak_rss_mb": rss["change"]},
-            "change_faster_rounds": sum(
-                c < p for p, c in zip(times["parent"], times["change"])
-            ),
+            "wall_s": compare(times["parent"], times["change"]),
+            "peak_rss_mb": compare(rss["parent"], rss["change"]),
             "stdout_identical": len(digests["parent"] | digests["change"]) == 1,
         }
-        print(
-            f"{label}: parent {results[label]['parent']['median_s']:.3f} s, "
-            f"{max(rss['parent']):.1f} MB; change "
-            f"{results[label]['change']['median_s']:.3f} s, {max(rss['change']):.1f} MB",
-            file=sys.stderr,
-        )
+        report(f"{label}, wall", results[label]["wall_s"])
+        report(f"{label}, VmHWM", results[label]["peak_rss_mb"])
     return results
 
 
@@ -336,46 +352,29 @@ def in_process(parent: Path) -> dict:
     figures = json.loads(child_stdout(CHANGE, IN_PROCESS))
     jobs = [(figure, IN_PROCESS, figure) for figure in figures]
     jobs.append(("import cantor_moments.cantor", IMPORT_CANTOR))
-    samples: dict[str, dict[str, list[float]]] = {}
+    results = {}
     for f, (figure, *child) in enumerate(jobs):
         times: dict[str, list[float]] = {"parent": [], "change": []}
         for i in range(IN_PROCESS_RUNS):
             for name, tree in order if (f + i) % 2 == 0 else order[::-1]:
                 times[name].append(json.loads(child_stdout(tree, *child)))
-        samples[figure] = times
-        print(
-            f"{figure}: parent {statistics.median(times['parent']) * 1e3:.3g} ms, "
-            f"change {statistics.median(times['change']) * 1e3:.3g} ms",
-            file=sys.stderr,
-        )
-    return {
-        **{
-            name: {figure: statistics.median(t[name]) for figure, t in samples.items()}
-            for name in ("parent", "change")
-        },
-        "change_over_parent": {
-            figure: statistics.median(c / p for p, c in zip(t["parent"], t["change"]))
-            for figure, t in samples.items()
-        },
-        "samples": samples,
-    }
+        results[figure] = compare(times["parent"], times["change"])
+        report(figure, results[figure])
+    return results
 
 
 def traced_peaks(parent: Path) -> dict:
     """Each contour figure's traced peak in MB, per tree, over alternating rounds."""
     order = (("parent", parent), ("change", CHANGE))
-    peaks: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    results = {}
     for figure in json.loads(child_stdout(CHANGE, TRACED_PEAK)):
+        peaks: dict[str, list[float]] = {"parent": [], "change": []}
         for i in range(TRACE_RUNS):
             for name, tree in order if i % 2 == 0 else order[::-1]:
-                peak = json.loads(child_stdout(tree, TRACED_PEAK, figure))
-                peaks[name].setdefault(figure, []).append(peak)
-        print(
-            f"{figure}: parent {max(peaks['parent'][figure]):.2f} MB traced, "
-            f"change {max(peaks['change'][figure]):.2f} MB",
-            file=sys.stderr,
-        )
-    return peaks
+                peaks[name].append(json.loads(child_stdout(tree, TRACED_PEAK, figure)))
+        results[figure] = compare(peaks["parent"], peaks["change"])
+        report(f"{figure}, traced", results[figure])
+    return results
 
 
 def provenance(tree: Path) -> dict:
@@ -436,14 +435,16 @@ def main(argv: list[str] | None = None) -> int:
             f"{RUNS} rounds per command, parent and change alternating in "
             "fresh interpreters, timed from spawn to exit; peak RSS from "
             f"{RSS_RUNS} further untimed rounds, each child's own VmHWM; "
-            "quartiles by statistics.quantiles(n=4); each in-process figure is "
+            "each in-process figure is "
             f"timed alone in {IN_PROCESS_RUNS} rounds of one fresh child per tree, "
             "run back to back in alternating order, each child's time the best "
             "of 5 calls (one for a first call or the import, the median of "
-            "calls 2-11 for the warm zeta_contours); per tree the "
-            "median of its children, and change_over_parent the median of the "
-            "rounds' ratios; traced peaks from tracemalloc in "
-            f"{TRACE_RUNS} rounds of one fresh child per tree and figure"
+            "calls 2-11 for the warm zeta_contours); traced peaks from "
+            f"tracemalloc in {TRACE_RUNS} rounds of one fresh child per tree and "
+            "figure.  Every comparison is the median of its rounds' "
+            "change/parent ratios with their quartiles (statistics.quantiles, "
+            "n=4) and the rounds the change won; per-tree medians, quartiles "
+            "and raw values only under samples"
         ),
         "end_to_end": end_to_end(parent),
         "in_process": in_process(parent),

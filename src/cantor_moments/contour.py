@@ -48,14 +48,18 @@ offsets d_j (:func:`_zeta_grid`).  The quadrature's panels of one width
 are one grid, their midpoints with the offsets half*x_j of the 15
 Kronrod nodes; a list of points is a grid with the one offset 0
 (:func:`_zeta_line`).  Every Dirichlet term factors as
-n**(-s_p) * n**(-i*d_j), so a block of panels' Dirichlet sums is one
-product of a table per panel with a table per node offset, not a table
-per node: the grid factorization behind Odlyzko and Schoenhage's
-multi-evaluation of zeta (Trans. AMS 309, 1988).  Each table is built
-multiplicatively from a smallest-prime-factor sieve, with exp taken
-only at primes.  What a block's tables share with the rest of its wave
-or line (the sieve, and per real part the correction coefficients) is
-cached, so it is built once, not once per block.
+n**(-x_p) * n**(-side - i*d_j), so the Dirichlet sums of a run of 64
+centres are one product of a table per centre with a table per side and
+node offset, not a table per node: the grid factorization behind
+Odlyzko and Schoenhage's multi-evaluation of zeta (Trans. AMS 309,
+1988).  One function, :func:`_dirichlet_sum`, forms it for both paths:
+Euler-Maclaurin with x = s_p and the one side 0, Riemann-Siegel with
+x = i*Im s_p and the sides sigma and 1 - sigma of its two main sums.
+Each table is built multiplicatively from a smallest-prime-factor
+sieve, with exp taken only at primes.  What a block's tables share with
+the rest of its wave or line (the sieve, and per real part the
+correction coefficients) is cached, so it is built once, not once per
+block.
 
 Each centre takes one of two paths, chosen from one error bound, at its
 lowest node.  Riemann-Siegel, in Arias de Reyna's form for any real
@@ -65,16 +69,16 @@ a**(-sigma - K), a = sqrt(tau/2pi), so it falls with the height, and
 the theorem's conditions only get easier as a grows: below target at
 the lowest node, it is below target at every node.  On Re s = 3/2 and
 log2(3) that is every height from about 1650 up, with N = floor(a) <= 39
-at 1e4.  Its main sums take the product up to the panel's smallest N,
-and each node whose N is larger (N changes at most once across a panel
-there) adds its last term alone; its correction series are polynomials
-in p**2, since C_k(p) has the parity of k.  chi(s) is built in
-logarithms, with Stirling's series for log Gamma(1 - s) and its
-remainder bound.  Euler-Maclaurin serves the rest, with a cutoff solved
-from its remainder bound at each panel's highest node and applied per
-block of 64 panels.  Each path solves its own cutoffs or bounds from the
-centres and offsets alone, checks its bound at every node and raises
-above 1e-10.
+at 1e4.  Its main sums run to each panel's smallest N, and each node
+whose N is larger (N changes at most once across a panel there) adds
+its last term alone; its correction series are polynomials in p**2,
+since C_k(p) has the parity of k.  chi(s) is built in logarithms, with
+Stirling's series for log Gamma(1 - s), whose remainder is bounded on
+the served nodes.  Euler-Maclaurin serves the rest, with a cutoff
+solved from its remainder bound at each panel's highest node and
+applied per run of 64 panels.  Each path solves its own cutoffs or
+bounds from the centres and offsets alone, checks its bound at every
+node and raises above 1e-10.
 """
 
 from __future__ import annotations
@@ -207,19 +211,32 @@ def _product(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     return product
 
 
-def _dirichlet_sum(s: np.ndarray, M, offsets=0.0) -> np.ndarray:
-    """sum_{n=1..M} n**(-s_p - i*offsets_j), shape s.shape + offsets.shape.
+def _dirichlet_sum(x, sides, cutoffs, offsets) -> np.ndarray:
+    """sum_{n <= cutoffs_p} n**(-x_p - sides_k - i*offsets_j), indexed [k, p, j].
 
-    M is one cutoff, or one per block of _DIRICHLET_BLOCK centres s_p.
-    Each block is one product of its table of n**(-s_p) with the one
-    table of n**(-i*offsets_j).
+    The one place the grid factorization is formed, for both zeta paths:
+    each term is n**(-x_p) times n**(-sides_k - i*offsets_j), so the sums
+    of a run of _DIRICHLET_BLOCK consecutive centres x_p are one
+    :func:`_product` of the run's table of n**(-x_p) with the call's one
+    table of n**(-sides_k - i*offsets_j), every side at once.  The run's
+    table is filled to the run's largest cutoff (:func:`_powers`), and
+    masked to each centre's own only when some centre of the run stops
+    short.
     """
-    d = np.ravel(offsets)
-    _, phases = next(_powers(1j * d, int(np.max(M)), len(d)))
-    out = np.empty((len(s), len(d)), dtype=np.complex128)
-    for lo, w in _powers(s, M, _DIRICHLET_BLOCK):
-        out[lo : lo + w.shape[1]] = _product(w[1:], phases[1 : len(w)]).T
-    return out.reshape(s.shape + np.shape(offsets))
+    top = int(cutoffs.max())
+    n = np.arange(1, top + 1)
+    _, phases = next(_powers(1j * offsets, top, len(offsets)))
+    table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
+    table = table.reshape(top, -1)
+    out = np.empty((len(sides), len(x), len(offsets)), dtype=np.complex128)
+    runs = range(0, len(x), _DIRICHLET_BLOCK)
+    for lo, w in _powers(x, np.maximum.reduceat(cutoffs, runs), _DIRICHLET_BLOCK):
+        cut = cutoffs[lo : lo + w.shape[1]]
+        if cut.min() < len(w) - 1:
+            np.multiply(w[1:], n[: len(w) - 1, None] <= cut, out=w[1:])
+        sums = _product(w[1:], table[: len(w) - 1]).reshape(len(sides), len(offsets), -1)
+        out[:, lo : lo + len(cut)] = sums.transpose(0, 2, 1)
+    return out
 
 
 def _zeta_em(s: np.ndarray, offsets=0.0) -> np.ndarray:
@@ -227,16 +244,19 @@ def _zeta_em(s: np.ndarray, offsets=0.0) -> np.ndarray:
 
     Each centre's cutoff is solved at its highest node (:func:`_em_cutoff`;
     it grows with the height).  The centres are summed in order of
-    cutoff, every block of _DIRICHLET_BLOCK of them at its largest, and
-    come back in input order; the remainder bound is checked at every node.
+    cutoff by :func:`_dirichlet_sum` (x = s_p, side 0), every run of
+    _DIRICHLET_BLOCK of them to its largest, and come back in input
+    order; the remainder bound is checked at every node.
     """
-    x = s[:, None] + 1j * np.ravel(offsets)
+    d = np.ravel(offsets)
+    x = s[:, None] + 1j * d
     M = _em_cutoff(x[np.arange(len(s)), np.abs(x.imag).argmax(axis=1)])
     order = np.argsort(M, kind="stable")
     x = x[order]
     M = np.maximum.reduceat(M[order], np.arange(0, len(s), _DIRICHLET_BLOCK))
-    acc = _dirichlet_sum(s[order], M, offsets).reshape(x.shape)
-    cutoff = np.repeat(M, _DIRICHLET_BLOCK)[: len(s), None].astype(np.float64)
+    M = np.repeat(M, _DIRICHLET_BLOCK)[: len(s)]
+    acc = _dirichlet_sum(s[order], np.zeros(1), M, d)[0]
+    cutoff = M[:, None].astype(np.float64)
     # M**-x once per node; each later term is M**-(x + 2j - 1), a real step.
     power = np.exp(-x * np.log(cutoff))
     acc += power * (cutoff / (x - 1) - 0.5)
@@ -292,13 +312,11 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
 # holds from tau = 2pi * 37.5K ~ 236K up (3K < 2a**2/25), and at K = 6
 # the bound first meets the target near tau = 3040, at K = 7 from 1650.
 _RS_TERMS = 7
-# Nodes per chunk of the Riemann-Siegel tables.
-_RS_CHUNK = 1024
 # Panels per block of a quadrature wave: the integrand, and so zeta, sees
 # at most _BLOCK panels (15 * _BLOCK nodes) at a time, and _zeta_line as
 # many points, so the working set does not grow with T.  Chosen by
-# measurement: 68 panels (_RS_CHUNK nodes) pay their fixed per-block
-# work about 17 times a wave at T = 1e4, and 256 panels raise the peak.
+# measurement: 68 panels pay their fixed per-block work about 17 times a
+# wave at T = 1e4, and 256 panels raise the peak.
 _BLOCK = 128
 
 
@@ -387,8 +405,8 @@ def _rs_side_bound(sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 3.0 * c * math.gamma(_RS_TERMS / 2) / (b * a) ** _RS_TERMS
 
 
-def _log_chi(s: np.ndarray):
-    """log chi(s) for Im s = tau > 0, and the bound on its Stirling remainder.
+def _log_chi(s: np.ndarray) -> np.ndarray:
+    """log chi(s) for Im s = tau > 0.
 
     log chi(s) = s ln 2 + (s - 1) ln pi + log sin(pi s/2) + log Gamma(1 - s),
     in logarithms, since sin(pi s/2) alone overflows and Gamma(1 - s)
@@ -397,23 +415,22 @@ def _log_chi(s: np.ndarray):
     that is log1p(0) = 0 wherever chi is taken (tau > 1649, see
     :func:`_rs_bound`), as exp(-pi tau) underflows from tau ~ 238.  log Gamma(w),
     w = 1 - s = -i tau (1 + i e), e = (1 - sigma)/tau, is Stirling's
-    series to the 1/(360 w**3) term, whose remainder is at most
-    sec(arg(w)/2)**6 / (1260 |w|**5).  Their terms of size tau cancel in
-    closed form to -i tau (ln(tau/2pi) - 1); the rest is of order one, so
-    the phase is rounded once, not term by term.
+    series to the 1/(360 w**3) term; its remainder, at most
+    sec(arg(w)/2)**6 / (1260 |w|**5), is bounded by :func:`_zeta_rs` on
+    the nodes it serves.  Their terms of size tau cancel in closed form
+    to -i tau (ln(tau/2pi) - 1); the rest is of order one, so the phase
+    is rounded once, not term by term.
     """
     sigma, tau = s.real, s.imag
     e = (1.0 - sigma) / tau
     log_w = 0.5 * np.log1p(e * e) + 1j * np.arctan(e)  # log(w / (-i tau))
     log_t = np.log(tau / (2.0 * math.pi))
     w = 1.0 - s
-    log_chi = (
+    return (
         (0.5 - sigma) * (log_t + log_w) - 1j * tau * log_w - (1.0 - sigma) + 0.25j * math.pi
         + 1.0 / (12.0 * w) - 1.0 / (360.0 * w**3)
         - 1j * tau * (log_t - 1.0)
     )
-    stirling = 1.0 / (1260.0 * np.abs(w) ** 5 * np.cos(np.angle(w) / 2) ** 6)
-    return log_chi, stirling
 
 
 def _rs_bound(s: np.ndarray):
@@ -431,8 +448,7 @@ def _rs_bound(s: np.ndarray):
     higher up: the bound at a panel's lowest node bounds all of its
     nodes, which is the one value :func:`_zeta_grid` takes per panel.
 
-    Returns (bound, log chi, Stirling bound), the last two nan off the
-    served points.
+    Returns (bound, log chi), log chi nan where the bound is inf.
     """
     sigma = s.real
     a = np.sqrt(s.imag / (2.0 * math.pi))
@@ -446,36 +462,36 @@ def _rs_bound(s: np.ndarray):
     )
     bound = np.full(s.shape, np.inf)
     log_chi = np.full(s.shape, np.nan, dtype=np.complex128)
-    stirling = np.full(s.shape, np.nan)
-    log_chi[ok], stirling[ok] = _log_chi(s[ok])
+    log_chi[ok] = _log_chi(s[ok])
     a, sigma = a[ok], sigma[ok]
     bound[ok] = a**-sigma * _rs_side_bound(sigma, a) + np.exp(
         log_chi[ok].real + (sigma - 1.0) * np.log(a)
     ) * _rs_side_bound(1.0 - sigma, a)
-    return bound, log_chi, stirling
+    return bound, log_chi
 
 
 def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
     """Riemann-Siegel zeta at s_p + i*offsets_j, all heights > 0, error under 1e-10.
 
-    Shape s.shape + offsets.shape.  The bound and log chi are
+    Shape s.shape + offsets.shape; the centres s_p share one real part
+    sigma, and centres on two are refused.  The bound and log chi are
     :func:`_rs_bound` at every node.  R(s) and R(1 - conj s) are built
-    side by side, for each real part sigma among the centres, a chunk of
-    about _RS_CHUNK nodes at a time (fewer where N is so large that the
-    chunk's table of n**(-i Im s_p) would pass 16 * _RS_CHUNK entries).
-    Both main sums of a chunk are one product of that table with the
-    call's table of n**(-side - i*offsets_j), side = sigma and
-    1 - sigma, n up to the largest N, over the n up to the smallest N of
-    each centre's nodes; a node whose N is larger adds its last terms one
-    by one (above tau ~ 1650 N changes at most once across a Kronrod
-    panel).  The correction series, each C_k a polynomial in p**2, are
-    one product with the powers of p**2.  The bound is checked before,
-    and with the Stirling error of chi times |chi conj R(1 - conj s)|
-    added, after.
+    side by side: both main sums are one :func:`_dirichlet_sum` with
+    x = i Im s_p and the sides sigma and 1 - sigma, each centre summed
+    to the smallest N of its nodes; a node whose N is larger adds its
+    last terms one by one (above tau ~ 1650 N changes at most once
+    across a Kronrod panel).  The correction series, each C_k a
+    polynomial in p**2, are one product with the powers of p**2.  The
+    bound is checked before, and with the Stirling error of chi (see
+    :func:`_log_chi`) times |chi conj R(1 - conj s)| added, after.
     """
     shape = s.shape + np.shape(offsets)
     d = np.ravel(offsets)
-    bound, log_chi, stirling = _rs_bound(s[:, None] + 1j * d)
+    sigma = float(s.real[0])
+    if np.any(s.real != sigma):
+        raise ValueError("zeta Riemann-Siegel centres on more than one real part")
+    nodes = s[:, None] + 1j * d
+    bound, log_chi = _rs_bound(nodes)
     if not np.all(bound < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     tau = s.imag[:, None] + d
@@ -485,53 +501,34 @@ def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
     p = 1.0 - 2.0 * (a - N)
     K = _RS_TERMS
     # (-1)**(N-1) U, the phase of both correction series
-    rotation = np.where(N % 2 == 1, 1.0, -1.0) * np.exp(
-        -1j * (tau * (log_a - 0.5) - math.pi / 8)
-    )
+    rotation = np.where(N % 2, 1.0, -1.0) * np.exp(-1j * (tau * (log_a - 0.5) - math.pi / 8))
+    sides = np.array([sigma, 1.0 - sigma])
     low = N.min(axis=1)
-    top = int(N.max())
-    n = np.arange(1, top + 1)
-    _, phases = next(_powers(1j * d, top, len(d)))
-    # About _RS_CHUNK nodes per chunk, and at most 16 * _RS_CHUNK entries
-    # in its table of n**(-i Im s_p), which has one column per centre: a
-    # line of points has one centre per node.
-    chunk = max(1, min(_RS_CHUNK // len(d), 16 * _RS_CHUNK // top))
-    R = np.empty((2,) + tau.shape, dtype=np.complex128)
-    values, groups = np.unique(s.real, return_inverse=True)
-    for g, value in enumerate(values):
-        at = np.flatnonzero(groups == g)
-        sides = np.array([value, 1.0 - value])
-        table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
-        table = table.reshape(top, -1)
-        C = _rs_series(float(value), K)
-        for lo, w in _powers(1j * s.imag[at], top, chunk):
-            rows = at[lo : lo + w.shape[1]]
-            np.multiply(w[1:], n[:, None] <= low[rows], out=w[1:])
-            sums = _product(w[1:], table)
-            sums = sums.reshape(2, len(d), -1).transpose(0, 2, 1)
-            past = N[rows] - low[rows, None]
-            for step in range(1, int(past.max()) + 1):
-                i, j = np.nonzero(past >= step)
-                m = low[rows][i] + step
-                sums[:, i, j] += np.exp(-np.log(m) * (sides[:, None] + 1j * tau[rows][i, j]))
-            # The series: C_k in p**2 for both sides, real and imaginary
-            # parts apart, then summed over k by Horner's rule in 1/a, odd k
-            # times p.
-            q = p[rows].ravel()
-            square = q * q
-            powers = np.empty((C.shape[0], q.size))
-            powers[0] = 1.0
-            for e in range(1, C.shape[0]):
-                np.multiply(powers[e - 1], square, out=powers[e])
-            series = np.einsum("dp,dc->cp", powers, C).reshape(2, 2, K, -1)
-            inverse = 1.0 / a[rows].ravel()
-            total = 0.0
-            for k in range(K - 1, -1, -1):
-                total = series[:, :, k] * (q if k % 2 else 1.0) + inverse * total
-            total *= np.exp(-sides[:, None] * log_a[rows].ravel())  # a**-sigma, a**(sigma-1)
-            series = (total[0] + 1j * total[1]).reshape(2, *past.shape)
-            R[:, rows] = sums + rotation[rows] * series
+    sums = _dirichlet_sum(1j * s.imag, sides, low, d)
+    past = N - low[:, None]
+    for step in range(1, int(past.max()) + 1):
+        i, j = np.nonzero(past >= step)
+        m = low[i] + step
+        sums[:, i, j] += np.exp(-np.log(m) * (sides[:, None] + 1j * tau[i, j]))
+    # The series: C_k in p**2 for both sides, real and imaginary parts
+    # apart, then summed over k by Horner's rule in 1/a, odd k times p.
+    C = _rs_series(sigma, K)
+    q = p.ravel()
+    square = q * q
+    powers = np.empty((C.shape[0], q.size))
+    powers[0] = 1.0
+    for e in range(1, C.shape[0]):
+        np.multiply(powers[e - 1], square, out=powers[e])
+    series = np.einsum("dp,dc->cp", powers, C).reshape(2, 2, K, -1)
+    inverse = 1.0 / a.ravel()
+    total = 0.0
+    for k in range(K - 1, -1, -1):
+        total = series[:, :, k] * (q if k % 2 else 1.0) + inverse * total
+    total *= np.exp(-sides[:, None] * log_a.ravel())  # a**-sigma, a**(sigma-1)
+    R = sums + rotation * (total[0] + 1j * total[1]).reshape(2, *tau.shape)
     reflected = np.exp(log_chi) * R[1].conj()
+    w = 1.0 - nodes
+    stirling = 1.0 / (1260.0 * np.abs(w) ** 5 * np.cos(np.angle(w) / 2) ** 6)
     if not np.all(bound + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     return (R[0] + reflected).reshape(shape)
@@ -568,8 +565,9 @@ def _zeta_line(s: np.ndarray) -> np.ndarray:
     :func:`_zeta_grid` with one node, offset 0, per point, called on
     consecutive blocks of at most 15 * _BLOCK points, the node budget of
     one quadrature block, so the working set does not grow with the
-    number of points.  Every point is evaluated at |Im s| and conjugated
-    back where Im s < 0, so zeta(conj s) is conj zeta(s) bit for bit.
+    number of points; those Riemann-Siegel serves must share Re s.  Every
+    point is evaluated at |Im s| and conjugated back where Im s < 0, so
+    zeta(conj s) is conj zeta(s) bit for bit.
     """
     s = np.asarray(s, dtype=np.complex128)
     below = s.imag < 0
@@ -655,7 +653,7 @@ def _kronrod(y: np.ndarray, half: np.ndarray):
     if not np.isfinite(y).all():
         raise ValueError("integrand produced a non-finite value")
     y = y.reshape(-1, len(half), 15)
-    # einsum, not @, as in _zeta_rs: no BLAS threads for these products,
+    # einsum, not @, as in _product: no BLAS threads for these products,
     # also where numpy was loaded before the CLI could set one thread.
     k15 = half * np.einsum("rpn,n->rp", y, _K15_WEIGHTS)
     return k15, half * np.einsum("rpn,n->rp", y[..., 1::2], _G7_WEIGHTS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from test_constant import REFERENCE_CONSTANT
 
-from cantor_moments import contour
+from cantor_moments import cli, contour
 from cantor_moments.contour import (
     _G7_WEIGHTS,
     _K15_NODES,
@@ -246,6 +248,23 @@ def test_riemann_siegel_guard(monkeypatch):
     assert np.all(np.abs(_zeta_line(s) - want) <= 2e-10)
 
 
+def test_riemann_siegel_refuses_two_real_parts():
+    # Riemann-Siegel sums both sides of one real part; every caller hands
+    # it centres on one, and centres on two are refused, whether directly,
+    # as a list of points or as a grid, while each real part alone serves.
+    s = np.array([1.5 + 5000j, LOG2_3 + 6000j])
+    offsets = PERIOD / 2 * _K15_NODES
+    for call in (
+        lambda: _zeta_rs(s),
+        lambda: _zeta_line(s),
+        lambda: contour._zeta_grid(s, offsets),
+    ):
+        with pytest.raises(ValueError, match="Riemann-Siegel centres on more than one real part"):
+            call()
+    for one in s[:, None]:
+        assert np.all(np.abs(_zeta_rs(one, offsets) - _zeta_em(one, offsets)) <= 2e-10)
+
+
 def test_riemann_siegel_bound_holds(monkeypatch):
     # With K = 3 and 5 correction terms the truncation error is far above
     # rounding; against mpmath it stays below the bound, with the guard
@@ -367,21 +386,35 @@ def test_spf_sieve_small():
 
 @pytest.mark.parametrize("M", [2, 3, 4, 5, 64, 1024, 1025, 2053])
 def test_dirichlet_sum_against_direct_powers(M):
-    # 150 nodes span two full blocks and a partial one
+    # 150 centres x span two full runs of 64 and a partial one, on mixed
+    # real parts; two sides and three node offsets are summed at once.
     rng = np.random.default_rng(M)
-    s = rng.choice([0.5, 1.5], 150) + 1j * rng.uniform(-1.0e4, 1.0e4, 150)
+    x = rng.choice([0.5, 1.5], 150) + 1j * rng.uniform(-1.0e4, 1.0e4, 150)
+    sides = np.array([0.0, 0.25])
+    offsets = np.array([-1.5, 0.0, 2.0])
     n = np.arange(1, M + 1, dtype=float)
-    direct = (n[None, :] ** -s[:, None]).sum(axis=1)
-    scale = (n[None, :] ** -s.real[:, None]).sum(axis=1)
-    assert np.all(np.abs(_dirichlet_sum(s, M) - direct) <= 1e-12 * scale)
-    # One cutoff per block of 64 nodes, the middle block summed to fewer terms
+    # One cutoff for all; one per run, the middle run summed to fewer
+    # terms; and one per centre, differing inside every run, so that each
+    # run's table is filled to its largest and masked to each centre's own.
     short = max(M // 3, 1)
-    cut = np.where((np.arange(150) >= 64) & (np.arange(150) < 128), short, M)
-    terms = n[None, :] <= cut[:, None]
-    direct = np.where(terms, n[None, :] ** -s[:, None], 0).sum(axis=1)
-    scale = np.where(terms, n[None, :] ** -s.real[:, None], 0).sum(axis=1)
-    got = _dirichlet_sum(s, np.array([M, short, M]))
-    assert np.all(np.abs(got - direct) <= 1e-12 * scale)
+    per_centre = rng.integers(1, M + 1, 150)
+    assert all(run.min() < run.max() for run in np.split(per_centre, [64, 128]))
+    cases = [
+        np.full(150, M),
+        np.where((np.arange(150) >= 64) & (np.arange(150) < 128), short, M),
+        per_centre,
+    ]
+    got = [_dirichlet_sum(x, sides, c, offsets) for c in cases]
+    assert all(sums.shape == (2, 150, 3) for sums in got)
+    for k, side in enumerate(sides):
+        for j, offset in enumerate(offsets):
+            s = x + side + 1j * offset
+            powers, moduli = n ** -s[:, None], n ** -s.real[:, None]
+            for cutoffs, sums in zip(cases, got):
+                terms = n <= cutoffs[:, None]
+                direct = np.where(terms, powers, 0).sum(axis=1)
+                scale = np.where(terms, moduli, 0).sum(axis=1)
+                assert np.all(np.abs(sums[k, :, j] - direct) <= 1e-12 * scale)
 
 
 def test_non_finite_integrand_is_refused():
@@ -617,6 +650,93 @@ def test_perron_step_values_away_from_the_cli_points():
     # meets max(t - 1, 0) at the default T = 1e4.
     for t in (1e-3, 8.0, 1e3):
         assert abs(perron_kernel(t) - max(t - 1.0, 0.0)) <= 1e-3
+
+
+CLI_T = (0.5, 1.0, 1.5, 2.0, 4.0)
+
+
+def _perron_exact(t: float, T: float = 1.0e4) -> float:
+    """perron_kernel(t, T=T) without quadrature: the truncated integral in closed form.
+
+    1/(s(s-1)) = 1/(s-1) - 1/s, so the integral over [-T, T] is the step
+    max(t - 1, 0) less the two conjugate tails |tau| > T of
+    t**s / (b + i*tau), s = 3/2 + i*tau, b = 1/2 and 3/2.  For t != 1,
+    x = ln t, each upper tail is by parts
+    -t**(3/2) e**(iTx) sum_k i**k k! / ((b + iT)(ix))**(k+1): its ratio
+    is at most k/(T|x|), and at T|x| >= 1000 the first omitted term,
+    k = 8, is below 8!/1000**8 ~ 4e-20 of the first.  At t = 1 the integral is
+    2 Re int_0^T 1/(b + i*tau) = 2 atan(T/b) for each b.
+    """
+    if t == 1.0:
+        return (math.atan(T / 0.5) - math.atan(T / 1.5)) / math.pi
+    x = math.log(t)
+    tail = 0
+    for b, sign in ((0.5, 1), (1.5, -1)):
+        z = (b + 1j * T) * 1j * x
+        tail += sign * sum(1j**k * math.factorial(k) / z ** (k + 1) for k in range(8))
+    tail *= -(t**1.5) * cmath.exp(1j * T * x)
+    return max(t - 1.0, 0.0) - tail.real / math.pi
+
+
+def _perron_exact_mpmath(mpmath, t: float, T: float = 1.0e4):
+    """The same integral at the working precision: each tail by the exponential integral.
+
+    int_T^inf t**(3/2 + i*tau) / (b + i*tau) dtau = -i t**(3/2 - b) E1(-x (b + iT)),
+    x = ln t, and at t = 1 the integral of 1/(s(s-1)) by quadrature.
+    """
+    t, T = mpmath.mpf(t), mpmath.mpf(T)
+    if t == 1:
+
+        def f(tau):
+            return mpmath.re(1 / ((1.5 + 1j * tau) * (0.5 + 1j * tau)))
+
+        return mpmath.quad(f, [0, 1, 10, 100, 1000, T]) / mpmath.pi
+    x = mpmath.log(t)
+    tail = sum(
+        sign * -1j * t ** (mpmath.mpf(1.5) - b) * mpmath.e1(-x * (b + 1j * T))
+        for b, sign in ((mpmath.mpf(0.5), 1), (mpmath.mpf(1.5), -1))
+    )
+    return max(t - 1, 0) - mpmath.re(tail) / mpmath.pi
+
+
+def _perron_gaps() -> list[float]:
+    """|perron_kernel(t) - the closed form| at the CLI's five t."""
+    return [abs(perron_kernel(t) - _perron_exact(t)) for t in CLI_T]
+
+
+def test_perron_closed_form_against_mpmath():
+    # The float closed form against the exponential integral at 30 digits,
+    # at the CLI's five t and eight seeded t in [0.25, 8], |ln t| >= 0.1.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1999)
+    seeded = []
+    while len(seeded) < 8:
+        t = float(rng.uniform(0.25, 8.0))
+        if abs(math.log(t)) >= 0.1:
+            seeded.append(t)
+    with mpmath.workdps(30):
+        for t in CLI_T + tuple(seeded):
+            want = _perron_exact_mpmath(mpmath, t)
+            assert abs(_perron_exact(t) - want) <= 2e-16 * max(1.0, t)
+
+
+def test_perron_kernel_against_the_exact_truncated_integral():
+    # The contract's perron_t_* checks compare the quadrature with the step
+    # max(t - 1, 0), so their measured errors are truncation; against the
+    # truncated integral itself the quadrature's own error shows.
+    assert max(_perron_gaps()) <= 1e-13
+
+
+def test_perron_exact_check_catches_a_fault_the_contract_misses(monkeypatch):
+    # A relative fault of 1e-9 in the integrand moves perron_kernel(t) by
+    # about 1e-9 * (t - 1): past the closed-form check, and far inside
+    # every perron_t_* check's tolerance.
+    real = contour.perron_integrand
+    monkeypatch.setattr(contour, "perron_integrand", lambda t, tau: real(t, tau) * (1 + 1e-9))
+    assert max(_perron_gaps()) > 1e-13
+    perron_checks = list(itertools.islice(cli._suite_mellin(), len(CLI_T)))
+    assert [name for name, *_ in perron_checks] == [f"perron_t_{t}" for t in CLI_T]
+    assert all(ok for _, ok, *_ in perron_checks)
 
 
 SHARED_T = 1000.0
