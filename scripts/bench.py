@@ -27,11 +27,13 @@ quarter that the paired ratios do not.  The figures are:
 * ``in_process``: the best of 5 calls of the exact layers, Euler's
   gamma, the decay fit, the moment table at N = 512 with its Bernoulli
   numbers, shared parts and row 0, the recursion at N = 64, the Cantor
-  grid, the ``mellin`` suite's five Perron kernels, and zeta per point
-  at heights 10 to 1e4 on Re s = 3/2 (in seconds per point); the first
-  call of the decay fit, which loads what it imports, and of
-  ``zeta_contours((1, 2, 5))``,
-  which builds its coefficient tables, at T = 1e4 and at T = 1e5; the
+  grid, the ``mellin`` suite's five Perron kernels, zeta per node of one
+  block-shaped grid (128 panels tiling [tau, tau + 1], 15 Kronrod nodes
+  each) at heights 10 to 1e4 on Re s = 3/2 (in seconds per node), and
+  the near-pole residues and integrals of ``zeta_contours`` at T = 1e4;
+  the first call of the decay fit, which loads what it imports, and of
+  ``zeta_contours((1, 2, 5))``, which builds its coefficient tables, at
+  T = 1e4 and at T = 1e5; the
   warm ``zeta_contours((1, 2, 5))``, the median of calls 2 to 11 in one
   child; and the time to import the ``cantor`` module.  The contour
   figures import ``contour``, and so numpy, untimed in their own
@@ -173,14 +175,25 @@ def perron_kernels():
 
     return best(lambda: [contour.perron_kernel(t) for t in (0.5, 1.0, 1.5, 2.0, 4.0)])
 
-# Seconds per point of zeta on Re s = 3/2, 1,000 points spaced 0.001 from tau.
-def zeta_per_point(tau):
+# Seconds per node of zeta on Re s = 3/2, on one grid shaped like a
+# quadrature block: 128 panels tiling [tau, tau + 1], 15 Kronrod nodes each.
+def zeta_per_node(tau):
     import numpy as np
     from cantor_moments import contour
 
-    s = 1.5 + 1j * np.linspace(tau, tau + 1.0, 1000)
-    contour._zeta_line(s)
-    return best(lambda: contour._zeta_line(s)) / len(s)
+    half = 1.0 / 256
+    s = 1.5 + 1j * (tau + half * np.arange(1, 256, 2))
+    offsets = half * contour._K15_NODES
+    contour._zeta_grid(s, offsets)
+    return best(lambda: contour._zeta_grid(s, offsets)) / (len(s) * len(offsets))
+
+# The residues and closed-form integrals of the 1,105 near-poles at T = 1e4.
+def near_poles():
+    from cantor_moments import contour
+
+    edges = contour._edges(1.0e4, contour._POLE_PERIOD)
+    contour._near_poles((1, 2, 5), edges)
+    return best(lambda: contour._near_poles((1, 2, 5), edges))
 
 def zeta_contours_1e5():
     from cantor_moments import contour
@@ -194,7 +207,10 @@ FIGURES["zeta_contours((1, 2, 5)), warm"] = zeta_contours_warm
 FIGURES["zeta_contours((1, 2, 5), T = 1e5), first call"] = zeta_contours_1e5
 FIGURES["perron_kernel(t), t = 0.5, 1, 1.5, 2, 4"] = perron_kernels
 for tau in (10, 100, 1000, 10000):
-    FIGURES[f"_zeta_line per point, tau = {tau}"] = lambda tau=tau: zeta_per_point(tau)
+    FIGURES[f"_zeta_grid per node, 128 panels x 15, tau = {tau}"] = (
+        lambda tau=tau: zeta_per_node(tau)
+    )
+FIGURES["_near_poles((1, 2, 5), _edges(1e4, P))"] = near_poles
 
 print(json.dumps(FIGURES[sys.argv[1]]() if len(sys.argv) > 1 else list(FIGURES)))
 """

@@ -40,45 +40,46 @@ sit delta = log2(3) - 3/2 ~ 0.085 off the line at every height k*P,
 fall on panel edges.  On each starting panel the principal parts
 residue / (s - s_k) of the two near-poles at its edges are subtracted
 before quadrature and integrated in closed form (a logarithm) instead,
-so the mesh only resolves what is smooth; the residues take one zeta
-call at the poles.  The weights are finite products.
+so the mesh only resolves what is smooth.  The weights are finite
+products.
 
 Zeta is evaluated on grids: zeta(s_p + i*d_j) for centres s_p and node
 offsets d_j (:func:`_zeta_grid`).  The quadrature's panels of one width
 are one grid, their midpoints with the offsets half*x_j of the 15
-Kronrod nodes; a list of points is a grid with the one offset 0
-(:func:`_zeta_line`).  Every Dirichlet term factors as
-n**(-x_p) * n**(-side - i*d_j), so the Dirichlet sums of a run of 64
-centres are one product of a table per centre with a table per side and
-node offset, not a table per node: the grid factorization behind
-Odlyzko and Schoenhage's multi-evaluation of zeta (Trans. AMS 309,
-1988).  One function, :func:`_dirichlet_sum`, forms it for both paths:
-Euler-Maclaurin with x = s_p and the one side 0, Riemann-Siegel with
-x = i*Im s_p and the sides sigma and 1 - sigma of its two main sums.
-Each table is built multiplicatively from a smallest-prime-factor
-sieve, with exp taken only at primes.  What a block's tables share with
-the rest of its wave or line (the sieve, and per real part the
-correction coefficients) is cached, so it is built once, not once per
-block.
+Kronrod nodes, and so are the near-poles k*P on Re s = log2(3): centres
+(15m + 7)P with the offsets (j - 7)P, j < 15 (:func:`_residues`).  Every
+Dirichlet term factors as n**(-x_p) * n**(-side - i*d_j), so the
+Dirichlet sums of a run of 64 centres are one product of a table per
+centre with a table per side and node offset, not a table per node: the
+grid factorization behind Odlyzko and Schoenhage's multi-evaluation of
+zeta (Trans. AMS 309, 1988).  One function, :func:`_dirichlet_sum`,
+forms it for both paths: Euler-Maclaurin with x = s_p and the one side
+0, Riemann-Siegel with x = i*Im s_p and the sides sigma and 1 - sigma
+of its two main sums.  Each table is built multiplicatively from a
+smallest-prime-factor sieve, with exp taken only at primes.  What a
+block's tables share with the rest of its wave (the sieve, and per real
+part the correction coefficients) is cached, so it is built once, not
+once per block.
 
 Each centre takes one of two paths, chosen from one error bound, at its
 lowest node.  Riemann-Siegel, in Arias de Reyna's form for any real
-part, serves a panel where its truncation bound with 7 correction terms
+part, serves a centre where its truncation bound with 7 correction terms
 is below target there.  Every term of that bound is proportional to
 a**(-sigma - K), a = sqrt(tau/2pi), so it falls with the height, and
 the theorem's conditions only get easier as a grows: below target at
-the lowest node, it is below target at every node.  On Re s = 3/2 and
-log2(3) that is every height from about 1650 up, with N = floor(a) <= 39
-at 1e4.  Its main sums run to each panel's smallest N, and each node
-whose N is larger (N changes at most once across a panel there) adds
-its last term alone; its correction series are polynomials in p**2,
-since C_k(p) has the parity of k.  chi(s) is built in logarithms, with
-Stirling's series for log Gamma(1 - s), whose remainder is bounded on
-the served nodes.  Euler-Maclaurin serves the rest, with a cutoff
-solved from its remainder bound at each panel's highest node and
-applied per run of 64 panels.  Each path solves its own cutoffs or
-bounds from the centres and offsets alone, checks its bound at every
-node and raises above 1e-10.
+the lowest node, it is below target at every node, so it is checked
+there alone.  On Re s = 3/2 and log2(3) that is every height from about
+1650 up, with N = floor(a) <= 39 at 1e4.  Its main sums run to each
+centre's smallest N, and each node whose N is larger (N changes at most
+once across a centre's nodes there) adds its last term alone; its
+correction series are polynomials in p**2, since C_k(p) has the parity
+of k.  chi(s) is built in logarithms, with Stirling's series for
+log Gamma(1 - s), whose remainder is bounded on the served nodes.
+Euler-Maclaurin serves the rest, with a cutoff solved from its
+remainder bound at each centre's highest node and applied per run of 64
+centres, and checks that bound at every node.  Each path solves its own
+cutoffs or bounds from the centres and offsets alone, and raises above
+1e-10.
 """
 
 from __future__ import annotations
@@ -165,32 +166,23 @@ def _factorization(bits: int):
     return *arrays, levels
 
 
-def _powers(x: np.ndarray, cutoffs, width: int):
-    """Tables of n**(-x), each for a run of width consecutive points of x.
+def _powers(x: np.ndarray, cutoff: int) -> np.ndarray:
+    """The table w[n, j] = n**(-x[j]) for 1 <= n <= cutoff; row 0 is unset.
 
-    cutoffs is one cutoff for all runs, or one per run; the factorization
-    of :func:`_factorization` covers the largest.  Yields (start, w) with
-    w[n, j] = n**(-x[start + j]) for 1 <= n <= the run's cutoff; w is one
-    buffer, overwritten by the next run.  exp is taken only at the
-    primes.  Every composite n = p * (n/p), p = spf(n), gets n**(-x) as
-    p**(-x) * (n/p)**(-x); both factors are below 2**j when n lies in
-    [2**j, 2**(j+1)), so one gather-and-multiply per such level fills the
-    table, up to the run's cutoff.
+    exp is taken only at the primes.  Every composite n = p * (n/p),
+    p = spf(n), gets n**(-x) as p**(-x) * (n/p)**(-x); both factors are
+    below 2**j when n lies in [2**j, 2**(j+1)), so one gather-and-multiply
+    per such level of :func:`_factorization` fills the table.
     """
-    cutoffs = np.broadcast_to(cutoffs, (-(-len(x) // width),))
-    top = int(cutoffs.max())
-    primes, log_p, levels = _factorization(top.bit_length())
-    table = np.empty((top + 1, min(width, len(x))), dtype=np.complex128)
-    for lo, cutoff in zip(range(0, len(x), width), cutoffs):
-        run = x[lo : lo + width]
-        w = table[: cutoff + 1, : len(run)]
-        w[1] = 1.0
-        k = np.searchsorted(primes, cutoff, side="right")
-        w[primes[:k]] = np.exp(-log_p[:k] * run[None, :])
-        for c, p, q in levels:
-            k = np.searchsorted(c, cutoff, side="right")
-            w[c[:k]] = w[p[:k]] * w[q[:k]]
-        yield lo, w
+    primes, log_p, levels = _factorization(cutoff.bit_length())
+    w = np.empty((cutoff + 1, len(x)), dtype=np.complex128)
+    w[1] = 1.0
+    k = np.searchsorted(primes, cutoff, side="right")
+    w[primes[:k]] = np.exp(-log_p[:k] * x[None, :])
+    for c, p, q in levels:
+        k = np.searchsorted(c, cutoff, side="right")
+        w[c[:k]] = w[p[:k]] * w[q[:k]]
+    return w
 
 
 def _product(w: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -218,23 +210,23 @@ def _dirichlet_sum(x, sides, cutoffs, offsets) -> np.ndarray:
     each term is n**(-x_p) times n**(-sides_k - i*offsets_j), so the sums
     of a run of _DIRICHLET_BLOCK consecutive centres x_p are one
     :func:`_product` of the run's table of n**(-x_p) with the call's one
-    table of n**(-sides_k - i*offsets_j), every side at once.  The run's
-    table is filled to the run's largest cutoff (:func:`_powers`), and
-    masked to each centre's own only when some centre of the run stops
-    short.
+    table of n**(-sides_k - i*offsets_j), every side at once.  The runs
+    are formed here alone: each run's table comes from :func:`_powers`,
+    filled to the run's largest cutoff, and is masked to each centre's
+    own only when some centre of the run stops short.
     """
     top = int(cutoffs.max())
     n = np.arange(1, top + 1)
-    _, phases = next(_powers(1j * offsets, top, len(offsets)))
-    table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[1:, None, :]
+    phases = _powers(1j * offsets, top)[1:]
+    table = np.exp(-np.outer(np.log(n), sides))[:, :, None] * phases[:, None, :]
     table = table.reshape(top, -1)
     out = np.empty((len(sides), len(x), len(offsets)), dtype=np.complex128)
-    runs = range(0, len(x), _DIRICHLET_BLOCK)
-    for lo, w in _powers(x, np.maximum.reduceat(cutoffs, runs), _DIRICHLET_BLOCK):
-        cut = cutoffs[lo : lo + w.shape[1]]
-        if cut.min() < len(w) - 1:
-            np.multiply(w[1:], n[: len(w) - 1, None] <= cut, out=w[1:])
-        sums = _product(w[1:], table[: len(w) - 1]).reshape(len(sides), len(offsets), -1)
+    for lo in range(0, len(x), _DIRICHLET_BLOCK):
+        cut = cutoffs[lo : lo + _DIRICHLET_BLOCK]
+        w = _powers(x[lo : lo + _DIRICHLET_BLOCK], int(cut.max()))[1:]
+        if cut.min() < len(w):
+            np.multiply(w, n[: len(w), None] <= cut, out=w)
+        sums = _product(w, table[: len(w)]).reshape(len(sides), len(offsets), -1)
         out[:, lo : lo + len(cut)] = sums.transpose(0, 2, 1)
     return out
 
@@ -313,8 +305,8 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
 # the bound first meets the target near tau = 3040, at K = 7 from 1650.
 _RS_TERMS = 7
 # Panels per block of a quadrature wave: the integrand, and so zeta, sees
-# at most _BLOCK panels (15 * _BLOCK nodes) at a time, and _zeta_line as
-# many points, so the working set does not grow with T.  Chosen by
+# at most _BLOCK panels (15 * _BLOCK nodes) at a time, and the near-pole
+# grid as many centres, so the working set does not grow with T.  Chosen by
 # measurement: 68 panels pay their fixed per-block work about 17 times a
 # wave at T = 1e4, and 256 panels raise the peak.
 _BLOCK = 128
@@ -445,10 +437,9 @@ def _rs_bound(s: np.ndarray):
     On a line of fixed sigma every term is proportional to a**(-sigma-K),
     |chi| being a**(1 - 2 sigma) up to a factor 1 + O(1/tau), so the
     bound falls as the height grows, and each condition, once met, holds
-    higher up: the bound at a panel's lowest node bounds all of its
-    nodes, which is the one value :func:`_zeta_grid` takes per panel.
-
-    Returns (bound, log chi), log chi nan where the bound is inf.
+    higher up: the bound at a centre's lowest node bounds all of its
+    nodes, the one value per centre that :func:`_zeta_grid` chooses the
+    path by and :func:`_zeta_rs` checks.
     """
     sigma = s.real
     a = np.sqrt(s.imag / (2.0 * math.pi))
@@ -461,37 +452,36 @@ def _rs_bound(s: np.ndarray):
         & (3 * K + 3 - sigma >= 0)
     )
     bound = np.full(s.shape, np.inf)
-    log_chi = np.full(s.shape, np.nan, dtype=np.complex128)
-    log_chi[ok] = _log_chi(s[ok])
     a, sigma = a[ok], sigma[ok]
     bound[ok] = a**-sigma * _rs_side_bound(sigma, a) + np.exp(
-        log_chi[ok].real + (sigma - 1.0) * np.log(a)
+        _log_chi(s[ok]).real + (sigma - 1.0) * np.log(a)
     ) * _rs_side_bound(1.0 - sigma, a)
-    return bound, log_chi
+    return bound
 
 
 def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
     """Riemann-Siegel zeta at s_p + i*offsets_j, all heights > 0, error under 1e-10.
 
     Shape s.shape + offsets.shape; the centres s_p share one real part
-    sigma, and centres on two are refused.  The bound and log chi are
-    :func:`_rs_bound` at every node.  R(s) and R(1 - conj s) are built
-    side by side: both main sums are one :func:`_dirichlet_sum` with
-    x = i Im s_p and the sides sigma and 1 - sigma, each centre summed
-    to the smallest N of its nodes; a node whose N is larger adds its
-    last terms one by one (above tau ~ 1650 N changes at most once
-    across a Kronrod panel).  The correction series, each C_k a
-    polynomial in p**2, are one product with the powers of p**2.  The
-    bound is checked before, and with the Stirling error of chi (see
-    :func:`_log_chi`) times |chi conj R(1 - conj s)| added, after.
+    sigma, and centres on two are refused.  The truncation bound is
+    :func:`_rs_bound` once per centre, at its lowest node, where it
+    bounds every node; log chi is :func:`_log_chi` at the nodes.  R(s)
+    and R(1 - conj s) are built side by side: both main sums are one
+    :func:`_dirichlet_sum` with x = i Im s_p and the sides sigma and
+    1 - sigma, each centre summed to the smallest N of its nodes; a node
+    whose N is larger adds its last terms one by one (above tau ~ 1650 N
+    changes at most once across a panel or a near-pole centre's 14P).
+    The correction series, each C_k a polynomial in p**2, are one
+    product with the powers of p**2.  The bound is checked before, and
+    with the Stirling error of chi (see :func:`_log_chi`) times
+    |chi conj R(1 - conj s)| added at every node, after.
     """
     shape = s.shape + np.shape(offsets)
     d = np.ravel(offsets)
     sigma = float(s.real[0])
     if np.any(s.real != sigma):
         raise ValueError("zeta Riemann-Siegel centres on more than one real part")
-    nodes = s[:, None] + 1j * d
-    bound, log_chi = _rs_bound(nodes)
+    bound = _rs_bound(s + 1j * d.min())
     if not np.all(bound < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     tau = s.imag[:, None] + d
@@ -526,10 +516,11 @@ def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
         total = series[:, :, k] * (q if k % 2 else 1.0) + inverse * total
     total *= np.exp(-sides[:, None] * log_a.ravel())  # a**-sigma, a**(sigma-1)
     R = sums + rotation * (total[0] + 1j * total[1]).reshape(2, *tau.shape)
-    reflected = np.exp(log_chi) * R[1].conj()
+    nodes = s[:, None] + 1j * d
+    reflected = np.exp(_log_chi(nodes)) * R[1].conj()
     w = 1.0 - nodes
     stirling = 1.0 / (1260.0 * np.abs(w) ** 5 * np.cos(np.angle(w) / 2) ** 6)
-    if not np.all(bound + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
+    if not np.all(bound[:, None] + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
     return (R[0] + reflected).reshape(shape)
 
@@ -539,44 +530,24 @@ def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
 
     For centres s_p with Re s > 0 and nodes of height >= 0.  A grid of
     Kronrod panels is its centres mid_p with the nodes' offsets half*x_j,
-    and a list of points is its centres with offsets 0.  Riemann-Siegel
-    (:func:`_zeta_rs`) serves a centre where its truncation bound with
-    K = _RS_TERMS terms is below _EM_TARGET at the lowest node: the bound
-    falls with the height (:func:`_rs_bound`), so it then holds at every
-    node.  On Re s = 3/2 that is from Im s ~ 1650 up.  Euler-Maclaurin
-    (:func:`_zeta_em`) serves the rest, and runs first.  Each path takes
-    its centres and the offsets alone, and solves and checks its own
-    cutoffs or bounds.
+    and the near-poles are one of the same shape (:func:`_residues`).
+    Riemann-Siegel (:func:`_zeta_rs`) serves a centre where its
+    truncation bound with K = _RS_TERMS terms is below _EM_TARGET at the
+    lowest node: the bound falls with the height (:func:`_rs_bound`), so
+    it then holds at every node.  On Re s = 3/2 that is from Im s ~ 1650
+    up.  Euler-Maclaurin (:func:`_zeta_em`) serves the rest, and runs
+    first.  Each path takes its centres and the offsets alone, and solves
+    and checks its own cutoffs or bounds.
     """
     s = np.asarray(s, dtype=np.complex128)
     d = np.ravel(offsets).astype(np.float64)
-    rs = _rs_bound(s + 1j * d.min())[0] < _EM_TARGET
+    rs = _rs_bound(s + 1j * d.min()) < _EM_TARGET
     out = np.empty((len(s), len(d)), dtype=np.complex128)
     if not rs.all():
         out[~rs] = _zeta_em(s[~rs], d)
     if rs.any():
         out[rs] = _zeta_rs(s[rs], d)
     return out.reshape(s.shape + np.shape(offsets))
-
-
-def _zeta_line(s: np.ndarray) -> np.ndarray:
-    """Vectorized zeta for arrays with Re s > 0, s != 1; error under 1e-10.
-
-    :func:`_zeta_grid` with one node, offset 0, per point, called on
-    consecutive blocks of at most 15 * _BLOCK points, the node budget of
-    one quadrature block, so the working set does not grow with the
-    number of points; those Riemann-Siegel serves must share Re s.  Every
-    point is evaluated at |Im s| and conjugated back where Im s < 0, so
-    zeta(conj s) is conj zeta(s) bit for bit.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    below = s.imag < 0
-    s = np.where(below, s.conj(), s)
-    out = np.empty(s.shape, dtype=np.complex128)
-    step = 15 * _BLOCK
-    for lo in range(0, len(s), step):
-        out[lo : lo + step] = _zeta_grid(s[lo : lo + step], 0.0)
-    return np.where(below, out.conj(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +778,8 @@ def _zeta_integrands(orders: tuple[int, ...], tau: np.ndarray, zeta: np.ndarray)
 
     Rows as in :func:`_weights`: the moment integrand for each n in
     orders, then the constant's.  zeta is zeta(3/2 + i*tau) at the same
-    tau, and zeta(1 - s) = zeta(3/2 - i*tau) is taken as its conjugate
-    (bit for bit in :func:`_zeta_line`).
+    tau, and zeta(1 - s) = zeta(3/2 - i*tau) is taken as its conjugate,
+    zeta(conj s) being conj zeta(s).
     """
     s = -0.5 + 1j * tau
     den = 3.0 * 2.0 ** (s - 1) - 1.0
@@ -837,14 +808,38 @@ def _zeta_panels(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
 def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
     """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau: the constant row, conjugated."""
     tau = np.asarray(tau, dtype=np.float64)
-    return np.conj(_zeta_integrands((), tau, _zeta_line(1.5 + 1j * tau))[0])
+    zeta = _zeta_grid(1.5 + 1j * np.abs(tau), 0.0)
+    zeta = np.where(tau < 0, zeta.conj(), zeta)
+    return np.conj(_zeta_integrands((), tau, zeta)[0])
+
+
+def _residues(orders: tuple[int, ...], K: int) -> np.ndarray:
+    """weight_r(s_k) * zeta(1 - s_k) / ln 2 at s_k = 1 - log2(3) + i*k*P, k = 0..K.
+
+    Rows as in :func:`_weights`, shape (rows, K + 1): the residues of the
+    rows of :func:`_zeta_integrands` at their near-poles (3*2**(s-1) - 1
+    has derivative ln 2 there), and at -k their conjugates.
+    zeta(1 - s_k) is the conjugate of zeta(log2(3) + i*k*P), taken as one
+    grid shaped like the first wave's panels: centres (15m + 7)P and
+    offsets (j - 7)P, j < 15, so node j of centre m is pole 15m + j.  The
+    centres go to :func:`_zeta_grid` _BLOCK at a time, and the at most 14
+    nodes past pole K are dropped.
+    """
+    offsets = (np.arange(15) - 7) * _POLE_PERIOD
+    centres = _LOG2_3 + 1j * (np.arange(0, K + 1, 15) + 7) * _POLE_PERIOD
+    zeta = np.concatenate([
+        _zeta_grid(centres[lo : lo + _BLOCK], offsets).ravel()
+        for lo in range(0, len(centres), _BLOCK)
+    ])[: K + 1]
+    pole = 1.0 - _LOG2_3 + 1j * np.arange(K + 1) * _POLE_PERIOD
+    return _weights(orders, pole) * np.conj(zeta) / math.log(2.0)
 
 
 def _near_poles(orders: tuple[int, ...], edges: np.ndarray):
     """Residues at the near-poles s_k, tau_k = k*P, k = 0..K, and their panel integrals.
 
-    Rows as in :func:`_zeta_integrands`; the residue of row r at s_k is
-    weight_r(s_k) * zeta(1 - s_k) / ln 2, with one zeta call for all rows.
+    Rows as in :func:`_zeta_integrands`; the residues are
+    :func:`_residues`, zeta on the near-pole grid once for all rows.
     Pole k is subtracted on the starting panels k - 1 and k (see
     :func:`_principal_parts`), so its principal part
     residue / (delta + i*u) is integrated in closed form over
@@ -857,9 +852,7 @@ def _near_poles(orders: tuple[int, ...], edges: np.ndarray):
     K = len(edges) - 1
     k = np.arange(K + 1)
     tau_k = k * _POLE_PERIOD
-    zeta = np.conj(_zeta_line(_LOG2_3 + 1j * tau_k))
-    pole = 1.0 - _LOG2_3 + 1j * tau_k  # 3*2**(s-1) - 1 has derivative ln 2 here
-    residues = _weights(orders, pole) * zeta / math.log(2.0)
+    residues = _residues(orders, K)
     lo = edges[np.maximum(k - 1, 0)] - tau_k
     hi = edges[np.minimum(k + 1, K)] - tau_k
     integrals = -1j * (np.log(_POLE_OFFSET + 1j * hi) - np.log(_POLE_OFFSET + 1j * lo))

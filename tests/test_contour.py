@@ -25,7 +25,6 @@ from cantor_moments.contour import (
     _weights,
     _zeta_em,
     _zeta_integrands,
-    _zeta_line,
     _zeta_rs,
     constant_contour_integrand,
     perron_integrand,
@@ -42,9 +41,21 @@ ZETA_3_2 = 2.6123753486854883
 LOG2_3 = math.log2(3.0)
 
 
+def zeta_points(s) -> np.ndarray:
+    """zeta at each point s, Re s > 0, s != 1: one _zeta_grid call with the one offset 0.
+
+    Each point is taken at |Im s| and conjugated back where Im s < 0, so
+    zeta(conj s) is conj zeta(s) bit for bit.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    below = s.imag < 0
+    out = contour._zeta_grid(np.where(below, s.conj(), s), 0.0)
+    return np.where(below, out.conj(), out)
+
+
 def zeta(s: complex) -> complex:
-    """_zeta_line at a single point."""
-    return complex(_zeta_line(np.array([s]))[0])
+    """zeta_points at a single point."""
+    return complex(zeta_points(np.array([s]))[0])
 
 
 def _zeta_dirichlet_oracle(s: complex, terms: int = 10**5) -> complex:
@@ -78,7 +89,7 @@ def _height_with_cutoff(sigma: float, M: int) -> float:
 
 
 def _rs_heights(s: np.ndarray, offsets=None) -> np.ndarray:
-    """The heights of the points s that _zeta_line hands to Riemann-Siegel,
+    """The heights of the points s that zeta_points hands to Riemann-Siegel,
     or, given node offsets, of the centres s of the panels that _zeta_grid does."""
     seen = [np.empty(0)]
     real = contour._zeta_rs
@@ -89,7 +100,7 @@ def _rs_heights(s: np.ndarray, offsets=None) -> np.ndarray:
 
     with mock.patch.object(contour, "_zeta_rs", spy):
         if offsets is None:
-            _zeta_line(s)
+            zeta_points(s)
         else:
             contour._zeta_grid(s, offsets)
     return np.concatenate(seen)
@@ -149,13 +160,16 @@ def test_zeta_methods_agree_across_cutoff():
 
 
 def test_zeta_conjugate_symmetry():
+    # Euler-Maclaurin at both signs of the height.
     for s in (1.5 + 3.7j, 0.5 + 21.0j, 2.0 - 14.0j):
-        assert abs(zeta(s.conjugate()) - zeta(s).conjugate()) <= 1e-12
+        below, above = _zeta_em(np.array([s.conjugate(), s]))
+        assert abs(below - above.conjugate()) <= 1e-12
     # Exact on Re s = 3/2, where the moment integrands take
-    # zeta(3/2 - i*tau) as the conjugate of the constant's zeta value.
+    # zeta(3/2 - i*tau) as the conjugate of the constant's zeta value, and
+    # where constant_contour_integrand takes negative heights that way.
     tau = np.linspace(0.0, 1.0e4, 10_001)
     assert np.array_equal(
-        _zeta_line(1.5 - 1j * tau), np.conjugate(_zeta_line(1.5 + 1j * tau))
+        constant_contour_integrand(-tau), np.conjugate(constant_contour_integrand(tau))
     )
 
 
@@ -173,7 +187,7 @@ def test_zeta_against_mpmath():
                 False, False, True, True, True
             ]
             taus = np.concatenate([np.geomspace(0.5, 1.0e4, 50), straddle])
-            got = _zeta_line(sigma + 1j * taus)
+            got = zeta_points(sigma + 1j * taus)
             for tau, value in zip(taus, got):
                 want = complex(mpmath.zeta(mpmath.mpc(sigma, tau)))
                 assert abs(value - want) <= 1e-10
@@ -191,9 +205,11 @@ def test_zeta_riemann_siegel_against_euler_maclaurin():
 
 def test_both_zeta_paths_at_every_node_of_the_contract_mesh(monkeypatch):
     # Every node zeta_contours((1, 2, 5)) evaluates at T = 1e4: 19,500 on
-    # the panels and 1,105 near-poles, each call on one real part.  Every
-    # centre Riemann-Siegel serves is taken again by Euler-Maclaurin on
-    # the same offsets, within the two guards' sum (measured: 1.0e-12).
+    # the panels and 1,110 on the near-pole grid (the 1,105 poles, padded
+    # to 74 centres of 15), each call on one real part and with the 15
+    # offsets of a panel.  Every centre Riemann-Siegel serves is taken
+    # again by Euler-Maclaurin on the same offsets, within the two guards'
+    # sum (measured: 1.0e-12).
     grids, served = [], []
     real_grid = contour._zeta_grid
     real_rs = contour._zeta_rs
@@ -210,10 +226,10 @@ def test_both_zeta_paths_at_every_node_of_the_contract_mesh(monkeypatch):
     monkeypatch.setattr(contour, "_zeta_grid", spied_grid)
     monkeypatch.setattr(contour, "_zeta_rs", spied_rs)
     zeta_contours((1, 2, 5))
-    nodes = [s.size * width for s, width in grids]
-    assert sum(n for n, (_, width) in zip(nodes, grids) if width == 1) == 1_105
-    assert sum(nodes) == 20_605
-    assert sum(s.size * d.size for s, d, _ in served) == 14_753
+    assert all(width == 15 for _, width in grids)
+    assert sum(s.size for s, _ in grids if s.real[0] == LOG2_3) * 15 == 1_110
+    assert sum(s.size for s, _ in grids) * 15 == 20_610
+    assert sum(s.size * d.size for s, d, _ in served) == 14_745
     for s, _ in grids:
         assert len(set(s.real)) == 1 and s.real[0] in (1.5, LOG2_3)
     for s, d, out in served:
@@ -229,7 +245,7 @@ def test_zeta_paths_follow_the_bounds():
     for sigma in (1.5, LOG2_3):
         s = sigma + 1j * tau
         served = np.isin(tau, _rs_heights(s))
-        assert np.array_equal(served, contour._rs_bound(s)[0] < contour._EM_TARGET)
+        assert np.array_equal(served, contour._rs_bound(s) < contour._EM_TARGET)
         assert np.array_equal(served, tau > lowest)
 
 
@@ -243,9 +259,9 @@ def test_riemann_siegel_guard(monkeypatch):
     monkeypatch.setattr(contour, "_RS_TERMS", 2)
     with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
         _zeta_rs(s)
-    # _zeta_line then leaves every point to Euler-Maclaurin.
+    # _zeta_grid then leaves every point to Euler-Maclaurin.
     assert len(_rs_heights(s)) == 0
-    assert np.all(np.abs(_zeta_line(s) - want) <= 2e-10)
+    assert np.all(np.abs(zeta_points(s) - want) <= 2e-10)
 
 
 def test_riemann_siegel_refuses_two_real_parts():
@@ -256,7 +272,7 @@ def test_riemann_siegel_refuses_two_real_parts():
     offsets = PERIOD / 2 * _K15_NODES
     for call in (
         lambda: _zeta_rs(s),
-        lambda: _zeta_line(s),
+        lambda: zeta_points(s),
         lambda: contour._zeta_grid(s, offsets),
     ):
         with pytest.raises(ValueError, match="Riemann-Siegel centres on more than one real part"):
@@ -277,7 +293,7 @@ def test_riemann_siegel_bound_holds(monkeypatch):
             want = np.array([complex(mpmath.zeta(mpmath.mpc(x.real, x.imag))) for x in s])
         for K in (3, 5):
             monkeypatch.setattr(contour, "_RS_TERMS", K)
-            bound = contour._rs_bound(s)[0]
+            bound = contour._rs_bound(s)
             assert np.all(bound < 1e-4)
             assert np.all(np.abs(_zeta_rs(s) - want) <= bound)
 
@@ -317,13 +333,13 @@ def test_zeta_grid_matches_points():
             nodes = s[:, None] + 1j * offsets
             served = _rs_heights(s, offsets)
             grid = contour._zeta_grid(s, offsets)
-            alone = _zeta_line(nodes.ravel()).reshape(grid.shape)
+            alone = zeta_points(nodes.ravel()).reshape(grid.shape)
             assert np.all(np.abs(grid - alone) <= 2e-10)
             # Riemann-Siegel serves exactly the panels where every node's
             # bound is below target, though it is taken at the lowest node
             # alone; some panels have only some nodes below, and among the
             # served are panels whose N steps.
-            below = contour._rs_bound(nodes)[0] < contour._EM_TARGET
+            below = contour._rs_bound(nodes) < contour._EM_TARGET
             rs = np.isin(mids, served)
             assert np.array_equal(rs, below.all(axis=1))
             assert np.any(below.any(axis=1) & ~rs)
@@ -539,7 +555,7 @@ def test_integrand_conjugate_symmetry():
     for f in (
         lambda tau: perron_integrand(2.0, tau),
         constant_contour_integrand,
-        lambda tau: _zeta_integrands((3,), tau, _zeta_line(1.5 + 1j * tau))[0],
+        lambda tau: _zeta_integrands((3,), tau, zeta_points(1.5 + 1j * tau))[0],
     ):
         lo = f(-taus)
         hi = f(taus)
@@ -561,7 +577,7 @@ def test_constant_integrand_against_its_own_line():
     # directly on Re s = 3/2, at heights up to 1e4 and at near-poles.
     tau = np.array([0.0, 0.5, 3.0, PERIOD, 100.0, 1103 * PERIOD, 1.0e3, 1.0e4])
     s = 1.5 + 1j * tau
-    want = _zeta_line(s) / (s * (s - 1) * (3.0 * 2.0**-s - 1.0))
+    want = zeta_points(s) / (s * (s - 1) * (3.0 * 2.0**-s - 1.0))
     got = constant_contour_integrand(tau)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -590,7 +606,7 @@ def test_moment_integrand_gamma_ratio_at_origin():
     orders = tuple(range(1, 170))
     assert math.isfinite(math.gamma(orders[-1] + 2.5))
     tau = np.array([0.0])
-    rows = _zeta_integrands(orders, tau, _zeta_line(1.5 + 1j * tau))[:-1]
+    rows = _zeta_integrands(orders, tau, zeta_points(1.5 + 1j * tau))[:-1]
     for n, (got,) in zip(orders, rows):
         expected = (
             math.factorial(n)
@@ -774,16 +790,21 @@ def test_near_pole_residues():
     # of s, around a circle of radius 0.02 about the pole s_k (trapezoid
     # rule, 16 points; the nearest other singularity is over 1.5 away), in
     # mpmath.  The constant's row is zeta(1-s) / (s(s-1)(3*2**(s-1) - 1)).
+    # At k = 1000 and 1104, which the near-pole grid sends through
+    # Riemann-Siegel, against each weight at the exact pole times mpmath's
+    # zeta(1 - s_k) / ln 2 instead (two zeta calls, not 32).
     mpmath = pytest.importorskip("mpmath")
     orders = (1, 5)
     residues, _ = contour._near_poles(orders, contour._edges(1.0e4, PERIOD))
 
+    def weights(s):
+        return [
+            mpmath.factorial(n) * mpmath.gamma(1 - s) / mpmath.gamma(n + 2 - s) for n in orders
+        ] + [1 / (s * (s - 1))]
+
     def integrands(s):
         zeta_den = mpmath.zeta(1 - s) / (3 * mpmath.power(2, s - 1) - 1)
-        return [
-            mpmath.factorial(n) * mpmath.gamma(1 - s) / mpmath.gamma(n + 2 - s) * zeta_den
-            for n in orders
-        ] + [zeta_den / (s * (s - 1))]
+        return [w * zeta_den for w in weights(s)]
 
     def residue(f, pole, points=16, radius=0.02):
         total = 0
@@ -793,11 +814,15 @@ def test_near_pole_residues():
         return np.array([complex(v / points) for v in total])
 
     with mpmath.workdps(20):
-        for k in (0, 1, 100):
-            tau_k = k * 2 * mpmath.pi / mpmath.log(2)
-            log2_3 = mpmath.log(3, 2)
-            want = residue(integrands, mpmath.mpc(1 - log2_3, tau_k))
-            assert np.all(np.abs(residues[:, k] - want) <= 1e-9 * np.abs(want))
+        log2_3 = mpmath.log(3, 2)
+        for k in (0, 1, 100, 1000, 1104):
+            pole = mpmath.mpc(1 - log2_3, k * 2 * mpmath.pi / mpmath.ln2)
+            if k < 1000:
+                want = residue(integrands, pole)
+            else:
+                zeta = mpmath.zeta(1 - pole) / mpmath.ln2
+                want = np.array([complex(w * zeta) for w in weights(pole)])
+            assert np.all(np.abs(residues[:, k] - want) <= 1e-9 * np.abs(want)), k
 
 
 def test_zeta_contours_subtract_the_tail_to_2e_8():
@@ -821,18 +846,21 @@ def test_zeta_contours_match_the_views():
 
 
 def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
-    # Every zeta value, at the quadrature's panels and at the near-poles
-    # (through _zeta_line, block by block), comes from _zeta_grid.
+    # Every zeta value, at the quadrature's panels and at the near-poles,
+    # comes from _zeta_grid.  The near-poles tau_k = k*P, k = 0..ceil(T/P),
+    # are one grid on Re s = log2(3), centres (15m + 7)P and offsets
+    # (j - 7)P: its first heights lie within one spacing of k*P, and the
+    # rest of its last centre's pad it to a multiple of 15.
     heights = []
-    line = []
+    poles = []
     nodes = []
     real_zeta = contour._zeta_grid
     real_integrands = contour._zeta_integrands
 
     def counted_zeta(s, offsets):
         heights.append((s[:, None] + 1j * np.ravel(offsets)).imag.ravel())
-        if np.ndim(offsets) == 0:  # a block of _zeta_line's points
-            line.append(heights[-1])
+        if s.real[0] == LOG2_3:
+            poles.append(heights[-1])
         return real_zeta(s, offsets)
 
     def counted_integrands(orders, tau, zeta):
@@ -843,14 +871,16 @@ def test_zeta_contours_evaluate_zeta_once_per_node(monkeypatch):
     monkeypatch.setattr(contour, "_zeta_grid", counted_zeta)
     monkeypatch.setattr(contour, "_zeta_integrands", counted_integrands)
     zeta_contours((1, 2, 5), T=SHARED_T)
-    # One height per integrand node, plus one per near-pole tau_k = k*P,
-    # k = 0..ceil(T/P), for the principal parts; all distinct.
-    poles = math.ceil(SHARED_T / PERIOD) + 1
+    # One height per integrand node, plus the near-pole grid; all distinct.
+    k = np.arange(math.ceil(SHARED_T / PERIOD) + 1)
+    m = np.arange(0, len(k), 15)
+    grid = (((m + 7) * PERIOD)[:, None] + (np.arange(15) - 7) * PERIOD).ravel()
     tau = np.concatenate(heights)
     assert sum(nodes) > 0
-    assert len(tau) == sum(nodes) + poles
+    assert len(tau) == sum(nodes) + len(grid)
     assert len(np.unique(tau)) == len(tau)
-    assert np.array_equal(np.concatenate(line), np.arange(poles) * PERIOD)
+    assert np.array_equal(np.concatenate(poles), grid)
+    assert np.all(np.abs(grid[: len(k)] - k * PERIOD) <= np.spacing(k * PERIOD))
 
 
 def test_moment_contour_fast(table_512):

@@ -417,15 +417,19 @@ P = 2 * math.pi / math.log(2)
 RESIDUE_TAIL = 2 * (2 / 3) * 2.4 / math.log(2) * factorial(16) / P**17 / 16
 
 
-def _residue_scales(tolerance):
-    """The poles s_k, |k| <= K, and the residue at s_k over w_n(s_k), for
-    the least K that keeps the poles |k| > K 1e-3 below tolerance."""
+def _residue_series(orders, tolerance):
+    """The poles s_k, k = 0..K, and (2/3) times each order's residue there
+    (contour._residues), for the least K that keeps the poles |k| > K
+    1e-3 below tolerance; the pole -k carries the conjugate of pole k's."""
     K = math.ceil((RESIDUE_TAIL / (1e-3 * tolerance)) ** (1 / 16))
     assert K >= 2
-    k = np.arange(-K, K + 1)
-    s = 1 - math.log2(3) + 1j * k * P
-    zeta = np.conj(contour._zeta_line(math.log2(3) + 1j * k * P))
-    return s, 2 / 3 * zeta / math.log(2)
+    s = 1 - math.log2(3) + 1j * np.arange(K + 1) * P
+    return s, 2 / 3 * contour._residues(orders, K)[:-1]
+
+
+def _over_all_poles(r):
+    """The sum over k = -K..K of residues r given for k = 0..K: r_0 + 2 Re sum_{k>=1} r_k."""
+    return r[0].real + 2 * r[1:].sum().real
 
 
 def test_table_512_meets_the_residue_series(table_512, partial_sums_512, constant_d30):
@@ -433,16 +437,17 @@ def test_table_512_meets_the_residue_series(table_512, partial_sums_512, constan
     # integrand (Grabner & Prodinger, Statist. Probab. Lett. 26, 1996):
     #     M_n = (2/3) sum_k w_n(s_k) zeta(1 - s_k) / ln 2,
     #     w_n(s) = n! / prod_{j=1..n+1} (j - s),
-    # with w_n and R_n = (n + 1) w_n / -s from contour._weights.  The
-    # smallest tolerance is 1e-12 M_512.
-    s, scale = _residue_scales(1e-12 * float(table_512[512]))
+    # with the residues from contour._residues and those of
+    # R_n = sum_{m>n} w_m as (n + 1) / -s times them.  The smallest
+    # tolerance is 1e-12 M_512.
     orders = tuple(range(16, 513))
-    for n, w in zip(orders, contour._weights(orders, s)[:-1]):
+    s, series = _residue_series(orders, 1e-12 * float(table_512[512]))
+    for n, r in zip(orders, series):
         M_n = float(table_512[n])
-        assert abs(np.sum(w * scale) - M_n) <= 1e-12 * M_n, n
+        assert abs(_over_all_poles(r) - M_n) <= 1e-12 * M_n, n
         if n in (16, 64, 128, 512):
-            # C - S_n, the residues of R_n = sum_{m>n} w_m.
-            remainder = np.sum((n + 1) * w / -s * scale)
+            # C - S_n, the residues of R_n.
+            remainder = _over_all_poles((n + 1) * r / -s)
             exact = float(constant_d30.value - partial_sums_512[n])
             assert abs(remainder - exact) <= 1e-13, n
 
@@ -475,9 +480,9 @@ def test_decay_remainders_meet_the_residue_series(constant_d30):
     tolerance = 1e-12
     orders = (1024, 2048, 4096)
     got = [fit.remainders[DECAY_NS.index(N)] for N in orders]
-    s, scale = _residue_scales(tolerance * min(got))
-    for N, w, r in zip(orders, contour._weights(orders, s), got):
-        remainder = np.sum((N + 1) * w / -s * scale)
+    s, series = _residue_series(orders, tolerance * min(got))
+    for N, residues, r in zip(orders, series, got):
+        remainder = _over_all_poles((N + 1) * residues / -s)
         assert abs(remainder - r) <= tolerance * r, N
 
 
