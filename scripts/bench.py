@@ -47,7 +47,10 @@ quarter that the paired ratios do not.  The figures are:
   fresh child per tree, ``TRACE_RUNS`` rounds in alternating order.
 
 The record also holds the machine, the Python and numpy versions, and
-each tree's commit and source digest.  Only the standard library is used.
+each tree's commit, source digest and digest per source file.  A figure
+whose modules have the same digests in both trees times identical code,
+so its ratio, whatever it reads, is the session's noise, not the
+change's.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -394,7 +397,7 @@ def traced_peaks(parent: Path) -> dict:
 
 
 def provenance(tree: Path) -> dict:
-    """The tree's git commit (None outside a repository) and a digest of its src/."""
+    """The tree's git commit (None outside a repository), a digest of its src/ and one per file."""
     try:
         commit = subprocess.run(
             ["git", "-C", str(tree), "rev-parse", "HEAD"],
@@ -413,11 +416,18 @@ def provenance(tree: Path) -> dict:
         )
     except (OSError, subprocess.CalledProcessError):
         commit, dirty = None, None
-    digest = hashlib.sha256()
+    digest, files = hashlib.sha256(), {}
     src = tree / "src"
     for path in sorted(src.rglob("*.py")):
-        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
-    return {"commit": commit, "src_uncommitted": dirty, "src_sha256": digest.hexdigest()}
+        name, data = str(path.relative_to(src)), path.read_bytes()
+        digest.update(name.encode() + b"\0" + data)
+        files[name] = hashlib.sha256(data).hexdigest()
+    return {
+        "commit": commit,
+        "src_uncommitted": dirty,
+        "src_sha256": digest.hexdigest(),
+        "src_file_sha256": files,
+    }
 
 
 def machine() -> dict:

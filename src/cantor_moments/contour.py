@@ -75,11 +75,11 @@ once across a centre's nodes there) adds its last term alone; its
 correction series are polynomials in p**2, since C_k(p) has the parity
 of k.  chi(s) is built in logarithms, with Stirling's series for
 log Gamma(1 - s), whose remainder is bounded on the served nodes.
-Euler-Maclaurin serves the rest, with a cutoff solved from its
-remainder bound at each centre's highest node and applied per run of 64
-centres, and checks that bound at every node.  Each path solves its own
-cutoffs or bounds from the centres and offsets alone, and raises above
-1e-10.
+Euler-Maclaurin serves the rest, each centre summed to its own cutoff,
+solved from its remainder bound at the centre's highest node, and checks
+that bound at every node.  Each path solves its own cutoffs or bounds
+from the centres and offsets alone, and raises above 1e-10, so no value
+depends on which centres share a call, nor on _BLOCK or _DIRICHLET_BLOCK.
 """
 
 from __future__ import annotations
@@ -213,7 +213,8 @@ def _dirichlet_sum(x, sides, cutoffs, offsets) -> np.ndarray:
     table of n**(-sides_k - i*offsets_j), every side at once.  The runs
     are formed here alone: each run's table comes from :func:`_powers`,
     filled to the run's largest cutoff, and is masked to each centre's
-    own only when some centre of the run stops short.
+    own by setting the terms past it to 0, so a centre's sums do not
+    depend on which centres share its run.
     """
     top = int(cutoffs.max())
     n = np.arange(1, top + 1)
@@ -224,30 +225,23 @@ def _dirichlet_sum(x, sides, cutoffs, offsets) -> np.ndarray:
     for lo in range(0, len(x), _DIRICHLET_BLOCK):
         cut = cutoffs[lo : lo + _DIRICHLET_BLOCK]
         w = _powers(x[lo : lo + _DIRICHLET_BLOCK], int(cut.max()))[1:]
-        if cut.min() < len(w):
-            np.multiply(w, n[: len(w), None] <= cut, out=w)
+        w[n[: len(w), None] > cut] = 0
         sums = _product(w, table[: len(w)]).reshape(len(sides), len(offsets), -1)
         out[:, lo : lo + len(cut)] = sums.transpose(0, 2, 1)
     return out
 
 
-def _zeta_em(s: np.ndarray, offsets=0.0) -> np.ndarray:
-    """Euler-Maclaurin zeta at s_p + i*offsets_j, shape s.shape + offsets.shape.
+def _zeta_em(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin zeta at s_p + i*d_j for 1-D centres s and offsets d, indexed [p, j].
 
-    Each centre's cutoff is solved at its highest node (:func:`_em_cutoff`;
-    it grows with the height).  The centres are summed in order of
-    cutoff by :func:`_dirichlet_sum` (x = s_p, side 0), every run of
-    _DIRICHLET_BLOCK of them to its largest, and come back in input
-    order; the remainder bound is checked at every node.
+    Each centre's cutoff M_p is solved at its highest node
+    (:func:`_em_cutoff`; it grows with the height), and both its Dirichlet
+    sums (:func:`_dirichlet_sum`, x = s_p, side 0) and its tail terms stop
+    at M_p.  The remainder bound is checked at every node.
     """
-    d = np.ravel(offsets)
     x = s[:, None] + 1j * d
     M = _em_cutoff(x[np.arange(len(s)), np.abs(x.imag).argmax(axis=1)])
-    order = np.argsort(M, kind="stable")
-    x = x[order]
-    M = np.maximum.reduceat(M[order], np.arange(0, len(s), _DIRICHLET_BLOCK))
-    M = np.repeat(M, _DIRICHLET_BLOCK)[: len(s)]
-    acc = _dirichlet_sum(s[order], np.zeros(1), M, d)[0]
+    acc = _dirichlet_sum(s, np.zeros(1), M, d)[0]
     cutoff = M[:, None].astype(np.float64)
     # M**-x once per node; each later term is M**-(x + 2j - 1), a real step.
     power = np.exp(-x * np.log(cutoff))
@@ -271,9 +265,7 @@ def _zeta_em(s: np.ndarray, offsets=0.0) -> np.ndarray:
         raise ValueError(
             "zeta Euler-Maclaurin remainder above tolerance — cutoff too small"
         )
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out.reshape(s.shape + np.shape(offsets))
+    return acc
 
 
 def _em_cutoff(s: np.ndarray) -> np.ndarray:
@@ -308,7 +300,7 @@ _RS_TERMS = 7
 # at most _BLOCK panels (15 * _BLOCK nodes) at a time, and the near-pole
 # grid as many centres, so the working set does not grow with T.  Chosen by
 # measurement: 68 panels pay their fixed per-block work about 17 times a
-# wave at T = 1e4, and 256 panels raise the peak.
+# wave at T = 1e4, and 256 panels raise the peak.  No value depends on it.
 _BLOCK = 128
 
 
@@ -459,11 +451,11 @@ def _rs_bound(s: np.ndarray):
     return bound
 
 
-def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
-    """Riemann-Siegel zeta at s_p + i*offsets_j, all heights > 0, error under 1e-10.
+def _zeta_rs(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel zeta at s_p + i*d_j for 1-D centres s and offsets d, indexed [p, j].
 
-    Shape s.shape + offsets.shape; the centres s_p share one real part
-    sigma, and centres on two are refused.  The truncation bound is
+    All heights > 0, error under 1e-10; the centres s_p share one real
+    part sigma, and centres on two are refused.  The truncation bound is
     :func:`_rs_bound` once per centre, at its lowest node, where it
     bounds every node; log chi is :func:`_log_chi` at the nodes.  R(s)
     and R(1 - conj s) are built side by side: both main sums are one
@@ -476,8 +468,6 @@ def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
     with the Stirling error of chi (see :func:`_log_chi`) times
     |chi conj R(1 - conj s)| added at every node, after.
     """
-    shape = s.shape + np.shape(offsets)
-    d = np.ravel(offsets)
     sigma = float(s.real[0])
     if np.any(s.real != sigma):
         raise ValueError("zeta Riemann-Siegel centres on more than one real part")
@@ -522,13 +512,14 @@ def _zeta_rs(s: np.ndarray, offsets=0.0) -> np.ndarray:
     stirling = 1.0 / (1260.0 * np.abs(w) ** 5 * np.cos(np.angle(w) / 2) ** 6)
     if not np.all(bound[:, None] + 2.0 * stirling * np.abs(reflected) < _EM_TOL):
         raise ValueError("zeta Riemann-Siegel remainder above tolerance")
-    return (R[0] + reflected).reshape(shape)
+    return R[0] + reflected
 
 
 def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
     """zeta(s_p + i*offsets_j), shape s.shape + offsets.shape; error under 1e-10.
 
-    For centres s_p with Re s > 0 and nodes of height >= 0.  A grid of
+    For 1-D centres s_p with Re s > 0 and nodes of height >= 0; offsets
+    is 1-D, or a scalar for one node per centre.  A grid of
     Kronrod panels is its centres mid_p with the nodes' offsets half*x_j,
     and the near-poles are one of the same shape (:func:`_residues`).
     Riemann-Siegel (:func:`_zeta_rs`) serves a centre where its
@@ -536,8 +527,8 @@ def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
     lowest node: the bound falls with the height (:func:`_rs_bound`), so
     it then holds at every node.  On Re s = 3/2 that is from Im s ~ 1650
     up.  Euler-Maclaurin (:func:`_zeta_em`) serves the rest, and runs
-    first.  Each path takes its centres and the offsets alone, and solves
-    and checks its own cutoffs or bounds.
+    first.  Each path maps its centres and the offsets to a table, and
+    solves and checks each centre's own cutoff or bound.
     """
     s = np.asarray(s, dtype=np.complex128)
     d = np.ravel(offsets).astype(np.float64)
@@ -894,7 +885,8 @@ def zeta_contours(
     quadrature, and their exact integrals added back: what the mesh then
     resolves is smooth, so it needs about 7x fewer nodes at T = 1e4.
     The mesh depends on which rows are integrated together, so a value
-    can differ in its last digits between calls with different orders.
+    can differ in its last digits between calls with different orders;
+    it does not depend on the block sizes _BLOCK and _DIRICHLET_BLOCK.
 
     Raises:
         ValueError: an order that is not an integer or is below 1, or T

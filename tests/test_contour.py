@@ -139,7 +139,7 @@ def test_zeta_against_dirichlet_oracle():
         s = complex(1.5, _height_with_cutoff(1.5, M))
         want = _zeta_dirichlet_oracle(s)
         assert abs(zeta(s) - want) <= 1e-9
-        assert abs(complex(_zeta_em(np.array([s]))[0]) - want) <= 1e-9
+        assert abs(complex(_zeta_em(np.array([s]), np.zeros(1))[0, 0]) - want) <= 1e-9
 
 
 def test_zeta_cutoff_follows_sigma():
@@ -162,7 +162,7 @@ def test_zeta_methods_agree_across_cutoff():
 def test_zeta_conjugate_symmetry():
     # Euler-Maclaurin at both signs of the height.
     for s in (1.5 + 3.7j, 0.5 + 21.0j, 2.0 - 14.0j):
-        below, above = _zeta_em(np.array([s.conjugate(), s]))
+        below, above = _zeta_em(np.array([s.conjugate(), s]), np.zeros(1))[:, 0]
         assert abs(below - above.conjugate()) <= 1e-12
     # Exact on Re s = 3/2, where the moment integrands take
     # zeta(3/2 - i*tau) as the conjugate of the constant's zeta value, and
@@ -200,7 +200,7 @@ def test_zeta_riemann_siegel_against_euler_maclaurin():
     for sigma in (1.5, LOG2_3):
         tau = np.sort(rng.uniform(_crossover(sigma), 1.0e4, 1200))
         s = sigma + 1j * tau
-        assert np.all(np.abs(_zeta_rs(s) - _zeta_em(s)) <= 2e-10)
+        assert np.all(np.abs(_zeta_rs(s, np.zeros(1)) - _zeta_em(s, np.zeros(1))) <= 2e-10)
 
 
 def test_both_zeta_paths_at_every_node_of_the_contract_mesh(monkeypatch):
@@ -218,9 +218,9 @@ def test_both_zeta_paths_at_every_node_of_the_contract_mesh(monkeypatch):
         grids.append((np.asarray(s), np.size(offsets)))
         return real_grid(s, offsets)
 
-    def spied_rs(s, offsets=0.0):
-        out = real_rs(s, offsets)
-        served.append((s, np.ravel(offsets), out))
+    def spied_rs(s, d):
+        out = real_rs(s, d)
+        served.append((s, d, out))
         return out
 
     monkeypatch.setattr(contour, "_zeta_grid", spied_grid)
@@ -253,12 +253,12 @@ def test_riemann_siegel_guard(monkeypatch):
     # Forced above tolerance, the Riemann-Siegel path raises rather than
     # return a value: with K = 2 terms, and below the theorem's range.
     s = 1.5 + 1j * np.array([2000.0, 5000.0, 1.0e4])
-    want = _zeta_rs(s)
+    want = _zeta_rs(s, np.zeros(1))[:, 0]
     with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
-        _zeta_rs(np.array([1.5 + 1000j]))
+        _zeta_rs(np.array([1.5 + 1000j]), np.zeros(1))
     monkeypatch.setattr(contour, "_RS_TERMS", 2)
     with pytest.raises(ValueError, match="Riemann-Siegel remainder above tolerance"):
-        _zeta_rs(s)
+        _zeta_rs(s, np.zeros(1))
     # _zeta_grid then leaves every point to Euler-Maclaurin.
     assert len(_rs_heights(s)) == 0
     assert np.all(np.abs(zeta_points(s) - want) <= 2e-10)
@@ -271,7 +271,7 @@ def test_riemann_siegel_refuses_two_real_parts():
     s = np.array([1.5 + 5000j, LOG2_3 + 6000j])
     offsets = PERIOD / 2 * _K15_NODES
     for call in (
-        lambda: _zeta_rs(s),
+        lambda: _zeta_rs(s, np.zeros(1)),
         lambda: zeta_points(s),
         lambda: contour._zeta_grid(s, offsets),
     ):
@@ -295,7 +295,7 @@ def test_riemann_siegel_bound_holds(monkeypatch):
             monkeypatch.setattr(contour, "_RS_TERMS", K)
             bound = contour._rs_bound(s)
             assert np.all(bound < 1e-4)
-            assert np.all(np.abs(_zeta_rs(s) - want) <= bound)
+            assert np.all(np.abs(_zeta_rs(s, np.zeros(1))[:, 0] - want) <= bound)
 
 
 def test_riemann_siegel_taylor_coefficients():
@@ -345,15 +345,46 @@ def test_zeta_grid_matches_points():
             assert np.any(below.any(axis=1) & ~rs)
             N = np.floor(np.sqrt(nodes.imag / (2 * math.pi)))
             assert np.any(N[rs, 0] < N[rs, -1])
-            # Euler-Maclaurin, here on every centre (two blocks), returns
-            # them in input order, bit for bit whatever that order: no two
-            # cutoffs tie across the blocks' seam, so every order sums the
-            # same blocks.
-            cutoffs = np.sort(_em_cutoff(nodes[:, -1]))
-            seam = contour._DIRICHLET_BLOCK
-            assert len(s) > seam and cutoffs[seam - 1] < cutoffs[seam]
+            # Euler-Maclaurin, here on every centre (two runs of the
+            # Dirichlet kernel), returns them in input order, bit for bit
+            # whatever that order.
             perm = rng.permutation(len(s))
             assert np.array_equal(_zeta_em(s[perm], offsets), _zeta_em(s, offsets)[perm])
+
+
+def test_zeta_values_do_not_depend_on_batching(monkeypatch):
+    # Every centre is summed to its own cutoff, so no value depends on
+    # which centres share a call: the Dirichlet kernel and both zeta paths
+    # give a centre the same bits alone, in a subset or in a permuted
+    # batch, and the contour values are the same under any block sizes.
+    rng = np.random.default_rng(1988)
+    x = rng.choice([0.5, 1.5], 150) + 1j * rng.uniform(-1.0e4, 1.0e4, 150)
+    sides, offsets = np.array([0.0, 0.25]), np.array([-1.5, 0.0, 2.0])
+    cutoffs = rng.integers(1, 2054, 150)
+    sums = _dirichlet_sum(x, sides, cutoffs, offsets)
+    for p in rng.choice(150, 10, replace=False):
+        alone = _dirichlet_sum(x[p : p + 1], sides, cutoffs[p : p + 1], offsets)
+        assert np.array_equal(alone, sums[:, p : p + 1])
+    offsets = PERIOD / 2 * _K15_NODES
+    for sigma in (1.5, LOG2_3, 0.5):
+        # 150 centres, so the kernel runs them in three runs.
+        for path, low in ((_zeta_em, 10.0), (_zeta_rs, 2000.0)):
+            s = sigma + 1j * rng.uniform(low, 1.0e4, 150)
+            full = path(s, offsets)
+            for p in rng.choice(150, 3, replace=False):
+                assert np.array_equal(path(s[p : p + 1], offsets), full[p : p + 1])
+            subset = rng.choice(150, 40, replace=False)
+            assert np.array_equal(path(s[subset], offsets), full[subset])
+            perm = rng.permutation(150)
+            assert np.array_equal(path(s[perm], offsets), full[perm])
+    values = set()
+    for block, run in itertools.product((7, 128, 10**6), (5, 64, 10**4)):
+        monkeypatch.setattr(contour, "_BLOCK", block)
+        monkeypatch.setattr(contour, "_DIRICHLET_BLOCK", run)
+        moments, constant = zeta_contours((1, 2, 5), T=2000.0)
+        kernel = perron_kernel(2.0, T=500.0)
+        values.add(tuple(v.hex() for v in (*moments, constant, kernel)))
+    assert len(values) == 1
 
 
 def test_zeta_critical_strip_accuracy():
