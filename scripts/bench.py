@@ -63,6 +63,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from collections.abc import Iterator
 from importlib import metadata
 from pathlib import Path
 from time import perf_counter
@@ -90,7 +91,7 @@ COMMANDS = (
 # its argument, prints that figure's seconds (its setup untimed); with
 # none, prints the figures' names as a JSON list.
 IN_PROCESS = r"""
-import decimal, json, math, statistics, sys, time
+import decimal, itertools, json, math, statistics, sys, time
 from cantor_moments import cantor, cli, constant, exact, moments
 
 def best(call, reps=5):
@@ -138,8 +139,8 @@ for lift in (int, decimal.Decimal):
         lambda: sum(1 for _ in moments.closed_form_rows(512, lift))
     )
 for K in (8, 12, 14):
-    FIGURES[f"weighted_harmonic_sum_exact({K})"] = lambda K=K: best(
-        lambda: constant.weighted_harmonic_sum_exact(K)
+    FIGURES[f"_harmonic_prefixes() to k = {K}"] = lambda K=K: best(
+        lambda: list(itertools.islice(constant._harmonic_prefixes(), K))
     )
 FIGURES["identity suite"] = lambda: best(lambda: list(cli._suite_identity()))
 FIGURES["euler_gamma(78)"] = lambda: best(lambda: constant.euler_gamma(78))
@@ -266,6 +267,18 @@ print(time.perf_counter() - start)
 """
 
 
+def alternating(
+    parent: Path, rounds: int, first: int = 0
+) -> Iterator[tuple[str, Path]]:
+    """(name, tree) for each run of ``rounds`` rounds, numbered from ``first``.
+
+    The parent runs first in even rounds and the change in odd ones.
+    """
+    order = (("parent", parent), ("change", CHANGE))
+    for i in range(first, first + rounds):
+        yield from order if i % 2 == 0 else order[::-1]
+
+
 def child_env(tree: Path) -> dict[str, str]:
     """The tree's src/ on the path and no other PYTHON* setting."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
@@ -335,15 +348,12 @@ def end_to_end(parent: Path) -> dict:
         times: dict[str, list[float]] = {"parent": [], "change": []}
         rss: dict[str, list[float]] = {"parent": [], "change": []}
         digests: dict[str, set[str]] = {"parent": set(), "change": set()}
-        order = (("parent", parent), ("change", CHANGE))
-        for i in range(RUNS):
-            for name, tree in order if i % 2 == 0 else order[::-1]:
-                seconds, digest = timed_run(tree, argv)
-                times[name].append(seconds)
-                digests[name].add(digest)
-        for i in range(RSS_RUNS):
-            for name, tree in order if i % 2 == 0 else order[::-1]:
-                rss[name].append(rss_run(tree, argv))
+        for name, tree in alternating(parent, RUNS):
+            seconds, digest = timed_run(tree, argv)
+            times[name].append(seconds)
+            digests[name].add(digest)
+        for name, tree in alternating(parent, RSS_RUNS):
+            rss[name].append(rss_run(tree, argv))
         results[label] = {
             "wall_s": compare(times["parent"], times["change"]),
             "peak_rss_mb": compare(rss["parent"], rss["change"]),
@@ -367,16 +377,14 @@ def child_stdout(tree: Path, code: str, *args: str) -> str:
 
 def in_process(parent: Path) -> dict:
     """Each in-process figure over its own rounds of alternating children."""
-    order = (("parent", parent), ("change", CHANGE))
     figures = json.loads(child_stdout(CHANGE, IN_PROCESS))
     jobs = [(figure, IN_PROCESS, figure) for figure in figures]
     jobs.append(("import cantor_moments.cantor", IMPORT_CANTOR))
     results = {}
     for f, (figure, *child) in enumerate(jobs):
         times: dict[str, list[float]] = {"parent": [], "change": []}
-        for i in range(IN_PROCESS_RUNS):
-            for name, tree in order if (f + i) % 2 == 0 else order[::-1]:
-                times[name].append(json.loads(child_stdout(tree, *child)))
+        for name, tree in alternating(parent, IN_PROCESS_RUNS, f):
+            times[name].append(json.loads(child_stdout(tree, *child)))
         results[figure] = compare(times["parent"], times["change"])
         report(figure, results[figure])
     return results
@@ -384,13 +392,11 @@ def in_process(parent: Path) -> dict:
 
 def traced_peaks(parent: Path) -> dict:
     """Each contour figure's traced peak in MB, per tree, over alternating rounds."""
-    order = (("parent", parent), ("change", CHANGE))
     results = {}
     for figure in json.loads(child_stdout(CHANGE, TRACED_PEAK)):
         peaks: dict[str, list[float]] = {"parent": [], "change": []}
-        for i in range(TRACE_RUNS):
-            for name, tree in order if i % 2 == 0 else order[::-1]:
-                peaks[name].append(json.loads(child_stdout(tree, TRACED_PEAK, figure)))
+        for name, tree in alternating(parent, TRACE_RUNS):
+            peaks[name].append(json.loads(child_stdout(tree, TRACED_PEAK, figure)))
         results[figure] = compare(peaks["parent"], peaks["change"])
         report(f"{figure}, traced", results[figure])
     return results

@@ -30,7 +30,6 @@ from .constant import (
     euler_gamma,
     ln2,
     moment_series_constant,
-    weighted_harmonic_sum_exact,
 )
 from .exact import bernoulli_numbers
 from .moments import DecayFit, bernoulli_moments, decay_fit, recursive_moments
@@ -47,5 +46,4 @@ __all__ = [
     "ln2",
     "moment_series_constant",
     "recursive_moments",
-    "weighted_harmonic_sum_exact",
 ]

@@ -6,8 +6,9 @@ The moment series sums to
 
 where H(m) is the m-th harmonic number.  Every exact harmonic number
 comes from one walk, :func:`_harmonic_prefixes`, which yields H(2**k)
-for k = 1..14, block by block.  The head k <= K0 = 8 is summed in exact
-rationals.  Beyond it the Euler-Maclaurin expansion
+for k = 1, 2, ..., block by block; each caller takes the prefixes it
+needs.  The head k <= K0 = 8 is summed in exact rationals.  Beyond it
+the Euler-Maclaurin expansion
 
     H(2**k) = k ln 2 + gamma + 2**-(k+1)
               - sum_{j=1..J} B_{2j} / (2j * 4**(jk)) + R_J(k)
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple
 
 from .exact import _as_int, _balanced_sum, bernoulli_numbers, divround, round_decimal
@@ -59,10 +60,6 @@ _PAD = 6
 
 # Highest Euler-Maclaurin order either expansion may use.
 _MAX_ORDER = 60
-
-# Largest k of the exact H(2**k), and so of the weighted sum's K and the
-# double-sum identity's; the exact H(2**14) takes about 60 ms.
-_K_CAP = 14
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,7 @@ def euler_gamma(precision: int) -> Fraction:
 
 
 def _harmonic_prefixes() -> Iterator[Fraction]:
-    """H(2**k) for k = 1, 2, ..., _K_CAP, prefix by prefix.
+    """H(2**k) for k = 1, 2, ..., without end, prefix by prefix.
 
     The package's one exact harmonic-number routine:
     H(2**k) = H(2**(k-1)) + sum_{2**(k-1) < m <= 2**k} 1/m, the block
@@ -218,31 +215,9 @@ def _harmonic_prefixes() -> Iterator[Fraction]:
     reaches about 210k bits before its single gcd.
     """
     h = Fraction(1)
-    for k in range(1, _K_CAP + 1):
+    for k in count(1):
         h += Fraction(*_balanced_sum(lambda m: (1, m), 2 ** (k - 1) + 1, 2**k))
         yield h
-
-
-def _weighted_sums() -> Iterator[tuple[Fraction, Fraction]]:
-    """sum_{k<=K} (2/3)**k * H(2**k) and H(2**K), for K = 1, ..., _K_CAP."""
-    total = Fraction(0)
-    for k, h in enumerate(_harmonic_prefixes(), 1):
-        total += _W**k * h
-        yield total, h
-
-
-def weighted_harmonic_sum_exact(K: int) -> Fraction:
-    """Exact rational truncation sum_{k=1..K} (2/3)**k * H(2**k).
-
-    The K-th running sum of one cumulative pass over k, with each
-    H(2**k) from :func:`_harmonic_prefixes`; the constant's exact head
-    (K = K0) and the double-sum identity read the same running sums.  K
-    is capped at 14, where exact harmonic numbers stay cheap.
-    """
-    K = _as_int(K, "K")
-    if not (1 <= K <= _K_CAP):
-        raise ValueError(f"exact weighted sum supports 1 <= K <= {_K_CAP}")
-    return next(islice(_weighted_sums(), K - 1, None))[0]
 
 
 def _float_up(x: Fraction) -> float:
@@ -260,6 +235,8 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     D = 1, 7 at D = 30, 14 at D = 60.  The value is Q + (2/3)A ln 2 +
     (2/3)B gamma (see the module docstring), summed exactly with ln 2 at
     W + 8 and gamma at W = P + 6 digits, and rounded once to W.  The
+    exact head sum_{k<=K0} (2/3)**k H(2**k) reads the first K0 prefixes
+    of :func:`_harmonic_prefixes`, and gamma takes the last of them.  The
     certified error is (2/3) times the tail remainder, plus the ln 2 and
     gamma errors times (2/3)A and (2/3)B, plus 1/2 * 10**-W for the
     rounding; above 10**-D no result is built and ValueError "budget
@@ -270,8 +247,9 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
         raise ValueError(f"target digits out of supported range [1, {MAX_DIGITS}]")
     P = digits + GUARD_DIGITS
     W = P + _PAD
-    head, h_m = next(islice(_weighted_sums(), K0 - 1, None))
-    gamma, log2, bern = _gamma(W, h_m)
+    prefixes = list(islice(_harmonic_prefixes(), K0))
+    head = sum(_W**k * h for k, h in enumerate(prefixes, 1))
+    gamma, log2, bern = _gamma(W, prefixes[-1])
     J, tail_remainder, bern = _em_order(
         P, lambda j: _geometric_tail(_W / 4 ** (j + 1)), bern
     )
@@ -320,22 +298,22 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
 
 
 def _identity_forms() -> Iterator[tuple[Fraction, Fraction]]:
-    """(double_form, harmonic_form) of the truncation for K = 1, ..., _K_CAP.
+    """(double_form, harmonic_form) of the truncation for K = 1, 2, ...
 
     The double form is 1 + (2/3) * sum_{k<=K} 3**-k * sum_{m<=2**k}
     (2**k - m)/m, each inner sum built once, term by term, by binary
     splitting: it is *not* collapsed into harmonic numbers, so the two
     forms stay structurally independent.  The harmonic form is
-    1 + (2/3) * sum_{k<=K} ((2/3)**k * H(2**k) - (2/3)**k), whose
-    harmonic part is the running sum behind
-    :func:`weighted_harmonic_sum_exact`.  One pass yields every K; the
-    ``identity`` suite of :mod:`cantor_moments.cli` compares each pair.
+    1 + (2/3) * sum_{k<=K} ((2/3)**k * H(2**k) - (2/3)**k), a running
+    sum over the H(2**k) of :func:`_harmonic_prefixes`.  One pass yields
+    every K, without end; the ``identity`` suite of
+    :mod:`cantor_moments.cli` takes K = 1..12 and compares each pair.
     """
     outer = Fraction(0)
-    geometric = Fraction(0)
-    for k, (weighted, _) in enumerate(_weighted_sums(), 1):
+    harmonic = Fraction(0)
+    for k, h in enumerate(_harmonic_prefixes(), 1):
         two_k = 2**k
         inner = Fraction(*_balanced_sum(lambda m: (two_k - m, m), 1, two_k))
         outer += Fraction(1, 3**k) * inner
-        geometric += _W**k
-        yield 1 + Fraction(2, 3) * outer, 1 + Fraction(2, 3) * (weighted - geometric)
+        harmonic += _W**k * (h - 1)
+        yield 1 + Fraction(2, 3) * outer, 1 + Fraction(2, 3) * harmonic

@@ -57,7 +57,7 @@ def round_decimal(x: Fraction, p: int) -> Fraction:
     The error is at most 1/2 * 10**-p, and a value already on the grid is
     returned unchanged.
     """
-    scale = 10**p
+    scale = 10 ** _as_int(p, "precision")
     return Fraction(divround(x.numerator * scale, x.denominator), scale)
 
 
@@ -65,6 +65,7 @@ def decimal_string(x: Fraction, digits: int) -> str:
     """x rounded by :func:`round_decimal` and printed with ``digits``
     fractional digits; a value that rounds to zero prints without a sign.
     """
+    digits = _as_int(digits, "digits")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     mantissa = int(round_decimal(x, digits) * 10**digits)

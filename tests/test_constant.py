@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
@@ -15,7 +15,6 @@ from cantor_moments import (
     euler_gamma,
     ln2,
     moment_series_constant,
-    weighted_harmonic_sum_exact,
 )
 from cantor_moments.cli import main
 from cantor_moments.constant import GUARD_DIGITS, K0
@@ -245,18 +244,22 @@ def test_default_budget_range():
 # ---------------------------------------------------------------------------
 
 
+def weighted_sums(n):
+    """sum_{k<=K} (2/3)**k * H(2**k) for K = 1..n, over the walk's first n prefixes."""
+    prefixes = islice(constant._harmonic_prefixes(), n)
+    return list(accumulate(Fraction(2, 3) ** k * h for k, h in enumerate(prefixes, 1)))
+
+
 def test_weighted_harmonic_sum_exact_truncations():
-    assert weighted_harmonic_sum_exact(2) == Fraction(52, 27)
+    assert weighted_sums(2)[-1] == Fraction(52, 27)
     # exact truncation vs the full series recovered from the certified
     # constant, S = (3/2)(L + 1/3): the gap must be below the tail bound
     # at the truncation
-    exact_10 = weighted_harmonic_sum_exact(10)
+    exact_10 = weighted_sums(10)[-1]
     res = moment_series_constant(30)
     series = Fraction(3, 2) * (res.value + Fraction(1, 3))
     gap = abs(series - exact_10)
     assert gap < series_tail_bound(10)
-    with pytest.raises(ValueError):
-        weighted_harmonic_sum_exact(15)
 
 
 def test_constant_matches_printed_value(constant_d30):
@@ -351,7 +354,7 @@ def test_constant_five_digits():
 def test_constant_agrees_with_exact_truncation():
     # -1/3 + (2/3) * S_exact(14) must agree with the certified value to
     # within tail(14) + certified error
-    exact = -Fraction(1, 3) + Fraction(2, 3) * weighted_harmonic_sum_exact(14)
+    exact = -Fraction(1, 3) + Fraction(2, 3) * weighted_sums(14)[-1]
     res = moment_series_constant(30)
     gap = abs(res.value - exact)
     assert gap < Fraction(2, 3) * series_tail_bound(14) + Fraction(res.certified_error)
@@ -397,16 +400,17 @@ def test_double_sum_approaches_constant(constant_d30):
 def test_weighted_sum_matches_harmonic_numbers_from_scratch(harmonic_powers):
     # The cumulative pass against each H(2**k) of the plain reference sum.
     scratch = Fraction(0)
-    for K in range(1, 15):
+    for K, walked in enumerate(weighted_sums(14), 1):
         scratch += Fraction(2, 3) ** K * harmonic_powers[K]
-        assert weighted_harmonic_sum_exact(K) == scratch
+        assert walked == scratch
 
 
 def test_identity_prefixes_match_double_sum_check(harmonic_powers):
     # Both forms of every truncation K = 1..14 against the harmonic form
     # built from the plain reference sum.
     reference = Fraction(1)
-    for K, (double_form, harmonic_form) in enumerate(constant._identity_forms(), 1):
+    forms = islice(constant._identity_forms(), 14)
+    for K, (double_form, harmonic_form) in enumerate(forms, 1):
         reference += Fraction(2, 3) * Fraction(2, 3) ** K * (harmonic_powers[K] - 1)
         assert double_form == harmonic_form == reference
     assert K == 14
