@@ -1,15 +1,12 @@
 """Cantor function evaluation and a quadrature oracle for the moments.
 
 One evaluator, ``_runs``, gives C on a uniform grid of rationals
-(start + step*i)/den by walking ternary intervals in exact integer
-arithmetic.  On [a/3**l, (a+1)/3**l], C(x) = b/2**l + C(3**l*x - a)/2**l,
-so every grid point in the closed middle third takes the one value
-(2b+1)/2**(l+1): two floor divisions count those points, and only the
-outer thirds are walked further.  C is a step function on the removed
-middle thirds, so a grid of 10**6 points takes some 23,000 intervals,
-not 10**6 evaluations.  Every grid the checks use is of that form: the
-quadrature's midpoints (2i+1)/(2*10**6), and the identity grids i/10**4
-and i/(3*10**4).
+(start + step*i)/den by one in-order recursion over ternary intervals,
+in exact integers.  On [a/3**l, (a+1)/3**l], C(x) = b/2**l +
+C(3**l*x - a)/2**l, so every grid point in the closed middle third takes
+the one value (2b+1)/2**(l+1), which two floor divisions count, and a
+point alone in its interval reads its own ternary digits.  So 10**6
+quadrature midpoints take some 13,000 intervals, not 10**6 evaluations.
 
 ``integral_quadrature`` ties the exact moment machinery to its
 integral origin: a midpoint rule for integral_0^1 C(x)**n dx, for
@@ -21,9 +18,7 @@ from __future__ import annotations
 
 from .exact import _as_int
 
-# Ternary digits examined per point: the walk stops at intervals of
-# length 3**-64, and a point still in play there gets the value of its 64
-# digits, b/2**64, below C(x) by at most 2**-64.
+# Ternary digits read per point: C(x) to 64 of them is below it by <= 2**-64.
 _DEPTH = 64
 
 # The identity checks run at x = i / _GRID, i = 0.._GRID.
@@ -38,54 +33,49 @@ def _runs(start: int, step: int, den: int, count: int) -> list[tuple[int, int]]:
 
     The grid must lie in [0, 1], and unless it is the point 1 alone, start
     below its step (x_-1 < 0); a single point num/den is the grid
-    (num, den, den, 1).  Returns (points, value) pairs in increasing x,
-    the points of a run being consecutive; value * 2**-64 is C(x) to 64
-    ternary digits, exact when the expansion ends within them, and
-    C(1) = 1 exactly.
+    (num, den, den, 1).  Its spacing step/den must exceed 3**-63, or
+    ValueError is raised.  Returns (points, value) pairs in increasing x,
+    the points of a run being consecutive, from one in-order walk whose
+    lone points read their own digits: value * 2**-64 is C(x) to 64
+    ternary digits, exact when the expansion ends within them, and C(1) = 1.
     """
+    if step * 3 ** (_DEPTH - 1) <= den:
+        raise ValueError("grid spacing at or below 3**-63")
     runs = []
-    # x = 1 can only be the last point; C(1) = 1 is not the limit of the
-    # walk's right-hand thirds, which would give 1 - 2**-64.
-    end = count - (count > 0 and start + step * (count - 1) == den)
-    # At level m the grid's numerators, scaled by 3**m, are offset[m] +
-    # spacing[m]*i, over den * 3**m.
-    spacing = [step * 3**m for m in range(_DEPTH + 1)]
-    offset = [start * 3**m for m in range(_DEPTH + 1)]
-    # Pending work, last first: a finished (points, value) run, or an
-    # interval [a, a+1]/3**level on which C starts at b/2**level, kept as
-    # (a*den, level, b, lo, hi) with its points lo <= i < hi.
-    stack: list[tuple[int, ...]] = [(0, 0, 0, 0, end)] if end else []
-    while stack:
-        item = stack.pop()
-        if len(item) == 2:
-            runs.append(item)
-            continue
-        left, level, b, lo, hi = item
-        m = level + 1
-        s = spacing[m]
-        t = offset[m] - 3 * left
-        # The first points at or past (3a+1)/3**m and past (3a+2)/3**m, or
-        # hi.  Neither is below lo: the points before lo lie below the
-        # interval, and those before i = 0 below 0, as start < step.
-        i1 = -((t - den) // s)
-        if i1 > hi:
-            i1 = hi
-        i2 = (2 * den - t) // s + 1
+
+    def walk(base: int, spacing: int, depth: int, b: int, lo: int, hi: int) -> None:
+        # Points lo <= i < hi, at (base + spacing*i)/den along an interval of
+        # level depth on which C starts at b/2**depth.
+        if hi - lo == 1:
+            y = base + spacing * lo
+            for m in range(depth + 1, _DEPTH + 1):
+                digit, y = divmod(3 * y, den)
+                b = 2 * b + (digit > 0)
+                if digit == 1:
+                    b <<= _DEPTH - m
+                    break
+            runs.append((1, b))
+            return
+        # Two points or more, so depth < 63.  The first points at or past
+        # 1/3 of the interval and past 2/3, or hi; neither is below lo, as
+        # the points before lo lie below the interval and start < step.
+        base, spacing = 3 * base, 3 * spacing
+        i1 = -((base - den) // spacing)
+        i2 = (2 * den - base) // spacing + 1
         if i2 > hi:
-            i2 = hi
-        if m == _DEPTH:
-            # The 64th digit: 0 in the left third, 1 or 2 in the others.
-            if i1 > lo:
-                runs.append((i1 - lo, 2 * b))
-            if hi > i1:
-                runs.append((hi - i1, 2 * b + 1))
-            continue
-        if hi > i2:
-            stack.append((3 * left + 2 * den, m, 2 * b + 1, i2, hi))
-        if i2 > i1:
-            stack.append((i2 - i1, (2 * b + 1) << (_DEPTH - m)))
+            i1, i2 = min(i1, hi), hi
         if i1 > lo:
-            stack.append((3 * left, m, 2 * b, lo, i1))
+            walk(base, spacing, depth + 1, 2 * b, lo, i1)
+        if i2 > i1:
+            runs.append((i2 - i1, (2 * b + 1) << (_DEPTH - depth - 1)))
+        if hi > i2:
+            walk(base - 2 * den, spacing, depth + 1, 2 * b + 1, i2, hi)
+
+    # x = 1, only ever last, takes C(1) = 1, not the walk's 1 - 2**-64.
+    end = count - (count > 0 and start + step * (count - 1) == den)
+    if end:
+        walk(start, step, 0, 0, 0, end)
+    del walk  # its closure holds it, and runs, in a reference cycle
     if end < count:
         runs.append((1, 1 << _DEPTH))
     return runs

@@ -55,9 +55,12 @@ def round_decimal(x: Fraction, p: int) -> Fraction:
     """The multiple of 10**-p nearest to x, rounding half away from zero.
 
     The error is at most 1/2 * 10**-p, and a value already on the grid is
-    returned unchanged.
+    returned unchanged.  A negative p raises ValueError.
     """
-    scale = 10 ** _as_int(p, "precision")
+    p = _as_int(p, "precision")
+    if p < 0:
+        raise ValueError("precision must be >= 0")
+    scale = 10**p
     return Fraction(divround(x.numerator * scale, x.denominator), scale)
 
 

@@ -375,17 +375,27 @@ def recursive_moments(N: int) -> list[Fraction]:
         M_n = (1 + sum_{k=0}^{n-1} C(n, k) * M_k) / (3*2**n - 2).
 
     Each moment is built from the lower entries of the same table; no
-    Bernoulli number is involved.
+    Bernoulli number is involved.  The sum runs over integers: M_k * D
+    over D, the lcm of the denominators so far, so each row takes one
+    integer sum, one gcd with (3*2**m - 2) * D, and a rescale only when
+    D grows.
     """
     N = _as_int(N, "moment index")
     if N < 0:
         raise ValueError("moment index must be >= 0")
     table = [Fraction(1)]
+    scaled, D = [1], 1  # scaled[k] = M_k * D
     for m in range(1, N + 1):
-        acc = Fraction(1)
-        for k in range(m):
-            acc += comb(m, k) * table[k]
-        table.append(acc / (3 * 2**m - 2))
+        total = D + sum(comb(m, k) * scaled[k] for k in range(m))
+        q = (3 * 2**m - 2) * D
+        g = gcd(total, q)
+        num, den = total // g, q // g
+        table.append(_coprime_fraction(num, den))
+        grown = lcm(D, den)
+        if grown != D:
+            scaled = [x * (grown // D) for x in scaled]
+            D = grown
+        scaled.append(num * (D // den))
     return table
 
 

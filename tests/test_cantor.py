@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from math import floor
 
@@ -134,16 +135,43 @@ def test_cantor_exact_reference():
 def test_grid_matches_scalar_evaluation():
     # Every point of the grids the library evaluates, against the exact
     # oracle: i/10**4 (whose reversal serves as C(1 - x)), i/(3*10**4) up
-    # to x = 1, and the 257-cell midpoints.
+    # to x = 1, and the 257-cell midpoints.  Their neighbours share
+    # intervals down to level 32 at most; the grids after them share
+    # them far deeper, and their lone points end on their own digits.
     for start, step, den, count in (
         (0, 1, 10**4, 10**4 + 1),
         (0, 1, 3 * 10**4, 3 * 10**4 + 1),
         (1, 2, 2 * 257, 257),
+        (0, 1, 3**40, 10),
+        (1, 2, 2 * 3**50, 10),
+        # 1/(4*3**k) = 0.0...0202...(3): no digit 1 among the 64 read.
+        (0, 1, 4 * 3**40, 13),
+        (0, 1, 4 * 3**61, 13),
+        # Neighbours share intervals down to level 62, the deepest allowed.
+        (0, 1, 3**63 - 1, 5),
     ):
         values = _grid(start, step, den, count)
         assert len(values) == count
         for i, value in enumerate(values):
             assert value == _truncated(Fraction(start + step * i, den))
+
+
+def test_runs_refuse_a_grid_finer_than_3_pow_63():
+    for den in (3**63, 3**63 + 1, 4 * 3**62):
+        with pytest.raises(ValueError, match=r"grid spacing at or below 3\*\*-63"):
+            _runs(0, 1, den, 2)
+
+
+def test_runs_leave_no_reference_cycle():
+    # A cycle would keep the runs list alive after its last use, until the
+    # next collection: 1.1 MB on the quadrature's grid.
+    gc.collect()
+    gc.disable()
+    try:
+        _runs(0, 1, 10**4, 10**4 + 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(deadline=None)

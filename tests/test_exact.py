@@ -246,3 +246,11 @@ def test_decimal_digit_counts_follow_one_rule(call, digits):
     for bad in (digits + 0.5, float(digits), Fraction(digits)):
         with pytest.raises(ValueError, match="not an integer"):
             call(x, bad)
+
+
+def test_round_decimal_refuses_a_negative_precision():
+    # p = 0 rounds to an integer; below it, 10**p would be a float.
+    assert round_decimal(Fraction(5, 2), 0) == 3
+    for p in (-1, -5):
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            round_decimal(Fraction(1234), p)
