@@ -108,11 +108,10 @@ def integral_quadrature(orders: tuple[int, ...]) -> tuple[float, ...]:
     is below C(x) by at most 2**-64, its n-th power by n * 2**-64.
 
     Raises:
-        ValueError: "moment order not an integer" or "moment order below 1".
+        ValueError: "moment order not an integer" or "moment order must
+            be >= 1", from :func:`~cantor_moments.exact._as_int`.
     """
-    orders = tuple(_as_int(n, "moment order") for n in orders)
-    if not all(n >= 1 for n in orders):
-        raise ValueError("moment order below 1")
+    orders = tuple(_as_int(n, "moment order", 1) for n in orders)
     sums = _power_sums(_POINTS, max(orders, default=0))
     return tuple(sums[n] / (_POINTS << (_DEPTH * n)) for n in orders)
 

@@ -117,15 +117,12 @@ def cmd_moments(max_n: int, fmt: str) -> int:
     # The table runs on Decimal integers, which str() renders in linear
     # time, and each row is printed as it is computed, so the table is
     # never held.  The JSON rows are written by hand, byte for byte as
-    # json.dumps(rows, indent=2) prints them.  M_n lies in [0, 1], so the
-    # 20-digit column has no sign.
-    scale = 10**20
+    # json.dumps(rows, indent=2) prints them.
     if fmt == "csv":
         print("n,num,den,decimal")
     for n, (num, den) in enumerate(moments.closed_form_rows(max_n, decimal.Decimal)):
         with decimal.localcontext(moments.EXACT):
-            whole, frac = divmod(exact.divround(num * scale, den), scale)
-        rendered = f"{whole}.{frac:020}"
+            rendered = exact._fixed(num, den, 20)
         if fmt == "csv":
             print(f"{n},{num},{den},{rendered}")
         else:

@@ -139,9 +139,7 @@ def ln2(precision: int) -> Fraction:
     padded precision: <= (terms * 1/2 + 2) ulp, well under the final ulp
     after narrowing.
     """
-    precision = _as_int(precision, "precision")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    precision = _as_int(precision, "precision", 1)
     work = precision + 6
     scale = 2 * 10**work
     acc = 0
@@ -194,9 +192,7 @@ def euler_gamma(precision: int) -> Fraction:
         ValueError: "precision beyond supported range" when no J <= 60
             meets the remainder bound.
     """
-    precision = _as_int(precision, "precision")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    precision = _as_int(precision, "precision", 1)
     return _gamma(precision, next(islice(_harmonic_prefixes(), K0 - 1, None)))[0]
 
 
@@ -242,8 +238,8 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     rounding; above 10**-D no result is built and ValueError "budget
     insufficient for target" is raised.
     """
-    digits = _as_int(digits, "target digits")
-    if not (1 <= digits <= MAX_DIGITS):
+    digits = _as_int(digits, "target digits", 1)
+    if digits > MAX_DIGITS:
         raise ValueError(f"target digits out of supported range [1, {MAX_DIGITS}]")
     P = digits + GUARD_DIGITS
     W = P + _PAD

@@ -889,16 +889,15 @@ def zeta_contours(
     it does not depend on the block sizes _BLOCK and _DIRICHLET_BLOCK.
 
     Raises:
-        ValueError: an order that is not an integer or is below 1, or T
+        ValueError: "moment order not an integer" or "moment order must
+            be >= 1", from :func:`~cantor_moments.exact._as_int`, or T
             not in [10, inf).
         QuadratureError: the starting mesh alone exceeds the evaluation
             budget (refused by :func:`_edges` before it is built), or the
             budget is exhausted before tolerance (its estimate is then of
             the integral with the principal parts subtracted).
     """
-    orders = tuple(_as_int(n, "moment order") for n in orders)
-    if not all(n >= 1 for n in orders):
-        raise ValueError("moment order below 1")
+    orders = tuple(_as_int(n, "moment order", 1) for n in orders)
     edges = _edges(T, _POLE_PERIOD)
     residues, pole_integrals = _near_poles(orders, edges)
     # Only their sum is needed, so the per-pole integrals go before the mesh.

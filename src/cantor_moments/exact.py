@@ -11,6 +11,9 @@ All values are exact rationals (``fractions.Fraction``); a
 high-precision real is a ``Fraction`` whose denominator divides 10**p.
 No binary floating point is involved, so decimal digit claims are
 direct.
+
+Every integer count or order of the package passes one rule,
+:func:`_as_int`, with a floor stated at each call.
 """
 
 from __future__ import annotations
@@ -20,16 +23,18 @@ from fractions import Fraction
 from numbers import Integral
 
 
-def _as_int(value, what: str) -> int:
-    """value as an int, if it is an integer of any type; else ValueError "<what> not an integer".
+def _as_int(value, what: str, least: int) -> int:
+    """value as an int if it is an integer of any type and >= ``least``.
 
-    The one rule for every integer count of the exact API: numpy's
-    integers are taken like Python's, and a float is refused even when
-    it is whole.
+    Else ValueError "<what> not an integer" (a whole float included;
+    numpy's integers and bools are integers) or "<what> must be >= <least>".
     """
     if not isinstance(value, Integral):
         raise ValueError(f"{what} not an integer")
-    return int(value)
+    n = int(value)
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -55,26 +60,31 @@ def round_decimal(x: Fraction, p: int) -> Fraction:
     """The multiple of 10**-p nearest to x, rounding half away from zero.
 
     The error is at most 1/2 * 10**-p, and a value already on the grid is
-    returned unchanged.  A negative p raises ValueError.
+    returned unchanged.  p = 0 rounds to an integer; p < 0 is refused.
     """
-    p = _as_int(p, "precision")
-    if p < 0:
-        raise ValueError("precision must be >= 0")
-    scale = 10**p
+    scale = 10 ** _as_int(p, "precision", 0)
     return Fraction(divround(x.numerator * scale, x.denominator), scale)
 
 
 def decimal_string(x: Fraction, digits: int) -> str:
-    """x rounded by :func:`round_decimal` and printed with ``digits``
-    fractional digits; a value that rounds to zero prints without a sign.
+    """x rounded as by :func:`round_decimal` and printed with ``digits``
+    fractional digits (at least 1); a value that rounds to zero prints
+    without a sign.
     """
-    digits = _as_int(digits, "digits")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    mantissa = int(round_decimal(x, digits) * 10**digits)
+    return _fixed(x.numerator, x.denominator, _as_int(digits, "digits", 1))
+
+
+def _fixed(num, den, digits: int) -> str:
+    """num/den, den > 0, rounded half away from zero to ``digits`` places.
+
+    The one fixed-point renderer, for :func:`decimal_string` and the
+    CLI's moment column: num and den are ints, or integral Decimals
+    under a context exact enough for the products.
+    """
+    mantissa = divround(num * 10**digits, den)
     sign = "-" if mantissa < 0 else ""
     whole, frac = divmod(abs(mantissa), 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{frac:0{digits}}"
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +105,7 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
     The convention is validated downstream: only B1 = -1/2 makes the
     moment formula agree with the independent self-similarity recursion.
     """
-    N = _as_int(N, "bernoulli index")
-    if N < 0:
-        raise ValueError("invalid bernoulli index")
+    N = _as_int(N, "bernoulli index", 0)
     K = N // 2
     # tangent[k] = T_k for 1 <= k <= K once the triangle is done.
     tangent = [0, 1] + [0] * (K - 1)

@@ -157,9 +157,7 @@ def closed_form_rows(N: int, lift: Callable[[int], _Z]) -> Iterator[tuple[_Z, _Z
     so the caller's context never reaches the arithmetic and EXACT never
     reaches the caller.
     """
-    N = _as_int(N, "moment index")
-    if N < 0:
-        raise ValueError("moment index must be >= 0")
+    N = _as_int(N, "moment index", 0)
     one = lift(1)
     yield one, one
     if N == 0:
@@ -380,9 +378,7 @@ def recursive_moments(N: int) -> list[Fraction]:
     integer sum, one gcd with (3*2**m - 2) * D, and a rescale only when
     D grows.
     """
-    N = _as_int(N, "moment index")
-    if N < 0:
-        raise ValueError("moment index must be >= 0")
+    N = _as_int(N, "moment index", 0)
     table = [Fraction(1)]
     scaled, D = [1], 1  # scaled[k] = M_k * D
     for m in range(1, N + 1):
@@ -429,9 +425,7 @@ def partial_sum(N: int) -> float:
     terms with one rounding: against the exact partial sums the result
     is within 4.4e-16, a unit in its last place, for every N <= 512.
     """
-    N = _as_int(N, "moment index")
-    if N < 0:
-        raise ValueError("moment index must be >= 0")
+    N = _as_int(N, "moment index", 0)
     L = N.bit_length()
     e = N + 1
     terms = []

@@ -231,7 +231,7 @@ def test_integral_converges_with_points():
 
 
 def test_integral_preconditions():
-    with pytest.raises(ValueError, match="moment order below 1"):
+    with pytest.raises(ValueError, match="moment order must be >= 1"):
         integral_quadrature((1, 0))
 
 

@@ -235,7 +235,7 @@ def test_default_budget_range():
         assert res.em_order == J
         assert (res.value * 10 ** (d + GUARD_DIGITS + 6)).denominator == 1
     for d in (0, 61):
-        with pytest.raises(ValueError, match="out of supported range"):
+        with pytest.raises(ValueError, match="must be >= 1|out of supported range"):
             moment_series_constant(d)
 
 

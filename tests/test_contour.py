@@ -924,7 +924,7 @@ def test_moment_contour_fast(table_512):
 
 def test_moment_contour_domain():
     for n in (0, -1):
-        with pytest.raises(ValueError, match="moment order below 1"):
+        with pytest.raises(ValueError, match="moment order must be >= 1"):
             zeta_contours((n,), T=FAST_T)
 
 

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantor_moments import bernoulli_numbers
+from cantor_moments import (
+    bernoulli_moments,
+    bernoulli_numbers,
+    euler_gamma,
+    ln2,
+    moment_series_constant,
+    recursive_moments,
+)
+from cantor_moments.cantor import integral_quadrature
 from cantor_moments.constant import _harmonic_prefixes
 from cantor_moments.exact import (
     _balanced_sum,
@@ -19,6 +27,7 @@ from cantor_moments.exact import (
     divround,
     round_decimal,
 )
+from cantor_moments.moments import closed_form_rows, partial_sum
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +80,7 @@ def test_bernoulli_defining_recurrence():
     for m in range(1, 121):
         total = sum(comb(m + 1, k) * table[k] for k in range(m + 1))
         assert total == 0
-    with pytest.raises(ValueError, match="invalid bernoulli index"):
+    with pytest.raises(ValueError, match="bernoulli index must be >= 0"):
         bernoulli_numbers(-1)
 
 
@@ -246,6 +255,47 @@ def test_decimal_digit_counts_follow_one_rule(call, digits):
     for bad in (digits + 0.5, float(digits), Fraction(digits)):
         with pytest.raises(ValueError, match="not an integer"):
             call(x, bad)
+
+
+# Every entry point that takes an integer count or order: a call on one
+# such integer, its floor, and the name its messages give it.
+_FLOORS = {
+    "round_decimal": (lambda n: round_decimal(Fraction(1, 3), n), 0, "precision"),
+    "decimal_string": (lambda n: decimal_string(Fraction(1, 3), n), 1, "digits"),
+    "bernoulli_numbers": (bernoulli_numbers, 0, "bernoulli index"),
+    "closed_form_rows": (lambda n: list(closed_form_rows(n, int)), 0, "moment index"),
+    "bernoulli_moments": (bernoulli_moments, 0, "moment index"),
+    "recursive_moments": (recursive_moments, 0, "moment index"),
+    "partial_sum": (partial_sum, 0, "moment index"),
+    "ln2": (ln2, 1, "precision"),
+    "euler_gamma": (euler_gamma, 1, "precision"),
+    "moment_series_constant": (moment_series_constant, 1, "target digits"),
+    "integral_quadrature": (lambda n: integral_quadrature((n,)), 1, "moment order"),
+    "zeta_contours": (
+        lambda n: pytest.importorskip("cantor_moments.contour").zeta_contours(
+            (n,), T=100.0
+        ),
+        1,
+        "moment order",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _FLOORS)
+def test_integer_counts_have_one_floor_rule(name):
+    # Each takes its count at the floor, and refuses one below it or a
+    # non-integer with the one rule's message.
+    call, least, what = _FLOORS[name]
+    call(least)
+    with pytest.raises(ValueError, match=f"^{what} must be >= {least}$"):
+        call(least - 1)
+    with pytest.raises(ValueError, match=f"^{what} not an integer$"):
+        call(least + 0.5)
+
+
+def test_a_bool_is_an_integer_count():
+    # A bool is an Integral, so the rule takes True as the count 1.
+    assert bernoulli_moments(True) == bernoulli_moments(1)
 
 
 def test_round_decimal_refuses_a_negative_precision():
