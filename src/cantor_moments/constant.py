@@ -296,20 +296,22 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
 def _identity_forms() -> Iterator[tuple[Fraction, Fraction]]:
     """(double_form, harmonic_form) of the truncation for K = 1, 2, ...
 
-    The double form is 1 + (2/3) * sum_{k<=K} 3**-k * sum_{m<=2**k}
-    (2**k - m)/m, each inner sum built once, term by term, by binary
-    splitting: it is *not* collapsed into harmonic numbers, so the two
-    forms stay structurally independent.  The harmonic form is
+    The double form is 1 + (2/3) * sum_{k<=K} 3**-k * I_k with
+    I_k = sum_{m<=2**k} (2**k - m)/m.  Its even terms m = 2j are
+    (2**(k-1) - j)/j, the terms of I_{k-1}, so I_k = I_{k-1} +
+    sum_{odd m<2**k} (2**k - m)/m, the odd part summed term by term by
+    binary splitting.  No harmonic number enters it, so the two forms
+    stay structurally independent.  The harmonic form is
     1 + (2/3) * sum_{k<=K} ((2/3)**k * H(2**k) - (2/3)**k), a running
     sum over the H(2**k) of :func:`_harmonic_prefixes`.  One pass yields
     every K, without end; the ``identity`` suite of
     :mod:`cantor_moments.cli` takes K = 1..12 and compares each pair.
     """
-    outer = Fraction(0)
-    harmonic = Fraction(0)
+    inner = outer = harmonic = Fraction(0)
     for k, h in enumerate(_harmonic_prefixes(), 1):
         two_k = 2**k
-        inner = Fraction(*_balanced_sum(lambda m: (two_k - m, m), 1, two_k))
+        odd = _balanced_sum(lambda i: (two_k + 1 - 2 * i, 2 * i - 1), 1, two_k // 2)
+        inner += Fraction(*odd)
         outer += Fraction(1, 3**k) * inner
         harmonic += _W**k * (h - 1)
         yield 1 + Fraction(2, 3) * outer, 1 + Fraction(2, 3) * harmonic

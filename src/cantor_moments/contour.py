@@ -515,13 +515,13 @@ def _zeta_rs(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     return R[0] + reflected
 
 
-def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
-    """zeta(s_p + i*offsets_j), shape s.shape + offsets.shape; error under 1e-10.
+def _zeta_grid(s: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """zeta(s_p + i*offsets_j), indexed [p, j]; error under 1e-10.
 
-    For 1-D centres s_p with Re s > 0 and nodes of height >= 0; offsets
-    is 1-D, or a scalar for one node per centre.  A grid of
-    Kronrod panels is its centres mid_p with the nodes' offsets half*x_j,
-    and the near-poles are one of the same shape (:func:`_residues`).
+    For 1-D centres s_p and 1-D offsets_j, with Re s > 0 and nodes of
+    height >= 0.  A grid of Kronrod panels is its centres mid_p with the
+    nodes' offsets half*x_j, and the near-poles are one of the same shape
+    (:func:`_residues`).
     Riemann-Siegel (:func:`_zeta_rs`) serves a centre where its
     truncation bound with K = _RS_TERMS terms is below _EM_TARGET at the
     lowest node: the bound falls with the height (:func:`_rs_bound`), so
@@ -531,14 +531,14 @@ def _zeta_grid(s: np.ndarray, offsets) -> np.ndarray:
     solves and checks each centre's own cutoff or bound.
     """
     s = np.asarray(s, dtype=np.complex128)
-    d = np.ravel(offsets).astype(np.float64)
+    d = np.asarray(offsets, dtype=np.float64)
     rs = _rs_bound(s + 1j * d.min()) < _EM_TARGET
     out = np.empty((len(s), len(d)), dtype=np.complex128)
     if not rs.all():
         out[~rs] = _zeta_em(s[~rs], d)
     if rs.any():
         out[rs] = _zeta_rs(s[rs], d)
-    return out.reshape(s.shape + np.shape(offsets))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -794,14 +794,6 @@ def _zeta_panels(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
         at = np.flatnonzero(group == g)
         out[at] = _zeta_grid(1.5 + 1j * mid[at], width * _K15_NODES)
     return out
-
-
-def constant_contour_integrand(tau: np.ndarray) -> np.ndarray:
-    """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau: the constant row, conjugated."""
-    tau = np.asarray(tau, dtype=np.float64)
-    zeta = _zeta_grid(1.5 + 1j * np.abs(tau), 0.0)
-    zeta = np.where(tau < 0, zeta.conj(), zeta)
-    return np.conj(_zeta_integrands((), tau, zeta)[0])
 
 
 def _residues(orders: tuple[int, ...], K: int) -> np.ndarray:

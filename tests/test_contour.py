@@ -26,7 +26,6 @@ from cantor_moments.contour import (
     _zeta_em,
     _zeta_integrands,
     _zeta_rs,
-    constant_contour_integrand,
     perron_integrand,
     perron_kernel,
     zeta_contours,
@@ -42,15 +41,20 @@ LOG2_3 = math.log2(3.0)
 
 
 def zeta_points(s) -> np.ndarray:
-    """zeta at each point s, Re s > 0, s != 1: one _zeta_grid call with the one offset 0.
+    """zeta at each point of a 1-D s, Re s > 0, s != 1: one _zeta_grid call at the one offset 0.
 
     Each point is taken at |Im s| and conjugated back where Im s < 0, so
     zeta(conj s) is conj zeta(s) bit for bit.
     """
     s = np.asarray(s, dtype=np.complex128)
     below = s.imag < 0
-    out = contour._zeta_grid(np.where(below, s.conj(), s), 0.0)
+    out = contour._zeta_grid(np.where(below, s.conj(), s), np.zeros(1))[:, 0]
     return np.where(below, out.conj(), out)
+
+
+def constant_integrand(tau: np.ndarray) -> np.ndarray:
+    """zeta(s) / (s(s-1)(3*2**(-s) - 1)) on s = 3/2 + i*tau: the constant's row, conjugated."""
+    return np.conj(_zeta_integrands((), tau, zeta_points(1.5 + 1j * tau))[0])
 
 
 def zeta(s: complex) -> complex:
@@ -166,11 +170,9 @@ def test_zeta_conjugate_symmetry():
         assert abs(below - above.conjugate()) <= 1e-12
     # Exact on Re s = 3/2, where the moment integrands take
     # zeta(3/2 - i*tau) as the conjugate of the constant's zeta value, and
-    # where constant_contour_integrand takes negative heights that way.
+    # where constant_integrand takes negative heights that way.
     tau = np.linspace(0.0, 1.0e4, 10_001)
-    assert np.array_equal(
-        constant_contour_integrand(-tau), np.conjugate(constant_contour_integrand(tau))
-    )
+    assert np.array_equal(constant_integrand(-tau), np.conjugate(constant_integrand(tau)))
 
 
 def test_zeta_against_mpmath():
@@ -585,7 +587,7 @@ def test_integrand_conjugate_symmetry():
     taus = np.array([0.3, 2.0, 11.0])
     for f in (
         lambda tau: perron_integrand(2.0, tau),
-        constant_contour_integrand,
+        constant_integrand,
         lambda tau: _zeta_integrands((3,), tau, zeta_points(1.5 + 1j * tau))[0],
     ):
         lo = f(-taus)
@@ -597,7 +599,7 @@ def test_constant_integrand_at_origin():
     # real and finite at tau = 0: zeta(3/2) / ((3/2)(1/2)(3*2^(-3/2)-1))
     s = 1.5 + 0j
     expected = ZETA_3_2 / (s * (s - 1) * (3 * 2**-s - 1))
-    got = complex(constant_contour_integrand(np.array([0.0]))[0])
+    got = complex(constant_integrand(np.array([0.0]))[0])
     assert abs(got - expected) <= 1e-12 * abs(expected)
     assert abs(got.imag) <= 1e-12
 
@@ -609,7 +611,7 @@ def test_constant_integrand_against_its_own_line():
     tau = np.array([0.0, 0.5, 3.0, PERIOD, 100.0, 1103 * PERIOD, 1.0e3, 1.0e4])
     s = 1.5 + 1j * tau
     want = zeta_points(s) / (s * (s - 1) * (3.0 * 2.0**-s - 1.0))
-    got = constant_contour_integrand(tau)
+    got = constant_integrand(tau)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import cantor_moments
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -53,12 +55,13 @@ def _loads(node: ast.AST) -> set[str]:
     }
 
 
-def test_every_private_name_in_src_has_a_caller_in_src():
+def test_every_top_level_name_in_src_is_package_api_or_has_a_caller_in_src():
     # Library code that only the tests use belongs with the tests: every
-    # private top-level name of src/ (one underscore, not a dunder) must be
-    # read by src/ code outside its own definition.  Names are matched by
-    # name alone, across modules, since the package imports its private
-    # helpers by name or reads them as module attributes.
+    # top-level name of src/ that is not a dunder and not exported by the
+    # package root's __all__, public or private, must be read by src/ code
+    # outside its own definition.  Names are matched by name alone, across
+    # modules, since the package imports its helpers by name or reads them
+    # as module attributes.
     modules = {
         path.relative_to(ROOT): ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src").rglob("*.py"))
@@ -67,9 +70,10 @@ def test_every_private_name_in_src_has_a_caller_in_src():
         (path, name, node)
         for path, tree in modules.items()
         for name, node in _top_level_names(tree)
-        if name.startswith("_") and not name.startswith("__")
+        if not name.startswith("__") and name not in cantor_moments.__all__
     ]
     assert any(name == "_dirichlet_sum" for _, name, _ in definitions)
+    assert any(name == "zeta_contours" for _, name, _ in definitions)
     unread = []
     for path, name, own in definitions:
         readers = (
