@@ -103,19 +103,6 @@ _ABS_TOL = 1.0e-4
 _MAX_EVALS = 2_000_000
 
 
-class QuadratureError(ValueError):
-    """Budget exhausted before reaching tolerance.
-
-    Carries the best estimate and the achieved error bound.
-    """
-
-    def __init__(self, message: str, estimate: float, achieved_error: float):
-        super().__init__(f"{message}: best estimate {estimate!r}, achieved error "
-                         f"{achieved_error:.3e}")
-        self.estimate = estimate
-        self.achieved_error = achieved_error
-
-
 # ---------------------------------------------------------------------------
 # Riemann zeta on Re s > 0
 # ---------------------------------------------------------------------------
@@ -331,8 +318,8 @@ def _rs_derivatives() -> np.ndarray:
 _RS_DERIVATIVES = _rs_derivatives()
 
 
-def _rs_coefficients(sigma: float, terms: int) -> np.ndarray:
-    """C_k(p), k < terms, as rows of polynomial coefficients in p**2.
+def _rs_coefficients(sigma: float) -> np.ndarray:
+    """C_k(p), k < _RS_TERMS, as rows of polynomial coefficients in p**2.
 
     F^(m) has the parity of m, so C_k(p) has the parity of k: row k holds
     c_km with C_k(p) = p**(k mod 2) * sum_m c_km p**(2m).
@@ -342,7 +329,7 @@ def _rs_coefficients(sigma: float, terms: int) -> np.ndarray:
     for m != 0, and d_kl = -sum_{r<l} (-1)**(l-r) (2l-2r)!/(l-r)! d_kr.
     """
     d = {(0, 0): 1.0}
-    for k in range(1, terms):
+    for k in range(1, _RS_TERMS):
         for l in range(3 * k // 2 + 1):
             m = 3 * k - 2 * l
             if m:
@@ -356,7 +343,7 @@ def _rs_coefficients(sigma: float, terms: int) -> np.ndarray:
                     (-1) ** (l - r) * factorial(2 * (l - r)) / factorial(l - r) * d[k, r]
                     for r in range(l)
                 )
-    weights = np.zeros((terms, len(_RS_DERIVATIVES)), dtype=np.complex128)
+    weights = np.zeros((_RS_TERMS, len(_RS_DERIVATIVES)), dtype=np.complex128)
     for (k, l), d_kl in d.items():
         weights[k, 3 * k - 2 * l] = d_kl / (math.pi ** (2 * k - l) * (2j) ** l)
     out = np.einsum("km,mn->kn", weights, _RS_DERIVATIVES)
@@ -364,13 +351,13 @@ def _rs_coefficients(sigma: float, terms: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _rs_series(sigma: float, terms: int) -> np.ndarray:
-    """C_k(p), k < terms, of the sides sigma and 1 - sigma as real columns.
+def _rs_series(sigma: float) -> np.ndarray:
+    """C_k(p), k < _RS_TERMS, of the sides sigma and 1 - sigma as real columns.
 
     Cached per real part, so a wave or a line builds them once, not once
     per block; read-only.
     """
-    C = np.concatenate([_rs_coefficients(x, terms) for x in (sigma, 1.0 - sigma)])
+    C = np.concatenate([_rs_coefficients(x) for x in (sigma, 1.0 - sigma)])
     C = np.concatenate([C.real, C.imag]).T  # real columns, for one real product
     C.flags.writeable = False
     return C
@@ -492,7 +479,7 @@ def _zeta_rs(s: np.ndarray, d: np.ndarray) -> np.ndarray:
         sums[:, i, j] += np.exp(-np.log(m) * (sides[:, None] + 1j * tau[i, j]))
     # The series: C_k in p**2 for both sides, real and imaginary parts
     # apart, then summed over k by Horner's rule in 1/a, odd k times p.
-    C = _rs_series(sigma, K)
+    C = _rs_series(sigma)
     q = p.ravel()
     square = q * q
     powers = np.empty((C.shape[0], q.size))
@@ -641,8 +628,9 @@ def _adaptive_line(f, edges: np.ndarray):
     them.
 
     Returns (integrals, error_estimates, evaluations), one integral and
-    one estimate per row.  A QuadratureError carries the estimate and
-    error of the row with the largest error.
+    one estimate per row.  When the budget runs out, the ValueError names
+    the real part of the estimate and the error of the row with the
+    largest error.
     """
     T = float(edges[-1])
     half = np.full(len(edges) - 1, (edges[1] - edges[0]) / 2.0)
@@ -657,10 +645,10 @@ def _adaptive_line(f, edges: np.ndarray):
             break
         if evals + 30 * int(bad.sum()) > _MAX_EVALS:
             worst = int(np.argmax(errs.sum(axis=1)))
-            raise QuadratureError(
-                "quadrature budget exhausted before tolerance",
-                float(vals[worst].sum().real),
-                float(errs[worst].sum()),
+            raise ValueError(
+                "quadrature budget exhausted before tolerance: best estimate "
+                f"{float(vals[worst].sum().real)!r}, achieved error "
+                f"{float(errs[worst].sum()):.3e}"
             )
         keep = ~bad
         quarter = half[bad] / 2.0
@@ -691,14 +679,12 @@ def _edges(T: float, width: float) -> np.ndarray:
     The one mesh builder of both line integrals.  T is checked to lie
     in [10, inf), and a mesh whose 15 Kronrod nodes a panel alone exceed
     the _MAX_EVALS budget is refused from T and width, before any array
-    exists; that QuadratureError carries estimate nan and error inf.
+    exists, so there is no estimate to report.
     """
     if not 10 <= T < math.inf:
         raise ValueError("truncation height must be >= 10")
     if 15 * math.ceil(T / width) > _MAX_EVALS:
-        raise QuadratureError(
-            "starting mesh exceeds the evaluation budget", math.nan, math.inf
-        )
+        raise ValueError("starting mesh exceeds the evaluation budget")
     return np.append(np.arange(0.0, T, width), T)
 
 
@@ -728,10 +714,11 @@ def perron_kernel(t: float, *, T: float = _T) -> float:
     O(t**(3/2) / T).
 
     Raises:
-        ValueError: t not in (0, inf), or T not in [10, inf).
-        QuadratureError: the starting mesh alone exceeds the evaluation
-            budget (refused by :func:`_edges` before it is built), or the
-            budget is exhausted before tolerance.
+        ValueError: t not in (0, inf); T not in [10, inf); the starting
+            mesh alone exceeds the evaluation budget (refused by
+            :func:`_edges` before it is built); or the budget is
+            exhausted before tolerance, with the best estimate and its
+            error in the message.
     """
     if not 0 < t < math.inf:
         raise ValueError("kernel argument must be positive and finite")
@@ -882,12 +869,12 @@ def zeta_contours(
 
     Raises:
         ValueError: "moment order not an integer" or "moment order must
-            be >= 1", from :func:`~cantor_moments.exact._as_int`, or T
-            not in [10, inf).
-        QuadratureError: the starting mesh alone exceeds the evaluation
-            budget (refused by :func:`_edges` before it is built), or the
-            budget is exhausted before tolerance (its estimate is then of
-            the integral with the principal parts subtracted).
+            be >= 1", from :func:`~cantor_moments.exact._as_int`; T not
+            in [10, inf); the starting mesh alone exceeds the evaluation
+            budget (refused by :func:`_edges` before it is built); or the
+            budget is exhausted before tolerance, with the best estimate
+            and its error in the message (the estimate is then of the
+            integral with the principal parts subtracted).
     """
     orders = tuple(_as_int(n, "moment order", 1) for n in orders)
     edges = _edges(T, _POLE_PERIOD)

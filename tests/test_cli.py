@@ -327,7 +327,7 @@ def test_quadrature_non_convergence_fails_checks(capsys, monkeypatch):
         assert payload["all_pass"] is False
         return {c["name"]: c["measured"] for c in payload["checks"] if c["status"] == "fail"}
 
-    refused = "starting mesh exceeds the evaluation budget: best estimate nan, achieved error inf"
+    refused = "starting mesh exceeds the evaluation budget"
     # 1,000 nodes: every starting mesh is refused before any evaluation.
     failing = measured(1000)
     assert len(failing) == 9

@@ -7,6 +7,7 @@ only: a 3.11-only standard-library call or behaviour is not caught.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import cantor_moments
@@ -85,3 +86,41 @@ def test_every_top_level_name_in_src_is_package_api_or_has_a_caller_in_src():
         if not any(name in _loads(stmt) for stmt in readers):
             unread.append(f"{path}: {name}")
     assert not unread, unread
+
+
+def test_bench_probe_programs_parse_and_read_existing_names():
+    # scripts/bench.py runs four programs held in strings in child
+    # processes, where a syntax error or a name the package no longer has
+    # shows only as a failed or empty figure.  Each must parse as Python
+    # 3.10, and every attribute it reads from a cantor_moments module must
+    # exist.  The strings come from the script's syntax tree; the script
+    # itself is not imported.
+    script = ast.parse((ROOT / "scripts" / "bench.py").read_text(encoding="utf-8"))
+    programs = {
+        target.id: node.value.value
+        for node in script.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+        and target.id in {"IN_PROCESS", "RSS_PROBE", "TRACED_PEAK", "IMPORT_CANTOR"}
+    }
+    assert len(programs) == 4
+    read = set()
+    missing = []
+    for name, source in programs.items():
+        tree = ast.parse(source, filename=name, feature_version=(3, 10))
+        modules = {
+            alias.asname or alias.name: importlib.import_module(f"cantor_moments.{alias.name}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "cantor_moments"
+            for alias in node.names
+        }
+        for leaf in ast.walk(tree):
+            if isinstance(leaf, ast.Attribute) and isinstance(leaf.value, ast.Name):
+                module = modules.get(leaf.value.id)
+                if module is not None:
+                    read.add(f"{module.__name__}.{leaf.attr}")
+                    if not hasattr(module, leaf.attr):
+                        missing.append(f"{name}: {module.__name__}.{leaf.attr}")
+    assert "cantor_moments.contour._zeta_grid" in read
+    assert not missing, missing
