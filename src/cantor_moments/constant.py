@@ -10,13 +10,18 @@ for k = 1, 2, ..., block by block; each caller takes the prefixes it
 needs.  The head k <= K0 = 8 is summed in exact rationals.  Beyond it
 the Euler-Maclaurin expansion
 
-    H(2**k) = k ln 2 + gamma + 2**-(k+1)
-              - sum_{j=1..J} B_{2j} / (2j * 4**(jk)) + R_J(k)
+    H(2**k) = k ln 2 + gamma - sum_{i=1..2J} B_i / (i * 2**(ik)) + R_J(k)
 
-is geometric in k once weighted by w**k, so the whole infinite tail
-sums in closed form to A ln 2 + B gamma + (exact rational), with
-A = sum_{k>K0} k w**k and B = sum_{k>K0} w**k.  Its remainder
-sum_{k>K0} w**k |R_J(k)| is one more geometric sum.  There is no series
+(with the package's B_1 = -1/2 its i = 1 term is 2**-(k+1), and the odd
+B_i vanish past it) is geometric in k once weighted by w**k.  With
+B = sum_{k>K0} w**k, and sum_{k>K0} k w**k = (K0 + 3) B, the whole tail
+sums in closed form to
+
+    B (gamma + (K0 + 3) ln 2) - sum_i B_i / i * sum_{k>K0} (w / 2**i)**k,
+
+and its remainder sum_{k>K0} w**k |R_J(k)| is one more geometric sum.
+gamma is the same expansion at m = 2**K0; :func:`_em_sum` picks the
+order and sums the Bernoulli terms of both.  There is no series
 cutoff: the rational parts fold into one exact Q, and only ln 2 and
 Euler's gamma are computed to working precision, each with a dual-method
 oracle.  Each certified value is summed exactly from its inputs and
@@ -63,7 +68,7 @@ _MAX_ORDER = 60
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin order
+# Euler-Maclaurin sum
 # ---------------------------------------------------------------------------
 
 
@@ -72,18 +77,18 @@ def _geometric_tail(x: Fraction) -> Fraction:
     return x ** (K0 + 1) / (1 - x)
 
 
-def _em_order(
-    precision: int, scale: Callable[[int], Fraction], bern: Sequence[Fraction] = ()
-) -> tuple[int, Fraction, Sequence[Fraction]]:
-    """The smallest Euler-Maclaurin order J, its remainder bound, B_0..B_{2J+2}.
+def _em_sum(
+    precision: int, factor: Callable[[int], Fraction], bern: Sequence[Fraction] = ()
+) -> tuple[int, Fraction, Fraction, Sequence[Fraction]]:
+    """Order J, remainder bound, sum_i B_i * factor(i), and B_0..B_{2J+2}.
 
-    The bound is |B_{2J+2}| / (2J+2) * scale(J): the first omitted
-    Bernoulli term times the factor the expansion applies to it, which is
-    1 / m**(2J+2) for H_m itself and a geometric sum over k > K0 for the
-    constant's tail.  J is the smallest order that brings the bound
-    below 10**-(precision+2).  gamma and the constant's tail both pick
-    their order here; the tail starts from gamma's table ``bern``, which
-    grows only if the search outruns it.
+    ``factor(i)`` is the whole weight of the i-th Bernoulli term:
+    1 / (i * m**i) for H_m itself, a geometric sum over k > K0 divided
+    by i for the constant's tail.  The bound is the first omitted term,
+    |B_{2J+2}| * factor(2J+2), and J the smallest order that brings it
+    below 10**-(precision+2).  The exact sum runs over i = 1 (B_1 =
+    -1/2) and the even i <= 2J.  The tail starts from gamma's table
+    ``bern``, which grows only if the search outruns it.
 
     Raises:
         ValueError: "precision beyond supported range" when no J <= 60
@@ -95,9 +100,10 @@ def _em_order(
         if j2 >= len(bern):
             # Grow the table geometrically; the constant's searches stop by J = 19.
             bern = bernoulli_numbers(2 * j2)
-        bound = abs(bern[j2]) / j2 * scale(order)
+        bound = abs(bern[j2]) * factor(j2)
         if bound < target:
-            return order, bound, bern
+            terms = sum(bern[i] * factor(i) for i in (1, *range(2, j2, 2)))
+            return order, bound, terms, bern
     raise ValueError("precision beyond supported range")
 
 
@@ -164,12 +170,9 @@ def _gamma(precision: int, h_m: Fraction) -> tuple[Fraction, Fraction, Sequence[
     See :func:`euler_gamma`; the expansion is summed exactly and rounded once.
     """
     m = 2**K0
-    order, _, bern = _em_order(precision, lambda J: Fraction(1, m ** (2 * J + 2)))
+    _, _, terms, bern = _em_sum(precision, lambda i: Fraction(1, i * m**i))
     log2 = ln2(precision + 8)
-    acc = h_m - K0 * log2 - Fraction(1, 2 * m) + sum(
-        bern[2 * j] / (2 * j * m ** (2 * j)) for j in range(1, order + 1)
-    )
-    return round_decimal(acc, precision), log2, bern
+    return round_decimal(h_m - K0 * log2 + terms, precision), log2, bern
 
 
 def euler_gamma(precision: int) -> Fraction:
@@ -177,15 +180,15 @@ def euler_gamma(precision: int) -> Fraction:
 
     Euler-Maclaurin at m = 2**K0 = 256:
 
-        gamma = H_m - ln m - 1/(2m) + sum_{j=1..J} B_{2j} / (2j * m**(2j))
+        gamma = H_m - ln m + sum_{i=1..2J} B_i / (i * m**i)
 
-    with J the smallest order whose remainder bound
-    |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below 10**-(precision+2), found
-    by the same search as the constant's tail order.  H_m is the exact
-    H(2**K0) of :func:`_harmonic_prefixes` and ln 2 is :func:`ln2` at
-    precision + 8 digits; the sum is exact but for that ln 2 and is
-    rounded once, so the error is at most 10**-(precision+2) +
-    8 * 10**-(precision+8) + 1/2 * 10**-precision.  The tests hold the
+    (B_1 = -1/2 gives the -1/(2m) term) with J the smallest order whose
+    remainder bound |B_{2J+2}| / ((2J+2) * m**(2J+2)) is below
+    10**-(precision+2), found and summed as the constant's tail is.  H_m
+    is the exact H(2**K0) of :func:`_harmonic_prefixes` and ln 2 is
+    :func:`ln2` at precision + 8 digits; the sum is exact but for that
+    ln 2 and is rounded once, so the error is at most 10**-(precision+2)
+    + 8 * 10**-(precision+8) + 1/2 * 10**-precision.  The tests hold the
     dual-method oracle, the same expansion at m = 2**14.
 
     Raises:
@@ -228,14 +231,15 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     D = ``digits`` (1 <= D <= :data:`MAX_DIGITS`) is the only input.  The
     working precision is P = D + :data:`GUARD_DIGITS`, and the tail's
     order J is the smallest whose remainder is below 10**-(P+2): J = 2 at
-    D = 1, 7 at D = 30, 14 at D = 60.  The value is Q + (2/3)A ln 2 +
-    (2/3)B gamma (see the module docstring), summed exactly with ln 2 at
-    W + 8 and gamma at W = P + 6 digits, and rounded once to W.  The
-    exact head sum_{k<=K0} (2/3)**k H(2**k) reads the first K0 prefixes
-    of :func:`_harmonic_prefixes`, and gamma takes the last of them.  The
+    D = 1, 7 at D = 30, 14 at D = 60.  The value is Q + (2/3)(K0 + 3)B ln 2
+    + (2/3)B gamma, B = sum_{k>K0} (2/3)**k and Q exact (see the module
+    docstring), summed exactly with ln 2 at W + 8 and gamma at W = P + 6
+    digits, and rounded once to W.  The exact head
+    sum_{k<=K0} (2/3)**k H(2**k) reads the first K0 prefixes of
+    :func:`_harmonic_prefixes`, and gamma takes the last of them.  The
     certified error is (2/3) times the tail remainder, plus the ln 2 and
-    gamma errors times (2/3)A and (2/3)B, plus 1/2 * 10**-W for the
-    rounding; above 10**-D no result is built and ValueError "budget
+    gamma errors times (2/3)(K0 + 3)B and (2/3)B, plus 1/2 * 10**-W for
+    the rounding; above 10**-D no result is built and ValueError "budget
     insufficient for target" is raised.
     """
     digits = _as_int(digits, "target digits", 1)
@@ -246,21 +250,15 @@ def moment_series_constant(digits: int = 30) -> ConstantResult:
     prefixes = list(islice(_harmonic_prefixes(), K0))
     head = sum(_W**k * h for k, h in enumerate(prefixes, 1))
     gamma, log2, bern = _gamma(W, prefixes[-1])
-    J, tail_remainder, bern = _em_order(
-        P, lambda j: _geometric_tail(_W / 4 ** (j + 1)), bern
+    # Tail over k > K0: the i-th Bernoulli term is geometric with ratio w/2**i.
+    J, tail_remainder, terms, _ = _em_sum(
+        P, lambda i: _geometric_tail(_W / 2**i) / i, bern
     )
     two_thirds = Fraction(2, 3)
-
-    # Tail over k > K0: A = sum k w**k, B = sum w**k; w**k 2**-(k+1) is
-    # (1/3)**k / 2, and each Bernoulli term is geometric with ratio w/4**j.
-    A = _W ** (K0 + 1) * ((K0 + 1) - K0 * _W) / (1 - _W) ** 2
+    # B = sum_{k>K0} w**k, and sum_{k>K0} k w**k = (K0 + 1/(1 - w)) B.
     B = _geometric_tail(_W)
-    tail_rational = _geometric_tail(_W / 2) / 2 - sum(
-        bern[2 * j] / (2 * j) * _geometric_tail(_W / 4**j)
-        for j in range(1, J + 1)
-    )
-    Q = -Fraction(1, 3) + two_thirds * (head + tail_rational)
-    ln2_coeff = two_thirds * A
+    Q = -Fraction(1, 3) + two_thirds * (head - terms)
+    ln2_coeff = two_thirds * (K0 + 1 / (1 - _W)) * B
     gamma_coeff = two_thirds * B
 
     value = round_decimal(Q + ln2_coeff * log2 + gamma_coeff * gamma, W)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -130,6 +131,12 @@ def test_euler_gamma_precision_cap():
 
 
 def test_euler_gamma_against_mpmath():
+    # Every certified value exactly, not only to its tolerance: the
+    # SHA-256 of repr(euler_gamma(p)) for p = 1..120, one per line.
+    reprs = "\n".join(repr(euler_gamma(p)) for p in range(1, 121))
+    assert hashlib.sha256(reprs.encode()).hexdigest() == (
+        "28d1188982cca04c83eb4b1647184d504554deed32a92e8fa9d36acbd7f4180b"
+    )
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(140):
         # 135 digits of gamma: its own error, below 10**-134, is far inside
@@ -144,7 +151,7 @@ def test_euler_gamma_against_mpmath():
 # ---------------------------------------------------------------------------
 
 
-def test_harmonic_fixed_switch_point_agreement(harmonic_powers):
+def test_tail_expansion_matches_exact_harmonic_numbers_past_k0(harmonic_powers):
     # The closed-form tail sums the expansion
     #   H(2**k) = k ln 2 + gamma + 2**-(k+1) - sum_j B_2j / (2j 4**(jk))
     # for k > K0 with the production order J, ln 2 and gamma.  Just past
@@ -250,7 +257,7 @@ def weighted_sums(n):
     return list(accumulate(Fraction(2, 3) ** k * h for k, h in enumerate(prefixes, 1)))
 
 
-def test_weighted_harmonic_sum_exact_truncations():
+def test_weighted_sum_truncations_within_tail_bound_of_constant():
     assert weighted_sums(2)[-1] == Fraction(52, 27)
     # exact truncation vs the full series recovered from the certified
     # constant, S = (3/2)(L + 1/3): the gap must be below the tail bound
@@ -291,11 +298,18 @@ def test_certified_bound_holds_for_every_digit_count():
     # value rounded to D digits.  Against the outside reference, the
     # working value lies within its certified error of the truth, counting
     # the reference's own rounding (at most 1/2 * 10**-90) against it.
-    ref = moment_series_constant(60)
+    # Every result is pinned exactly too, guard digits and error parts
+    # included: the SHA-256 of repr(tuple(result)) for D = 1..60, one per
+    # line.
+    results = [moment_series_constant(d) for d in range(1, 61)]
+    reprs = "\n".join(repr(tuple(res)) for res in results)
+    assert hashlib.sha256(reprs.encode()).hexdigest() == (
+        "41f85e9f0b7bcc835dd33f7b58b4a9e56c620aa0472b53a4dc26483f0217625f"
+    )
+    ref = results[-1]
     ref_value = ref.value
     truth = Fraction(REFERENCE_CONSTANT)
-    for digits in range(1, 61):
-        res = moment_series_constant(digits)
+    for digits, res in enumerate(results, 1):
         gap = abs(res.value - ref_value)
         assert gap <= Fraction(res.certified_error) + Fraction(ref.certified_error)
         assert decimal_string(res.value, digits) == decimal_string(ref_value, digits)
@@ -405,7 +419,7 @@ def test_weighted_sum_matches_harmonic_numbers_from_scratch(harmonic_powers):
         assert walked == scratch
 
 
-def test_identity_prefixes_match_double_sum_check(harmonic_powers):
+def test_identity_forms_match_harmonic_reference(harmonic_powers):
     # Both forms of every truncation K = 1..14 against the harmonic form
     # built from the plain reference sum.
     reference = Fraction(1)
