@@ -20,15 +20,15 @@ sums in closed form to
     B (gamma + (K0 + 3) ln 2) - sum_i B_i / i * sum_{k>K0} (w / 2**i)**k,
 
 and its remainder sum_{k>K0} w**k |R_J(k)| is one more geometric sum.
-gamma is the same expansion at m = 2**K0; :func:`_em_sum` picks the
-order and sums the Bernoulli terms of both.  There is no series
-cutoff: the rational parts fold into one exact Q, and only ln 2 and
-Euler's gamma are computed to working precision, each with a dual-method
-oracle.  Each certified value is summed exactly from its inputs and
-rounded once, by :func:`~cantor_moments.exact.round_decimal`, to an
-exact ``Fraction`` on the grid of multiples of 10**-p, and the certified
-error is the sum of named parts: the Euler-Maclaurin remainder, the ln 2
-and gamma errors scaled by their coefficients, and that one rounding.
+gamma is the same expansion at m = 2**K0; :func:`_em_sum` sums the
+Bernoulli terms of both in one pass.  There is no series cutoff: the
+rational parts fold into one exact Q, and only ln 2 and Euler's gamma
+are computed to working precision, each with a dual-method oracle.
+Each certified value is summed exactly from its inputs and rounded
+once, by :func:`~cantor_moments.exact.round_decimal`, to an exact
+``Fraction`` on the grid of multiples of 10**-p, and the certified error
+is the sum of named parts: the Euler-Maclaurin remainder, the ln 2 and
+gamma errors scaled by their coefficients, and that one rounding.
 
 The requested digit count D is the only input.  The working precision
 is P = D + GUARD_DIGITS, and the order J is the smallest whose remainder
@@ -84,26 +84,26 @@ def _em_sum(
 
     ``factor(i)`` is the whole weight of the i-th Bernoulli term:
     1 / (i * m**i) for H_m itself, a geometric sum over k > K0 divided
-    by i for the constant's tail.  The bound is the first omitted term,
-    |B_{2J+2}| * factor(2J+2), and J the smallest order that brings it
-    below 10**-(precision+2).  The exact sum runs over i = 1 (B_1 =
-    -1/2) and the even i <= 2J.  The tail starts from gamma's table
-    ``bern``, which grows only if the search outruns it.
+    by i for the constant's tail.  One pass over i = 1 (B_1 = -1/2) and
+    the even i >= 2 weighs each term once and adds it to the exact sum
+    until the next, i = 2J + 2 with J >= 1, is below 10**-(precision+2);
+    that term's magnitude is the bound.  The tail starts from gamma's
+    table ``bern``, which grows only if the pass outruns it.
 
     Raises:
         ValueError: "precision beyond supported range" when no J <= 60
             meets the bound.
     """
     target = Fraction(1, 10 ** (precision + 2))
-    for order in range(1, _MAX_ORDER + 1):
-        j2 = 2 * order + 2
-        if j2 >= len(bern):
+    terms = Fraction(0)
+    for i in (1, *range(2, 2 * _MAX_ORDER + 3, 2)):
+        if i >= len(bern):
             # Grow the table geometrically; the constant's searches stop by J = 19.
-            bern = bernoulli_numbers(2 * j2)
-        bound = abs(bern[j2]) * factor(j2)
-        if bound < target:
-            terms = sum(bern[i] * factor(i) for i in (1, *range(2, j2, 2)))
-            return order, bound, terms, bern
+            bern = bernoulli_numbers(2 * max(i, 4))
+        term = bern[i] * factor(i)
+        if i > 2 and abs(term) < target:
+            return i // 2 - 1, abs(term), terms, bern
+        terms += term
     raise ValueError("precision beyond supported range")
 
 

@@ -126,8 +126,12 @@ def test_euler_gamma_dual_parameters(harmonic_powers):
 
 
 def test_euler_gamma_precision_cap():
-    with pytest.raises(ValueError, match="precision beyond supported range"):
-        euler_gamma(2000)
+    # The cap's edge: p = 187 needs J = 60, the highest order, and p = 188
+    # needs more.
+    assert abs(euler_gamma(187) - euler_gamma(186)) <= Fraction(1, 10**186)
+    for p in (188, 2000):
+        with pytest.raises(ValueError, match="precision beyond supported range"):
+            euler_gamma(p)
 
 
 def test_euler_gamma_against_mpmath():
@@ -207,6 +211,8 @@ def test_constant_computes_each_input_once(monkeypatch):
     # One D = 60 call walks the harmonic prefixes once, to H(2**K0), takes
     # ln 2 once, and builds Bernoulli tables only in gamma's order search,
     # growing to J = 19: the tail's search (J = 14) reads gamma's table.
+    # Each search weighs every Bernoulli index once: B_1 and the even
+    # indices up to 2J + 2, 21 for gamma and 16 for the tail.
     calls = []
     for name in ("_harmonic_prefixes", "ln2", "bernoulli_numbers"):
         real = getattr(constant, name)
@@ -216,7 +222,22 @@ def test_constant_computes_each_input_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(constant, name, counted)
+    searches = []
+    real_em_sum = constant._em_sum
+
+    def em_sum(precision, factor, *bern):
+        indices = []
+        searches.append(indices)
+
+        def weighed(i):
+            indices.append(i)
+            return factor(i)
+
+        return real_em_sum(precision, weighed, *bern)
+
+    monkeypatch.setattr(constant, "_em_sum", em_sum)
     result = moment_series_constant(60)
+    assert searches == [[1, *range(2, 2 * J + 3, 2)] for J in (19, 14)]
     W = 60 + GUARD_DIGITS + 6
     assert sorted(calls) == [
         ("_harmonic_prefixes",),
